@@ -7,142 +7,41 @@ between states are classified and costed, and a beam of competing
 readings is kept so genuine ambiguities survive.  A brute-force
 enumerator provides an independent reference implementation, and a small
 annotated corpus with surveyed gold readings is bundled.
+
+The package re-exports the library entry points and the exceptions they
+raise; everything else lives in its submodule (`centering.model`,
+`centering.rules`, `centering.engine`, `centering.oracle`,
+`centering.corpus`, `centering.cli`).
 """
 
-from .model import (
-    Argument,
-    Assignment,
-    CenterState,
-    Discourse,
-    Entity,
-    GrammaticalRole,
-    Hypothesis,
-    Marking,
-    MaybeCb,
-    Realization,
-    SalienceRole,
-    Significance,
-    SortalConstraint,
-    Step,
-    Transition,
-    Utterance,
-    VerbFrame,
-    Violation,
-    ViolationCode,
-    validate_discourse,
-)
-from .rules import (
-    RejectionCode,
-    RoleBinding,
-    assign_salience_roles,
-    classify_transition,
-    compute_cb_candidates,
-    filter_assignment,
-    rank_cf,
-)
+from .model import validate_discourse
 from .engine import (
-    Candidate,
     DiscourseInvalidError,
     EngineConfig,
-    ResolveResult,
-    StepResult,
     UnresolvableError,
-    apply_zta,
-    best_first,
-    generate_assignments,
-    hypothesis_sort_key,
-    instantiate_initial_cb,
     resolve,
     step,
 )
-from .oracle import (
-    EquivalenceReport,
-    GlobalReading,
-    SIZE_LIMIT,
-    SizeLimitError,
-    check_equivalence,
-    enumerate_all,
-    hypothesis_signature,
-)
+from .oracle import SizeLimitError, check_equivalence, enumerate_all
 from .corpus import (
-    CORPUS_FILES,
     DiscourseFormatError,
-    FormatIssue,
-    GoldCheck,
-    GoldLabel,
-    GoldReport,
-    INVALID_FILES,
-    VALID_FILES,
     check_gold,
-    corpus_text,
-    iter_valid_corpus,
-    load_corpus,
     parse_discourse,
     serialize_discourse,
 )
-from .cli import run_cli
 
 __all__ = [
-    "Argument",
-    "Assignment",
-    "CenterState",
-    "Discourse",
-    "Entity",
-    "GrammaticalRole",
-    "Hypothesis",
-    "Marking",
-    "MaybeCb",
-    "Realization",
-    "SalienceRole",
-    "Significance",
-    "SortalConstraint",
-    "Step",
-    "Transition",
-    "Utterance",
-    "VerbFrame",
-    "Violation",
-    "ViolationCode",
-    "validate_discourse",
-    "RejectionCode",
-    "RoleBinding",
-    "assign_salience_roles",
-    "classify_transition",
-    "compute_cb_candidates",
-    "filter_assignment",
-    "rank_cf",
-    "Candidate",
-    "DiscourseInvalidError",
-    "EngineConfig",
-    "ResolveResult",
-    "StepResult",
-    "UnresolvableError",
-    "apply_zta",
-    "best_first",
-    "generate_assignments",
-    "hypothesis_sort_key",
-    "instantiate_initial_cb",
     "resolve",
     "step",
-    "EquivalenceReport",
-    "GlobalReading",
-    "SIZE_LIMIT",
-    "SizeLimitError",
-    "check_equivalence",
-    "enumerate_all",
-    "hypothesis_signature",
-    "CORPUS_FILES",
-    "DiscourseFormatError",
-    "FormatIssue",
-    "GoldCheck",
-    "GoldLabel",
-    "GoldReport",
-    "INVALID_FILES",
-    "VALID_FILES",
+    "EngineConfig",
     "check_gold",
-    "corpus_text",
-    "iter_valid_corpus",
-    "load_corpus",
+    "enumerate_all",
+    "check_equivalence",
+    "validate_discourse",
     "parse_discourse",
     "serialize_discourse",
-    "run_cli",
+    "DiscourseInvalidError",
+    "UnresolvableError",
+    "SizeLimitError",
+    "DiscourseFormatError",
 ]

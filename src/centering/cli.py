@@ -17,7 +17,8 @@ Exit codes:
   3  the discourse is unresolvable (some utterance admits no reading)
   4  the reading space exceeds the enumerator's size limit (oracle)
   5  the input file cannot be read
-  6  the input file is not valid JSON or is shaped wrongly
+  6  the input file is not UTF-8 JSON or is shaped wrongly
+  7  bad command line (unknown option, missing argument, beam width < 1)
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from .corpus import (
     DiscourseFormatError,
-    GoldReport,
     PARSE,
     SCHEMA,
     check_gold,
@@ -46,10 +46,19 @@ EXIT_UNRESOLVABLE = 3
 EXIT_SIZE_LIMIT = 4
 EXIT_IO = 5
 EXIT_FORMAT = 6
+EXIT_USAGE = 7
+
+
+class _Parser(argparse.ArgumentParser):
+    """Exits EXIT_USAGE on a bad command line; argparse's own 2 is EXIT_VALIDATION."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="centering",
         description="Resolve unexpressed verb arguments in annotated "
         "Japanese discourse by center tracking.",
@@ -91,11 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_validate, beam=False)
 
     return parser
-
-
-def _read_file(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
 
 
 def _format_cf(step: Step) -> str:
@@ -206,12 +210,13 @@ def _emit_format_error(err: DiscourseFormatError, fmt: str) -> int:
 def _load(path: str, fmt: str):
     """Read and parse a corpus file, or return an exit code."""
     try:
-        text = _read_file(path)
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as err:
         print(f"error: cannot read {path}: {err}", file=sys.stderr)
         return EXIT_IO
     try:
-        return parse_discourse(text)
+        return parse_discourse(data)
     except DiscourseFormatError as err:
         return _emit_format_error(err, fmt)
 
@@ -294,15 +299,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        text = _read_file(args.file)
-    except OSError as err:
-        print(f"error: cannot read {args.file}: {err}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        parse_discourse(text)
-    except DiscourseFormatError as err:
-        return _emit_format_error(err, args.format)
+    loaded = _load(args.file, args.format)
+    if isinstance(loaded, int):
+        return loaded
     if args.format == "json":
         print(json.dumps({"issues": []}, indent=2))
     else:
@@ -311,9 +310,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def run_cli(argv: Optional[Sequence[str]] = None) -> int:
-    """Parse arguments and run one subcommand; returns the exit code."""
+    """Parse arguments and run one subcommand; returns the exit code.
+
+    A bad command line raises SystemExit(EXIT_USAGE), as --help raises
+    SystemExit(0).
+    """
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "beam", 1) < 1:
+        parser.error(f"argument --beam: must be at least 1, got {args.beam}")
     handlers = {
         "resolve": _cmd_resolve,
         "check": _cmd_check,

@@ -10,7 +10,8 @@ in a fixed documented order with two-space indentation, so serializing
 is deterministic and a parsed file re-serializes byte-identically.
 
 Error categories:
-  * parse - the bytes are not JSON (carries line/column);
+  * parse - the bytes are not UTF-8 JSON (carries line/column where
+    the reader reports one);
   * schema - the JSON is shaped wrongly (carries a JSON path);
   * validation - the discourse is well-formed but infelicitous (carries
     the felicity violations).
@@ -244,7 +245,9 @@ def _read_argument(reader: _Reader, value: Any, path: str) -> Optional[Argument]
             reader.fail(f"{path}.realization", 'expected {"np": <entity>} or "zero"')
         else:
             eid = reader.string(raw["np"], f"{path}.realization.np")
-            if eid is not None:
+            if eid == "":
+                reader.fail(f"{path}.realization.np", "entity id must be non-empty")
+            elif eid is not None:
                 realization = Realization.overt(eid)
     else:
         reader.fail(f"{path}.realization", 'expected {"np": <entity>} or "zero"')
@@ -350,17 +353,26 @@ def parse_discourse(text: str | bytes) -> tuple[Discourse, tuple[GoldLabel, ...]
     """Parse and fully check one corpus file.
 
     Raises DiscourseFormatError carrying every located issue: a parse
-    issue for non-JSON input, schema issues for structural problems, and
-    validation issues when the well-formed discourse is infelicitous.
+    issue for input that is not UTF-8 JSON, nests too deep or holds an
+    integer too long to convert, schema issues for structural problems,
+    and validation issues when the well-formed discourse is infelicitous.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
         document = json.loads(text)
     except json.JSONDecodeError as err:
         raise DiscourseFormatError(
             [FormatIssue(PARSE, "$", err.msg, err.lineno, err.colno)]
         ) from err
+    except UnicodeDecodeError as err:
+        line = err.object.count(b"\n", 0, err.start) + 1
+        column = err.start - err.object.rfind(b"\n", 0, err.start)
+        raise DiscourseFormatError(
+            [FormatIssue(PARSE, "$", f"not UTF-8: {err.reason}", line, column)]
+        ) from None
+    except (RecursionError, ValueError) as err:  # too deep, or an integer too long
+        raise DiscourseFormatError([FormatIssue(PARSE, "$", str(err))]) from None
 
     reader = _Reader()
     top = reader.obj(document, "$", ["entities", "utterances", "gold"],

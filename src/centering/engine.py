@@ -37,7 +37,6 @@ from .model import (
     Entity,
     GrammaticalRole,
     Hypothesis,
-    Marking,
     MaybeCb,
     SortalConstraint,
     Step,
@@ -373,53 +372,6 @@ def step(
     ranked = sorted(survivors, key=lambda c: _transition_sort_value(c.transition))
     children = tuple(_child(parent, utterance, c) for c in ranked)
     return StepResult(children, tuple(rejections))
-
-
-def best_first(
-    parent: Hypothesis,
-    utterance: Utterance,
-    discourse: Discourse,
-    config: EngineConfig,
-) -> Hypothesis:
-    """Fast path for the single best child: first clean CONTINUE, else step.
-
-    Scans candidates in generation order and returns as soon as a
-    surviving CONTINUE is found whose zeros all bind inside the parent Cf
-    (such a candidate is guaranteed to be step's rank 1: nothing outranks
-    a CONTINUE, in-Cf readings are immune to last-resort pruning, and its
-    existence switches zero-topic variants off).  Any other outcome falls
-    back to the full step ranking.
-    """
-    entities = _entity_map(discourse)
-    prev = parent.last.state
-    context = _context_for(discourse, prev)
-    prev_cf = set(prev.cf_ids)
-
-    for assignment in generate_assignments(utterance, context, entities):
-        pure = all(
-            assignment[a.role] in prev_cf
-            for a in utterance.args
-            if a.realization.is_zero
-        )
-        if not pure:
-            continue
-        for cb in compute_cb_candidates(prev, assignment):
-            if filter_assignment(utterance, assignment, prev, cb, entities) is not None:
-                continue
-            cf = rank_cf(assign_salience_roles(utterance, assignment))
-            state = CenterState(MaybeCb.instantiated(cb), cf)
-            transition = classify_transition(prev.cb, cb, state.cp)
-            if transition is Transition.CONTINUE:
-                return _child(
-                    parent,
-                    utterance,
-                    Candidate(assignment, state, transition, False, True),
-                )
-
-    result = step(parent, utterance, discourse, config)
-    if not result.ranked:
-        raise UnresolvableError(utterance.index)
-    return result.ranked[0]
 
 
 def hypothesis_sort_key(

@@ -256,24 +256,6 @@ class Utterance:
         if wa_count > 1:
             raise ValueError(f"utterance {self.index}: more than one wa-marked argument")
 
-    def arg(self, role: GrammaticalRole) -> Argument:
-        for a in self.args:
-            if a.role is role:
-                return a
-        raise KeyError(role)
-
-    @property
-    def zero_roles(self) -> tuple[GrammaticalRole, ...]:
-        return tuple(a.role for a in self.args if a.realization.is_zero)
-
-    @property
-    def overt_entities(self) -> tuple[str, ...]:
-        return tuple(
-            a.realization.entity_id
-            for a in self.args
-            if not a.realization.is_zero and a.realization.entity_id is not None
-        )
-
     @property
     def wa_argument(self) -> Optional[Argument]:
         for a in self.args:
@@ -306,10 +288,6 @@ class Discourse:
             if e.id == entity_id:
                 return e
         raise KeyError(entity_id)
-
-    @property
-    def entity_ids(self) -> tuple[str, ...]:
-        return tuple(e.id for e in self.entities)
 
     def entity_index(self) -> dict[str, int]:
         """Declaration-order index of each entity id (for deterministic keys)."""

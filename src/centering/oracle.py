@@ -231,7 +231,7 @@ def _parent_candidates(
             if _reject(utterance, assignment, prev_cf_ids, None, entities):
                 continue
             cf = _cf_list(utterance, assignment, None)
-            plain.append((assignment, None, cf, None, _pure(utterance, assignment, prev_cf_ids, entities)))
+            plain.append((assignment, None, cf, None, _pure(utterance, assignment, prev_cf_ids)))
             continue
         cb_options = [linked[0]] if prev_cb is not None else linked
         cf = _cf_list(utterance, assignment, None)
@@ -240,7 +240,7 @@ def _parent_candidates(
                 continue
             kept = prev_cb is None or prev_cb == cb
             transition = _TRANSITION_TABLE[(kept, cb == cf[0][0])]
-            plain.append((assignment, cb, cf, transition, _pure(utterance, assignment, prev_cf_ids, entities)))
+            plain.append((assignment, cb, cf, transition, _pure(utterance, assignment, prev_cf_ids)))
 
     if any(is_pure for *_rest, is_pure in plain):
         plain = [entry for entry in plain if entry[4]]
@@ -279,7 +279,6 @@ def _pure(
     utterance: Utterance,
     assignment: Mapping,
     prev_cf_ids: Sequence[str],
-    entities: Mapping,
 ) -> bool:
     old = set(prev_cf_ids)
     return all(
@@ -303,9 +302,7 @@ def _unify(steps: tuple[StepSignature, ...], cb: Optional[str]) -> tuple[StepSig
     return steps[:-1] + (fixed,)
 
 
-def _initial_readings(
-    discourse: Discourse, config: EngineConfig
-) -> list[GlobalReading]:
+def _initial_readings(discourse: Discourse) -> list[GlobalReading]:
     entities = {e.id: e for e in discourse.entities}
     first = discourse.utterances[0]
     pool = [e.id for e in discourse.entities if e.hearer_old]
@@ -331,7 +328,6 @@ def _projected_bound(
 ) -> int:
     """Cheap upper bound on the next layer's size (never an underestimate)."""
     n_zeros = sum(1 for a in utterance.args if a.realization.is_zero)
-    n_hearer_old = sum(1 for e in discourse.entities if e.hearer_old)
     total = 0
     zta_factor = 2 if config.zta_enabled else 1
     for reading in readings:
@@ -358,7 +354,7 @@ def _enumerate(
     beam so that no intermediate truncation can occur (a mid-discourse
     layer may be larger than the final reading count).
     """
-    readings = _initial_readings(discourse, config)
+    readings = _initial_readings(discourse)
     max_layer = len(readings)
     if not readings:
         return [], discourse.utterances[0].index, 0

@@ -28,7 +28,6 @@ from .model import (
     CfEntry,
     Entity,
     GRAMMATICAL_SALIENCE,
-    GrammaticalRole,
     Marking,
     MaybeCb,
     SalienceRole,

@@ -12,6 +12,7 @@ from centering.cli import (
     EXIT_OK,
     EXIT_SIZE_LIMIT,
     EXIT_UNRESOLVABLE,
+    EXIT_USAGE,
     EXIT_VALIDATION,
     run_cli,
 )
@@ -215,6 +216,45 @@ def test_schema_error_exits_format(tmp_path, capsys):
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert run_cli(["check", str(path)]) == EXIT_FORMAT
     assert "unknown field" in capsys.readouterr().err
+
+
+def _exit_code(argv):
+    """run_cli's return value, or the code of the SystemExit argparse raises."""
+    try:
+        return run_cli(argv)
+    except SystemExit as exit_:
+        return exit_.code
+
+
+_VALID = corpus.corpus_text("shift_ex.json").encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "content, extra, commands, expected",
+    [
+        (b'{"entities": ["tar\xffoo"]}', [], ("resolve", "validate"), EXIT_FORMAT),
+        (b"[" * 100_000 + b"]" * 100_000, [], ("resolve", "validate"), EXIT_FORMAT),
+        (b"[" + b"1" * 5000 + b"]", [], ("resolve", "validate"), EXIT_FORMAT),
+        (_VALID, ["--beam", "0"], ("resolve", "check", "oracle"), EXIT_USAGE),
+        (_VALID, ["--beam", "-3"], ("resolve",), EXIT_USAGE),
+        (_VALID, ["--bogus"], ("resolve", "validate"), EXIT_USAGE),
+        (_VALID, ["--help"], ("resolve", "validate"), EXIT_OK),
+    ],
+    ids=["bad-utf8", "deep-nesting", "long-integer", "beam-0", "beam-negative",
+         "unknown-flag", "help"],
+)
+def test_bad_input_and_command_lines_exit_with_documented_codes(
+    tmp_path, capsys, content, extra, commands, expected
+):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    for command in commands:
+        assert _exit_code([command, str(path), *extra]) == expected, command
+        err = capsys.readouterr().err
+        if expected == EXIT_FORMAT:
+            assert err.startswith("parse: $")
+        elif expected == EXIT_USAGE:
+            assert "usage:" in err and "error:" in err
 
 
 def test_unresolvable_discourse_exits_three(tmp_path, capsys):

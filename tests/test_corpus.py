@@ -83,6 +83,13 @@ def test_malformed_json_is_a_parse_error_with_position():
     assert issue.line == 1 and issue.column is not None
 
 
+def test_bytes_that_are_not_utf8_are_a_parse_error_with_position():
+    with pytest.raises(DiscourseFormatError) as err:
+        parse_discourse(b'{\n  "entities": ["\xe9"]}')
+    (issue,) = err.value.issues
+    assert (issue.category, issue.line, issue.column) == (PARSE, 2, 17)
+
+
 def test_non_object_document_is_a_schema_error():
     with pytest.raises(DiscourseFormatError) as err:
         parse_discourse("[1, 2]")
@@ -117,6 +124,15 @@ def test_marked_zero_is_a_schema_error():
         parse_discourse(json.dumps(doc))
     assert err.value.categories == {SCHEMA}
     assert any("args[0]" in i.path for i in err.value.issues)
+
+
+def test_empty_np_is_a_schema_error():
+    doc = json.loads(valid_text())
+    doc["utterances"][0]["args"][0]["realization"] = {"np": ""}
+    with pytest.raises(DiscourseFormatError) as err:
+        parse_discourse(json.dumps(doc))
+    assert err.value.categories == {SCHEMA}
+    assert err.value.issues[0].path == "$.utterances[0].args[0].realization.np"
 
 
 def test_bad_role_keyword_is_a_schema_error():

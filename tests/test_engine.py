@@ -10,7 +10,6 @@ from centering.engine import (
     OUT_OF_CF_PRUNED,
     UnresolvableError,
     apply_zta,
-    best_first,
     generate_assignments,
     instantiate_initial_cb,
     resolve,
@@ -243,31 +242,6 @@ def test_step_prefers_the_empathic_continue():
     first = res.ranked[0].last
     assert names(first.assignment) == {"subj": "hanako", "obj": "taroo"}
     assert first.transition is Transition.CONTINUE
-
-
-def test_best_first_agrees_with_full_step_everywhere():
-    for name in corpus.VALID_FILES:
-        d = load(name)
-        for n in range(1, len(d.utterances)):
-            beam = resolve(prefix(d, n), WIDE).hypotheses
-            for parent in beam:
-                fast = best_first(parent, d.utterances[n], d, WIDE)
-                full = step(parent, d.utterances[n], d, WIDE)
-                assert fast == full.ranked[0], (name, n)
-
-
-def test_best_first_raises_when_nothing_survives():
-    d = Discourse(
-        (entity("a", hearer_old=False),),
-        (
-            Utterance(1, VerbFrame("v1", (SUBJ,)), (overt(SUBJ, "a"),)),
-            Utterance(2, VerbFrame("v2", (SUBJ, OBJ)), (zero(SUBJ), zero(OBJ))),
-        ),
-    )
-    parent = resolve(prefix(d, 1), WIDE).top
-    with pytest.raises(UnresolvableError) as err:
-        best_first(parent, d.utterances[1], d, WIDE)
-    assert err.value.utterance_index == 2
 
 
 # --------------------------------------------------------------------------
