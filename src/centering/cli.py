@@ -5,14 +5,15 @@ Four subcommands over annotated-discourse JSON files:
   resolve   rank the readings of a discourse (optionally as per-utterance
             trace tables or JSON)
   check     resolve, then compare the readings against the file's gold
-            labels
+            labels (a file without labels fails: nothing was checked)
   oracle    compare the engine against the exhaustive reference
             enumerator on the file
   validate  report annotation felicity violations
 
 Exit codes:
   0  success
-  1  gold mismatch (check) or engine/oracle discrepancy (oracle)
+  1  gold mismatch or no gold labels (check), or engine/oracle
+     discrepancy (oracle)
   2  felicity validation failure
   3  the discourse is unresolvable (some utterance admits no reading)
   4  the reading space exceeds the enumerator's size limit (oracle)
@@ -149,25 +150,19 @@ def _print_readings(result: ResolveResult) -> None:
 def _print_trace(discourse: Discourse, result: ResolveResult) -> None:
     """Per-utterance tables: one row per reading, fixed columns."""
     header = ("HYP", "CB", "CF", "TRANSITION", "ZTA", "SCORE")
+    totals = [0] * len(result.hypotheses)  # each reading's score so far
     for utterance in discourse.utterances:
         rows = []
-        cumulative = {  # prefix score of each reading up to this utterance
-            rank: sum(
-                s.transition_cost
-                for s in h.steps
-                if s.utterance_index <= utterance.index
-            )
-            for rank, h in enumerate(result.hypotheses, start=1)
-        }
-        for rank, h in enumerate(result.hypotheses, start=1):
+        for i, h in enumerate(result.hypotheses):
             s = h.step_at(utterance.index)
+            totals[i] += s.transition_cost
             rows.append((
-                str(rank),
+                str(i + 1),
                 str(s.state.cb),
                 _format_cf(s),
                 _format_transition(s),
                 "yes" if s.zta_applied else "no",
-                str(cumulative[rank]),
+                str(totals[i]),
             ))
         widths = [
             max(len(header[col]), *(len(r[col]) for r in rows))
@@ -222,23 +217,27 @@ def _load(path: str, fmt: str):
 
 
 def _config(args: argparse.Namespace) -> EngineConfig:
-    return EngineConfig(
-        beam_width=args.beam,
-        zta_enabled=not args.no_zta,
-        strict_validation=True,
-    )
+    return EngineConfig(beam_width=args.beam, zta_enabled=not args.no_zta)
 
 
-def _cmd_resolve(args: argparse.Namespace) -> int:
+def _load_and_resolve(args: argparse.Namespace):
+    """Load and resolve a corpus file: (discourse, golds, result), or an exit code."""
     loaded = _load(args.file, args.format)
     if isinstance(loaded, int):
         return loaded
-    discourse, _golds = loaded
+    discourse, golds = loaded
     try:
-        result = resolve(discourse, _config(args))
+        return discourse, golds, resolve(discourse, _config(args))
     except UnresolvableError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_UNRESOLVABLE
+
+
+def _cmd_resolve(args: argparse.Namespace) -> int:
+    resolved = _load_and_resolve(args)
+    if isinstance(resolved, int):
+        return resolved
+    discourse, _golds, result = resolved
     if args.format == "json":
         print(json.dumps({"readings": _readings_json(result.hypotheses)}, indent=2))
     elif args.trace:
@@ -249,15 +248,10 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    loaded = _load(args.file, args.format)
-    if isinstance(loaded, int):
-        return loaded
-    discourse, golds = loaded
-    try:
-        result = resolve(discourse, _config(args))
-    except UnresolvableError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_UNRESOLVABLE
+    resolved = _load_and_resolve(args)
+    if isinstance(resolved, int):
+        return resolved
+    _discourse, golds, result = resolved
     report = check_gold(golds, result.hypotheses)
     if args.format == "json":
         print(json.dumps({
@@ -271,7 +265,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
         for c in report.checks:
             status = "ok" if c.ok else "MISMATCH"
             print(f"utterance {c.utterance_index}: {status} - {c.detail}")
-        print("gold: PASS" if report.ok else "gold: FAIL")
+        if not report.checks:
+            print("gold: NO LABELS")
+        else:
+            print("gold: PASS" if report.ok else "gold: FAIL")
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 

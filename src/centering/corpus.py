@@ -110,7 +110,8 @@ class GoldReport:
 
     @property
     def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
+        """Every check passed, and there was at least one to pass."""
+        return bool(self.checks) and all(c.ok for c in self.checks)
 
 
 # --------------------------------------------------------------------------

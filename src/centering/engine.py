@@ -10,6 +10,13 @@ and ranks what survives.  Readings are scored by the sum of their
 transition ordinals (lower = more coherent); the beam keeps the best
 `beam_width` readings at every stage.
 
+One expansion path builds every utterance's readings: `_survivors`
+turns a previous center state and an utterance into `Step`s.  The
+discourse-initial utterance goes through it with no previous state
+(prev=None): its pool is the hearer-old entities, no Cb links back and
+no transition or zero-topic variant arises; `_initial_hypotheses` then
+sets the wa topic, if any, as each reading's Cb.
+
 Zero topic assignment (ZTA) is the salience-promoting reading of a zero
 that picks up the current center: when a parent's candidates include no
 CONTINUE, a surviving candidate that binds some zero to the parent's Cb
@@ -71,22 +78,6 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.beam_width < 1:
             raise ValueError("beam width must be at least 1")
-
-
-@dataclass(frozen=True)
-class Candidate:
-    """One surviving reading of a single utterance, before child assembly.
-
-    pure means every zero is bound inside the parent Cf (trivially true
-    with no zeros); impure candidates reach out to hearer-old entities
-    and are admitted only as a last resort.
-    """
-
-    assignment: Assignment
-    state: CenterState
-    transition: Optional[Transition]
-    zta_applied: bool
-    pure: bool
 
 
 @dataclass(frozen=True)
@@ -200,20 +191,20 @@ def generate_assignments(
 
 
 def apply_zta(
-    candidates: Sequence[Candidate],
+    steps: Sequence[Step],
     parent_cb: MaybeCb,
     utterance: Utterance,
     config: EngineConfig,
-) -> list[Candidate]:
-    """Zero-topic variants of the surviving candidates, in base order.
+) -> list[Step]:
+    """Zero-topic variants of the surviving readings, in base order.
 
     Preconditions for any variant at all: ZTA enabled, the parent center
-    instantiated, and no surviving plain candidate already a CONTINUE
+    instantiated, and no surviving plain reading already a CONTINUE
     (when the center continues smoothly there is nothing for the zero
-    topic to rescue).  A candidate spawns a variant when its own Cb is
+    topic to rescue).  A reading spawns a variant when its own Cb is
     that same entity — the zero topic continues the previous center as
     the current one — and some zero slot binds it from a subject or
-    second-object position.  The variant keeps the candidate's Cb and
+    second-object position.  The variant keeps the reading's Cb and
     assignment but recomputes salience with the entity as zero topic
     (demoting any wa topic to its plain grammatical role), reranks the
     Cf and reclassifies the transition, which lands on CONTINUE: the
@@ -224,30 +215,26 @@ def apply_zta(
         return []
     if not parent_cb.is_instantiated:
         return []
-    if any(c.transition is Transition.CONTINUE and not c.zta_applied for c in candidates):
+    if any(s.transition is Transition.CONTINUE and not s.zta_applied for s in steps):
         return []
 
     target = parent_cb.entity_id
     assert target is not None
-    variants: list[Candidate] = []
-    for cand in candidates:
+    variants: list[Step] = []
+    for base in steps:
         zero_slot: Optional[GrammaticalRole] = None
         for arg in utterance.args:
-            if arg.realization.is_zero and cand.assignment[arg.role] == target:
+            if arg.realization.is_zero and base.assignment[arg.role] == target:
                 zero_slot = arg.role
                 break
         if zero_slot is None or zero_slot not in ZERO_TOPIC_ROLES:
             continue
-        if cand.state.cb.entity_id != target:
+        if base.state.cb.entity_id != target:
             continue
-        bindings = assign_salience_roles(utterance, cand.assignment, zero_topic=target)
-        cf = rank_cf(bindings)
-        state = CenterState(cand.state.cb, cf)
-        assert cand.state.cb.entity_id is not None
-        transition = classify_transition(parent_cb, cand.state.cb.entity_id, state.cp)
-        variants.append(
-            Candidate(cand.assignment, state, transition, True, cand.pure)
-        )
+        bindings = assign_salience_roles(utterance, base.assignment, zero_topic=target)
+        state = CenterState(base.state.cb, rank_cf(bindings))
+        transition = classify_transition(parent_cb, target, state.cp)
+        variants.append(replace(base, state=state, transition=transition, zta_applied=True))
     return variants
 
 
@@ -255,9 +242,9 @@ def _entity_map(discourse: Discourse) -> dict[str, Entity]:
     return {e.id: e for e in discourse.entities}
 
 
-def _context_for(discourse: Discourse, prev: CenterState) -> list[str]:
+def _context_for(discourse: Discourse, prev_cf: Sequence[str]) -> list[str]:
     """Antecedent pool: previous Cf in order, then other hearer-old entities."""
-    pool = list(prev.cf_ids)
+    pool = list(prev_cf)
     seen = set(pool)
     for e in discourse.entities:
         if e.hearer_old and e.id not in seen:
@@ -267,69 +254,64 @@ def _context_for(discourse: Discourse, prev: CenterState) -> list[str]:
 
 def _survivors(
     discourse: Discourse,
-    prev: CenterState,
+    prev: Optional[CenterState],
     utterance: Utterance,
     config: EngineConfig,
-) -> tuple[list[Candidate], list[Rejection]]:
-    """Filtered, ZTA-extended candidate readings of one utterance."""
-    entities = _entity_map(discourse)
-    context = _context_for(discourse, prev)
-    prev_cf = set(prev.cf_ids)
+) -> tuple[list[Step], list[Rejection]]:
+    """Filtered, ZTA-extended readings of one utterance after state prev.
 
-    survivors: list[Candidate] = []
+    prev is None for the discourse-initial utterance, whose readings are
+    then all unlinked (uninstantiated Cb, no transition).  Each binding is
+    paired with each of its Cb candidates, or with no Cb when nothing
+    links it to prev (a segment reset).  A reading is inside when every
+    zero binds a previous-Cf entity; the outside ones reach out to
+    hearer-old entities and survive only as a last resort, when no inside
+    reading does.
+    """
+    entities = _entity_map(discourse)
+    prev_cf = prev.cf_ids if prev is not None else ()
+    prev_cb = prev.cb if prev is not None else MaybeCb.uninstantiated()
+    prev_cf_set = set(prev_cf)
+
+    inside: list[Step] = []
+    outside: list[Step] = []
     rejections: list[Rejection] = []
-    for assignment in generate_assignments(utterance, context, entities):
-        cb_candidates = compute_cb_candidates(prev, assignment)
-        pure = all(
-            assignment[a.role] in prev_cf
+    for assignment in generate_assignments(
+        utterance, _context_for(discourse, prev_cf), entities
+    ):
+        inside_cf = all(
+            assignment[a.role] in prev_cf_set
             for a in utterance.args
             if a.realization.is_zero
         )
-        if not cb_candidates:
-            code = filter_assignment(utterance, assignment, prev, None, entities)
-            if code is not None:
-                rejections.append(Rejection(utterance.index, assignment, None, code))
-                continue
-            bindings = assign_salience_roles(utterance, assignment)
-            state = CenterState(MaybeCb.uninstantiated(), rank_cf(bindings))
-            survivors.append(Candidate(assignment, state, None, False, pure))
-            continue
-        bindings = assign_salience_roles(utterance, assignment)
-        cf = rank_cf(bindings)
-        for cb in cb_candidates:
+        cf = None
+        for cb in compute_cb_candidates(prev, assignment) or [None]:
             code = filter_assignment(utterance, assignment, prev, cb, entities)
             if code is not None:
                 rejections.append(Rejection(utterance.index, assignment, cb, code))
                 continue
-            state = CenterState(MaybeCb.instantiated(cb), cf)
-            transition = classify_transition(prev.cb, cb, state.cp)
-            survivors.append(Candidate(assignment, state, transition, False, pure))
+            if cf is None:
+                cf = rank_cf(assign_salience_roles(utterance, assignment))
+            state = CenterState(MaybeCb(cb), cf)
+            transition = None if cb is None else classify_transition(prev_cb, cb, state.cp)
+            (inside if inside_cf else outside).append(
+                Step(utterance.index, assignment, state, transition)
+            )
 
-    if any(c.pure for c in survivors):
-        kept: list[Candidate] = []
-        for c in survivors:
-            if c.pure:
-                kept.append(c)
-            else:
-                rejections.append(
-                    Rejection(
-                        utterance.index,
-                        c.assignment,
-                        c.state.cb.entity_id,
-                        OUT_OF_CF_PRUNED,
-                    )
-                )
-        survivors = kept
-
-    survivors = survivors + apply_zta(survivors, prev.cb, utterance, config)
-    return survivors, rejections
+    if inside:
+        rejections.extend(
+            Rejection(utterance.index, s.assignment, s.state.cb.entity_id, OUT_OF_CF_PRUNED)
+            for s in outside
+        )
+    survivors = inside or outside
+    return survivors + apply_zta(survivors, prev_cb, utterance, config), rejections
 
 
 def _transition_sort_value(transition: Optional[Transition]) -> int:
     return transition.ordinal if transition is not None else -1
 
 
-def _child(parent: Hypothesis, utterance: Utterance, cand: Candidate) -> Hypothesis:
+def _child(parent: Hypothesis, new_step: Step) -> Hypothesis:
     """Assemble a child hypothesis, retroactively unifying the parent Cb.
 
     When the child pins down a center and the parent's latest step left
@@ -338,7 +320,7 @@ def _child(parent: Hypothesis, utterance: Utterance, cand: Candidate) -> Hypothe
     utterance was about it all along.
     """
     steps = parent.steps
-    new_cb = cand.state.cb
+    new_cb = new_step.state.cb
     if new_cb.is_instantiated:
         last = steps[-1]
         if (
@@ -347,11 +329,7 @@ def _child(parent: Hypothesis, utterance: Utterance, cand: Candidate) -> Hypothe
         ):
             unified = replace(last, state=replace(last.state, cb=new_cb))
             steps = steps[:-1] + (unified,)
-    cost = cand.transition.ordinal if cand.transition is not None else 0
-    new_step = Step(
-        utterance.index, cand.assignment, cand.state, cand.transition, cand.zta_applied
-    )
-    return Hypothesis(steps + (new_step,), parent.score + cost)
+    return Hypothesis(steps + (new_step,), parent.score + new_step.transition_cost)
 
 
 def step(
@@ -367,10 +345,9 @@ def step(
     ties broken by generation order.  An empty ranked list means this
     parent cannot account for the utterance.
     """
-    prev = parent.last.state
-    survivors, rejections = _survivors(discourse, prev, utterance, config)
-    ranked = sorted(survivors, key=lambda c: _transition_sort_value(c.transition))
-    children = tuple(_child(parent, utterance, c) for c in ranked)
+    survivors, rejections = _survivors(discourse, parent.last.state, utterance, config)
+    ranked = sorted(survivors, key=lambda s: _transition_sort_value(s.transition))
+    children = tuple(_child(parent, s) for s in ranked)
     return StepResult(children, tuple(rejections))
 
 
@@ -406,21 +383,12 @@ def _initial_hypotheses(
     discourse: Discourse, config: EngineConfig
 ) -> tuple[list[Hypothesis], list[Rejection]]:
     """All readings of the first utterance (score 0, INITIAL transition)."""
-    entities = _entity_map(discourse)
     first = discourse.utterances[0]
-    context = [e.id for e in discourse.entities if e.hearer_old]
+    survivors, rejections = _survivors(discourse, None, first, config)
     cb0 = instantiate_initial_cb(first)
-
-    hypotheses: list[Hypothesis] = []
-    rejections: list[Rejection] = []
-    for assignment in generate_assignments(first, context, entities):
-        code = filter_assignment(first, assignment, None, None, entities)
-        if code is not None:
-            rejections.append(Rejection(first.index, assignment, None, code))
-            continue
-        bindings = assign_salience_roles(first, assignment)
-        state = CenterState(cb0, rank_cf(bindings))
-        hypotheses.append(Hypothesis((Step(first.index, assignment, state, None),), 0))
+    hypotheses = [
+        Hypothesis((replace(s, state=replace(s.state, cb=cb0)),), 0) for s in survivors
+    ]
     return hypotheses, rejections
 
 

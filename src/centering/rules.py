@@ -111,7 +111,9 @@ def rank_cf(bindings: Sequence[RoleBinding]) -> tuple[CfEntry, ...]:
     return tuple((b.entity_id, b.salience) for b in ordered)
 
 
-def compute_cb_candidates(prev: CenterState, assignment: Assignment) -> list[str]:
+def compute_cb_candidates(
+    prev: Optional[CenterState], assignment: Assignment
+) -> list[str]:
     """Candidate backward-looking centers for an utterance.
 
     The Cb must come from the previous Cf, restricted to entities the
@@ -119,8 +121,11 @@ def compute_cb_candidates(prev: CenterState, assignment: Assignment) -> list[str
     highest-ranked such entity is forced (singleton list); with an
     uninstantiated previous Cb every realized previous-Cf entity is a
     live candidate, in previous-Cf order.  An empty list signals a
-    segment reset: nothing links the utterances.
+    segment reset: nothing links the utterances.  A discourse-initial
+    utterance (prev None) has no candidates.
     """
+    if prev is None:
+        return []
     realized = set(assignment.values())
     in_cf_order = [eid for eid in prev.cf_ids if eid in realized]
     if not in_cf_order:

@@ -72,6 +72,17 @@ def test_resolve_trace_prints_fixed_tables(corpus_file, capsys):
     assert out.count("u1:") == 1 and out.count("u4:") == 1
 
 
+def test_resolve_trace_score_column_ends_at_each_reading_score(corpus_file, capsys):
+    path = corpus_file("zta_ex_ga.json")
+    assert run_cli(["resolve", path, "--format", "json"]) == EXIT_OK
+    scores = [r["score"] for r in json.loads(capsys.readouterr().out)["readings"]]
+    assert run_cli(["resolve", path, "--trace"]) == EXIT_OK
+    last_table = capsys.readouterr().out.split("u4:")[1]
+    rows = [line.split("|") for line in last_table.splitlines()[3:] if line]
+    assert [int(row[5]) for row in rows] == scores
+    assert len(set(scores)) > 1
+
+
 def test_resolve_json_is_machine_readable(corpus_file, capsys):
     assert run_cli(
         ["resolve", corpus_file("zta_ex_ga.json"), "--format", "json"]
@@ -119,6 +130,22 @@ def test_check_fails_on_flipped_gold(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "MISMATCH" in out
     assert "gold: FAIL" in out
+
+
+@pytest.fixture
+def unlabelled_file(tmp_path):
+    doc = json.loads(corpus.corpus_text("shift_ex.json"))
+    del doc["gold"]
+    path = tmp_path / "unlabelled.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_check_without_gold_labels_fails(unlabelled_file, capsys):
+    assert run_cli(["check", unlabelled_file]) == EXIT_MISMATCH
+    assert capsys.readouterr().out == "gold: NO LABELS\n"
+    assert run_cli(["check", unlabelled_file, "--format", "json"]) == EXIT_MISMATCH
+    assert json.loads(capsys.readouterr().out) == {"ok": False, "checks": []}
 
 
 def test_check_json_reports_per_utterance(corpus_file, capsys):

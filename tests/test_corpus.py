@@ -211,6 +211,12 @@ def test_gold_checks_pass_on_the_bundled_corpus():
         assert report.ok, (name, report)
 
 
+def test_gold_report_without_labels_is_not_ok():
+    discourse, _golds = load_corpus("shift_ex.json")
+    result = engine.resolve(discourse)
+    assert check_gold((), result.hypotheses).ok is False
+
+
 def test_significant_gold_requires_the_top_reading_to_match():
     discourse, golds = load_corpus("zta_ex_ga.json")
     result = engine.resolve(discourse, engine.EngineConfig(beam_width=64))

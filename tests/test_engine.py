@@ -4,7 +4,6 @@ import pytest
 
 from centering import corpus
 from centering.engine import (
-    Candidate,
     DiscourseInvalidError,
     EngineConfig,
     OUT_OF_CF_PRUNED,
@@ -26,6 +25,7 @@ from centering.model import (
     Realization,
     SalienceRole,
     SortalConstraint,
+    Step,
     Transition,
     Utterance,
     VerbFrame,
@@ -136,7 +136,7 @@ def _retain_candidate():
         MaybeCb.instantiated("a"),
         (("b", SalienceRole.SUBJ), ("a", SalienceRole.OBJ2)),
     )
-    cand = Candidate({SUBJ: "b", OBJ2: "a"}, state, Transition.RETAIN, False, True)
+    cand = Step(1, {SUBJ: "b", OBJ2: "a"}, state, Transition.RETAIN)
     return utt, cand
 
 
@@ -168,9 +168,7 @@ def test_zta_stands_down_when_a_continue_exists():
         MaybeCb.instantiated("b"),
         (("b", SalienceRole.SUBJ), ("a", SalienceRole.OBJ2)),
     )
-    cont = Candidate(
-        {SUBJ: "b", OBJ2: "a"}, cont_state, Transition.CONTINUE, False, True
-    )
+    cont = Step(1, {SUBJ: "b", OBJ2: "a"}, cont_state, Transition.CONTINUE)
     assert apply_zta([cand, cont], MaybeCb.instantiated("a"), utt, WIDE) == []
 
 
@@ -183,7 +181,7 @@ def test_zta_skips_low_zero_slots():
         MaybeCb.instantiated("a"),
         (("b", SalienceRole.SUBJ), ("a", SalienceRole.OBJ)),
     )
-    cand = Candidate({SUBJ: "b", OBJ: "a"}, state, Transition.RETAIN, False, True)
+    cand = Step(1, {SUBJ: "b", OBJ: "a"}, state, Transition.RETAIN)
     assert apply_zta([cand], MaybeCb.instantiated("a"), utt, WIDE) == []
 
 
@@ -196,9 +194,7 @@ def test_zta_requires_the_candidate_to_carry_the_center():
         MaybeCb.instantiated("b"),
         (("a", SalienceRole.SUBJ), ("b", SalienceRole.OBJ)),
     )
-    cand = Candidate(
-        {SUBJ: "a", OBJ: "b"}, state, Transition.ROUGH_SHIFT, False, True
-    )
+    cand = Step(1, {SUBJ: "a", OBJ: "b"}, state, Transition.ROUGH_SHIFT)
     assert apply_zta([cand], MaybeCb.instantiated("a"), utt, WIDE) == []
 
 

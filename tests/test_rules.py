@@ -165,6 +165,10 @@ def test_no_realized_candidate_means_segment_reset():
     assert compute_cb_candidates(prev, {SUBJ: "c", OBJ: "d"}) == []
 
 
+def test_discourse_initial_utterance_has_no_candidates():
+    assert compute_cb_candidates(None, {SUBJ: "a", OBJ: "b"}) == []
+
+
 # --------------------------------------------------------------------------
 # Candidate filtering
 
