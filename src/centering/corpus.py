@@ -512,7 +512,8 @@ def check_gold(
     significant preference, the top reading's assignment at that
     utterance must be the most-supported label's.  Where it found the
     readings ambiguous, every label's assignment must be present
-    somewhere in the hypothesis set at that utterance.
+    somewhere in the hypothesis set at that utterance.  A label on an
+    utterance the readings do not cover fails.
     """
     checks: list[GoldCheck] = []
     by_utterance: dict[int, list[GoldLabel]] = {}
@@ -522,6 +523,11 @@ def check_gold(
     top = hypotheses[0] if hypotheses else None
     for index in sorted(by_utterance):
         group = by_utterance[index]
+        if top is not None and not 1 <= index <= len(top.steps):
+            checks.append(
+                GoldCheck(index, False, f"no utterance {index} in the readings")
+            )
+            continue
         produced = [h.step_at(index).assignment for h in hypotheses]
 
         significant = [g for g in group if g.significance is Significance.SIGNIFICANT]

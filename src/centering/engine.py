@@ -8,7 +8,13 @@ centers, discards impossible candidates, builds the resulting center
 state, classifies the transition, optionally adds zero-topic variants,
 and ranks what survives.  Readings are scored by the sum of their
 transition ordinals (lower = more coherent); the beam keeps the best
-`beam_width` readings at every stage.
+`beam_width` readings at every stage.  A step's cost does not grow with
+the discourse: a child's score is its parent's plus one ordinal, and
+`resolve` orders children by a key of fixed size that stands for the
+parent's whole history by its rank within the beam (the order equals
+`hypothesis_sort_key`'s).  An utterance's readings depend only on the
+previous center state, so parents that share their last state share one
+expansion, memoised per utterance.
 
 One expansion path builds every utterance's readings: `_survivors`
 turns a previous center state and an utterance into `Step`s.  The
@@ -35,7 +41,8 @@ unordered data, so identical inputs give byte-identical outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional, Sequence
+from operator import itemgetter
+from typing import Hashable, Mapping, Optional, Sequence
 
 from .model import (
     Assignment,
@@ -238,10 +245,6 @@ def apply_zta(
     return variants
 
 
-def _entity_map(discourse: Discourse) -> dict[str, Entity]:
-    return {e.id: e for e in discourse.entities}
-
-
 def _context_for(discourse: Discourse, prev_cf: Sequence[str]) -> list[str]:
     """Antecedent pool: previous Cf in order, then other hearer-old entities."""
     pool = list(prev_cf)
@@ -268,7 +271,7 @@ def _survivors(
     hearer-old entities and survive only as a last resort, when no inside
     reading does.
     """
-    entities = _entity_map(discourse)
+    entities = discourse.entity_map
     prev_cf = prev.cf_ids if prev is not None else ()
     prev_cb = prev.cb if prev is not None else MaybeCb.uninstantiated()
     prev_cf_set = set(prev_cf)
@@ -329,7 +332,16 @@ def _child(parent: Hypothesis, new_step: Step) -> Hypothesis:
         ):
             unified = replace(last, state=replace(last.state, cb=new_cb))
             steps = steps[:-1] + (unified,)
-    return Hypothesis(steps + (new_step,), parent.score + new_step.transition_cost)
+    return Hypothesis(
+        steps + (new_step,),
+        parent.score + new_step.transition_cost,
+        _parent_score=parent.score,
+    )
+
+
+#: Per-utterance memo of step: a parent's last center state -> its ranked
+#: survivors and their rejections.
+StepMemo = dict[CenterState, tuple[tuple[Step, ...], tuple[Rejection, ...]]]
 
 
 def step(
@@ -337,18 +349,39 @@ def step(
     utterance: Utterance,
     discourse: Discourse,
     config: EngineConfig,
+    *,
+    memo: Optional[StepMemo] = None,
 ) -> StepResult:
     """Extend one parent reading by one utterance.
 
     Children are ranked by transition ordinal (CONTINUE before RETAIN
     before the shifts; an unclassified reset sorts with the initials),
     ties broken by generation order.  An empty ranked list means this
-    parent cannot account for the utterance.
+    parent cannot account for the utterance.  The survivors depend only
+    on the parent's last center state, so a memo shared by the parents
+    of one utterance expands each distinct state once; every parent
+    still reports that state's rejections.
     """
-    survivors, rejections = _survivors(discourse, parent.last.state, utterance, config)
-    ranked = sorted(survivors, key=lambda s: _transition_sort_value(s.transition))
-    children = tuple(_child(parent, s) for s in ranked)
-    return StepResult(children, tuple(rejections))
+    if memo is None:
+        memo = {}
+    state = parent.last.state
+    entry = memo.get(state)
+    if entry is None:
+        survivors, rejections = _survivors(discourse, state, utterance, config)
+        ranked = sorted(survivors, key=lambda s: _transition_sort_value(s.transition))
+        entry = memo[state] = (tuple(ranked), tuple(rejections))
+    ranked, rejections = entry
+    return StepResult(tuple(_child(parent, s) for s in ranked), rejections)
+
+
+def _step_content(s: Step, entity_index: Mapping[str, int]) -> tuple:
+    """One step's share of the content key: bindings, Cb, ZTA flag."""
+    cb = s.state.cb.entity_id
+    return (
+        tuple(entity_index[eid] for eid in s.assignment.values()),
+        entity_index.get(cb, -1) if cb is not None else -1,
+        int(s.zta_applied),
+    )
 
 
 def hypothesis_sort_key(
@@ -362,21 +395,62 @@ def hypothesis_sort_key(
     Remaining ties fall to a content key built from entity declaration
     indices: per step, the bound entities in subcat order, the Cb, and
     the ZTA flag.
+
+    Every beam `resolve` keeps, and the one it returns, is in this
+    order.  `resolve` computes this key only for the first utterance's
+    readings; later children are sorted by `_child_keys`, which order
+    them the same way, and the tests hold those keys to this one.
     """
     recency = tuple(
         _transition_sort_value(s.transition) for s in reversed(hypothesis.steps)
     )
-    content = tuple(
-        (
-            tuple(entity_index[eid] for eid in s.assignment.values()),
-            entity_index.get(s.state.cb.entity_id, -1)
-            if s.state.cb.entity_id is not None
-            else -1,
-            int(s.zta_applied),
-        )
-        for s in hypothesis.steps
-    )
+    content = tuple(_step_content(s, entity_index) for s in hypothesis.steps)
     return (hypothesis.score, recency, content)
+
+
+def _dense_ranks(values: Sequence[Hashable]) -> list[int]:
+    """Each value's rank among the distinct values; equal values share one."""
+    rank = {v: i for i, v in enumerate(sorted(set(values)))}
+    return [rank[v] for v in values]
+
+
+def _child_keys(
+    parent: Hypothesis,
+    children: Sequence[Hypothesis],
+    recency_rank: int,
+    prefix_rank: int,
+    entity_index: Mapping[str, int],
+) -> list[tuple[tuple, Hypothesis]]:
+    """One parent's children, each with a key of fixed size for the beam sort.
+
+    A child's hypothesis_sort_key is its score, its new step's transition
+    followed by the parent's recency, and the content of the parent's
+    steps up to the last, then of its own last two steps (write-back may
+    have rewritten the parent's last one).  The parents of one utterance
+    all have the same length, so their recency and content prefixes
+    compare as their dense ranks within the beam do, and
+    (score, transition, recency rank, prefix rank, content of steps[-2],
+    content of steps[-1]) orders the children the same way, ties
+    included.
+    """
+    last = parent.last
+    last_content = _step_content(last, entity_index)
+    return [
+        (
+            (
+                child.score,
+                _transition_sort_value(child.last.transition),
+                recency_rank,
+                prefix_rank,
+                last_content
+                if child.steps[-2] is last
+                else _step_content(child.steps[-2], entity_index),
+                _step_content(child.last, entity_index),
+            ),
+            child,
+        )
+        for child in children
+    ]
 
 
 def _initial_hypotheses(
@@ -409,24 +483,36 @@ def resolve(discourse: Discourse, config: EngineConfig = EngineConfig()) -> Reso
     entity_index = discourse.entity_index()
     rejection_log: dict[int, tuple[Rejection, ...]] = {}
 
-    beam, rejections = _initial_hypotheses(discourse, config)
+    initial, rejections = _initial_hypotheses(discourse, config)
     rejection_log[1] = tuple(rejections)
-    if not beam:
+    if not initial:
         raise UnresolvableError(1)
-    beam.sort(key=lambda h: hypothesis_sort_key(h, entity_index))
-    beam = beam[: config.beam_width]
+    keyed = [(hypothesis_sort_key(h, entity_index), h) for h in initial]
+    keyed.sort(key=itemgetter(0))
+    del keyed[config.beam_width :]
+    # Each kept reading's recency and content-but-the-last-step, ranked
+    # within the beam; the next utterance's _child_keys compare these.
+    recency_ranks = _dense_ranks([key[1] for key, _ in keyed])
+    prefix_ranks = _dense_ranks([key[2][:-1] for key, _ in keyed])
 
     for utterance in discourse.utterances[1:]:
-        children: list[Hypothesis] = []
+        memo: StepMemo = {}
+        children: list[tuple[tuple, Hypothesis]] = []
         step_rejections: list[Rejection] = []
-        for parent in beam:
-            result = step(parent, utterance, discourse, config)
-            children.extend(result.ranked)
+        for (_, parent), recency_rank, prefix_rank in zip(
+            keyed, recency_ranks, prefix_ranks
+        ):
+            result = step(parent, utterance, discourse, config, memo=memo)
+            children.extend(
+                _child_keys(parent, result.ranked, recency_rank, prefix_rank, entity_index)
+            )
             step_rejections.extend(result.rejections)
         rejection_log[utterance.index] = tuple(step_rejections)
         if not children:
             raise UnresolvableError(utterance.index)
-        children.sort(key=lambda h: hypothesis_sort_key(h, entity_index))
-        beam = children[: config.beam_width]
+        children.sort(key=itemgetter(0))
+        keyed = children[: config.beam_width]
+        recency_ranks = _dense_ranks([key[1:3] for key, _ in keyed])
+        prefix_ranks = _dense_ranks([key[3:5] for key, _ in keyed])
 
-    return ResolveResult(tuple(beam), tuple(violations), rejection_log)
+    return ResolveResult(tuple(h for _, h in keyed), tuple(violations), rejection_log)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Optional
 
 
@@ -289,6 +290,15 @@ class Discourse:
                 return e
         raise KeyError(entity_id)
 
+    @cached_property
+    def entity_map(self) -> Mapping[str, Entity]:
+        """Each entity by id.
+
+        Built on first use and cached on the instance; it is not a field,
+        so equality and repr ignore it.
+        """
+        return {e.id: e for e in self.entities}
+
     def entity_index(self) -> dict[str, int]:
         """Declaration-order index of each entity id (for deterministic keys)."""
         return {e.id: i for i, e in enumerate(self.entities)}
@@ -387,16 +397,23 @@ class Hypothesis:
     """A reading of the discourse so far: one step per utterance, plus score.
 
     The score is the sum of transition ordinals over the steps (initial
-    and reset steps contribute nothing); lower is better.
+    and reset steps contribute nothing); lower is better.  The engine
+    extends a parent by one step and passes the parent's score as
+    _parent_score, so the check costs one addition instead of a re-sum
+    over the whole history; a hypothesis built without it is re-summed.
     """
 
     steps: tuple[Step, ...]
     score: int
+    _parent_score: Optional[int] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.steps:
             raise ValueError("hypothesis needs at least one step")
-        expected = sum(s.transition_cost for s in self.steps)
+        if self._parent_score is not None:
+            expected = self._parent_score + self.steps[-1].transition_cost
+        else:
+            expected = sum(s.transition_cost for s in self.steps)
         if self.score != expected:
             raise ValueError(f"score {self.score} != sum of ordinals {expected}")
 
@@ -405,6 +422,11 @@ class Hypothesis:
         return self.steps[-1]
 
     def step_at(self, utterance_index: int) -> Step:
+        """The step of utterance utterance_index (1-based)."""
+        if not 1 <= utterance_index <= len(self.steps):
+            raise IndexError(
+                f"no utterance {utterance_index} in a reading of {len(self.steps)}"
+            )
         return self.steps[utterance_index - 1]
 
 
@@ -450,7 +472,7 @@ def validate_discourse(discourse: Discourse) -> list[Violation]:
         their perspective holder cold).
     """
     violations: list[Violation] = []
-    declared = {e.id: e for e in discourse.entities}
+    declared = discourse.entity_map
     mentioned_before: set[str] = set()
 
     for u in discourse.utterances:

@@ -217,6 +217,21 @@ def test_gold_report_without_labels_is_not_ok():
     assert check_gold((), result.hypotheses).ok is False
 
 
+def test_gold_label_outside_the_readings_fails():
+    discourse, golds = load_corpus("shift_ex.json")
+    result = engine.resolve(discourse)
+    assert check_gold(golds, result.hypotheses).ok
+    last = len(discourse.utterances)
+    for index in (0, last + 1):
+        stray = GoldLabel(index, golds[0].assignment, 1, golds[0].significance)
+        report = check_gold((*golds, stray), result.hypotheses)
+        assert not report.ok
+        failed = [c for c in report.checks if not c.ok]
+        assert [(c.utterance_index, c.detail) for c in failed] == [
+            (index, f"no utterance {index} in the readings")
+        ]
+
+
 def test_significant_gold_requires_the_top_reading_to_match():
     discourse, golds = load_corpus("zta_ex_ga.json")
     result = engine.resolve(discourse, engine.EngineConfig(beam_width=64))

@@ -1,8 +1,12 @@
 """Engine behavior: generation, zero-topic variants, stepping, resolution."""
 
+import random
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
-from centering import corpus
+from centering import corpus, engine
 from centering.engine import (
     DiscourseInvalidError,
     EngineConfig,
@@ -10,6 +14,7 @@ from centering.engine import (
     UnresolvableError,
     apply_zta,
     generate_assignments,
+    hypothesis_sort_key,
     instantiate_initial_cb,
     resolve,
     step,
@@ -30,12 +35,15 @@ from centering.model import (
     Utterance,
     VerbFrame,
 )
+from helpers import random_discourse
 
 SUBJ = GrammaticalRole.SUBJ
 OBJ2 = GrammaticalRole.OBJ2
 OBJ = GrammaticalRole.OBJ
 
 WIDE = EngineConfig(beam_width=64)
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def overt(role, eid, marking=Marking.NONE):
@@ -350,3 +358,98 @@ def test_out_of_cf_bindings_are_last_resort():
     assert bound == {"a", "b"}  # c stays out: the previous Cf suffices
     pruned = [r for r in res.rejections[2] if r.code == OUT_OF_CF_PRUNED]
     assert [r.assignment[SUBJ] for r in pruned] == ["c"]
+
+
+# --------------------------------------------------------------------------
+# Beam order and per-state expansion
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """The benchmark's seeded discourse generators (bench/workloads.py)."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    return workloads
+
+
+def reference_beam_failures(discourse, config):
+    """Prefixes whose beam is not the reference cut of the previous beam's children.
+
+    The reference is the definition: every child step makes, sorted by
+    hypothesis_sort_key over the whole history, cut to the beam width.
+    """
+    entity_index = discourse.entity_index()
+    failures = []
+    previous = None
+    for n in range(1, len(discourse.utterances) + 1):
+        try:
+            beam = resolve(prefix(discourse, n), config).hypotheses
+        except UnresolvableError:
+            break
+        if previous is not None:
+            utterance = discourse.utterances[n - 1]
+            children = [
+                child
+                for parent in previous
+                for child in step(parent, utterance, discourse, config).ranked
+            ]
+            children.sort(key=lambda h: hypothesis_sort_key(h, entity_index))
+            if beam != tuple(children[: config.beam_width]):
+                failures.append(n)
+        previous = beam
+    return failures
+
+
+def test_every_beam_is_the_reference_cut_at_narrow_widths(workloads):
+    rng = random.Random(4)
+    for trial in range(300):
+        d = random_discourse(rng)
+        for width in (1, 2, 3, 4):
+            config = EngineConfig(beam_width=width, strict_validation=False)
+            assert reference_beam_failures(d, config) == [], (trial, width)
+    chain = workloads.long_chain(random.Random(60), 60)
+    for width in (1, 3):
+        assert reference_beam_failures(chain, EngineConfig(beam_width=width)) == []
+
+
+def test_survivors_run_once_per_distinct_parent_state(monkeypatch, workloads):
+    chain = workloads.long_chain(random.Random(30), 30)
+    for d in (load("zta_ex_ga.json"), chain):
+        calls = Counter()
+        parents = {}
+        survivors, plain_step = engine._survivors, engine.step
+
+        def counting_survivors(discourse, prev, utterance, config):
+            calls[utterance.index] += 1
+            return survivors(discourse, prev, utterance, config)
+
+        def recording_step(parent, utterance, discourse, config, **kwargs):
+            parents.setdefault(utterance.index, []).append(parent)
+            return plain_step(parent, utterance, discourse, config, **kwargs)
+
+        monkeypatch.setattr(engine, "_survivors", counting_survivors)
+        monkeypatch.setattr(engine, "step", recording_step)
+        result = resolve(d)
+        monkeypatch.undo()
+
+        assert calls.pop(1) == 1
+        expected = {u: len({p.last.state for p in ps}) for u, ps in parents.items()}
+        assert calls == expected
+        for u, ps in parents.items():
+            logged = tuple(
+                r
+                for p in ps
+                for r in step(p, d.utterances[u - 1], d, EngineConfig()).rejections
+            )
+            assert result.rejections[u] == logged
+    # Parents of the chain's utterances share states, so the count is a saving.
+    assert sum(calls.values()) < sum(len(ps) for ps in parents.values())
+
+
+def test_children_add_one_ordinal_to_the_parent_score():
+    for name, d, _golds in corpus.iter_valid_corpus():
+        for n in range(1, len(d.utterances)):
+            for parent in resolve(prefix(d, n), WIDE).hypotheses:
+                for child in step(parent, d.utterances[n], d, WIDE).ranked:
+                    assert child.score == parent.score + child.last.transition_cost, name

@@ -168,6 +168,23 @@ def test_hypothesis_checks_score_arithmetic():
     assert Hypothesis((step,), 0).step_at(1) is step
     with pytest.raises(ValueError):
         Hypothesis((step,), 3)
+    linked = Step(2, {SUBJ: "a"}, state, Transition.RETAIN)
+    cost = Transition.RETAIN.ordinal
+    assert Hypothesis((step, linked), cost).score == cost
+    with pytest.raises(ValueError):
+        Hypothesis((step, linked), cost + 1)
+    # A child checked against its parent's score: one addition, same rule.
+    assert Hypothesis((step, linked), cost, _parent_score=0).score == cost
+    with pytest.raises(ValueError):
+        Hypothesis((step, linked), cost, _parent_score=1)
+
+
+def test_step_at_rejects_utterances_outside_the_reading():
+    state = CenterState(MaybeCb.instantiated("a"), (("a", SalienceRole.SUBJ),))
+    hyp = Hypothesis((Step(1, {SUBJ: "a"}, state, None),), 0)
+    for index in (0, -1, 2):
+        with pytest.raises(IndexError):
+            hyp.step_at(index)
 
 
 # --------------------------------------------------------------------------
