@@ -10,9 +10,11 @@ and ranks what survives.  Readings are scored by the sum of their
 transition ordinals (lower = more coherent); the beam keeps the best
 `beam_width` readings at every stage.  A step's cost does not grow with
 the discourse: a child's score is its parent's plus one ordinal, and
-`resolve` orders children by a key of fixed size that stands for the
-parent's whole history by its rank within the beam (the order equals
-`hypothesis_sort_key`'s).  An utterance's readings depend only on the
+`resolve` sorts every beam, the first included, by one five-part key of
+fixed size - score, last transition, the parent's whole history as one
+rank within its beam, and the content of the last two steps - then cuts
+it in one place.  That order equals the reference `hypothesis_sort_key`,
+which `resolve` never calls.  An utterance's readings depend only on the
 previous center state, so parents that share their last state share one
 expansion, memoised per utterance.
 
@@ -57,6 +59,7 @@ from .model import (
     Transition,
     Utterance,
     Violation,
+    ViolationCode,
     validate_discourse,
 )
 from .rules import (
@@ -396,16 +399,20 @@ def hypothesis_sort_key(
     indices: per step, the bound entities in subcat order, the Cb, and
     the ZTA flag.
 
-    Every beam `resolve` keeps, and the one it returns, is in this
-    order.  `resolve` computes this key only for the first utterance's
-    readings; later children are sorted by `_child_keys`, which order
-    them the same way, and the tests hold those keys to this one.
+    This is the reference order: every beam `resolve` keeps, and the one
+    it returns, is in it.  `resolve` never computes this key; it sorts by
+    the fixed-size keys of `_child_keys`, which order readings the same
+    way, and the tests hold those keys to this one.
     """
     recency = tuple(
         _transition_sort_value(s.transition) for s in reversed(hypothesis.steps)
     )
     content = tuple(_step_content(s, entity_index) for s in hypothesis.steps)
     return (hypothesis.score, recency, content)
+
+
+#: A reading with its beam sort key.
+Keyed = tuple[tuple, Hypothesis]
 
 
 def _dense_ranks(values: Sequence[Hashable]) -> list[int]:
@@ -417,21 +424,20 @@ def _dense_ranks(values: Sequence[Hashable]) -> list[int]:
 def _child_keys(
     parent: Hypothesis,
     children: Sequence[Hypothesis],
-    recency_rank: int,
-    prefix_rank: int,
+    rank: int,
     entity_index: Mapping[str, int],
-) -> list[tuple[tuple, Hypothesis]]:
+) -> list[Keyed]:
     """One parent's children, each with a key of fixed size for the beam sort.
 
     A child's hypothesis_sort_key is its score, its new step's transition
     followed by the parent's recency, and the content of the parent's
     steps up to the last, then of its own last two steps (write-back may
     have rewritten the parent's last one).  The parents of one utterance
-    all have the same length, so their recency and content prefixes
-    compare as their dense ranks within the beam do, and
-    (score, transition, recency rank, prefix rank, content of steps[-2],
-    content of steps[-1]) orders the children the same way, ties
-    included.
+    all have the same length, so their (recency, content prefix) pairs
+    compare as one dense rank of the pair within the beam does, and
+    (score, transition, rank, content of steps[-2], content of steps[-1])
+    orders the children the same way, ties included.  key[1:4] is then
+    the child's own pair, so its dense rank serves the next utterance.
     """
     last = parent.last
     last_content = _step_content(last, entity_index)
@@ -440,8 +446,7 @@ def _child_keys(
             (
                 child.score,
                 _transition_sort_value(child.last.transition),
-                recency_rank,
-                prefix_rank,
+                rank,
                 last_content
                 if child.steps[-2] is last
                 else _step_content(child.steps[-2], entity_index),
@@ -451,6 +456,14 @@ def _child_keys(
         )
         for child in children
     ]
+
+
+def _cut(keyed: list[Keyed], utterance_index: int, beam_width: int) -> list[Keyed]:
+    """The beam_width best keyed readings, best first; UnresolvableError if none."""
+    if not keyed:
+        raise UnresolvableError(utterance_index)
+    keyed.sort(key=itemgetter(0))
+    return keyed[:beam_width]
 
 
 def _initial_hypotheses(
@@ -469,50 +482,36 @@ def _initial_hypotheses(
 def resolve(discourse: Discourse, config: EngineConfig = EngineConfig()) -> ResolveResult:
     """Resolve a whole discourse into a ranked beam of readings.
 
-    Raises DiscourseInvalidError under strict validation if the
-    annotation is infelicitous, and UnresolvableError (carrying the
-    utterance index) if at some utterance no reading survives.  The
-    returned hypotheses are sorted best-first under hypothesis_sort_key
-    and truncated to the beam width at every utterance, so the result is
-    deterministic for identical inputs.
+    Raises DiscourseInvalidError if the annotation names an undeclared
+    entity or, under strict validation, has any felicity violation, and
+    UnresolvableError (carrying the utterance index) if at some utterance
+    no reading survives.  The returned hypotheses are sorted best-first
+    under hypothesis_sort_key and truncated to the beam width at every
+    utterance, so the result is deterministic for identical inputs.
     """
     violations = validate_discourse(discourse)
-    if violations and config.strict_validation:
-        raise DiscourseInvalidError(violations)
+    strict = config.strict_validation
+    fatal = [v for v in violations if strict or v.code is ViolationCode.UNDECLARED_ENTITY]
+    if fatal:
+        raise DiscourseInvalidError(fatal)
 
     entity_index = discourse.entity_index()
-    rejection_log: dict[int, tuple[Rejection, ...]] = {}
-
     initial, rejections = _initial_hypotheses(discourse, config)
-    rejection_log[1] = tuple(rejections)
-    if not initial:
-        raise UnresolvableError(1)
-    keyed = [(hypothesis_sort_key(h, entity_index), h) for h in initial]
-    keyed.sort(key=itemgetter(0))
-    del keyed[config.beam_width :]
-    # Each kept reading's recency and content-but-the-last-step, ranked
-    # within the beam; the next utterance's _child_keys compare these.
-    recency_ranks = _dense_ranks([key[1] for key, _ in keyed])
-    prefix_ranks = _dense_ranks([key[2][:-1] for key, _ in keyed])
+    rejection_log: dict[int, tuple[Rejection, ...]] = {1: tuple(rejections)}
+    # The first readings in the children's key shape: no transition or earlier step.
+    first = [((0, -1, 0, (), _step_content(h.last, entity_index)), h) for h in initial]
+    keyed = _cut(first, 1, config.beam_width)
 
     for utterance in discourse.utterances[1:]:
         memo: StepMemo = {}
-        children: list[tuple[tuple, Hypothesis]] = []
+        children: list[Keyed] = []
         step_rejections: list[Rejection] = []
-        for (_, parent), recency_rank, prefix_rank in zip(
-            keyed, recency_ranks, prefix_ranks
-        ):
+        ranks = _dense_ranks([key[1:4] for key, _ in keyed])
+        for (_, parent), rank in zip(keyed, ranks):
             result = step(parent, utterance, discourse, config, memo=memo)
-            children.extend(
-                _child_keys(parent, result.ranked, recency_rank, prefix_rank, entity_index)
-            )
+            children.extend(_child_keys(parent, result.ranked, rank, entity_index))
             step_rejections.extend(result.rejections)
         rejection_log[utterance.index] = tuple(step_rejections)
-        if not children:
-            raise UnresolvableError(utterance.index)
-        children.sort(key=itemgetter(0))
-        keyed = children[: config.beam_width]
-        recency_ranks = _dense_ranks([key[1:3] for key, _ in keyed])
-        prefix_ranks = _dense_ranks([key[3:5] for key, _ in keyed])
+        keyed = _cut(children, utterance.index, config.beam_width)
 
     return ResolveResult(tuple(h for _, h in keyed), tuple(violations), rejection_log)

@@ -284,12 +284,6 @@ class Discourse:
                     f"utterance at position {pos} carries index {u.index}"
                 )
 
-    def entity(self, entity_id: str) -> Entity:
-        for e in self.entities:
-            if e.id == entity_id:
-                return e
-        raise KeyError(entity_id)
-
     @cached_property
     def entity_map(self) -> Mapping[str, Entity]:
         """Each entity by id.

@@ -38,11 +38,18 @@ primitives), so the comparison itself cannot hide a representation bug.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .engine import EngineConfig, UnresolvableError, resolve
-from .model import Discourse, Hypothesis, Marking, Utterance
+from .engine import DiscourseInvalidError, EngineConfig, UnresolvableError, resolve
+from .model import (
+    Discourse,
+    Hypothesis,
+    Marking,
+    Utterance,
+    ViolationCode,
+    validate_discourse,
+)
 
 #: Hard cap on the number of readings the enumerator will materialize.
 SIZE_LIMIT = 1_000_000
@@ -352,8 +359,16 @@ def _enumerate(
 
     The widest-layer count lets the equivalence check size the engine
     beam so that no intermediate truncation can occur (a mid-discourse
-    layer may be larger than the final reading count).
+    layer may be larger than the final reading count).  Like `resolve`,
+    raises DiscourseInvalidError if the discourse names an undeclared
+    entity, whatever the validation mode.
     """
+    undeclared = [
+        v for v in validate_discourse(discourse)
+        if v.code is ViolationCode.UNDECLARED_ENTITY
+    ]
+    if undeclared:
+        raise DiscourseInvalidError(undeclared)
     readings = _initial_readings(discourse)
     max_layer = len(readings)
     if not readings:
@@ -446,13 +461,8 @@ def check_equivalence(
     readings.sort(key=lambda r: _reading_sort_key(r, entity_index))
 
     width = max(config.beam_width, max_layer, 1)
-    engine_config = EngineConfig(
-        beam_width=width,
-        zta_enabled=config.zta_enabled,
-        strict_validation=config.strict_validation,
-    )
     try:
-        result = resolve(discourse, engine_config)
+        result = resolve(discourse, replace(config, beam_width=width))
     except UnresolvableError as err:
         if not readings and first_dead == err.utterance_index:
             return EquivalenceReport(

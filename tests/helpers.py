@@ -156,7 +156,7 @@ def _check_step_composition(
         failures.append(f"{label}: two slots bound to one entity")
     for role, constraint in utt.frame.sortal.items():
         if constraint is SortalConstraint.ANIMATE:
-            if not discourse.entity(step.assignment[role]).animate:
+            if not discourse.entity_map[step.assignment[role]].animate:
                 failures.append(f"{label}: sortal violation at {role.name}")
 
     # Constraint 2: the Cf is exactly the bound entities, most salient

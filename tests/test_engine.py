@@ -34,6 +34,7 @@ from centering.model import (
     Transition,
     Utterance,
     VerbFrame,
+    ViolationCode,
 )
 from helpers import random_discourse
 
@@ -344,6 +345,19 @@ def test_strict_validation_refuses_infelicitous_discourses():
     assert len(relaxed.hypotheses) == 1
 
 
+def test_undeclared_entities_are_refused_in_either_mode():
+    d = Discourse(
+        (entity("a"),),
+        (Utterance(1, VerbFrame("v", (SUBJ,)), (overt(SUBJ, "ghost"),)),),
+    )
+    for strict in (True, False):
+        with pytest.raises(DiscourseInvalidError) as err:
+            resolve(d, EngineConfig(strict_validation=strict))
+        assert [v.code for v in err.value.violations] == [
+            ViolationCode.UNDECLARED_ENTITY
+        ]
+
+
 def test_out_of_cf_bindings_are_last_resort():
     ents = (entity("a"), entity("b"), entity("c"))
     d = Discourse(
@@ -374,30 +388,30 @@ def workloads(monkeypatch):
 
 
 def reference_beam_failures(discourse, config):
-    """Prefixes whose beam is not the reference cut of the previous beam's children.
+    """Prefixes whose beam is not the reference cut of its candidate readings.
 
-    The reference is the definition: every child step makes, sorted by
+    The reference is the definition: the first utterance's readings, or
+    every child step makes of the previous beam, sorted by
     hypothesis_sort_key over the whole history, cut to the beam width.
     """
     entity_index = discourse.entity_index()
     failures = []
-    previous = None
+    candidates, _ = engine._initial_hypotheses(discourse, config)
     for n in range(1, len(discourse.utterances) + 1):
         try:
             beam = resolve(prefix(discourse, n), config).hypotheses
         except UnresolvableError:
             break
-        if previous is not None:
-            utterance = discourse.utterances[n - 1]
-            children = [
+        candidates.sort(key=lambda h: hypothesis_sort_key(h, entity_index))
+        if beam != tuple(candidates[: config.beam_width]):
+            failures.append(n)
+        if n < len(discourse.utterances):
+            utterance = discourse.utterances[n]
+            candidates = [
                 child
-                for parent in previous
+                for parent in beam
                 for child in step(parent, utterance, discourse, config).ranked
             ]
-            children.sort(key=lambda h: hypothesis_sort_key(h, entity_index))
-            if beam != tuple(children[: config.beam_width]):
-                failures.append(n)
-        previous = beam
     return failures
 
 
@@ -411,6 +425,24 @@ def test_every_beam_is_the_reference_cut_at_narrow_widths(workloads):
     chain = workloads.long_chain(random.Random(60), 60)
     for width in (1, 3):
         assert reference_beam_failures(chain, EngineConfig(beam_width=width)) == []
+
+
+def test_the_first_beam_is_sorted_before_it_is_cut(monkeypatch):
+    # Generation lists the first readings in key order already, so only
+    # a shuffled list shows whether resolve sorts them before the cut.
+    initial = engine._initial_hypotheses
+
+    def reversed_initial(discourse, config):
+        hypotheses, rejections = initial(discourse, config)
+        return hypotheses[::-1], rejections
+
+    monkeypatch.setattr(engine, "_initial_hypotheses", reversed_initial)
+    rng = random.Random(5)
+    for trial in range(100):
+        d = random_discourse(rng)
+        for width in (1, 2, 3):
+            config = EngineConfig(beam_width=width, strict_validation=False)
+            assert reference_beam_failures(d, config) == [], (trial, width)
 
 
 def test_survivors_run_once_per_distinct_parent_state(monkeypatch, workloads):

@@ -5,7 +5,12 @@ import random
 import pytest
 
 from centering import corpus, oracle
-from centering.engine import EngineConfig, UnresolvableError, resolve
+from centering.engine import (
+    DiscourseInvalidError,
+    EngineConfig,
+    UnresolvableError,
+    resolve,
+)
 from centering.model import (
     Argument,
     Discourse,
@@ -151,6 +156,25 @@ def test_unresolvable_discourses_agree():
     report = oracle.check_equivalence(d, WIDE)
     assert report.equivalent
     assert report.engine_count == report.oracle_count == 0
+
+
+def test_undeclared_entities_are_refused_in_either_mode():
+    d = Discourse(
+        (Entity("a", animate=True, hearer_old=True, definite=True),),
+        (
+            Utterance(
+                1,
+                VerbFrame("v1", (SUBJ,)),
+                (Argument(SUBJ, Marking.GA, Realization.overt("ghost")),),
+            ),
+        ),
+    )
+    for strict in (True, False):
+        config = EngineConfig(strict_validation=strict)
+        with pytest.raises(DiscourseInvalidError):
+            oracle.enumerate_all(d, config)
+        with pytest.raises(DiscourseInvalidError):
+            oracle.check_equivalence(d, config)
 
 
 # --------------------------------------------------------------------------
