@@ -25,6 +25,24 @@ discourse-initial utterance goes through it with no previous state
 no transition or zero-topic variant arises; `_initial_hypotheses` then
 sets the wa topic, if any, as each reading's Cb.
 
+Candidates are tuple work against a plan of the utterance (`_Plan`),
+compiled once per expansion, before its first candidate.
+`generate_assignments` binds the zeros injectively, never to an entity
+an overt slot names, only to animate entities in animate-only slots and
+only to previous-Cf or hearer-old entities.  Of the filters,
+CONTRA_INDEX and SORTAL can then fail only on the overt slots, one
+verdict for the whole utterance, and ZERO_ANTECEDENT never fails, so
+Rule 1 is the only filter left to run per pairing.  A slot's salience
+tier depends on its role, its marking, the empathy locus and the zero
+topic, never on the entity in it, so the Cf of every binding is one
+fixed order of slot positions; the rules rank a probe binding once to
+find it, and once more per zero-topic slot.  Per candidate what remains
+is the binding as a tuple, its Cb candidates from the previous Cf, the
+Rule 1 test and the Cf read off the order.  The rules stay the
+specification: `filter_assignment` names the code of each pairing the
+plan rejects, and the tests hold the plan to `filter_assignment`,
+`assign_salience_roles` and `rank_cf` on every generated pairing.
+
 Zero topic assignment (ZTA) is the salience-promoting reading of a zero
 that picks up the current center: when a parent's candidates include no
 CONTINUE, a surviving candidate that binds some zero to the parent's Cb
@@ -43,17 +61,20 @@ unordered data, so identical inputs give byte-identical outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import product
 from operator import itemgetter
-from typing import Hashable, Mapping, Optional, Sequence
+from typing import AbstractSet, Hashable, Mapping, Optional, Sequence
 
 from .model import (
     Assignment,
     CenterState,
+    CfEntry,
     Discourse,
     Entity,
     GrammaticalRole,
     Hypothesis,
     MaybeCb,
+    SalienceRole,
     SortalConstraint,
     Step,
     Transition,
@@ -65,7 +86,6 @@ from .model import (
 from .rules import (
     assign_salience_roles,
     classify_transition,
-    compute_cb_candidates,
     filter_assignment,
     rank_cf,
 )
@@ -160,44 +180,104 @@ def generate_assignments(
 
     context is the ordered antecedent pool (previous-Cf order first, then
     any remaining hearer-old entities in declaration order).  Zeros are
-    expanded in subcat order; bindings that would violate the frame's
-    sortal constraints or co-index two slots are pruned here - the same
-    checks filter_assignment applies, so pruning never changes the
-    surviving set.  Overt slots pass through untouched.  The result
-    preserves generation order; each assignment maps every subcategorized
-    role, keyed in subcat order.
+    expanded in subcat order, each over the context entities that no
+    overt slot names (only the animate ones for an animate-only slot), and
+    no entity fills two zeros.  So every assignment binds its zeros
+    injectively, apart from its overt slots, sortal-correctly and to
+    recoverable antecedents: of filter_assignment's checks, CONTRA_INDEX
+    and SORTAL can fail only on the overt slots, the same way for every
+    assignment, ZERO_ANTECEDENT never fails, and RULE_1 is the only one
+    left to run per candidate.  Overt slots pass through untouched.  The
+    result preserves generation order; each assignment maps every
+    subcategorized role, keyed in subcat order.
     """
-    zero_roles = [a.role for a in utterance.args if a.realization.is_zero]
-    overt: dict[GrammaticalRole, str] = {}
-    for a in utterance.args:
-        if not a.realization.is_zero:
-            assert a.realization.entity_id is not None
-            overt[a.role] = a.realization.entity_id
-
+    roles = utterance.frame.subcat
+    slots = [a.realization.entity_id for a in utterance.args]
+    zeros = [p for p, eid in enumerate(slots) if eid is None]
+    free = [eid for eid in context if eid not in slots]
+    animate = [eid for eid in free if entities[eid].animate]
+    pools = [
+        animate
+        if utterance.frame.constraint(roles[p]) is SortalConstraint.ANIMATE
+        else free
+        for p in zeros
+    ]
     results: list[Assignment] = []
-
-    def in_subcat_order(bindings: Mapping[GrammaticalRole, str]) -> Assignment:
-        return {a.role: bindings[a.role] for a in utterance.args}
-
-    def expand(i: int, bound: dict[GrammaticalRole, str], used: set[str]) -> None:
-        if i == len(zero_roles):
-            results.append(in_subcat_order(bound))
-            return
-        role = zero_roles[i]
-        animate_only = utterance.frame.constraint(role) is SortalConstraint.ANIMATE
-        for entity_id in context:
-            if entity_id in used:
-                continue
-            if animate_only and not entities[entity_id].animate:
-                continue
-            bound[role] = entity_id
-            used.add(entity_id)
-            expand(i + 1, bound, used)
-            used.discard(entity_id)
-            del bound[role]
-
-    expand(0, dict(overt), set(overt.values()))
+    for fill in product(*pools):
+        if len(set(fill)) < len(fill):
+            continue
+        for p, eid in zip(zeros, fill):
+            slots[p] = eid
+        results.append(dict(zip(roles, slots)))
     return results
+
+
+#: Slot positions in Cf order, each with the salience tier it earns.
+CfOrder = tuple[tuple[int, SalienceRole], ...]
+
+
+def _cf_order(utterance: Utterance, topic: Optional[int] = None) -> CfOrder:
+    """The Cf of any injective binding of the utterance, as slot positions.
+
+    A slot's tier depends on its role, its marking, the empathy locus and
+    the zero topic, never on the entity in it, so the rules rank a probe
+    binding that puts each slot's position in place of an entity.  topic
+    is the position of the zero-topic slot, if any.
+    """
+    probe = {a.role: pos for pos, a in enumerate(utterance.args)}
+    return rank_cf(assign_salience_roles(utterance, probe, topic))
+
+
+def _ranked(binding: Sequence[str], order: CfOrder) -> tuple[CfEntry, ...]:
+    """The Cf of one binding (entity ids in subcat order) under order."""
+    return tuple([(binding[pos], tier) for pos, tier in order])
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """One utterance compiled for the bindings generate_assignments makes.
+
+    A binding is the tuple of entity ids its slots hold, in subcat order.
+    Generation binds the zeros injectively, apart from the overt slots,
+    sortal-correctly and to recoverable antecedents, so filter_assignment
+    passes a pairing exactly when overt_ok and Rule 1 hold, and the Cf of
+    every binding is the one order cf of slot positions.
+    """
+
+    zeros: tuple[int, ...]  # positions of the zero slots
+    overt_ok: bool  # the overt slots pass CONTRA_INDEX and SORTAL
+    cf: CfOrder
+
+    @staticmethod
+    def of(utterance: Utterance, entities: Mapping[str, Entity]) -> "_Plan":
+        args = utterance.args
+        named = [a.realization.entity_id for a in args if not a.realization.is_zero]
+        sortal_ok = all(
+            entities[a.realization.entity_id].animate
+            for a in args
+            if not a.realization.is_zero
+            and utterance.frame.constraint(a.role) is SortalConstraint.ANIMATE
+        )
+        return _Plan(
+            tuple(p for p, a in enumerate(args) if a.realization.is_zero),
+            sortal_ok and len(set(named)) == len(named),
+            _cf_order(utterance),
+        )
+
+    def passes(
+        self, binding: Sequence[str], prev_cf: AbstractSet[str], cb: Optional[str]
+    ) -> bool:
+        """Whether filter_assignment passes a generated binding with Cb cb.
+
+        prev_cf is the previous Cf as a set.  Past overt_ok only Rule 1 is
+        left: if a zero realizes a previous-Cf entity, the Cb's slot must
+        be a zero.
+        """
+        if not self.overt_ok:
+            return False
+        if cb is None or binding.index(cb) in self.zeros:
+            return True
+        return not any(binding[p] in prev_cf for p in self.zeros)
 
 
 def apply_zta(
@@ -213,13 +293,14 @@ def apply_zta(
     (when the center continues smoothly there is nothing for the zero
     topic to rescue).  A reading spawns a variant when its own Cb is
     that same entity — the zero topic continues the previous center as
-    the current one — and some zero slot binds it from a subject or
+    the current one — and a zero slot binds it from a subject or
     second-object position.  The variant keeps the reading's Cb and
-    assignment but recomputes salience with the entity as zero topic
-    (demoting any wa topic to its plain grammatical role), reranks the
-    Cf and reclassifies the transition, which lands on CONTINUE: the
-    zero topic heads the Cf, so Cb and Cp coincide on the carried-over
-    center.  Variants are additional readings; the originals stay.
+    assignment but takes the Cf order with that slot as zero topic
+    (which demotes any wa topic to its plain grammatical role), one
+    order per slot for all readings, and reclassifies the transition,
+    which lands on CONTINUE: the zero topic heads the Cf, so Cb and Cp
+    coincide on the carried-over center.  Variants are additional
+    readings; the originals stay.
     """
     if not config.zta_enabled:
         return []
@@ -230,19 +311,23 @@ def apply_zta(
 
     target = parent_cb.entity_id
     assert target is not None
+    topic_slots = [
+        p
+        for p, a in enumerate(utterance.args)
+        if a.realization.is_zero and a.role in ZERO_TOPIC_ROLES
+    ]
+    orders: dict[int, CfOrder] = {}
     variants: list[Step] = []
     for base in steps:
-        zero_slot: Optional[GrammaticalRole] = None
-        for arg in utterance.args:
-            if arg.realization.is_zero and base.assignment[arg.role] == target:
-                zero_slot = arg.role
-                break
-        if zero_slot is None or zero_slot not in ZERO_TOPIC_ROLES:
-            continue
         if base.state.cb.entity_id != target:
             continue
-        bindings = assign_salience_roles(utterance, base.assignment, zero_topic=target)
-        state = CenterState(base.state.cb, rank_cf(bindings))
+        binding = tuple(base.assignment.values())
+        slot = next((p for p in topic_slots if binding[p] == target), None)
+        if slot is None:
+            continue
+        if slot not in orders:
+            orders[slot] = _cf_order(utterance, slot)
+        state = CenterState(base.state.cb, _ranked(binding, orders[slot]))
         transition = classify_transition(parent_cb, target, state.cp)
         variants.append(replace(base, state=state, transition=transition, zta_applied=True))
     return variants
@@ -250,12 +335,7 @@ def apply_zta(
 
 def _context_for(discourse: Discourse, prev_cf: Sequence[str]) -> list[str]:
     """Antecedent pool: previous Cf in order, then other hearer-old entities."""
-    pool = list(prev_cf)
-    seen = set(pool)
-    for e in discourse.entities:
-        if e.hearer_old and e.id not in seen:
-            pool.append(e.id)
-    return pool
+    return list(prev_cf) + [e for e in discourse.hearer_old_ids if e not in prev_cf]
 
 
 def _survivors(
@@ -268,16 +348,21 @@ def _survivors(
 
     prev is None for the discourse-initial utterance, whose readings are
     then all unlinked (uninstantiated Cb, no transition).  Each binding is
-    paired with each of its Cb candidates, or with no Cb when nothing
-    links it to prev (a segment reset).  A reading is inside when every
-    zero binds a previous-Cf entity; the outside ones reach out to
-    hearer-old entities and survive only as a last resort, when no inside
-    reading does.
+    paired with each of its Cb candidates (compute_cb_candidates), or with
+    no Cb when nothing links it to prev (a segment reset).  A reading is
+    inside when every zero binds a previous-Cf entity; the outside ones
+    reach out to hearer-old entities and survive only as a last resort,
+    when no inside reading does.  Every pairing goes through the
+    utterance's plan; filter_assignment names the rule of each one the
+    plan rejects.
     """
     entities = discourse.entity_map
+    plan = _Plan.of(utterance, entities)
     prev_cf = prev.cf_ids if prev is not None else ()
+    prev_cf_set = frozenset(prev_cf)
     prev_cb = prev.cb if prev is not None else MaybeCb.uninstantiated()
-    prev_cf_set = set(prev_cf)
+    forced = prev_cb.is_instantiated
+    index = utterance.index
 
     inside: list[Step] = []
     outside: list[Step] = []
@@ -285,28 +370,28 @@ def _survivors(
     for assignment in generate_assignments(
         utterance, _context_for(discourse, prev_cf), entities
     ):
-        inside_cf = all(
-            assignment[a.role] in prev_cf_set
-            for a in utterance.args
-            if a.realization.is_zero
-        )
+        binding = tuple(assignment.values())
+        # compute_cb_candidates: the realized previous-Cf entities in
+        # previous-Cf order, only the first if the previous Cb is set.
+        linked = [e for e in prev_cf if e in binding]
         cf = None
-        for cb in compute_cb_candidates(prev, assignment) or [None]:
-            code = filter_assignment(utterance, assignment, prev, cb, entities)
-            if code is not None:
-                rejections.append(Rejection(utterance.index, assignment, cb, code))
+        for cb in (linked[:1] if forced else linked) or [None]:
+            if not plan.passes(binding, prev_cf_set, cb):
+                code = filter_assignment(utterance, assignment, prev, cb, entities)
+                rejections.append(Rejection(index, assignment, cb, code))
                 continue
             if cf is None:
-                cf = rank_cf(assign_salience_roles(utterance, assignment))
+                cf = _ranked(binding, plan.cf)
+                inside_cf = prev_cf_set.issuperset([binding[p] for p in plan.zeros])
             state = CenterState(MaybeCb(cb), cf)
-            transition = None if cb is None else classify_transition(prev_cb, cb, state.cp)
+            transition = None if cb is None else classify_transition(prev_cb, cb, cf[0][0])
             (inside if inside_cf else outside).append(
-                Step(utterance.index, assignment, state, transition)
+                Step(index, assignment, state, transition)
             )
 
     if inside:
         rejections.extend(
-            Rejection(utterance.index, s.assignment, s.state.cb.entity_id, OUT_OF_CF_PRUNED)
+            Rejection(index, s.assignment, s.state.cb.entity_id, OUT_OF_CF_PRUNED)
             for s in outside
         )
     survivors = inside or outside

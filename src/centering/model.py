@@ -293,6 +293,11 @@ class Discourse:
         """
         return {e.id: e for e in self.entities}
 
+    @cached_property
+    def hearer_old_ids(self) -> tuple[str, ...]:
+        """Ids of the hearer-old entities, in declaration order (cached as above)."""
+        return tuple(e.id for e in self.entities if e.hearer_old)
+
     def entity_index(self) -> dict[str, int]:
         """Declaration-order index of each entity id (for deterministic keys)."""
         return {e.id: i for i, e in enumerate(self.entities)}

@@ -1,16 +1,19 @@
 """Engine behavior: generation, zero-topic variants, stepping, resolution."""
 
+import itertools
 import random
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from centering import corpus, engine
+from centering import corpus, engine, oracle
 from centering.engine import (
+    ZERO_TOPIC_ROLES,
     DiscourseInvalidError,
     EngineConfig,
     OUT_OF_CF_PRUNED,
+    Rejection,
     UnresolvableError,
     apply_zta,
     generate_assignments,
@@ -36,11 +39,19 @@ from centering.model import (
     VerbFrame,
     ViolationCode,
 )
+from centering.rules import (
+    RejectionCode,
+    assign_salience_roles,
+    compute_cb_candidates,
+    filter_assignment,
+    rank_cf,
+)
 from helpers import random_discourse
 
 SUBJ = GrammaticalRole.SUBJ
 OBJ2 = GrammaticalRole.OBJ2
 OBJ = GrammaticalRole.OBJ
+OTHER = GrammaticalRole.OTHER
 
 WIDE = EngineConfig(beam_width=64)
 
@@ -485,3 +496,172 @@ def test_children_add_one_ordinal_to_the_parent_score():
             for parent in resolve(prefix(d, n), WIDE).hypotheses:
                 for child in step(parent, d.utterances[n], d, WIDE).ranked:
                     assert child.score == parent.score + child.last.transition_cost, name
+
+
+# --------------------------------------------------------------------------
+# The per-utterance plan against the rules it stands in for
+
+
+def _pairings(discourse, utterance, prev):
+    """Every generated (assignment, Cb) pairing of utterance after state prev."""
+    entities = discourse.entity_map
+    context = engine._context_for(discourse, prev.cf_ids if prev is not None else ())
+    for assignment in generate_assignments(utterance, context, entities):
+        for cb in compute_cb_candidates(prev, assignment) or [None]:
+            yield assignment, cb
+
+
+def plan_mismatches(discourse, utterance, prev, verdicts):
+    """Pairings on which the utterance's plan and the rules disagree.
+
+    The plan must pass exactly the pairings filter_assignment passes, and
+    rank the Cf of every injective binding as rank_cf(assign_salience_roles)
+    does, with no zero topic and with each zero slot as the zero topic.
+    verdicts counts the rules' verdicts, so callers can see what was covered.
+    """
+    entities = discourse.entity_map
+    plan = engine._Plan.of(utterance, entities)
+    prev_cf = set(prev.cf_ids) if prev is not None else set()
+    mismatches = []
+    for assignment, cb in _pairings(discourse, utterance, prev):
+        binding = tuple(assignment.values())
+        code = filter_assignment(utterance, assignment, prev, cb, entities)
+        verdicts[code] += 1
+        if plan.passes(binding, prev_cf, cb) != (code is None):
+            mismatches.append(("verdict", assignment, cb, code))
+        if len(set(binding)) < len(binding):
+            continue
+        if engine._ranked(binding, plan.cf) != rank_cf(
+            assign_salience_roles(utterance, assignment)
+        ):
+            mismatches.append(("cf", assignment))
+        for pos in plan.zeros:
+            topic = binding[pos]
+            want = rank_cf(assign_salience_roles(utterance, assignment, zero_topic=topic))
+            if engine._ranked(binding, engine._cf_order(utterance, pos)) != want:
+                mismatches.append(("zero topic cf", assignment, topic))
+    return mismatches
+
+
+def _states(ids, rng=None, count=None):
+    """Previous center states over ids: each Cf order of one or two, Cb open or set.
+
+    With rng, count of them drawn at random, Cfs of three included.
+    """
+    tiers = (SalienceRole.SUBJ, SalienceRole.OBJ2, SalienceRole.OBJ)
+    orders = [cf for n in (1, 2, 3) for cf in itertools.permutations(ids, n)]
+    if rng is None:
+        orders = [cf for cf in orders if len(cf) < 3]
+    states = [
+        CenterState(MaybeCb(cb), tuple(zip(cf, tiers)))
+        for cf in orders
+        for cb in (None,) + cf
+    ]
+    return states if rng is None else rng.sample(states, min(count, len(states)))
+
+
+PLAN_ENTITIES = (
+    entity("a"),
+    entity("b"),
+    entity("c"),
+    entity("rock", animate=False),
+    entity("new", hearer_old=False),
+)
+
+
+def _plan_utterances():
+    """Frames random draws seldom reach, each as the second utterance."""
+    three, four = (SUBJ, OBJ2, OBJ), (SUBJ, OBJ2, OBJ, OTHER)
+    animate = SortalConstraint.ANIMATE
+    frames = [
+        # a wa topic beside zeros
+        (VerbFrame("wa", three), (zero(SUBJ), overt(OBJ2, "a", Marking.WA), zero(OBJ))),
+        # zero topics at SUBJ and at OBJ2, with a wa topic to demote
+        (
+            VerbFrame("zta", three, {SUBJ: animate, OBJ2: animate}),
+            (zero(SUBJ), zero(OBJ2), overt(OBJ, "c", Marking.WA)),
+        ),
+        # all overt
+        (VerbFrame("overt", (SUBJ, OBJ)), (overt(SUBJ, "a", Marking.WA), overt(OBJ, "b"))),
+        # two overt slots co-indexed: CONTRA_INDEX whatever the zero binds
+        (VerbFrame("coindexed", three), (zero(SUBJ), overt(OBJ2, "a"), overt(OBJ, "a"))),
+        # an inanimate overt entity in an animate-only slot: SORTAL
+        (VerbFrame("sortal", (SUBJ, OBJ), {OBJ: animate}), (zero(SUBJ), overt(OBJ, "rock"))),
+    ]
+    # the empathy locus on each role, zero slots and overt ones alike
+    frames += [
+        (
+            VerbFrame(f"emp-{role.name}", four, {}, role),
+            (zero(SUBJ), overt(OBJ2, "b"), zero(OBJ), overt(OTHER, "c")),
+        )
+        for role in four
+    ]
+    return [Utterance(2, frame, args) for frame, args in frames]
+
+
+def test_the_plan_matches_the_rules_on_every_generated_pairing():
+    verdicts = Counter()
+    opener = Utterance(1, VerbFrame("v", (SUBJ,)), (overt(SUBJ, "a"),))
+    for utterance in _plan_utterances():
+        d = Discourse(PLAN_ENTITIES, (opener, utterance))
+        for prev in [None] + _states(("a", "b", "rock", "new")):
+            assert plan_mismatches(d, utterance, prev, verdicts) == [], utterance.frame.lemma
+
+    rng = random.Random(6)
+    for trial in range(500):
+        d = random_discourse(rng)
+        ids = [e.id for e in d.entities]
+        for utterance in d.utterances:
+            for prev in [None] + _states(ids, rng, 3):
+                assert plan_mismatches(d, utterance, prev, verdicts) == [], trial
+
+    assert verdicts[None] > 1000
+    for code in (RejectionCode.CONTRA_INDEX, RejectionCode.SORTAL, RejectionCode.RULE_1):
+        assert verdicts[code] > 10, code
+    assert verdicts[RejectionCode.ZERO_ANTECEDENT] == 0  # generation rules it out
+
+
+def _unresolvable_second_utterance(frame, args):
+    """An overt opener, then an utterance whose overt slots doom every pairing."""
+    ents = (entity("a"), entity("b"), entity("c"), entity("rock", animate=False))
+    opener = Utterance(
+        1, VerbFrame("v1", (SUBJ, OBJ)), (overt(SUBJ, "a", Marking.WA), overt(OBJ, "b"))
+    )
+    return Discourse(ents, (opener, Utterance(2, frame, args)))
+
+
+@pytest.mark.parametrize(
+    "frame, args, code",
+    [
+        (
+            VerbFrame("coindexed", (SUBJ, OBJ2, OBJ)),
+            (zero(SUBJ), overt(OBJ2, "c"), overt(OBJ, "c")),
+            RejectionCode.CONTRA_INDEX,
+        ),
+        (
+            VerbFrame("sortal", (SUBJ, OBJ), {OBJ: SortalConstraint.ANIMATE}),
+            (zero(SUBJ), overt(OBJ, "rock")),
+            RejectionCode.SORTAL,
+        ),
+    ],
+    ids=["contra-index", "sortal"],
+)
+def test_overt_slots_that_doom_every_pairing_reject_each_with_its_code(frame, args, code):
+    d = _unresolvable_second_utterance(frame, args)
+    config = EngineConfig(strict_validation=False)
+    assert oracle.check_equivalence(d, config).equivalent
+    with pytest.raises(UnresolvableError) as err:
+        resolve(d, config)
+    assert err.value.utterance_index == 2
+
+    utterance = d.utterances[1]
+    parent = resolve(prefix(d, 1), config).top
+    prev = parent.last.state
+    want = [
+        Rejection(2, a, cb, filter_assignment(utterance, a, prev, cb, d.entity_map))
+        for a, cb in _pairings(d, utterance, prev)
+    ]
+    assert len(want) == 3 and {r.code for r in want} == {code}
+    result = step(parent, utterance, d, config)
+    assert result.ranked == ()
+    assert list(result.rejections) == want

@@ -137,6 +137,18 @@ def test_discourse_rejects_duplicate_ids_and_index_gaps():
         Discourse((entity("a"),), (u1, u3))
 
 
+def test_derived_entity_views_leave_equality_and_repr_alone():
+    frame = VerbFrame("v", (SUBJ,))
+    ents = (entity("c"), entity("new", hearer_old=False), entity("a"))
+    d = Discourse(ents, (Utterance(1, frame, (overt(SUBJ, "a"),)),))
+    fresh = Discourse(ents, d.utterances)
+    text = repr(d)
+    assert d.hearer_old_ids == ("c", "a")
+    assert d.entity_map["new"] is ents[1]
+    assert d == fresh
+    assert repr(d) == text == repr(fresh)
+
+
 def test_center_state_invariants():
     with pytest.raises(ValueError):
         CenterState(MaybeCb.uninstantiated(), ())
