@@ -20,17 +20,20 @@ Exit codes:
   5  the input file cannot be read
   6  the input file is not UTF-8 JSON or is shaped wrongly
   7  bad command line (unknown option, missing argument, beam width < 1)
+  8  the output cannot be written (closed pipe, full device)
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from typing import NoReturn, Optional, Sequence
+from typing import Callable, NoReturn, Optional, Sequence
 
 from .corpus import (
     DiscourseFormatError,
+    GoldLabel,
     PARSE,
     SCHEMA,
     check_gold,
@@ -38,7 +41,7 @@ from .corpus import (
 )
 from .engine import EngineConfig, ResolveResult, UnresolvableError, resolve
 from .model import Discourse, Hypothesis, Step
-from .oracle import EquivalenceReport, SizeLimitError, check_equivalence
+from .oracle import SizeLimitError, check_equivalence
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -48,6 +51,7 @@ EXIT_SIZE_LIMIT = 4
 EXIT_IO = 5
 EXIT_FORMAT = 6
 EXIT_USAGE = 7
+EXIT_OUTPUT = 8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,7 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, beam: bool = True) -> None:
+    def add_common(p: argparse.ArgumentParser, handler: Callable, beam: bool = True) -> None:
+        p.set_defaults(handler=handler)
         p.add_argument("file", help="annotated discourse JSON file")
         if beam:
             p.add_argument(
@@ -83,22 +88,22 @@ def _build_parser() -> argparse.ArgumentParser:
         )
 
     p_resolve = sub.add_parser("resolve", help="rank the readings of a discourse")
-    add_common(p_resolve)
+    add_common(p_resolve, _cmd_resolve)
     p_resolve.add_argument(
         "--trace", action="store_true",
         help="print per-utterance tables of every reading's center state",
     )
 
     p_check = sub.add_parser("check", help="compare readings against gold labels")
-    add_common(p_check)
+    add_common(p_check, _cmd_check)
 
     p_oracle = sub.add_parser(
         "oracle", help="compare the engine against exhaustive enumeration"
     )
-    add_common(p_oracle)
+    add_common(p_oracle, _cmd_oracle)
 
     p_validate = sub.add_parser("validate", help="report felicity violations")
-    add_common(p_validate, beam=False)
+    add_common(p_validate, _cmd_validate, beam=False)
 
     return parser
 
@@ -202,42 +207,27 @@ def _emit_format_error(err: DiscourseFormatError, fmt: str) -> int:
     return EXIT_VALIDATION
 
 
-def _load(path: str, fmt: str):
-    """Read and parse a corpus file, or return an exit code."""
+class _ReadError(Exception):
+    """The input file cannot be read."""
+
+
+def _load(path: str) -> tuple[Discourse, tuple[GoldLabel, ...]]:
+    """Read and parse a corpus file."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
     except OSError as err:
-        print(f"error: cannot read {path}: {err}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        return parse_discourse(data)
-    except DiscourseFormatError as err:
-        return _emit_format_error(err, fmt)
+        raise _ReadError(f"cannot read {path}: {err}") from err
+    return parse_discourse(data)
 
 
 def _config(args: argparse.Namespace) -> EngineConfig:
     return EngineConfig(beam_width=args.beam, zta_enabled=not args.no_zta)
 
 
-def _load_and_resolve(args: argparse.Namespace):
-    """Load and resolve a corpus file: (discourse, golds, result), or an exit code."""
-    loaded = _load(args.file, args.format)
-    if isinstance(loaded, int):
-        return loaded
-    discourse, golds = loaded
-    try:
-        return discourse, golds, resolve(discourse, _config(args))
-    except UnresolvableError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_UNRESOLVABLE
-
-
 def _cmd_resolve(args: argparse.Namespace) -> int:
-    resolved = _load_and_resolve(args)
-    if isinstance(resolved, int):
-        return resolved
-    discourse, _golds, result = resolved
+    discourse, _golds = _load(args.file)
+    result = resolve(discourse, _config(args))
     if args.format == "json":
         print(json.dumps({"readings": _readings_json(result.hypotheses)}, indent=2))
     elif args.trace:
@@ -248,11 +238,8 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    resolved = _load_and_resolve(args)
-    if isinstance(resolved, int):
-        return resolved
-    _discourse, golds, result = resolved
-    report = check_gold(golds, result.hypotheses)
+    discourse, golds = _load(args.file)
+    report = check_gold(golds, resolve(discourse, _config(args)).hypotheses)
     if args.format == "json":
         print(json.dumps({
             "ok": report.ok,
@@ -273,15 +260,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    loaded = _load(args.file, args.format)
-    if isinstance(loaded, int):
-        return loaded
-    discourse, _golds = loaded
-    try:
-        report: EquivalenceReport = check_equivalence(discourse, _config(args))
-    except SizeLimitError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_SIZE_LIMIT
+    discourse, _golds = _load(args.file)
+    report = check_equivalence(discourse, _config(args))
     if args.format == "json":
         print(json.dumps({
             "equivalent": report.equivalent,
@@ -296,9 +276,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    loaded = _load(args.file, args.format)
-    if isinstance(loaded, int):
-        return loaded
+    _load(args.file)
     if args.format == "json":
         print(json.dumps({"issues": []}, indent=2))
     else:
@@ -310,23 +288,42 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     """Parse arguments and run one subcommand; returns the exit code.
 
     A bad command line raises SystemExit(EXIT_USAGE), as --help raises
-    SystemExit(0).
+    SystemExit(0).  Each failure a subcommand raises is mapped to its
+    documented exit code here, except an OSError from writing stdout,
+    which main() turns into EXIT_OUTPUT.
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "beam", 1) < 1:
         parser.error(f"argument --beam: must be at least 1, got {args.beam}")
-    handlers = {
-        "resolve": _cmd_resolve,
-        "check": _cmd_check,
-        "oracle": _cmd_oracle,
-        "validate": _cmd_validate,
-    }
-    return handlers[args.command](args)
+    try:
+        return args.handler(args)
+    except _ReadError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_IO
+    except DiscourseFormatError as err:
+        return _emit_format_error(err, args.format)
+    except UnresolvableError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_UNRESOLVABLE
+    except SizeLimitError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_SIZE_LIMIT
 
 
-def main() -> None:  # pragma: no cover - thin wrapper
-    sys.exit(run_cli(sys.argv[1:]))
+def main() -> None:  # pragma: no cover - the tests run it in a subprocess
+    try:
+        try:
+            code = run_cli(sys.argv[1:])
+        finally:
+            # Also when argparse exits: --help leaves its text in the buffer.
+            sys.stdout.flush()
+    except OSError as err:  # a closed pipe or a full device on stdout
+        # Drop the unwritten output, or the flush at exit fails again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {err}", file=sys.stderr)
+        code = EXIT_OUTPUT
+    sys.exit(code)
 
 
 if __name__ == "__main__":  # pragma: no cover

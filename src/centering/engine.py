@@ -130,7 +130,11 @@ class StepResult:
 
 @dataclass(frozen=True)
 class ResolveResult:
-    """Final beam after the whole discourse, best reading first."""
+    """Final beam after the whole discourse, best reading first.
+
+    rejections maps each utterance to the records of every center state
+    expanded there, once per state, in the order the states were expanded.
+    """
 
     hypotheses: tuple[Hypothesis, ...]
     violations: tuple[Violation, ...]
@@ -590,13 +594,11 @@ def resolve(discourse: Discourse, config: EngineConfig = EngineConfig()) -> Reso
     for utterance in discourse.utterances[1:]:
         memo: StepMemo = {}
         children: list[Keyed] = []
-        step_rejections: list[Rejection] = []
         ranks = _dense_ranks([key[1:4] for key, _ in keyed])
         for (_, parent), rank in zip(keyed, ranks):
             result = step(parent, utterance, discourse, config, memo=memo)
             children.extend(_child_keys(parent, result.ranked, rank, entity_index))
-            step_rejections.extend(result.rejections)
-        rejection_log[utterance.index] = tuple(step_rejections)
+        rejection_log[utterance.index] = tuple(r for _, rs in memo.values() for r in rs)
         keyed = _cut(children, utterance.index, config.beam_width)
 
     return ResolveResult(tuple(h for _, h in keyed), tuple(violations), rejection_log)

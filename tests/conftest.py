@@ -3,10 +3,17 @@
 Acceptance tests register one verdict per criterion through
 record_criterion; a terminal-summary hook replays them as one line each
 so the final report always shows the per-criterion outcome, pass or
-fail, without digging through the pytest output.
+fail, without digging through the pytest output.  The workloads fixture
+hands tests the benchmark's seeded discourse generators.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 _CRITERIA: dict[int, tuple[str, bool]] = {}
 
@@ -26,3 +33,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         title, passed = _CRITERIA[number]
         verdict = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"[{verdict}] criterion {number}: {title}")
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """The benchmark's seeded discourse generators (bench/workloads.py)."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    return workloads

@@ -6,7 +6,8 @@ them:
 * a seeded random discourse generator biased toward resolvable inputs
   (zeros need antecedents, so most entities are hearer-old and the first
   utterance is mostly overt), used for engine/oracle equivalence and
-  property sweeps;
+  property sweeps, next to two fixed edge cases: a discourse that is
+  unresolvable and one whose reading space exceeds the oracle's size limit;
 
 * an invariant walker that re-derives, from first principles and the
   oracle's naive helpers, everything a finished hypothesis claims:
@@ -112,6 +113,47 @@ def random_discourse(rng: random.Random) -> Discourse:
         )
         utterances.append(Utterance(k + 1, frame, tuple(args), others, f"u{k + 1}"))
     return Discourse(entities, tuple(utterances))
+
+
+def unresolvable_discourse() -> Discourse:
+    """Two utterances; the second has two zeros and only one entity to bind."""
+    subj, obj = GrammaticalRole.SUBJ, GrammaticalRole.OBJ
+    return Discourse(
+        (Entity("a", animate=True, hearer_old=False, definite=True),),
+        (
+            Utterance(
+                1,
+                VerbFrame("v1", (subj,)),
+                (Argument(subj, Marking.GA, Realization.overt("a")),),
+            ),
+            Utterance(
+                2,
+                VerbFrame("v2", (subj, obj)),
+                (
+                    Argument(subj, Marking.NONE, Realization.zero()),
+                    Argument(obj, Marking.NONE, Realization.zero()),
+                ),
+            ),
+        ),
+    )
+
+
+def oversized_discourse() -> Discourse:
+    """Three all-zero four-slot utterances over six entities: past SIZE_LIMIT."""
+    return Discourse(
+        tuple(
+            Entity(f"e{i}", animate=True, hearer_old=True, definite=True)
+            for i in range(6)
+        ),
+        tuple(
+            Utterance(
+                k,
+                VerbFrame(f"v{k}", tuple(ROLE_ORDER)),
+                tuple(Argument(r, Marking.NONE, Realization.zero()) for r in ROLE_ORDER),
+            )
+            for k in (1, 2, 3)
+        ),
+    )
 
 
 # --------------------------------------------------------------------------

@@ -1,15 +1,22 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import json
+import os
+import random
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from centering import corpus
+from centering import corpus, oracle
 from centering.cli import (
     EXIT_FORMAT,
     EXIT_IO,
     EXIT_MISMATCH,
     EXIT_OK,
+    EXIT_OUTPUT,
     EXIT_SIZE_LIMIT,
     EXIT_UNRESOLVABLE,
     EXIT_USAGE,
@@ -17,16 +24,9 @@ from centering.cli import (
     run_cli,
 )
 from centering.corpus import serialize_discourse
-from centering.model import (
-    Argument,
-    Discourse,
-    Entity,
-    GrammaticalRole,
-    Marking,
-    Realization,
-    Utterance,
-    VerbFrame,
-)
+from helpers import oversized_discourse, unresolvable_discourse
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -176,28 +176,22 @@ def test_oracle_subcommand_json(corpus_file, capsys):
 
 
 def test_oracle_subcommand_hits_the_size_limit(tmp_path, capsys):
-    roles = (
-        GrammaticalRole.SUBJ, GrammaticalRole.OBJ2,
-        GrammaticalRole.OBJ, GrammaticalRole.OTHER,
-    )
-    d = Discourse(
-        tuple(
-            Entity(f"e{i}", animate=True, hearer_old=True, definite=True)
-            for i in range(6)
-        ),
-        tuple(
-            Utterance(
-                k,
-                VerbFrame(f"v{k}", roles),
-                tuple(Argument(r, Marking.NONE, Realization.zero()) for r in roles),
-            )
-            for k in (1, 2, 3)
-        ),
-    )
     path = tmp_path / "monster.json"
-    path.write_text(serialize_discourse(d), encoding="utf-8")
+    path.write_text(serialize_discourse(oversized_discourse()), encoding="utf-8")
     assert run_cli(["oracle", str(path)]) == EXIT_SIZE_LIMIT
     assert "error:" in capsys.readouterr().err
+
+
+def test_oracle_subcommand_reports_a_discrepancy(corpus_file, capsys, monkeypatch):
+    real_resolve = oracle.resolve
+
+    def swap_first_two(discourse, config):
+        result = real_resolve(discourse, config)
+        return replace(result, hypotheses=result.hypotheses[1::-1] + result.hypotheses[2:])
+
+    monkeypatch.setattr(oracle, "resolve", swap_first_two)
+    assert run_cli(["oracle", corpus_file("zta_ex_ga.json")]) == EXIT_MISMATCH
+    assert capsys.readouterr().out.startswith("DISCREPANCY: readings diverge at rank 0")
 
 
 # --------------------------------------------------------------------------
@@ -285,25 +279,119 @@ def test_bad_input_and_command_lines_exit_with_documented_codes(
 
 
 def test_unresolvable_discourse_exits_three(tmp_path, capsys):
-    d = Discourse(
-        (Entity("a", animate=True, hearer_old=False, definite=True),),
-        (
-            Utterance(
-                1,
-                VerbFrame("v1", (GrammaticalRole.SUBJ,)),
-                (Argument(GrammaticalRole.SUBJ, Marking.GA, Realization.overt("a")),),
-            ),
-            Utterance(
-                2,
-                VerbFrame("v2", (GrammaticalRole.SUBJ, GrammaticalRole.OBJ)),
-                (
-                    Argument(GrammaticalRole.SUBJ, Marking.NONE, Realization.zero()),
-                    Argument(GrammaticalRole.OBJ, Marking.NONE, Realization.zero()),
-                ),
-            ),
-        ),
-    )
     path = tmp_path / "unresolvable.json"
-    path.write_text(serialize_discourse(d), encoding="utf-8")
+    path.write_text(serialize_discourse(unresolvable_discourse()), encoding="utf-8")
     assert run_cli(["resolve", str(path)]) == EXIT_UNRESOLVABLE
     assert "no reading survives at utterance 2" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------
+# Every subcommand against every kind of input failure
+
+
+_COMMANDS = ("resolve", "check", "oracle", "validate")
+
+
+def _every(code):
+    return dict.fromkeys(_COMMANDS, code)
+
+
+def _schema_error():
+    doc = json.loads(corpus.corpus_text("shift_ex.json"))
+    doc["mystery"] = True
+    return json.dumps(doc).encode("utf-8")
+
+
+#: Input kind -> (file bytes, None for a path that is no file; the exit
+#: code of each subcommand the kind applies to).  "clean" is the control.
+_KINDS = {
+    "clean": (lambda: _VALID, _every(EXIT_OK)),
+    "missing": (None, _every(EXIT_IO)),
+    "directory": (None, _every(EXIT_IO)),
+    "bad-utf8": (lambda: b'{"entities": ["tar\xffoo"]}', _every(EXIT_FORMAT)),
+    "schema": (_schema_error, _every(EXIT_FORMAT)),
+    "infelicitous": (
+        lambda: corpus.corpus_text("invalid_wa_indefinite.json").encode("utf-8"),
+        _every(EXIT_VALIDATION),
+    ),
+    "unresolvable": (
+        lambda: serialize_discourse(unresolvable_discourse()).encode("utf-8"),
+        {"resolve": EXIT_UNRESOLVABLE, "check": EXIT_UNRESOLVABLE},
+    ),
+    "size-limit": (
+        lambda: serialize_discourse(oversized_discourse()).encode("utf-8"),
+        {"oracle": EXIT_SIZE_LIMIT},
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, command, fmt, expected",
+    [
+        pytest.param(kind, command, fmt, code, id=f"{kind}-{command}-{fmt}")
+        for kind, (_content, codes) in _KINDS.items()
+        for command, code in codes.items()
+        for fmt in ("text", "json")
+    ],
+)
+def test_every_subcommand_exits_with_the_documented_code_per_input_kind(
+    tmp_path, capsys, kind, command, fmt, expected
+):
+    content, _codes = _KINDS[kind]
+    path = tmp_path / "input.json"
+    if kind == "directory":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content())
+    assert run_cli([command, str(path), "--format", fmt]) == expected
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    if expected == EXIT_OK:
+        assert out and (fmt == "text" or json.loads(out))
+    elif fmt == "json" and expected in (EXIT_FORMAT, EXIT_VALIDATION):
+        assert json.loads(out)["issues"] and not err
+    else:
+        assert err and not out
+
+
+# --------------------------------------------------------------------------
+# Output that cannot be written
+
+
+@pytest.mark.parametrize(
+    "command, fmt",
+    [("resolve", "json"), ("validate", "text")],
+    ids=["large-output", "small-output"],
+)
+@pytest.mark.parametrize("target", ["closed-pipe", "full-device"])
+def test_unwritable_output_exits_eight_with_one_error_line(
+    tmp_path, workloads, target, command, fmt
+):
+    """A large output fails while printing, a small one at the final flush."""
+    path = tmp_path / "chain.json"
+    chain = workloads.long_chain(random.Random(50), 50)
+    path.write_text(serialize_discourse(chain), encoding="utf-8")
+    argv = [command, str(path), "--format", fmt]
+    # Block-buffered stdout whatever the caller's environment says.
+    env = dict(os.environ, PYTHONUNBUFFERED="", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    ))
+
+    def start(stdout):
+        return subprocess.Popen(
+            [sys.executable, "-m", "centering", *argv],
+            stdout=stdout, stderr=subprocess.PIPE, env=env,
+        )
+
+    if target == "closed-pipe":
+        proc = start(subprocess.PIPE)
+        proc.stdout.close()
+    else:
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this platform")
+        with open("/dev/full", "wb") as full:
+            proc = start(full)
+    err = proc.stderr.read().decode("utf-8")
+    assert proc.wait() == EXIT_OUTPUT
+    assert err.startswith("error: cannot write output: ")
+    assert err.count("\n") == 1, err

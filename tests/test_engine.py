@@ -3,7 +3,6 @@
 import itertools
 import random
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -54,8 +53,6 @@ OBJ = GrammaticalRole.OBJ
 OTHER = GrammaticalRole.OTHER
 
 WIDE = EngineConfig(beam_width=64)
-
-BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def overt(role, eid, marking=Marking.NONE):
@@ -389,15 +386,6 @@ def test_out_of_cf_bindings_are_last_resort():
 # Beam order and per-state expansion
 
 
-@pytest.fixture
-def workloads(monkeypatch):
-    """The benchmark's seeded discourse generators (bench/workloads.py)."""
-    monkeypatch.syspath_prepend(str(BENCH))
-    import workloads
-
-    return workloads
-
-
 def reference_beam_failures(discourse, config):
     """Prefixes whose beam is not the reference cut of its candidate readings.
 
@@ -480,9 +468,10 @@ def test_survivors_run_once_per_distinct_parent_state(monkeypatch, workloads):
         expected = {u: len({p.last.state for p in ps}) for u, ps in parents.items()}
         assert calls == expected
         for u, ps in parents.items():
+            # Each distinct state's records once, in the order it was first expanded.
             logged = tuple(
                 r
-                for p in ps
+                for p in {p.last.state: p for p in ps}.values()
                 for r in step(p, d.utterances[u - 1], d, EngineConfig()).rejections
             )
             assert result.rejections[u] == logged

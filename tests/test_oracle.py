@@ -1,6 +1,7 @@
 """Brute-force oracle: pinned enumerations, equivalence, size guard."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -21,12 +22,9 @@ from centering.model import (
     Utterance,
     VerbFrame,
 )
-from helpers import random_discourse
+from helpers import oversized_discourse, random_discourse, unresolvable_discourse
 
 SUBJ = GrammaticalRole.SUBJ
-OBJ2 = GrammaticalRole.OBJ2
-OBJ = GrammaticalRole.OBJ
-OTHER = GrammaticalRole.OTHER
 
 WIDE = EngineConfig(beam_width=64)
 
@@ -132,30 +130,60 @@ def test_narrow_beam_head_matches_oracle_top():
 
 
 def test_unresolvable_discourses_agree():
-    d = Discourse(
-        (Entity("a", animate=True, hearer_old=False, definite=True),),
-        (
-            Utterance(
-                1,
-                VerbFrame("v1", (SUBJ,)),
-                (Argument(SUBJ, Marking.GA, Realization.overt("a")),),
-            ),
-            Utterance(
-                2,
-                VerbFrame("v2", (SUBJ, OBJ)),
-                (
-                    Argument(SUBJ, Marking.NONE, Realization.zero()),
-                    Argument(OBJ, Marking.NONE, Realization.zero()),
-                ),
-            ),
-        ),
-    )
+    d = unresolvable_discourse()
     assert oracle.enumerate_all(d, WIDE) == []
     with pytest.raises(UnresolvableError):
         resolve(d, WIDE)
     report = oracle.check_equivalence(d, WIDE)
     assert report.equivalent
     assert report.engine_count == report.oracle_count == 0
+
+
+def _raise_unresolvable(_result):
+    raise UnresolvableError(2)
+
+
+@pytest.mark.parametrize(
+    "discourse, tamper, counts, detail",
+    [
+        (
+            "zta_ex_ga.json", lambda r: replace(r, hypotheses=r.hypotheses[:-1]),
+            (3, 4), "count mismatch: engine 3, oracle 4",
+        ),
+        (
+            "zta_ex_ga.json",
+            lambda r: replace(r, hypotheses=r.hypotheses[1::-1] + r.hypotheses[2:]),
+            (4, 4), "readings diverge at rank 0: engine ",
+        ),
+        (
+            "zta_ex_ga.json", _raise_unresolvable,
+            (0, 4), "engine unresolvable at utterance 2, oracle found 4 readings",
+        ),
+        (
+            None, lambda r: r,
+            (4, 0), "oracle dies at utterance 2, engine found readings",
+        ),
+    ],
+    ids=["drop-last", "swap", "engine-unresolvable", "oracle-dies"],
+)
+def test_equivalence_gate_reports_each_disagreement(
+    monkeypatch, discourse, tamper, counts, detail
+):
+    """Every branch of the gate where the engine disagrees with the enumeration.
+
+    The engine's answer is its real beam for zta_ex_ga.json, tampered with;
+    the discourse checked is that file, or unresolvable_discourse when None.
+    """
+    real_resolve = oracle.resolve
+    readings = load("zta_ex_ga.json")
+    monkeypatch.setattr(
+        oracle, "resolve", lambda d, config: tamper(real_resolve(readings, config))
+    )
+    d = load(discourse) if discourse else unresolvable_discourse()
+    report = oracle.check_equivalence(d, WIDE)
+    assert report.equivalent is False
+    assert (report.engine_count, report.oracle_count) == counts
+    assert report.detail.startswith(detail)
 
 
 def test_undeclared_entities_are_refused_in_either_mode():
@@ -181,27 +209,8 @@ def test_undeclared_entities_are_refused_in_either_mode():
 # Size guard
 
 
-def _combinatorial_monster():
-    entities = tuple(
-        Entity(f"e{i}", animate=True, hearer_old=True, definite=True)
-        for i in range(6)
-    )
-    frame_roles = (SUBJ, OBJ2, OBJ, OTHER)
-    utterances = tuple(
-        Utterance(
-            k,
-            VerbFrame(f"v{k}", frame_roles),
-            tuple(
-                Argument(r, Marking.NONE, Realization.zero()) for r in frame_roles
-            ),
-        )
-        for k in (1, 2, 3)
-    )
-    return Discourse(entities, utterances)
-
-
 def test_oracle_refuses_oversized_enumerations():
-    d = _combinatorial_monster()
+    d = oversized_discourse()
     with pytest.raises(oracle.SizeLimitError) as err:
         oracle.enumerate_all(d, WIDE)
     assert err.value.utterance_index == 2
