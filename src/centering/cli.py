@@ -61,6 +61,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
+    def _print_message(self, message: str, file=None) -> None:
+        # argparse drops a failed write; one to stdout (help, usage) must
+        # reach main() so that it exits EXIT_OUTPUT.
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(

@@ -16,7 +16,14 @@ rank within its beam, and the content of the last two steps - then cuts
 it in one place.  That order equals the reference `hypothesis_sort_key`,
 which `resolve` never calls.  An utterance's readings depend only on the
 previous center state, so parents that share their last state share one
-expansion, memoised per utterance.
+expansion, memoised per utterance.  Siblings share their parent's score
+and rank, so they compare on their transition, the Cb their parent's
+last step takes after write-back and their own content, all fixed by
+that state: each expansion keeps only its `beam_width` best survivors,
+cut after the zero-topic variants are added, and `step` returns the
+parent's `beam_width` best children in beam order.  A child past them
+has `beam_width` siblings ahead of it and cannot reach the beam, so the
+cut is exact.
 
 One expansion path builds every utterance's readings: `_survivors`
 turns a previous center state and an utterance into `Step`s.  The
@@ -60,10 +67,11 @@ unordered data, so identical inputs give byte-identical outputs.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field, replace
 from itertools import product
 from operator import itemgetter
-from typing import AbstractSet, Hashable, Mapping, Optional, Sequence
+from typing import AbstractSet, Hashable, Iterator, Mapping, Optional, Sequence
 
 from .model import (
     Assignment,
@@ -431,9 +439,22 @@ def _child(parent: Hypothesis, new_step: Step) -> Hypothesis:
     )
 
 
-#: Per-utterance memo of step: a parent's last center state -> its ranked
-#: survivors and their rejections.
-StepMemo = dict[CenterState, tuple[tuple[Step, ...], tuple[Rejection, ...]]]
+#: One center state's expansion of an utterance: its beam_width best
+#: survivors with their sibling keys, best first, and the state's rejections.
+_Expansion = tuple[tuple[tuple[tuple, Step], ...], tuple[Rejection, ...]]
+
+
+@dataclass
+class StepMemo:
+    """The expansions of one utterance, shared by its parents, by last state.
+
+    latest is the expansion the latest step served, so that resolve keys
+    its children from their sibling keys without hashing the state again.
+    """
+
+    entity_index: Mapping[str, int]
+    expansions: dict[CenterState, _Expansion] = field(default_factory=dict)
+    latest: Optional[_Expansion] = None
 
 
 def step(
@@ -446,34 +467,63 @@ def step(
 ) -> StepResult:
     """Extend one parent reading by one utterance.
 
-    Children are ranked by transition ordinal (CONTINUE before RETAIN
-    before the shifts; an unclassified reset sorts with the initials),
-    ties broken by generation order.  An empty ranked list means this
-    parent cannot account for the utterance.  The survivors depend only
-    on the parent's last center state, so a memo shared by the parents
-    of one utterance expands each distinct state once; every parent
-    still reports that state's rejections.
+    Returns the parent's beam_width best children in beam order:
+    transition ordinal first (CONTINUE before RETAIN before the shifts;
+    an unclassified reset sorts with the initials), then the Cb the
+    parent's last step takes after write-back, then the new step's
+    content, as hypothesis_sort_key orders siblings.  No child past
+    them can reach the beam.  An empty ranked list means this parent
+    cannot account for the utterance.  The survivors and their order
+    depend only on the parent's last center state, so a memo shared by
+    the parents of one utterance expands each distinct state once;
+    every parent still reports that state's rejections.
     """
     if memo is None:
-        memo = {}
+        memo = StepMemo(discourse.entity_index())
     state = parent.last.state
-    entry = memo.get(state)
+    entry = memo.expansions.get(state)
     if entry is None:
         survivors, rejections = _survivors(discourse, state, utterance, config)
-        ranked = sorted(survivors, key=lambda s: _transition_sort_value(s.transition))
-        entry = memo[state] = (tuple(ranked), tuple(rejections))
-    ranked, rejections = entry
-    return StepResult(tuple(_child(parent, s) for s in ranked), rejections)
+        keys = _sibling_keys(state, survivors, memo.entity_index)
+        kept = heapq.nsmallest(config.beam_width, zip(keys, survivors), key=itemgetter(0))
+        entry = memo.expansions[state] = (tuple(kept), tuple(rejections))
+    memo.latest = entry
+    kept, rejections = entry
+    return StepResult(tuple(_child(parent, s) for _, s in kept), rejections)
 
 
 def _step_content(s: Step, entity_index: Mapping[str, int]) -> tuple:
     """One step's share of the content key: bindings, Cb, ZTA flag."""
     cb = s.state.cb.entity_id
     return (
-        tuple(entity_index[eid] for eid in s.assignment.values()),
+        tuple([entity_index[eid] for eid in s.assignment.values()]),
         entity_index.get(cb, -1) if cb is not None else -1,
         int(s.zta_applied),
     )
+
+
+def _sibling_keys(
+    state: CenterState, steps: Sequence[Step], entity_index: Mapping[str, int]
+) -> Iterator[tuple]:
+    """Each step's key among the children of any parent whose last state is state.
+
+    Siblings share their parent's score and rank, so in the beam they
+    compare on their transition cost, their transition sort value, the Cb
+    index of the parent's last step after write-back and the content of
+    the new step.  The cost is the sort value floored at 0, so the sort
+    value alone orders both.  Write-back fires exactly when state's Cb is
+    open and the step's Cb is in state's Cf, which lists every slot's
+    entity; otherwise the parent's own Cb, the same for every sibling,
+    stands as -1.
+    """
+    open_cf = () if state.cb.is_instantiated else state.cf_ids
+    for s in steps:
+        cb = s.state.cb.entity_id
+        yield (
+            _transition_sort_value(s.transition),
+            entity_index[cb] if cb in open_cf else -1,
+            _step_content(s, entity_index),
+        )
 
 
 def hypothesis_sort_key(
@@ -511,10 +561,10 @@ def _dense_ranks(values: Sequence[Hashable]) -> list[int]:
 
 
 def _child_keys(
-    parent: Hypothesis,
+    keyed_parent: Keyed,
     children: Sequence[Hypothesis],
+    kept: Sequence[tuple[tuple, Step]],
     rank: int,
-    entity_index: Mapping[str, int],
 ) -> list[Keyed]:
     """One parent's children, each with a key of fixed size for the beam sort.
 
@@ -527,23 +577,25 @@ def _child_keys(
     (score, transition, rank, content of steps[-2], content of steps[-1])
     orders the children the same way, ties included.  key[1:4] is then
     the child's own pair, so its dense rank serves the next utterance.
+    The transition, the write-back Cb and the last step's content come
+    from the sibling key each child's step was kept with, and the content
+    of the parent's last step from the parent's own key.
     """
+    key, parent = keyed_parent
     last = parent.last
-    last_content = _step_content(last, entity_index)
+    bound, _cb, zta = last_content = key[4]
     return [
         (
             (
                 child.score,
-                _transition_sort_value(child.last.transition),
+                transition,
                 rank,
-                last_content
-                if child.steps[-2] is last
-                else _step_content(child.steps[-2], entity_index),
-                _step_content(child.last, entity_index),
+                last_content if child.steps[-2] is last else (bound, cb, zta),
+                content,
             ),
             child,
         )
-        for child in children
+        for child, ((transition, cb, content), _step) in zip(children, kept)
     ]
 
 
@@ -592,13 +644,16 @@ def resolve(discourse: Discourse, config: EngineConfig = EngineConfig()) -> Reso
     keyed = _cut(first, 1, config.beam_width)
 
     for utterance in discourse.utterances[1:]:
-        memo: StepMemo = {}
+        memo = StepMemo(entity_index)
         children: list[Keyed] = []
         ranks = _dense_ranks([key[1:4] for key, _ in keyed])
-        for (_, parent), rank in zip(keyed, ranks):
-            result = step(parent, utterance, discourse, config, memo=memo)
-            children.extend(_child_keys(parent, result.ranked, rank, entity_index))
-        rejection_log[utterance.index] = tuple(r for _, rs in memo.values() for r in rs)
+        for keyed_parent, rank in zip(keyed, ranks):
+            result = step(keyed_parent[1], utterance, discourse, config, memo=memo)
+            kept, _rejections = memo.latest
+            children.extend(_child_keys(keyed_parent, result.ranked, kept, rank))
+        rejection_log[utterance.index] = tuple(
+            r for _, rs in memo.expansions.values() for r in rs
+        )
         keyed = _cut(children, utterance.index, config.beam_width)
 
     return ResolveResult(tuple(h for _, h in keyed), tuple(violations), rejection_log)

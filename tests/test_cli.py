@@ -358,12 +358,42 @@ def test_every_subcommand_exits_with_the_documented_code_per_input_kind(
 # Output that cannot be written
 
 
+def _assert_unwritable_exits_eight(argv, target):
+    """With stdout on target, argv exits 8 with one error line, buffered or not."""
+    for unbuffered in ("", "1"):  # PYTHONUNBUFFERED
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+        ))
+
+        def start(stdout):
+            return subprocess.Popen(
+                [sys.executable, "-m", "centering", *argv],
+                stdout=stdout, stderr=subprocess.PIPE, env=env,
+            )
+
+        if target == "closed-pipe":
+            proc = start(subprocess.PIPE)
+            proc.stdout.close()
+        else:
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full on this platform")
+            with open("/dev/full", "wb") as full:
+                proc = start(full)
+        err = proc.stderr.read().decode("utf-8")
+        assert proc.wait() == EXIT_OUTPUT, unbuffered
+        assert err.startswith("error: cannot write output: ")
+        assert err.count("\n") == 1, err
+
+
+TARGETS = pytest.mark.parametrize("target", ["closed-pipe", "full-device"])
+
+
 @pytest.mark.parametrize(
     "command, fmt",
     [("resolve", "json"), ("validate", "text")],
     ids=["large-output", "small-output"],
 )
-@pytest.mark.parametrize("target", ["closed-pipe", "full-device"])
+@TARGETS
 def test_unwritable_output_exits_eight_with_one_error_line(
     tmp_path, workloads, target, command, fmt
 ):
@@ -371,27 +401,11 @@ def test_unwritable_output_exits_eight_with_one_error_line(
     path = tmp_path / "chain.json"
     chain = workloads.long_chain(random.Random(50), 50)
     path.write_text(serialize_discourse(chain), encoding="utf-8")
-    argv = [command, str(path), "--format", fmt]
-    # Block-buffered stdout whatever the caller's environment says.
-    env = dict(os.environ, PYTHONUNBUFFERED="", PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
-    ))
+    _assert_unwritable_exits_eight([command, str(path), "--format", fmt], target)
 
-    def start(stdout):
-        return subprocess.Popen(
-            [sys.executable, "-m", "centering", *argv],
-            stdout=stdout, stderr=subprocess.PIPE, env=env,
-        )
 
-    if target == "closed-pipe":
-        proc = start(subprocess.PIPE)
-        proc.stdout.close()
-    else:
-        if not os.path.exists("/dev/full"):
-            pytest.skip("no /dev/full on this platform")
-        with open("/dev/full", "wb") as full:
-            proc = start(full)
-    err = proc.stderr.read().decode("utf-8")
-    assert proc.wait() == EXIT_OUTPUT
-    assert err.startswith("error: cannot write output: ")
-    assert err.count("\n") == 1, err
+@pytest.mark.parametrize("argv", [["--help"], ["resolve", "--help"]], ids=["top", "resolve"])
+@TARGETS
+def test_unwritable_help_exits_eight_with_one_error_line(target, argv):
+    """argparse drops a failed write; the help of a parser or subparser may not."""
+    _assert_unwritable_exits_eight(argv, target)

@@ -488,6 +488,105 @@ def test_children_add_one_ordinal_to_the_parent_score():
 
 
 # --------------------------------------------------------------------------
+# The per-state cut in step
+
+
+def full_siblings(parent, utterance, discourse, config):
+    """Every child of parent, uncut, sorted by hypothesis_sort_key.
+
+    The plain survivors come from a wide, ZTA-free expansion, so no cut
+    inside it, before or after the variants, can hide a child.
+    """
+    state = parent.last.state
+    wide = EngineConfig(beam_width=10**9, zta_enabled=False, strict_validation=False)
+    plain, _ = engine._survivors(discourse, state, utterance, wide)
+    steps = plain + apply_zta(plain, state.cb, utterance, config)
+    entity_index = discourse.entity_index()
+    children = [engine._child(parent, s) for s in steps]
+    return sorted(children, key=lambda h: hypothesis_sort_key(h, entity_index))
+
+
+def cut_step_failures(discourse, config):
+    """(utterance, parent) pairs of every beam whose step is not the reference cut."""
+    failures = []
+    for n in range(1, len(discourse.utterances)):
+        try:
+            beam = resolve(prefix(discourse, n), config).hypotheses
+        except UnresolvableError:
+            break
+        utterance = discourse.utterances[n]
+        for i, parent in enumerate(beam):
+            want = full_siblings(parent, utterance, discourse, config)[: config.beam_width]
+            if step(parent, utterance, discourse, config).ranked != tuple(want):
+                failures.append((n + 1, i))
+    return failures
+
+
+def zero_topic_behind_a_plain_retain():
+    """Two RETAINs of the center t; only the later one by content has a variant.
+
+    u2 binds its zeros (SUBJ, OTHER) to (t, a) or (a, t), both with Cb t
+    and the wa-marked b as Cp.  a is declared first, so (a, b, t) sorts
+    first, but only t in the subject zero makes a zero topic: a cut of the
+    plain readings before the variants loses the CONTINUE at width 1.
+    """
+    subcat = (SUBJ, OBJ, OTHER)
+    return Discourse(
+        (entity("a"), entity("t"), entity("b")),
+        (
+            Utterance(1, VerbFrame("v1", (SUBJ, OBJ)),
+                      (overt(SUBJ, "t", Marking.WA), overt(OBJ, "a"))),
+            Utterance(2, VerbFrame("v2", subcat),
+                      (zero(SUBJ), overt(OBJ, "b", Marking.WA), zero(OTHER))),
+        ),
+    )
+
+
+def test_step_returns_the_beam_width_best_of_all_siblings(workloads):
+    rng = random.Random(8)
+    for trial in range(300):
+        d = random_discourse(rng)
+        for width in (1, 2, 3, 4):
+            config = EngineConfig(beam_width=width, strict_validation=False)
+            assert cut_step_failures(d, config) == [], (trial, width)
+    pool = workloads.wide_pool(random.Random(5), 20, True)
+    d = zero_topic_behind_a_plain_retain()
+    for width in (1, 2, 3, 4):
+        assert cut_step_failures(pool, EngineConfig(beam_width=width)) == [], width
+        assert cut_step_failures(d, EngineConfig(beam_width=width)) == [], width
+    [best] = step(resolve(prefix(d, 1)).top, d.utterances[1], d, EngineConfig(beam_width=1)).ranked
+    assert best.last.zta_applied and best.last.transition is Transition.CONTINUE
+
+
+def test_children_made_are_bounded_by_the_beam_on_a_wide_pool(monkeypatch, workloads):
+    pool = workloads.wide_pool(random.Random(5), 20, True)
+    config = EngineConfig()
+    made, states = Counter(), {}
+    child, plain_step = engine._child, engine.step
+
+    def counting_child(parent, new_step):
+        made[new_step.utterance_index] += 1
+        return child(parent, new_step)
+
+    def recording_step(parent, utterance, discourse, config, **kwargs):
+        states.setdefault(utterance.index, set()).add(parent.last.state)
+        return plain_step(parent, utterance, discourse, config, **kwargs)
+
+    monkeypatch.setattr(engine, "_child", counting_child)
+    monkeypatch.setattr(engine, "step", recording_step)
+    result = resolve(pool, config)
+    monkeypatch.undo()
+
+    assert made and set(made) == set(states)
+    for u, n in made.items():
+        assert n <= len(states[u]) * config.beam_width, (u, n)
+    entity_index = pool.entity_index()
+    wide = resolve(pool, EngineConfig(beam_width=64)).hypotheses
+    want = sorted(wide, key=lambda h: hypothesis_sort_key(h, entity_index))
+    assert result.hypotheses == tuple(want[: config.beam_width])
+
+
+# --------------------------------------------------------------------------
 # The per-utterance plan against the rules it stands in for
 
 
