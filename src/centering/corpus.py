@@ -316,6 +316,9 @@ def _read_gold(
         support = reader.integer(data["support_count"], f"{path}.support_count")
         if support is None:
             return None
+        if support < 0:
+            reader.fail(f"{path}.support_count", f"expected a count of 0 or more, got {support}")
+            return None
     if index is None or significance is None:
         return None
     if not 1 <= index <= len(utterances):

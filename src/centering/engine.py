@@ -16,21 +16,25 @@ rank within its beam, and the content of the last two steps - then cuts
 it in one place.  That order equals the reference `hypothesis_sort_key`,
 which `resolve` never calls.  An utterance's readings depend only on the
 previous center state, so parents that share their last state share one
-expansion, memoised per utterance.  Siblings share their parent's score
-and rank, so they compare on their transition, the Cb their parent's
-last step takes after write-back and their own content, all fixed by
-that state: each expansion keeps only its `beam_width` best survivors,
-cut after the zero-topic variants are added, and `step` returns the
-parent's `beam_width` best children in beam order.  A child past them
-has `beam_width` siblings ahead of it and cannot reach the beam, so the
-cut is exact.
+expansion, memoised per utterance in a plain dict that only `step`
+reads.  Siblings share their parent's score and rank, so they compare
+on their transition, the Cb their parent's last step takes after
+write-back and their own content - their sibling key, fixed by that
+state: each expansion keeps only its `beam_width` best survivors, cut
+after the zero-topic variants are added, and `step` returns the
+parent's `beam_width` best children in beam order with their sibling
+keys.  A child past them has `beam_width` siblings ahead of it and
+cannot reach the beam, so the cut is exact.  `resolve` needs nothing
+from a step but its return value: it keys the children from their
+sibling keys and logs the rejections each state's expanding call
+reports.
 
 One expansion path builds every utterance's readings: `_survivors`
 turns a previous center state and an utterance into `Step`s.  The
 discourse-initial utterance goes through it with no previous state
 (prev=None): its pool is the hearer-old entities, no Cb links back and
-no transition or zero-topic variant arises; `_initial_hypotheses` then
-sets the wa topic, if any, as each reading's Cb.
+no transition or zero-topic variant arises, and each reading takes the
+wa topic, if any, as its Cb.
 
 Candidates are tuple work against a plan of the utterance (`_Plan`),
 compiled once per expansion, before its first candidate.
@@ -130,9 +134,15 @@ class Rejection:
 
 @dataclass(frozen=True)
 class StepResult:
-    """Ranked children of one parent for one utterance, plus the discards."""
+    """Ranked children of one parent for one utterance, plus the discards.
+
+    keys[i] is ranked[i]'s sibling key: (transition sort value, the Cb
+    index the parent's last step takes by write-back or -1, content of
+    the new step).  rejections is () when a shared memo held the state.
+    """
 
     ranked: tuple[Hypothesis, ...]
+    keys: tuple[tuple, ...]
     rejections: tuple[Rejection, ...]
 
 
@@ -359,7 +369,8 @@ def _survivors(
     """Filtered, ZTA-extended readings of one utterance after state prev.
 
     prev is None for the discourse-initial utterance, whose readings are
-    then all unlinked (uninstantiated Cb, no transition).  Each binding is
+    then all unlinked (no transition) and take the wa topic's entity, if
+    any, as their Cb (instantiate_initial_cb).  Each binding is
     paired with each of its Cb candidates (compute_cb_candidates), or with
     no Cb when nothing links it to prev (a segment reset).  A reading is
     inside when every zero binds a previous-Cf entity; the outside ones
@@ -373,6 +384,7 @@ def _survivors(
     prev_cf = prev.cf_ids if prev is not None else ()
     prev_cf_set = frozenset(prev_cf)
     prev_cb = prev.cb if prev is not None else MaybeCb.uninstantiated()
+    first_cb = instantiate_initial_cb(utterance) if prev is None else None
     forced = prev_cb.is_instantiated
     index = utterance.index
 
@@ -395,7 +407,7 @@ def _survivors(
             if cf is None:
                 cf = _ranked(binding, plan.cf)
                 inside_cf = prev_cf_set.issuperset([binding[p] for p in plan.zeros])
-            state = CenterState(MaybeCb(cb), cf)
+            state = CenterState(first_cb or MaybeCb(cb), cf)
             transition = None if cb is None else classify_transition(prev_cb, cb, cf[0][0])
             (inside if inside_cf else outside).append(
                 Step(index, assignment, state, transition)
@@ -439,31 +451,13 @@ def _child(parent: Hypothesis, new_step: Step) -> Hypothesis:
     )
 
 
-#: One center state's expansion of an utterance: its beam_width best
-#: survivors with their sibling keys, best first, and the state's rejections.
-_Expansion = tuple[tuple[tuple[tuple, Step], ...], tuple[Rejection, ...]]
-
-
-@dataclass
-class StepMemo:
-    """The expansions of one utterance, shared by its parents, by last state.
-
-    latest is the expansion the latest step served, so that resolve keys
-    its children from their sibling keys without hashing the state again.
-    """
-
-    entity_index: Mapping[str, int]
-    expansions: dict[CenterState, _Expansion] = field(default_factory=dict)
-    latest: Optional[_Expansion] = None
-
-
 def step(
     parent: Hypothesis,
     utterance: Utterance,
     discourse: Discourse,
     config: EngineConfig,
     *,
-    memo: Optional[StepMemo] = None,
+    memo: Optional[dict] = None,
 ) -> StepResult:
     """Extend one parent reading by one utterance.
 
@@ -472,24 +466,30 @@ def step(
     an unclassified reset sorts with the initials), then the Cb the
     parent's last step takes after write-back, then the new step's
     content, as hypothesis_sort_key orders siblings.  No child past
-    them can reach the beam.  An empty ranked list means this parent
-    cannot account for the utterance.  The survivors and their order
-    depend only on the parent's last center state, so a memo shared by
-    the parents of one utterance expands each distinct state once;
-    every parent still reports that state's rejections.
+    them can reach the beam.  keys holds each child's sibling key (see
+    _sibling_keys), in the same order.  An empty ranked list means this
+    parent cannot account for the utterance.
+
+    The survivors and their order depend only on the parent's last
+    center state.  memo is a plain dict, shared by the parents of one
+    utterance and read by nothing but step, that expands each distinct
+    state once; only the call that expands a state reports its
+    rejections, and a call that finds the state in memo reports ().
+    Without a memo every call expands and reports.
     """
     if memo is None:
-        memo = StepMemo(discourse.entity_index())
+        memo = {}
     state = parent.last.state
-    entry = memo.expansions.get(state)
-    if entry is None:
-        survivors, rejections = _survivors(discourse, state, utterance, config)
-        keys = _sibling_keys(state, survivors, memo.entity_index)
-        kept = heapq.nsmallest(config.beam_width, zip(keys, survivors), key=itemgetter(0))
-        entry = memo.expansions[state] = (tuple(kept), tuple(rejections))
-    memo.latest = entry
-    kept, rejections = entry
-    return StepResult(tuple(_child(parent, s) for _, s in kept), rejections)
+    kept = memo.get(state)
+    rejections: tuple[Rejection, ...] = ()
+    if kept is None:
+        survivors, found = _survivors(discourse, state, utterance, config)
+        keyed = zip(_sibling_keys(state, survivors, discourse.entity_index()), survivors)
+        best = heapq.nsmallest(config.beam_width, keyed, key=itemgetter(0))
+        kept = memo[state] = (tuple([k for k, _ in best]), tuple([s for _, s in best]))
+        rejections = tuple(found)
+    keys, steps = kept
+    return StepResult(tuple([_child(parent, s) for s in steps]), keys, rejections)
 
 
 def _step_content(s: Step, entity_index: Mapping[str, int]) -> tuple:
@@ -560,12 +560,7 @@ def _dense_ranks(values: Sequence[Hashable]) -> list[int]:
     return [rank[v] for v in values]
 
 
-def _child_keys(
-    keyed_parent: Keyed,
-    children: Sequence[Hypothesis],
-    kept: Sequence[tuple[tuple, Step]],
-    rank: int,
-) -> list[Keyed]:
+def _child_keys(keyed_parent: Keyed, result: StepResult, rank: int) -> list[Keyed]:
     """One parent's children, each with a key of fixed size for the beam sort.
 
     A child's hypothesis_sort_key is its score, its new step's transition
@@ -578,24 +573,23 @@ def _child_keys(
     orders the children the same way, ties included.  key[1:4] is then
     the child's own pair, so its dense rank serves the next utterance.
     The transition, the write-back Cb and the last step's content come
-    from the sibling key each child's step was kept with, and the content
-    of the parent's last step from the parent's own key.
+    from each child's sibling key in result.keys, and the content of the
+    parent's last step from the parent's own key, with its Cb replaced
+    when the write-back index is set (>= 0).
     """
-    key, parent = keyed_parent
-    last = parent.last
-    bound, _cb, zta = last_content = key[4]
+    bound, _cb, zta = last_content = keyed_parent[0][4]
     return [
         (
             (
                 child.score,
                 transition,
                 rank,
-                last_content if child.steps[-2] is last else (bound, cb, zta),
+                last_content if cb < 0 else (bound, cb, zta),
                 content,
             ),
             child,
         )
-        for child, ((transition, cb, content), _step) in zip(children, kept)
+        for child, (transition, cb, content) in zip(result.ranked, result.keys)
     ]
 
 
@@ -611,13 +605,8 @@ def _initial_hypotheses(
     discourse: Discourse, config: EngineConfig
 ) -> tuple[list[Hypothesis], list[Rejection]]:
     """All readings of the first utterance (score 0, INITIAL transition)."""
-    first = discourse.utterances[0]
-    survivors, rejections = _survivors(discourse, None, first, config)
-    cb0 = instantiate_initial_cb(first)
-    hypotheses = [
-        Hypothesis((replace(s, state=replace(s.state, cb=cb0)),), 0) for s in survivors
-    ]
-    return hypotheses, rejections
+    survivors, rejections = _survivors(discourse, None, discourse.utterances[0], config)
+    return [Hypothesis((s,), 0) for s in survivors], rejections
 
 
 def resolve(discourse: Discourse, config: EngineConfig = EngineConfig()) -> ResolveResult:
@@ -644,16 +633,15 @@ def resolve(discourse: Discourse, config: EngineConfig = EngineConfig()) -> Reso
     keyed = _cut(first, 1, config.beam_width)
 
     for utterance in discourse.utterances[1:]:
-        memo = StepMemo(entity_index)
+        memo: dict = {}
         children: list[Keyed] = []
+        logged: list[Rejection] = []
         ranks = _dense_ranks([key[1:4] for key, _ in keyed])
         for keyed_parent, rank in zip(keyed, ranks):
             result = step(keyed_parent[1], utterance, discourse, config, memo=memo)
-            kept, _rejections = memo.latest
-            children.extend(_child_keys(keyed_parent, result.ranked, kept, rank))
-        rejection_log[utterance.index] = tuple(
-            r for _, rs in memo.expansions.values() for r in rs
-        )
+            children.extend(_child_keys(keyed_parent, result, rank))
+            logged.extend(result.rejections)
+        rejection_log[utterance.index] = tuple(logged)
         keyed = _cut(children, utterance.index, config.beam_width)
 
     return ResolveResult(tuple(h for _, h in keyed), tuple(violations), rejection_log)

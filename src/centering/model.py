@@ -298,9 +298,13 @@ class Discourse:
         """Ids of the hearer-old entities, in declaration order (cached as above)."""
         return tuple(e.id for e in self.entities if e.hearer_old)
 
-    def entity_index(self) -> dict[str, int]:
-        """Declaration-order index of each entity id (for deterministic keys)."""
+    @cached_property
+    def _entity_index(self) -> Mapping[str, int]:
         return {e.id: i for i, e in enumerate(self.entities)}
+
+    def entity_index(self) -> Mapping[str, int]:
+        """Declaration-order index of each entity id (for deterministic keys; cached)."""
+        return self._entity_index
 
 
 #: A complete binding of an utterance's subcategorized slots to entities,

@@ -1,0 +1,157 @@
+"""Large valid inputs through every command: a documented exit code, never a traceback.
+
+A seeded generator builds discourses at the edges of what the engine and
+the oracle handle today and serializes them, and each one goes through
+resolve, check, oracle and validate by run_cli.  The shapes:
+
+* wide pools: an overt opener, then three zeros over up to 12
+  hearer-old entities, with and without an in-Cf reading;
+* four-zero frames: twice in a row over 4 hearer-old entities, once
+  over 6;
+* a 2,000-utterance chain that keeps one reading throughout;
+* 2,000 declared entities, three of them hearer-old, 20 of them named.
+
+The engine has no bound on its own work yet, and the oracle's reading
+space multiplies at every ambiguous utterance, so larger pools, more
+zeros and long ambiguous chains stay out of this gate.
+"""
+
+from __future__ import annotations
+
+import random
+import time
+
+from centering import cli
+from centering.corpus import serialize_discourse
+from centering.model import (
+    Argument,
+    Discourse,
+    Entity,
+    GrammaticalRole,
+    Marking,
+    Realization,
+    SortalConstraint,
+    Utterance,
+    VerbFrame,
+)
+
+SUBJ, OBJ2, OBJ, OTHER = (
+    GrammaticalRole.SUBJ, GrammaticalRole.OBJ2, GrammaticalRole.OBJ, GrammaticalRole.OTHER,
+)
+CASE = {SUBJ: Marking.GA, OBJ2: Marking.NI, OBJ: Marking.O, OTHER: Marking.NONE}
+
+#: Every exit code the cli docstring documents.
+DOCUMENTED = frozenset(v for k, v in vars(cli).items() if k.startswith("EXIT_"))
+
+#: CPU seconds of this process that any one command may take.
+RUN_BOUND_S = 2.0
+
+
+def _utterance(index, fillers, sortal=(), topic=False):
+    """An utterance whose slots hold fillers in subcat order; None is a zero.
+
+    topic marks an overt subject with wa; each role in sortal wants an
+    animate filler.
+    """
+    subcat = tuple(fillers)
+    args = tuple(
+        Argument(role, Marking.NONE, Realization.zero())
+        if eid is None
+        else Argument(
+            role, Marking.WA if topic and role is SUBJ else CASE[role], Realization.overt(eid)
+        )
+        for role, eid in fillers.items()
+    )
+    frame = VerbFrame(
+        f"v{index}", subcat, {r: SortalConstraint.ANIMATE for r in sortal}, None
+    )
+    return Utterance(index, frame, args, (), f"u{index}")
+
+
+def wide_pool(rng, pool, in_cf):
+    """An overt wa-topic opener, then three zeros over pool hearer-old entities.
+
+    The second frame wants two animate arguments; without in_cf the
+    opener names only one animate entity, so every reading binds a zero
+    outside the previous Cf.
+    """
+    animate = [True, not in_cf, False] + [rng.random() < 0.5 for _ in range(pool - 3)]
+    entities = tuple(Entity(f"x{i}", animate[i], True, True) for i in range(pool))
+    opener = [e.id for e in entities[:3]]
+    rng.shuffle(opener)
+    return Discourse(entities, (
+        _utterance(1, dict(zip((SUBJ, OBJ2, OBJ), opener)), topic=True),
+        _utterance(2, {SUBJ: None, OBJ2: None, OBJ: None}, sortal=(SUBJ, OBJ2)),
+    ))
+
+
+def four_zeros(rng, pool, repeats):
+    """An overt four-slot opener, then repeats four-zero utterances over pool entities."""
+    entities = tuple(Entity(f"y{i}", True, True, True) for i in range(pool))
+    named = rng.sample([e.id for e in entities], 4)
+    zeros = dict.fromkeys((SUBJ, OBJ2, OBJ, OTHER))
+    return Discourse(entities, (
+        _utterance(1, dict(zip((SUBJ, OBJ2, OBJ, OTHER), named)), topic=True),
+        *(_utterance(k, zeros) for k in range(2, repeats + 2)),
+    ))
+
+
+def topic_chain(rng, length, named, unnamed=0):
+    """A length-utterance chain about one topic t.
+
+    Odd utterances name t and one of the named hearer-new entities
+    overtly; even ones name the same entity and leave the subject a
+    zero, which only t fills inside the previous Cf.  So the chain keeps
+    one reading, while each zero also reaches two more hearer-old
+    entities as a last resort.  unnamed more hearer-new entities are
+    declared and never named.
+    """
+    old = ["t", "h1", "h2"]
+    new = [f"n{i}" for i in range(named + unnamed)]
+    entities = tuple(Entity(eid, True, True, True) for eid in old) + tuple(
+        Entity(eid, rng.random() < 0.5, False, True) for eid in new
+    )
+    utterances = []
+    for k in range(1, length + 1):
+        if k % 2:
+            other = rng.choice(new[:named])
+        subject = None if k % 2 == 0 else "t"
+        utterances.append(_utterance(k, {SUBJ: subject, OBJ: other}, topic=k == 1))
+    return Discourse(entities, tuple(utterances))
+
+
+def adversarial_inputs(seed):
+    """(name, discourse) for every shape, from one seed."""
+    rng = random.Random(seed)
+    for pool in (8, 12):
+        for in_cf in (True, False):
+            yield f"wide_pool/{pool}/{in_cf}", wide_pool(rng, pool, in_cf)
+    for pool, repeats in ((4, 2), (6, 1)):
+        yield f"four_zeros/{pool}x{repeats}", four_zeros(rng, pool, repeats)
+    yield "topic_chain/2000", topic_chain(rng, 2000, 4)
+    yield "declared/2000", topic_chain(rng, 20, 20, 1977)
+
+
+COMMANDS = ("resolve", "check", "oracle", "validate")
+
+
+def test_large_valid_inputs_end_in_a_documented_exit_code(tmp_path, capsys):
+    codes = {}
+    for name, discourse in adversarial_inputs(2024):
+        path = tmp_path / (name.replace("/", "_") + ".json")
+        path.write_text(serialize_discourse(discourse), encoding="utf-8")
+        for command in COMMANDS:
+            start = time.process_time()
+            code = cli.run_cli([command, str(path)])
+            spent = time.process_time() - start
+            err = capsys.readouterr().err
+            assert code in DOCUMENTED, (name, command, code)
+            assert "Traceback" not in err, (name, command)
+            assert spent < RUN_BOUND_S, (name, command, spent)
+            codes[name, command] = code
+    # The inputs are valid and carry no gold labels: check has nothing
+    # to check, and every other command succeeds.
+    assert {c for (_, command), c in codes.items() if command != "check"} == {cli.EXIT_OK}
+    assert {c for (_, command), c in codes.items() if command == "check"} == {
+        cli.EXIT_MISMATCH
+    }

@@ -239,6 +239,20 @@ def test_schema_error_exits_format(tmp_path, capsys):
     assert "unknown field" in capsys.readouterr().err
 
 
+def test_negative_support_count_exits_format(tmp_path, capsys):
+    # Negated, the counts would make check prefer the minority reading.
+    doc = json.loads(corpus.corpus_text("zta_ex_ga.json"))
+    for label, count in zip(doc["gold"], (-29, -7)):
+        label["support_count"] = count
+    path = tmp_path / "negative_support.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli(["check", str(path)]) == EXIT_FORMAT
+    assert "$.gold[0].support_count" in capsys.readouterr().err
+    assert run_cli(["check", str(path), "--format", "json"]) == EXIT_FORMAT
+    issues = json.loads(capsys.readouterr().out)["issues"]
+    assert [i["path"] for i in issues] == ["$.gold[0].support_count", "$.gold[1].support_count"]
+
+
 def _exit_code(argv):
     """run_cli's return value, or the code of the SystemExit argparse raises."""
     try:

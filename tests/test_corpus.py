@@ -185,6 +185,23 @@ def test_gold_index_must_point_at_an_utterance():
     assert err.value.categories == {SCHEMA}
 
 
+def test_negative_support_count_is_a_schema_issue():
+    doc = json.loads(valid_text())
+    assert [g["support_count"] for g in doc["gold"]] == [28, 6]
+    doc["gold"][0]["support_count"] = -29
+    doc["gold"][1]["support_count"] = -7
+    with pytest.raises(DiscourseFormatError) as err:
+        parse_discourse(json.dumps(doc))
+    assert categories_of(err.value) == [
+        (SCHEMA, "$.gold[0].support_count"),
+        (SCHEMA, "$.gold[1].support_count"),
+    ]
+    doc["gold"][0]["support_count"] = 0
+    doc["gold"][1]["support_count"] = None
+    _discourse, golds = parse_discourse(json.dumps(doc))
+    assert [g.support_count for g in golds] == [0, None]
+
+
 def test_starred_files_each_carry_one_designated_violation():
     expected = {
         "invalid_wa_indefinite.json": "WA_ON_INDEFINITE",

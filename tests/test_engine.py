@@ -479,6 +479,71 @@ def test_survivors_run_once_per_distinct_parent_state(monkeypatch, workloads):
     assert sum(calls.values()) < sum(len(ps) for ps in parents.values())
 
 
+def step_contract_failures(discourse, config):
+    """Where step, called on every beam parent with one shared memo, breaks its contract.
+
+    Per utterance: ranked and keys equal the memo-less call's, keys are
+    non-decreasing and each is its child's sibling key, and each distinct
+    parent state's records come once, from the call that expands it, so
+    that concatenated they are resolve's log for the utterance.
+    """
+    failures = []
+    entity_index = discourse.entity_index()
+    try:
+        beam = resolve(prefix(discourse, 1), config).hypotheses
+    except UnresolvableError:
+        return failures
+    for n in range(1, len(discourse.utterances)):
+        utterance = discourse.utterances[n]
+        memo, expanded, reported = {}, set(), []
+        for i, parent in enumerate(beam):
+            shared = step(parent, utterance, discourse, config, memo=memo)
+            alone = step(parent, utterance, discourse, config)
+            where = (n + 1, i)
+            if (shared.ranked, shared.keys) != (alone.ranked, alone.keys):
+                failures.append((*where, "differs from the memo-less call"))
+            if list(shared.keys) != sorted(shared.keys):
+                failures.append((*where, "keys out of order"))
+            want_keys = tuple(
+                (
+                    -1 if child.last.transition is None else child.last.transition.ordinal,
+                    -1 if child.steps[-2] == parent.last
+                    else entity_index[child.last.state.cb.entity_id],
+                    engine._step_content(child.last, entity_index),
+                )
+                for child in shared.ranked
+            )
+            if shared.keys != want_keys:
+                failures.append((*where, "keys are not the sibling keys"))
+            state = parent.last.state
+            want = () if state in expanded else alone.rejections
+            expanded.add(state)
+            if shared.rejections != want:
+                failures.append((*where, "rejections not reported once per state"))
+            reported.extend(shared.rejections)
+        try:
+            result = resolve(prefix(discourse, n + 1), config)
+        except UnresolvableError:
+            break
+        if result.rejections[n + 1] != tuple(reported):
+            failures.append((n + 1, "resolve logged other rejections"))
+        beam = result.hypotheses
+    return failures
+
+
+def test_step_returns_all_resolve_needs_with_a_shared_memo(workloads):
+    for name, d, _golds in corpus.iter_valid_corpus():
+        assert step_contract_failures(d, EngineConfig()) == [], name
+    rng = random.Random(9)
+    for trial in range(200):
+        d = random_discourse(rng)
+        for width in (1, 2, 3, 4):
+            config = EngineConfig(beam_width=width, strict_validation=False)
+            assert step_contract_failures(d, config) == [], (trial, width)
+    chain = workloads.long_chain(random.Random(30), 30)
+    assert step_contract_failures(chain, EngineConfig()) == []
+
+
 def test_children_add_one_ordinal_to_the_parent_score():
     for name, d, _golds in corpus.iter_valid_corpus():
         for n in range(1, len(d.utterances)):
