@@ -116,6 +116,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _format_cb(step: Step) -> str:
+    return step.state.cb if step.state.cb is not None else "[?]"
+
+
 def _format_cf(step: Step) -> str:
     return "[" + ", ".join(f"{eid}:{tier.name.lower()}" for eid, tier in step.state.cf) + "]"
 
@@ -132,7 +136,7 @@ def _step_json(step: Step) -> dict:
     return {
         "utterance_index": step.utterance_index,
         "assignment": {r.name.lower(): e for r, e in step.assignment.items()},
-        "cb": step.state.cb.entity_id,
+        "cb": step.state.cb,
         "cf": [[eid, tier.name.lower()] for eid, tier in step.state.cf],
         "transition": (
             step.transition.name.lower() if step.transition is not None else None
@@ -156,7 +160,7 @@ def _print_readings(result: ResolveResult) -> None:
             zta = " zta" if s.zta_applied else ""
             print(
                 f"  u{s.utterance_index}: {_format_assignment(s)} | "
-                f"cb={s.state.cb} cf={_format_cf(s)} {_format_transition(s)}{zta}"
+                f"cb={_format_cb(s)} cf={_format_cf(s)} {_format_transition(s)}{zta}"
             )
 
 
@@ -171,7 +175,7 @@ def _print_trace(discourse: Discourse, result: ResolveResult) -> None:
             totals[i] += s.transition_cost
             rows.append((
                 str(i + 1),
-                str(s.state.cb),
+                _format_cb(s),
                 _format_cf(s),
                 _format_transition(s),
                 "yes" if s.zta_applied else "no",

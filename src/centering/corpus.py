@@ -194,6 +194,7 @@ def _read_entity(reader: _Reader, value: Any, path: str) -> Optional[Entity]:
 
 
 def _read_frame(reader: _Reader, value: Any, path: str) -> Optional[VerbFrame]:
+    before = len(reader.issues)
     data = reader.obj(value, path, ["lemma", "subcat", "sortal", "empathy_locus"],
                       ["lemma", "subcat"])
     if data is None:
@@ -221,7 +222,7 @@ def _read_frame(reader: _Reader, value: Any, path: str) -> Optional[VerbFrame]:
     empathy = None
     if "empathy_locus" in data and data["empathy_locus"] is not None:
         empathy = reader.keyword(data["empathy_locus"], f"{path}.empathy_locus", _ROLES, "role")
-    if reader.issues:
+    if len(reader.issues) > before:
         return None
     try:
         return VerbFrame(lemma, tuple(subcat), sortal, empathy)
@@ -262,6 +263,7 @@ def _read_argument(reader: _Reader, value: Any, path: str) -> Optional[Argument]
 
 
 def _read_utterance(reader: _Reader, value: Any, path: str, index: int) -> Optional[Utterance]:
+    before = len(reader.issues)
     data = reader.obj(value, path, ["verb", "args", "others", "gloss"], ["verb", "args"])
     if data is None:
         return None
@@ -284,7 +286,7 @@ def _read_utterance(reader: _Reader, value: Any, path: str, index: int) -> Optio
     gloss = ""
     if "gloss" in data:
         gloss = reader.string(data["gloss"], f"{path}.gloss") or ""
-    if frame is None or reader.issues:
+    if frame is None or len(reader.issues) > before:
         return None
     try:
         return Utterance(index, frame, tuple(args), tuple(others), gloss)

@@ -34,7 +34,8 @@ turns a previous center state and an utterance into `Step`s.  The
 discourse-initial utterance goes through it with no previous state
 (prev=None): its pool is the hearer-old entities, no Cb links back and
 no transition or zero-topic variant arises, and each reading takes the
-wa topic, if any, as its Cb.
+wa topic, if any, as its Cb.  A Cb is an entity id, or None while it is
+uninstantiated; the next utterance that pins it down writes it back.
 
 Candidates are tuple work against a plan of the utterance (`_Plan`),
 compiled once per expansion, before its first candidate.
@@ -85,7 +86,6 @@ from .model import (
     Entity,
     GrammaticalRole,
     Hypothesis,
-    MaybeCb,
     SalienceRole,
     SortalConstraint,
     Step,
@@ -180,17 +180,16 @@ class DiscourseInvalidError(Exception):
         super().__init__(f"discourse fails validation: {lines}")
 
 
-def instantiate_initial_cb(first: Utterance) -> MaybeCb:
+def instantiate_initial_cb(first: Utterance) -> Optional[str]:
     """Initial center of a discourse: the wa topic's entity, if any.
 
     A discourse-initial utterance with a wa-marked argument is about that
-    argument's entity; without one the center starts uninstantiated and
+    argument's entity (a wa argument is always overt: Argument refuses a
+    marked zero); without one the center starts uninstantiated (None) and
     is pinned down retroactively by the following utterance.
     """
     wa = first.wa_argument
-    if wa is not None and wa.realization.entity_id is not None:
-        return MaybeCb.instantiated(wa.realization.entity_id)
-    return MaybeCb.uninstantiated()
+    return wa.realization.entity_id if wa is not None else None
 
 
 def generate_assignments(
@@ -304,7 +303,7 @@ class _Plan:
 
 def apply_zta(
     steps: Sequence[Step],
-    parent_cb: MaybeCb,
+    parent_cb: Optional[str],
     utterance: Utterance,
     config: EngineConfig,
 ) -> list[Step]:
@@ -324,15 +323,11 @@ def apply_zta(
     coincide on the carried-over center.  Variants are additional
     readings; the originals stay.
     """
-    if not config.zta_enabled:
-        return []
-    if not parent_cb.is_instantiated:
+    if not config.zta_enabled or parent_cb is None:
         return []
     if any(s.transition is Transition.CONTINUE and not s.zta_applied for s in steps):
         return []
 
-    target = parent_cb.entity_id
-    assert target is not None
     topic_slots = [
         p
         for p, a in enumerate(utterance.args)
@@ -341,16 +336,16 @@ def apply_zta(
     orders: dict[int, CfOrder] = {}
     variants: list[Step] = []
     for base in steps:
-        if base.state.cb.entity_id != target:
+        if base.state.cb != parent_cb:
             continue
         binding = tuple(base.assignment.values())
-        slot = next((p for p in topic_slots if binding[p] == target), None)
+        slot = next((p for p in topic_slots if binding[p] == parent_cb), None)
         if slot is None:
             continue
         if slot not in orders:
             orders[slot] = _cf_order(utterance, slot)
         state = CenterState(base.state.cb, _ranked(binding, orders[slot]))
-        transition = classify_transition(parent_cb, target, state.cp)
+        transition = classify_transition(parent_cb, parent_cb, state.cp)
         variants.append(replace(base, state=state, transition=transition, zta_applied=True))
     return variants
 
@@ -383,9 +378,9 @@ def _survivors(
     plan = _Plan.of(utterance, entities)
     prev_cf = prev.cf_ids if prev is not None else ()
     prev_cf_set = frozenset(prev_cf)
-    prev_cb = prev.cb if prev is not None else MaybeCb.uninstantiated()
+    prev_cb = prev.cb if prev is not None else None
     first_cb = instantiate_initial_cb(utterance) if prev is None else None
-    forced = prev_cb.is_instantiated
+    forced = prev_cb is not None
     index = utterance.index
 
     inside: list[Step] = []
@@ -407,7 +402,7 @@ def _survivors(
             if cf is None:
                 cf = _ranked(binding, plan.cf)
                 inside_cf = prev_cf_set.issuperset([binding[p] for p in plan.zeros])
-            state = CenterState(first_cb or MaybeCb(cb), cf)
+            state = CenterState(first_cb or cb, cf)
             transition = None if cb is None else classify_transition(prev_cb, cb, cf[0][0])
             (inside if inside_cf else outside).append(
                 Step(index, assignment, state, transition)
@@ -415,7 +410,7 @@ def _survivors(
 
     if inside:
         rejections.extend(
-            Rejection(index, s.assignment, s.state.cb.entity_id, OUT_OF_CF_PRUNED)
+            Rejection(index, s.assignment, s.state.cb, OUT_OF_CF_PRUNED)
             for s in outside
         )
     survivors = inside or outside
@@ -429,19 +424,16 @@ def _transition_sort_value(transition: Optional[Transition]) -> int:
 def _child(parent: Hypothesis, new_step: Step) -> Hypothesis:
     """Assemble a child hypothesis, retroactively unifying the parent Cb.
 
-    When the child pins down a center and the parent's latest step left
-    its Cb uninstantiated, the newly determined entity is written back
-    into that step (provided the entity is realized there) - the earlier
-    utterance was about it all along.
+    When the child pins down a center (its Cb is not None) and the
+    parent's latest step left its Cb uninstantiated (None), the newly
+    determined entity is written back into that step (provided the entity
+    is realized there) - the earlier utterance was about it all along.
     """
     steps = parent.steps
     new_cb = new_step.state.cb
-    if new_cb.is_instantiated:
+    if new_cb is not None:
         last = steps[-1]
-        if (
-            not last.state.cb.is_instantiated
-            and new_cb.entity_id in last.assignment.values()
-        ):
+        if last.state.cb is None and new_cb in last.assignment.values():
             unified = replace(last, state=replace(last.state, cb=new_cb))
             steps = steps[:-1] + (unified,)
     return Hypothesis(
@@ -494,10 +486,9 @@ def step(
 
 def _step_content(s: Step, entity_index: Mapping[str, int]) -> tuple:
     """One step's share of the content key: bindings, Cb, ZTA flag."""
-    cb = s.state.cb.entity_id
     return (
         tuple([entity_index[eid] for eid in s.assignment.values()]),
-        entity_index.get(cb, -1) if cb is not None else -1,
+        entity_index.get(s.state.cb, -1),
         int(s.zta_applied),
     )
 
@@ -516,9 +507,9 @@ def _sibling_keys(
     entity; otherwise the parent's own Cb, the same for every sibling,
     stands as -1.
     """
-    open_cf = () if state.cb.is_instantiated else state.cf_ids
+    open_cf = () if state.cb is not None else state.cf_ids
     for s in steps:
-        cb = s.state.cb.entity_id
+        cb = s.state.cb
         yield (
             _transition_sort_value(s.transition),
             entity_index[cb] if cb in open_cf else -1,

@@ -312,35 +312,6 @@ class Discourse:
 Assignment = dict[GrammaticalRole, str]
 
 
-@dataclass(frozen=True)
-class MaybeCb:
-    """A backward-looking center that may not be instantiated yet.
-
-    A discourse-initial utterance without a wa topic leaves the Cb as an
-    uninstantiated variable; it can be retroactively unified once a later
-    utterance pins it down.
-    """
-
-    entity_id: Optional[str]
-
-    @staticmethod
-    def instantiated(entity_id: str) -> "MaybeCb":
-        if not entity_id:
-            raise ValueError("instantiated cb needs an entity id")
-        return MaybeCb(entity_id)
-
-    @staticmethod
-    def uninstantiated() -> "MaybeCb":
-        return MaybeCb(None)
-
-    @property
-    def is_instantiated(self) -> bool:
-        return self.entity_id is not None
-
-    def __str__(self) -> str:  # pragma: no cover - display helper
-        return self.entity_id if self.entity_id is not None else "[?]"
-
-
 #: One Cf slot: the entity and the salience tier that put it there.
 CfEntry = tuple[str, SalienceRole]
 
@@ -349,11 +320,13 @@ CfEntry = tuple[str, SalienceRole]
 class CenterState:
     """Attentional state after an utterance: one Cb and the ordered Cf.
 
-    Invariants: the Cf is non-empty, lists each entity at most once, and
-    contains the Cb's entity whenever the Cb is instantiated.
+    cb is an entity id, or None while it is uninstantiated: a
+    discourse-initial utterance without a wa topic leaves it open until a
+    later utterance pins it down.  Invariants: the Cf is non-empty, lists
+    each entity at most once, and contains the Cb whenever it is set.
     """
 
-    cb: MaybeCb
+    cb: Optional[str]
     cf: tuple[CfEntry, ...]
 
     def __post_init__(self) -> None:
@@ -362,7 +335,7 @@ class CenterState:
         ids = [e for e, _ in self.cf]
         if len(set(ids)) != len(ids):
             raise ValueError("cf lists an entity twice")
-        if self.cb.is_instantiated and self.cb.entity_id not in ids:
+        if self.cb is not None and self.cb not in ids:
             raise ValueError("instantiated cb must appear in cf")
 
     @property

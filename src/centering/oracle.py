@@ -44,6 +44,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .engine import DiscourseInvalidError, EngineConfig, UnresolvableError, resolve
 from .model import (
     Discourse,
+    Entity,
     Hypothesis,
     Marking,
     Utterance,
@@ -210,25 +211,29 @@ def _step_signature(
     return (utterance.index, items, cb, cf, transition, zta)
 
 
+def _entity_tables(discourse: Discourse) -> tuple[dict[str, Entity], tuple[str, ...]]:
+    """Each entity by id, and the hearer-old ids in declaration order."""
+    entities = {e.id: e for e in discourse.entities}
+    return entities, tuple(e.id for e in discourse.entities if e.hearer_old)
+
+
 def _parent_candidates(
-    discourse: Discourse,
     utterance: Utterance,
     prev_cf: tuple[tuple[str, str], ...],
     prev_cb: Optional[str],
     config: EngineConfig,
+    entities: Mapping[str, Entity],
+    hearer_old: Sequence[str],
 ) -> list[tuple[StepSignature, int]]:
     """All surviving readings of one utterance after one parent state.
 
-    Returns (signature, cost) pairs in deterministic order: assignments in
+    entities and hearer_old are the discourse's _entity_tables.  Returns
+    (signature, cost) pairs in deterministic order: assignments in
     pool-product order, Cb candidates in previous-Cf order, zero-topic
     variants appended after the plain candidates.
     """
-    entities = {e.id: e for e in discourse.entities}
     prev_cf_ids = [eid for eid, _ in prev_cf]
-    pool = list(prev_cf_ids)
-    for e in discourse.entities:
-        if e.hearer_old and e.id not in pool:
-            pool.append(e.id)
+    pool = prev_cf_ids + [eid for eid in hearer_old if eid not in prev_cf_ids]
 
     plain: list[tuple[dict, Optional[str], tuple, Optional[str], bool]] = []
     for assignment in _raw_assignments(utterance, pool):
@@ -309,16 +314,16 @@ def _unify(steps: tuple[StepSignature, ...], cb: Optional[str]) -> tuple[StepSig
     return steps[:-1] + (fixed,)
 
 
-def _initial_readings(discourse: Discourse) -> list[GlobalReading]:
-    entities = {e.id: e for e in discourse.entities}
+def _initial_readings(
+    discourse: Discourse, entities: Mapping[str, Entity], hearer_old: Sequence[str]
+) -> list[GlobalReading]:
     first = discourse.utterances[0]
-    pool = [e.id for e in discourse.entities if e.hearer_old]
     wa_entity: Optional[str] = None
     for arg in first.args:
         if arg.marking is Marking.WA and not arg.realization.is_zero:
             wa_entity = arg.realization.entity_id
     readings: list[GlobalReading] = []
-    for assignment in _raw_assignments(first, pool):
+    for assignment in _raw_assignments(first, hearer_old):
         if _reject(first, assignment, [], None, entities):
             continue
         cf = _cf_list(first, assignment, None)
@@ -328,10 +333,10 @@ def _initial_readings(discourse: Discourse) -> list[GlobalReading]:
 
 
 def _projected_bound(
-    discourse: Discourse,
     utterance: Utterance,
     readings: Sequence[GlobalReading],
     config: EngineConfig,
+    hearer_old: frozenset[str],
 ) -> int:
     """Cheap upper bound on the next layer's size (never an underestimate)."""
     n_zeros = sum(1 for a in utterance.args if a.realization.is_zero)
@@ -339,9 +344,9 @@ def _projected_bound(
     zta_factor = 2 if config.zta_enabled else 1
     for reading in readings:
         prev_cf = reading.steps[-1][3]
-        pool = len({eid for eid, _ in prev_cf} | {
-            e.id for e in discourse.entities if e.hearer_old
-        })
+        # The pool is the hearer-old entities plus the rest of the previous
+        # Cf, which lists each entity once.
+        pool = len(hearer_old) + sum(1 for eid, _ in prev_cf if eid not in hearer_old)
         combos = 1
         for _ in range(n_zeros):
             combos *= pool
@@ -369,7 +374,9 @@ def _enumerate(
     ]
     if undeclared:
         raise DiscourseInvalidError(undeclared)
-    readings = _initial_readings(discourse)
+    entities, hearer_old = _entity_tables(discourse)
+    hearer_old_set = frozenset(hearer_old)
+    readings = _initial_readings(discourse, entities, hearer_old)
     max_layer = len(readings)
     if not readings:
         return [], discourse.utterances[0].index, 0
@@ -377,14 +384,16 @@ def _enumerate(
         raise SizeLimitError(discourse.utterances[0].index, len(readings))
 
     for utterance in discourse.utterances[1:]:
-        bound = _projected_bound(discourse, utterance, readings, config)
+        bound = _projected_bound(utterance, readings, config, hearer_old_set)
         if bound > SIZE_LIMIT:
             raise SizeLimitError(utterance.index, bound)
         layer: list[GlobalReading] = []
         expected = 0
         for reading in readings:
             prev = reading.steps[-1]
-            children = _parent_candidates(discourse, utterance, prev[3], prev[2], config)
+            children = _parent_candidates(
+                utterance, prev[3], prev[2], config, entities, hearer_old
+            )
             expected += len(children)
             for sig, cost in children:
                 steps = _unify(reading.steps, sig[2])
@@ -441,7 +450,7 @@ def hypothesis_signature(hypothesis: Hypothesis) -> GlobalReading:
         cf = tuple((eid, tier.name.lower()) for eid, tier in s.state.cf)
         transition = s.transition.name.lower() if s.transition is not None else None
         steps.append(
-            (s.utterance_index, items, s.state.cb.entity_id, cf, transition, s.zta_applied)
+            (s.utterance_index, items, s.state.cb, cf, transition, s.zta_applied)
         )
     return GlobalReading(tuple(steps), hypothesis.score)
 

@@ -29,7 +29,6 @@ from .model import (
     Entity,
     GRAMMATICAL_SALIENCE,
     Marking,
-    MaybeCb,
     SalienceRole,
     SortalConstraint,
     Transition,
@@ -130,22 +129,22 @@ def compute_cb_candidates(
     in_cf_order = [eid for eid in prev.cf_ids if eid in realized]
     if not in_cf_order:
         return []
-    if prev.cb.is_instantiated:
+    if prev.cb is not None:
         return [in_cf_order[0]]
     return in_cf_order
 
 
 def classify_transition(
-    prev_cb: MaybeCb, current_cb: str, current_cp: str
+    prev_cb: Optional[str], current_cb: str, current_cp: str
 ) -> Transition:
-    """Classify a move given the previous Cb and the current Cb/Cp.
+    """Classify a move given the previous Cb (None if open) and the current Cb/Cp.
 
     Keeping the same center (or pinning down a previously uninstantiated
     one) while it also heads the new Cf is a CONTINUE; keeping it without
     headship is a RETAIN.  Changing the center splits the same way into
     SMOOTH_SHIFT (new center heads the Cf) and ROUGH_SHIFT.
     """
-    same_or_new = (not prev_cb.is_instantiated) or prev_cb.entity_id == current_cb
+    same_or_new = prev_cb is None or prev_cb == current_cb
     if same_or_new:
         return Transition.CONTINUE if current_cb == current_cp else Transition.RETAIN
     return Transition.SMOOTH_SHIFT if current_cb == current_cp else Transition.ROUGH_SHIFT

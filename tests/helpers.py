@@ -211,7 +211,7 @@ def _check_step_composition(
     expected_cf = oracle._cf_list(
         utt,
         step.assignment,
-        step.state.cb.entity_id if step.zta_applied else None,
+        step.state.cb if step.zta_applied else None,
     )
     got_cf = tuple((eid, tier.name.lower()) for eid, tier in step.state.cf)
     if got_cf != expected_cf:
@@ -263,7 +263,7 @@ def _check_centers(
             failures.append(f"{label}: reset despite a shared Cf entity")
         return
 
-    cb = step.state.cb.entity_id
+    cb = step.state.cb
     if cb is None:
         failures.append(f"{label}: classified step with uninstantiated Cb")
         return
@@ -272,7 +272,7 @@ def _check_centers(
     if cb not in prev_cf or cb not in realized:
         failures.append(f"{label}: Cb {cb} outside previous Cf or unrealized")
         return
-    if _prev_cb_decided_here(discourse, hyp, k - 1) and prev.state.cb.is_instantiated:
+    if _prev_cb_decided_here(discourse, hyp, k - 1) and prev.state.cb is not None:
         forced = next(eid for eid in prev_cf if eid in realized)
         if cb != forced:
             failures.append(
@@ -283,7 +283,7 @@ def _check_centers(
     # A previous step whose Cb was written back started uninstantiated,
     # but then its final Cb equals this step's, so the carried-over test
     # gives the same answer either way.
-    want = expected_transition(prev.state.cb.entity_id, cb, step.state.cp)
+    want = expected_transition(prev.state.cb, cb, step.state.cp)
     if step.transition is not want:
         failures.append(
             f"{label}: transition {step.transition.name}, expected {want.name}"
@@ -311,9 +311,9 @@ def _check_zta(
     step = hyp.steps[k]
     prev = hyp.steps[k - 1]
     utt = discourse.utterances[k]
-    cb = step.state.cb.entity_id
+    cb = step.state.cb
 
-    if not prev.state.cb.is_instantiated or prev.state.cb.entity_id != cb:
+    if prev.state.cb is None or prev.state.cb != cb:
         failures.append(f"{label}: zero topic does not continue the previous Cb")
         return
     head, head_tier = step.state.cf[0]
@@ -333,8 +333,9 @@ def _check_zta(
         (eid, tier.name.lower()) for eid, tier in prev.state.cf
     )
     plain = oracle._parent_candidates(
-        discourse, utt, prev_cf_sig, prev.state.cb.entity_id,
+        utt, prev_cf_sig, prev.state.cb,
         EngineConfig(zta_enabled=False, strict_validation=False),
+        *oracle._entity_tables(discourse),
     )
     if any(sig[4] == "continue" for sig, _cost in plain):
         failures.append(f"{label}: ZTA fired although a plain CONTINUE existed")
@@ -345,20 +346,20 @@ def _check_unification(
 ) -> None:
     """An instantiated initial/reset Cb must come from wa or write-back."""
     step = hyp.steps[k]
-    if step.transition is not None or not step.state.cb.is_instantiated:
+    if step.transition is not None or step.state.cb is None:
         return
     if k == 0 and discourse.utterances[0].wa_argument is not None:
         wa = discourse.utterances[0].wa_argument
-        if step.state.cb.entity_id != wa.realization.entity_id:
+        if step.state.cb != wa.realization.entity_id:
             failures.append(f"{label}: initial Cb differs from the wa topic")
         return
     if k + 1 >= len(hyp.steps):
         failures.append(f"{label}: unexplained instantiated Cb on a final reset")
         return
     follower = hyp.steps[k + 1]
-    if follower.state.cb.entity_id != step.state.cb.entity_id:
+    if follower.state.cb != step.state.cb:
         failures.append(f"{label}: written-back Cb differs from the next step's")
-    if step.state.cb.entity_id not in set(step.assignment.values()):
+    if step.state.cb not in set(step.assignment.values()):
         failures.append(f"{label}: written-back Cb not realized in this step")
 
 
@@ -440,9 +441,9 @@ def step_result_failures(discourse: Discourse, config: EngineConfig) -> List[str
                 old, new = parent.steps[k - 1], child.steps[k - 1]
                 if new != old:
                     rewritten_ok = (
-                        not old.state.cb.is_instantiated
-                        and new.state.cb.is_instantiated
-                        and new.state.cb.entity_id == child.last.state.cb.entity_id
+                        old.state.cb is None
+                        and new.state.cb is not None
+                        and new.state.cb == child.last.state.cb
                         and new.assignment == old.assignment
                         and new.state.cf == old.state.cf
                         and new.transition == old.transition

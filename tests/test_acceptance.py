@@ -10,7 +10,7 @@ import random
 
 from centering import corpus, engine, oracle
 from centering.engine import EngineConfig
-from centering.model import MaybeCb, Significance, Transition
+from centering.model import Significance, Transition
 from centering.rules import classify_transition
 from conftest import record_criterion
 from helpers import (
@@ -127,13 +127,13 @@ def test_criterion_4_topic_marking_controls_instantiation():
     wa_top = res_wa.top.step_at(2)
     wa_ok = (
         wa_top.assignment == preferred_label(golds_wa).assignment
-        and wa_top.state.cb == MaybeCb.instantiated("taroo")
+        and wa_top.state.cb == "taroo"
         and all(
-            h.step_at(2).state.cb == MaybeCb.instantiated("taroo")
+            h.step_at(2).state.cb == "taroo"
             for h in res_wa.hypotheses
         )
     )
-    ga_centers = {h.step_at(2).state.cb.entity_id for h in res_ga.hypotheses}
+    ga_centers = {h.step_at(2).state.cb for h in res_ga.hypotheses}
     ga_ok = ga_centers == {"taroo", "ziroo"}
     conclude(
         4, "wa pins the center; ga leaves both center readings open",
@@ -193,11 +193,8 @@ def test_criterion_7_transition_table_is_exhaustive():
     }
     bad = []
     for prev, cb, cp in itertools.product([None] + universe, universe, universe):
-        prev_cb = (
-            MaybeCb.uninstantiated() if prev is None else MaybeCb.instantiated(prev)
-        )
         want = table[(prev is None or prev == cb, cb == cp)]
-        got = classify_transition(prev_cb, cb, cp)
+        got = classify_transition(prev, cb, cp)
         if got is not want:
             bad.append((prev, cb, cp, got.name, want.name))
     conclude(

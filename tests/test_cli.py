@@ -100,6 +100,39 @@ def test_resolve_json_is_machine_readable(corpus_file, capsys):
     assert top["steps"][2]["zta"] is True
 
 
+def test_an_open_cb_renders_as_a_placeholder_in_text_and_null_in_json(tmp_path, capsys):
+    # A discourse-initial ga subject leaves the Cb uninstantiated; none of
+    # the bundled files ends a reading with an open Cb.
+    path = tmp_path / "open_cb.json"
+    path.write_text(json.dumps({
+        "entities": [
+            {"id": "taroo", "animate": True, "hearer_old": True, "definite": True}
+        ],
+        "utterances": [{
+            "verb": {"lemma": "kuru", "subcat": ["subj"]},
+            "args": [{"role": "subj", "marking": "ga", "realization": {"np": "taroo"}}],
+        }],
+    }), encoding="utf-8")
+    assert run_cli(["resolve", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "1 reading(s)\n"
+        "#1 score=0\n"
+        "  u1: subj=taroo | cb=[?] cf=[taroo:subj] initial\n"
+    )
+    assert run_cli(["resolve", str(path), "--trace"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "u1: kuru\n"
+        "HYP | CB  | CF           | TRANSITION | ZTA | SCORE\n"
+        "---------------------------------------------------\n"
+        "1   | [?] | [taroo:subj] | initial    | no  | 0    \n"
+        "\n"
+    )
+    assert run_cli(["resolve", str(path), "--format", "json"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert '"cb": null,' in out
+    assert json.loads(out)["readings"][0]["steps"][0]["cb"] is None
+
+
 def test_resolve_honors_beam_width(corpus_file, capsys):
     assert run_cli(["resolve", corpus_file("zta_ex_ga.json"), "--beam", "1"]) == EXIT_OK
     assert capsys.readouterr().out.startswith("1 reading(s)")
@@ -393,7 +426,8 @@ def _assert_unwritable_exits_eight(argv, target):
                 pytest.skip("no /dev/full on this platform")
             with open("/dev/full", "wb") as full:
                 proc = start(full)
-        err = proc.stderr.read().decode("utf-8")
+        with proc.stderr:
+            err = proc.stderr.read().decode("utf-8")
         assert proc.wait() == EXIT_OUTPUT, unbuffered
         assert err.startswith("error: cannot write output: ")
         assert err.count("\n") == 1, err

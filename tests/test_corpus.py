@@ -108,6 +108,26 @@ def test_unknown_fields_are_schema_errors_with_paths():
     }
 
 
+def test_an_earlier_issue_does_not_hide_a_later_constructor_issue():
+    # Each item's constructor check must run whatever went wrong in an
+    # earlier item: a frame with a duplicate role, and an utterance whose
+    # args do not follow its frame.
+    doc = json.loads(corpus.corpus_text("cont_ret_ex.json"))
+    doc["utterances"][0]["mystery"] = 1
+    doc["utterances"][1]["verb"]["subcat"][1] = "subj"
+    doc["utterances"][2]["args"].reverse()
+    with pytest.raises(DiscourseFormatError) as err:
+        parse_discourse(json.dumps(doc))
+    found = {(i.path, i.message) for i in err.value.issues}
+    assert ("$.utterances[0].mystery", "unknown field") in found
+    assert ("$.utterances[1].verb", "miseru: duplicate role in subcat") in found
+    assert any(
+        path == "$.utterances[2]" and "args must realize exactly" in message
+        for path, message in found
+    )
+    assert err.value.categories == {SCHEMA}
+
+
 def test_missing_required_fields_are_schema_errors():
     doc = json.loads(valid_text())
     del doc["entities"]

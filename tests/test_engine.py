@@ -28,7 +28,6 @@ from centering.model import (
     Entity,
     GrammaticalRole,
     Marking,
-    MaybeCb,
     Realization,
     SalienceRole,
     SortalConstraint,
@@ -90,13 +89,13 @@ def names(assignment):
 def test_wa_topic_instantiates_the_initial_center():
     frame = VerbFrame("v", (SUBJ, OBJ))
     utt = Utterance(1, frame, (overt(SUBJ, "a", Marking.WA), overt(OBJ, "b")))
-    assert instantiate_initial_cb(utt) == MaybeCb.instantiated("a")
+    assert instantiate_initial_cb(utt) == "a"
 
 
 def test_no_topic_leaves_the_initial_center_open():
     frame = VerbFrame("v", (SUBJ,))
     utt = Utterance(1, frame, (overt(SUBJ, "a", Marking.GA),))
-    assert instantiate_initial_cb(utt) == MaybeCb.uninstantiated()
+    assert instantiate_initial_cb(utt) is None
 
 
 # --------------------------------------------------------------------------
@@ -150,7 +149,7 @@ def _retain_candidate():
     frame = VerbFrame("v", (SUBJ, OBJ2))
     utt = Utterance(1, frame, (overt(SUBJ, "b"), zero(OBJ2)))
     state = CenterState(
-        MaybeCb.instantiated("a"),
+        "a",
         (("b", SalienceRole.SUBJ), ("a", SalienceRole.OBJ2)),
     )
     cand = Step(1, {SUBJ: "b", OBJ2: "a"}, state, Transition.RETAIN)
@@ -159,12 +158,12 @@ def _retain_candidate():
 
 def test_zta_variant_promotes_the_carried_center():
     utt, cand = _retain_candidate()
-    variants = apply_zta([cand], MaybeCb.instantiated("a"), utt, WIDE)
+    variants = apply_zta([cand], "a", utt, WIDE)
     assert len(variants) == 1
     v = variants[0]
     assert v.zta_applied
     assert v.assignment == cand.assignment
-    assert v.state.cb == MaybeCb.instantiated("a")
+    assert v.state.cb == "a"
     assert v.state.cf == (
         ("a", SalienceRole.ZERO_TOPIC),
         ("b", SalienceRole.SUBJ),
@@ -175,18 +174,18 @@ def test_zta_variant_promotes_the_carried_center():
 def test_zta_requires_enabled_config_and_instantiated_parent():
     utt, cand = _retain_candidate()
     off = EngineConfig(zta_enabled=False)
-    assert apply_zta([cand], MaybeCb.instantiated("a"), utt, off) == []
-    assert apply_zta([cand], MaybeCb.uninstantiated(), utt, WIDE) == []
+    assert apply_zta([cand], "a", utt, off) == []
+    assert apply_zta([cand], None, utt, WIDE) == []
 
 
 def test_zta_stands_down_when_a_continue_exists():
     utt, cand = _retain_candidate()
     cont_state = CenterState(
-        MaybeCb.instantiated("b"),
+        "b",
         (("b", SalienceRole.SUBJ), ("a", SalienceRole.OBJ2)),
     )
     cont = Step(1, {SUBJ: "b", OBJ2: "a"}, cont_state, Transition.CONTINUE)
-    assert apply_zta([cand, cont], MaybeCb.instantiated("a"), utt, WIDE) == []
+    assert apply_zta([cand, cont], "a", utt, WIDE) == []
 
 
 def test_zta_skips_low_zero_slots():
@@ -195,11 +194,11 @@ def test_zta_skips_low_zero_slots():
     frame = VerbFrame("v", (SUBJ, OBJ))
     utt = Utterance(1, frame, (overt(SUBJ, "b"), zero(OBJ)))
     state = CenterState(
-        MaybeCb.instantiated("a"),
+        "a",
         (("b", SalienceRole.SUBJ), ("a", SalienceRole.OBJ)),
     )
     cand = Step(1, {SUBJ: "b", OBJ: "a"}, state, Transition.RETAIN)
-    assert apply_zta([cand], MaybeCb.instantiated("a"), utt, WIDE) == []
+    assert apply_zta([cand], "a", utt, WIDE) == []
 
 
 def test_zta_requires_the_candidate_to_carry_the_center():
@@ -208,11 +207,11 @@ def test_zta_requires_the_candidate_to_carry_the_center():
     frame = VerbFrame("v", (SUBJ, OBJ))
     utt = Utterance(1, frame, (zero(SUBJ), overt(OBJ, "b")))
     state = CenterState(
-        MaybeCb.instantiated("b"),
+        "b",
         (("a", SalienceRole.SUBJ), ("b", SalienceRole.OBJ)),
     )
     cand = Step(1, {SUBJ: "a", OBJ: "b"}, state, Transition.ROUGH_SHIFT)
-    assert apply_zta([cand], MaybeCb.instantiated("a"), utt, WIDE) == []
+    assert apply_zta([cand], "a", utt, WIDE) == []
 
 
 # --------------------------------------------------------------------------
@@ -222,7 +221,7 @@ def test_zta_requires_the_candidate_to_carry_the_center():
 def test_step_ranks_continue_before_retain():
     d = load("cont_ret_ex.json")
     parent = top_parent(d, 2)
-    assert parent.last.state.cb == MaybeCb.instantiated("taroo")
+    assert parent.last.state.cb == "taroo"
     assert parent.last.state.cf_ids == ("taroo", "john", "computer")
     res = step(parent, d.utterances[2], d, WIDE)
     assert len(res.ranked) == 2
@@ -236,7 +235,7 @@ def test_step_ranks_continue_before_retain():
 def test_step_ranks_smooth_before_rough_shift():
     d = load("shift_ex.json")
     parent = top_parent(d, 3)
-    assert parent.last.state.cb == MaybeCb.instantiated("taroo")
+    assert parent.last.state.cb == "taroo"
     assert parent.last.state.cf_ids == ("ziroo", "taroo")
     res = step(parent, d.utterances[3], d, WIDE)
     assert len(res.ranked) == 2
@@ -250,7 +249,7 @@ def test_step_ranks_smooth_before_rough_shift():
 def test_step_prefers_the_empathic_continue():
     d = load("emp_cont_ret.json")
     parent = top_parent(d, 2)
-    assert parent.last.state.cb == MaybeCb.instantiated("hanako")
+    assert parent.last.state.cb == "hanako"
     res = step(parent, d.utterances[2], d, WIDE)
     first = res.ranked[0].last
     assert names(first.assignment) == {"subj": "hanako", "obj": "taroo"}
@@ -283,9 +282,9 @@ def test_retroactive_instantiation_backfills_the_initial_center():
     for hyp in res.hypotheses:
         first, second = hyp.steps[0], hyp.steps[1]
         assert first.transition is None
-        assert first.state.cb.is_instantiated
+        assert first.state.cb is not None
         assert first.state.cb == second.state.cb
-    assert {h.steps[1].state.cb.entity_id for h in res.hypotheses} == {
+    assert {h.steps[1].state.cb for h in res.hypotheses} == {
         "taroo", "ziroo",
     }
 
@@ -293,8 +292,8 @@ def test_retroactive_instantiation_backfills_the_initial_center():
 def test_wa_pins_the_initial_center_up_front():
     d = load("instantiation_wa.json")
     res = resolve(d, WIDE)
-    assert {h.steps[0].state.cb.entity_id for h in res.hypotheses} == {"taroo"}
-    assert {h.steps[1].state.cb.entity_id for h in res.hypotheses} == {"taroo"}
+    assert {h.steps[0].state.cb for h in res.hypotheses} == {"taroo"}
+    assert {h.steps[1].state.cb for h in res.hypotheses} == {"taroo"}
 
 
 def test_segment_reset_starts_a_fresh_center():
@@ -315,7 +314,7 @@ def test_segment_reset_starts_a_fresh_center():
     # The follow-on utterance pins the fresh center down retroactively
     # and classifies against the reset state.
     third = top.steps[2]
-    assert third.state.cb.entity_id == third.assignment[SUBJ]
+    assert third.state.cb == third.assignment[SUBJ]
     assert reset.state.cb == third.state.cb
     assert third.transition is Transition.CONTINUE
     assert third.assignment[SUBJ] == "c"
@@ -508,7 +507,7 @@ def step_contract_failures(discourse, config):
                 (
                     -1 if child.last.transition is None else child.last.transition.ordinal,
                     -1 if child.steps[-2] == parent.last
-                    else entity_index[child.last.state.cb.entity_id],
+                    else entity_index[child.last.state.cb],
                     engine._step_content(child.last, entity_index),
                 )
                 for child in shared.ranked
@@ -706,7 +705,7 @@ def _states(ids, rng=None, count=None):
     if rng is None:
         orders = [cf for cf in orders if len(cf) < 3]
     states = [
-        CenterState(MaybeCb(cb), tuple(zip(cf, tiers)))
+        CenterState(cb, tuple(zip(cf, tiers)))
         for cf in orders
         for cb in (None,) + cf
     ]

@@ -13,7 +13,6 @@ from centering.model import (
     GrammaticalRole,
     Hypothesis,
     Marking,
-    MaybeCb,
     Realization,
     SalienceRole,
     SortalConstraint,
@@ -86,9 +85,6 @@ def test_model_values_are_immutable():
     e = entity("taroo")
     with pytest.raises(dataclasses.FrozenInstanceError):
         e.animate = False
-    cb = MaybeCb.instantiated("taroo")
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        cb.entity_id = "ziroo"
 
 
 def test_zero_argument_rejects_particle_marking():
@@ -151,31 +147,23 @@ def test_derived_entity_views_leave_equality_and_repr_alone():
 
 def test_center_state_invariants():
     with pytest.raises(ValueError):
-        CenterState(MaybeCb.uninstantiated(), ())
+        CenterState(None, ())
     cf = (("a", SalienceRole.SUBJ), ("b", SalienceRole.OBJ))
     with pytest.raises(ValueError):
-        CenterState(MaybeCb.instantiated("c"), cf)
+        CenterState("c", cf)
     with pytest.raises(ValueError):
         CenterState(
-            MaybeCb.instantiated("a"),
+            "a",
             (("a", SalienceRole.SUBJ), ("a", SalienceRole.OBJ)),
         )
-    state = CenterState(MaybeCb.instantiated("a"), cf)
+    state = CenterState("a", cf)
     assert state.cp == "a"
     assert state.cf_ids == ("a", "b")
 
 
-def test_maybe_cb_display_and_accessors():
-    assert str(MaybeCb.uninstantiated()) == "[?]"
-    assert str(MaybeCb.instantiated("taroo")) == "taroo"
-    assert not MaybeCb.uninstantiated().is_instantiated
-    with pytest.raises(ValueError):
-        MaybeCb.instantiated("")
-
-
 def test_hypothesis_checks_score_arithmetic():
     frame = VerbFrame("v", (SUBJ,))
-    state = CenterState(MaybeCb.instantiated("a"), (("a", SalienceRole.SUBJ),))
+    state = CenterState("a", (("a", SalienceRole.SUBJ),))
     step = Step(1, {SUBJ: "a"}, state, None)
     assert Hypothesis((step,), 0).step_at(1) is step
     with pytest.raises(ValueError):
@@ -192,7 +180,7 @@ def test_hypothesis_checks_score_arithmetic():
 
 
 def test_step_at_rejects_utterances_outside_the_reading():
-    state = CenterState(MaybeCb.instantiated("a"), (("a", SalienceRole.SUBJ),))
+    state = CenterState("a", (("a", SalienceRole.SUBJ),))
     hyp = Hypothesis((Step(1, {SUBJ: "a"}, state, None),), 0)
     for index in (0, -1, 2):
         with pytest.raises(IndexError):

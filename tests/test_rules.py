@@ -10,7 +10,6 @@ from centering.model import (
     Entity,
     GrammaticalRole,
     Marking,
-    MaybeCb,
     Realization,
     SalienceRole,
     SortalConstraint,
@@ -61,24 +60,19 @@ def entities(*ids, inanimate=(), hearer_new=()):
 def test_transition_table_exhaustive_three_entity_universe():
     universe = ["a", "b", "c"]
     for prev_cb, cb, cp in itertools.product([None] + universe, universe, universe):
-        prev = (
-            MaybeCb.uninstantiated() if prev_cb is None
-            else MaybeCb.instantiated(prev_cb)
-        )
-        assert classify_transition(prev, cb, cp) is expected_transition(
+        assert classify_transition(prev_cb, cb, cp) is expected_transition(
             prev_cb, cb, cp
         ), (prev_cb, cb, cp)
 
 
 def test_transition_quadrants_by_name():
-    taroo, ziroo = MaybeCb.instantiated("taroo"), MaybeCb.instantiated("ziroo")
-    assert classify_transition(taroo, "taroo", "taroo") is Transition.CONTINUE
-    assert classify_transition(taroo, "taroo", "ziroo") is Transition.RETAIN
-    assert classify_transition(taroo, "ziroo", "ziroo") is Transition.SMOOTH_SHIFT
-    assert classify_transition(taroo, "ziroo", "taroo") is Transition.ROUGH_SHIFT
-    fresh = MaybeCb.uninstantiated()
-    assert classify_transition(fresh, "ziroo", "ziroo") is Transition.CONTINUE
-    assert classify_transition(fresh, "ziroo", "taroo") is Transition.RETAIN
+    assert classify_transition("taroo", "taroo", "taroo") is Transition.CONTINUE
+    assert classify_transition("taroo", "taroo", "ziroo") is Transition.RETAIN
+    assert classify_transition("taroo", "ziroo", "ziroo") is Transition.SMOOTH_SHIFT
+    assert classify_transition("taroo", "ziroo", "taroo") is Transition.ROUGH_SHIFT
+    # An uninstantiated previous Cb is pinned down, never shifted away from.
+    assert classify_transition(None, "ziroo", "ziroo") is Transition.CONTINUE
+    assert classify_transition(None, "ziroo", "taroo") is Transition.RETAIN
 
 
 # --------------------------------------------------------------------------
@@ -149,19 +143,19 @@ def prev_state(cb, *cf_ids):
 
 
 def test_instantiated_center_forces_the_highest_realized_candidate():
-    prev = prev_state(MaybeCb.instantiated("a"), "a", "b")
+    prev = prev_state("a", "a", "b")
     assert compute_cb_candidates(prev, {SUBJ: "b", OBJ: "a"}) == ["a"]
     # Even when the old center is gone, the top surviving Cf entity wins.
     assert compute_cb_candidates(prev, {SUBJ: "c", OBJ: "b"}) == ["b"]
 
 
 def test_uninstantiated_center_keeps_every_realized_candidate():
-    prev = prev_state(MaybeCb.uninstantiated(), "a", "b")
+    prev = prev_state(None, "a", "b")
     assert compute_cb_candidates(prev, {SUBJ: "b", OBJ: "a"}) == ["a", "b"]
 
 
 def test_no_realized_candidate_means_segment_reset():
-    prev = prev_state(MaybeCb.instantiated("a"), "a", "b")
+    prev = prev_state("a", "a", "b")
     assert compute_cb_candidates(prev, {SUBJ: "c", OBJ: "d"}) == []
 
 
@@ -176,7 +170,7 @@ def test_discourse_initial_utterance_has_no_candidates():
 def test_filter_rejects_coindexed_slots():
     frame = VerbFrame("v", (SUBJ, OBJ))
     utt = Utterance(1, frame, (zero(SUBJ), zero(OBJ)))
-    prev = prev_state(MaybeCb.instantiated("a"), "a", "b")
+    prev = prev_state("a", "a", "b")
     code = filter_assignment(utt, {SUBJ: "a", OBJ: "a"}, prev, "a", entities("a", "b"))
     assert code == RejectionCode.CONTRA_INDEX
 
@@ -184,7 +178,7 @@ def test_filter_rejects_coindexed_slots():
 def test_filter_rejects_sortal_violations():
     frame = VerbFrame("v", (SUBJ, OBJ), {SUBJ: SortalConstraint.ANIMATE})
     utt = Utterance(1, frame, (zero(SUBJ), overt(OBJ, "a")))
-    prev = prev_state(MaybeCb.instantiated("a"), "a", "rock")
+    prev = prev_state("a", "a", "rock")
     code = filter_assignment(
         utt, {SUBJ: "rock", OBJ: "a"}, prev, "a",
         entities("a", "rock", inanimate=("rock",)),
@@ -197,7 +191,7 @@ def test_filter_enforces_rule_1():
     # overt slot: rejected.
     frame = VerbFrame("v", (SUBJ, OBJ))
     utt = Utterance(1, frame, (overt(SUBJ, "a"), zero(OBJ)))
-    prev = prev_state(MaybeCb.instantiated("a"), "a", "b")
+    prev = prev_state("a", "a", "b")
     code = filter_assignment(utt, {SUBJ: "a", OBJ: "b"}, prev, "a", entities("a", "b"))
     assert code == RejectionCode.RULE_1
     # Same shape, but the Cb is the zero-realized entity: passes.
@@ -210,7 +204,7 @@ def test_filter_enforces_rule_1():
 def test_all_overt_utterances_pass_rule_1():
     frame = VerbFrame("v", (SUBJ, OBJ))
     utt = Utterance(1, frame, (overt(SUBJ, "a"), overt(OBJ, "b")))
-    prev = prev_state(MaybeCb.instantiated("a"), "a", "b")
+    prev = prev_state("a", "a", "b")
     assert (
         filter_assignment(utt, {SUBJ: "a", OBJ: "b"}, prev, "a", entities("a", "b"))
         is None
@@ -220,7 +214,7 @@ def test_all_overt_utterances_pass_rule_1():
 def test_filter_rejects_unrecoverable_zero_antecedents():
     frame = VerbFrame("v", (SUBJ,))
     utt = Utterance(1, frame, (zero(SUBJ),))
-    prev = prev_state(MaybeCb.instantiated("a"), "a")
+    prev = prev_state("a", "a")
     code = filter_assignment(
         utt, {SUBJ: "new"}, prev, None, entities("a", "new", hearer_new=("new",))
     )
