@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib.resources import files
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .model import (
     Argument,
@@ -37,6 +37,7 @@ from .model import (
     SortalConstraint,
     Utterance,
     VerbFrame,
+    Violation,
     validate_discourse,
 )
 
@@ -117,118 +118,98 @@ class GoldReport:
 # --------------------------------------------------------------------------
 # Parsing
 
+_JSON_TYPES = {str: "a string", bool: "a boolean", int: "an integer", list: "an array", dict: "an object"}
+
 
 class _Reader:
-    """Strict JSON-shape reader collecting located schema issues."""
+    """Strict JSON-shape reader collecting located schema issues.
+
+    Each _read_* function reads every field of its item, reporting each
+    bad one, and then builds the item with build, which skips the
+    constructor if any field it uses raised an issue.  An unknown field
+    feeds no constructor, so it does not stop the build.
+    """
 
     def __init__(self) -> None:
         self.issues: list[FormatIssue] = []
 
-    def fail(self, path: str, message: str) -> None:
-        self.issues.append(FormatIssue(SCHEMA, path, message))
+    def fail(self, path: str, message: str, category: str = SCHEMA) -> None:
+        self.issues.append(FormatIssue(category, path, message))
+
+    def expect(self, value: Any, path: str, kind: type) -> Any:
+        """value if JSON gave it the type kind, else None after an issue."""
+        if type(value) is kind:
+            return value
+        self.fail(path, f"expected {_JSON_TYPES[kind]}, got {type(value).__name__}")
+        return None
+
+    def array(self, value: Any, path: str) -> list:
+        return self.expect(value, path, list) or []
+
+    def mapping(self, value: Any, path: str) -> dict:
+        return self.expect(value, path, dict) or {}
 
     def obj(self, value: Any, path: str, allowed: Sequence[str], required: Sequence[str]) -> Optional[dict]:
-        if not isinstance(value, dict):
-            self.fail(path, f"expected an object, got {type(value).__name__}")
+        """An object with only allowed keys; None if it is not one or lacks a required key."""
+        data = self.expect(value, path, dict)
+        if data is None:
             return None
-        for key in value:
+        for key in data:
             if key not in allowed:
                 self.fail(f"{path}.{key}", "unknown field")
-        for key in required:
-            if key not in value:
-                self.fail(path, f"missing required field {key!r}")
-        if any(key not in value for key in required):
-            return None
-        return value
-
-    def array(self, value: Any, path: str) -> Optional[list]:
-        if not isinstance(value, list):
-            self.fail(path, f"expected an array, got {type(value).__name__}")
-            return None
-        return value
-
-    def string(self, value: Any, path: str) -> Optional[str]:
-        if not isinstance(value, str):
-            self.fail(path, f"expected a string, got {type(value).__name__}")
-            return None
-        return value
-
-    def boolean(self, value: Any, path: str) -> Optional[bool]:
-        if not isinstance(value, bool):
-            self.fail(path, f"expected a boolean, got {type(value).__name__}")
-            return None
-        return value
-
-    def integer(self, value: Any, path: str) -> Optional[int]:
-        if isinstance(value, bool) or not isinstance(value, int):
-            self.fail(path, f"expected an integer, got {type(value).__name__}")
-            return None
-        return value
+        missing = [key for key in required if key not in data]
+        for key in missing:
+            self.fail(path, f"missing required field {key!r}")
+        return None if missing else data
 
     def keyword(self, value: Any, path: str, table: Mapping[str, Any], what: str):
-        text = self.string(value, path)
-        if text is None:
-            return None
-        if text not in table:
+        text = self.expect(value, path, str)
+        if text is not None and text not in table:
             self.fail(path, f"unknown {what} {text!r} (expected one of {sorted(table)})")
+        return table.get(text)
+
+    def build(self, before: int, path: str, make: Callable[..., Any], *args: Any) -> Any:
+        """make(*args), or None if an issue was raised since before or make refuses."""
+        if len(self.issues) > before:
             return None
-        return table[text]
+        try:
+            return make(*args)
+        except ValueError as err:
+            self.fail(path, str(err))
+            return None
 
 
 def _read_entity(reader: _Reader, value: Any, path: str) -> Optional[Entity]:
-    data = reader.obj(value, path, ["id", "animate", "hearer_old", "definite"],
-                      ["id", "animate", "hearer_old", "definite"])
+    fields = ["id", "animate", "hearer_old", "definite"]
+    data = reader.obj(value, path, fields, fields)
     if data is None:
         return None
-    eid = reader.string(data["id"], f"{path}.id")
-    animate = reader.boolean(data["animate"], f"{path}.animate")
-    hearer_old = reader.boolean(data["hearer_old"], f"{path}.hearer_old")
-    definite = reader.boolean(data["definite"], f"{path}.definite")
-    if None in (eid, animate, hearer_old, definite):
-        return None
-    try:
-        return Entity(eid, animate, hearer_old, definite)
-    except ValueError as err:
-        reader.fail(path, str(err))
-        return None
+    before = len(reader.issues)
+    eid = reader.expect(data["id"], f"{path}.id", str)
+    flags = [reader.expect(data[key], f"{path}.{key}", bool) for key in fields[1:]]
+    return reader.build(before, path, Entity, eid, *flags)
 
 
 def _read_frame(reader: _Reader, value: Any, path: str) -> Optional[VerbFrame]:
-    before = len(reader.issues)
     data = reader.obj(value, path, ["lemma", "subcat", "sortal", "empathy_locus"],
                       ["lemma", "subcat"])
     if data is None:
         return None
-    lemma = reader.string(data["lemma"], f"{path}.lemma")
-    subcat_raw = reader.array(data["subcat"], f"{path}.subcat")
-    if lemma is None or subcat_raw is None:
-        return None
-    subcat = []
-    for i, item in enumerate(subcat_raw):
-        role = reader.keyword(item, f"{path}.subcat[{i}]", _ROLES, "role")
-        if role is not None:
-            subcat.append(role)
-    sortal: dict[GrammaticalRole, SortalConstraint] = {}
-    if "sortal" in data:
-        sortal_obj = data["sortal"]
-        if not isinstance(sortal_obj, dict):
-            reader.fail(f"{path}.sortal", "expected an object")
-        else:
-            for key, item in sortal_obj.items():
-                role = reader.keyword(key, f"{path}.sortal.{key}", _ROLES, "role")
-                constraint = reader.keyword(item, f"{path}.sortal.{key}", _SORTALS, "sortal constraint")
-                if role is not None and constraint is not None:
-                    sortal[role] = constraint
+    before = len(reader.issues)
+    lemma = reader.expect(data["lemma"], f"{path}.lemma", str)
+    subcat = tuple(
+        reader.keyword(item, f"{path}.subcat[{i}]", _ROLES, "role")
+        for i, item in enumerate(reader.array(data["subcat"], f"{path}.subcat"))
+    )
+    sortal = {
+        reader.keyword(key, f"{path}.sortal.{key}", _ROLES, "role"):
+            reader.keyword(item, f"{path}.sortal.{key}", _SORTALS, "sortal constraint")
+        for key, item in reader.mapping(data.get("sortal", {}), f"{path}.sortal").items()
+    }
     empathy = None
-    if "empathy_locus" in data and data["empathy_locus"] is not None:
+    if data.get("empathy_locus") is not None:
         empathy = reader.keyword(data["empathy_locus"], f"{path}.empathy_locus", _ROLES, "role")
-    if len(reader.issues) > before:
-        return None
-    try:
-        return VerbFrame(lemma, tuple(subcat), sortal, empathy)
-    except ValueError as err:
-        reader.fail(path, str(err))
-        return None
+    return reader.build(before, path, VerbFrame, lemma, subcat, sortal, empathy)
 
 
 def _read_argument(reader: _Reader, value: Any, path: str) -> Optional[Argument]:
@@ -236,72 +217,43 @@ def _read_argument(reader: _Reader, value: Any, path: str) -> Optional[Argument]
                       ["role", "marking", "realization"])
     if data is None:
         return None
+    before = len(reader.issues)
     role = reader.keyword(data["role"], f"{path}.role", _ROLES, "role")
     marking = reader.keyword(data["marking"], f"{path}.marking", _MARKINGS, "marking")
-    realization: Optional[Realization] = None
     raw = data["realization"]
+    realization: Optional[Realization] = None
     if raw == "zero":
         realization = Realization.zero()
-    elif isinstance(raw, dict):
-        if set(raw) != {"np"}:
-            reader.fail(f"{path}.realization", 'expected {"np": <entity>} or "zero"')
-        else:
-            eid = reader.string(raw["np"], f"{path}.realization.np")
-            if eid == "":
-                reader.fail(f"{path}.realization.np", "entity id must be non-empty")
-            elif eid is not None:
-                realization = Realization.overt(eid)
+    elif isinstance(raw, dict) and set(raw) == {"np"}:
+        eid = reader.expect(raw["np"], f"{path}.realization.np", str)
+        if eid == "":
+            reader.fail(f"{path}.realization.np", "entity id must be non-empty")
+        elif eid is not None:
+            realization = Realization.overt(eid)
     else:
         reader.fail(f"{path}.realization", 'expected {"np": <entity>} or "zero"')
-    if role is None or marking is None or realization is None:
-        return None
-    try:
-        return Argument(role, marking, realization)
-    except ValueError as err:
-        reader.fail(path, str(err))
-        return None
+    return reader.build(before, path, Argument, role, marking, realization)
 
 
 def _read_utterance(reader: _Reader, value: Any, path: str, index: int) -> Optional[Utterance]:
-    before = len(reader.issues)
     data = reader.obj(value, path, ["verb", "args", "others", "gloss"], ["verb", "args"])
     if data is None:
         return None
+    before = len(reader.issues)
     frame = _read_frame(reader, data["verb"], f"{path}.verb")
-    args_raw = reader.array(data["args"], f"{path}.args")
-    args: list[Argument] = []
-    if args_raw is not None:
-        for i, item in enumerate(args_raw):
-            arg = _read_argument(reader, item, f"{path}.args[{i}]")
-            if arg is not None:
-                args.append(arg)
-    others: list[str] = []
-    if "others" in data:
-        others_raw = reader.array(data["others"], f"{path}.others")
-        if others_raw is not None:
-            for i, item in enumerate(others_raw):
-                eid = reader.string(item, f"{path}.others[{i}]")
-                if eid is not None:
-                    others.append(eid)
-    gloss = ""
-    if "gloss" in data:
-        gloss = reader.string(data["gloss"], f"{path}.gloss") or ""
-    if frame is None or len(reader.issues) > before:
-        return None
-    try:
-        return Utterance(index, frame, tuple(args), tuple(others), gloss)
-    except ValueError as err:
-        reader.fail(path, str(err))
-        return None
+    args = tuple(
+        _read_argument(reader, item, f"{path}.args[{i}]")
+        for i, item in enumerate(reader.array(data["args"], f"{path}.args"))
+    )
+    others = tuple(
+        reader.expect(item, f"{path}.others[{i}]", str)
+        for i, item in enumerate(reader.array(data.get("others", []), f"{path}.others"))
+    )
+    gloss = reader.expect(data.get("gloss", ""), f"{path}.gloss", str)
+    return reader.build(before, path, Utterance, index, frame, args, others, gloss)
 
 
-def _read_gold(
-    reader: _Reader,
-    value: Any,
-    path: str,
-    utterances: Sequence[Utterance],
-    declared: frozenset[str],
-) -> Optional[GoldLabel]:
+def _read_gold(reader: _Reader, value: Any, path: str, discourse: Discourse) -> Optional[GoldLabel]:
     data = reader.obj(
         value, path,
         ["utterance_index", "assignment", "support_count", "significance"],
@@ -309,50 +261,36 @@ def _read_gold(
     )
     if data is None:
         return None
-    index = reader.integer(data["utterance_index"], f"{path}.utterance_index")
+    before = len(reader.issues)
+    index = reader.expect(data["utterance_index"], f"{path}.utterance_index", int)
+    if index is not None and not 1 <= index <= len(discourse.utterances):
+        reader.fail(f"{path}.utterance_index", f"no utterance {index}")
     significance = reader.keyword(
         data["significance"], f"{path}.significance", _SIGNIFICANCE, "significance"
     )
-    support: Optional[int] = None
-    if "support_count" in data and data["support_count"] is not None:
-        support = reader.integer(data["support_count"], f"{path}.support_count")
-        if support is None:
-            return None
-        if support < 0:
+    support = data.get("support_count")
+    if support is not None:
+        support = reader.expect(support, f"{path}.support_count", int)
+        if support is not None and support < 0:
             reader.fail(f"{path}.support_count", f"expected a count of 0 or more, got {support}")
-            return None
-    if index is None or significance is None:
+    assignment: Assignment = {
+        reader.keyword(key, f"{path}.assignment.{key}", _ROLES, "role"):
+            reader.expect(item, f"{path}.assignment.{key}", str)
+        for key, item in reader.mapping(data["assignment"], f"{path}.assignment").items()
+    }
+    if len(reader.issues) > before:
         return None
-    if not 1 <= index <= len(utterances):
-        reader.fail(f"{path}.utterance_index", f"no utterance {index}")
-        return None
-    utterance = utterances[index - 1]
-    raw = data["assignment"]
-    if not isinstance(raw, dict):
-        reader.fail(f"{path}.assignment", "expected an object")
-        return None
-    assignment: Assignment = {}
-    for key, item in raw.items():
-        role = reader.keyword(key, f"{path}.assignment.{key}", _ROLES, "role")
-        eid = reader.string(item, f"{path}.assignment.{key}")
-        if role is None or eid is None:
-            return None
-        if role not in utterance.frame.subcat:
-            reader.fail(f"{path}.assignment.{key}", f"utterance {index} has no such slot")
-            return None
-        assignment[role] = eid
-    if set(assignment) != set(utterance.frame.subcat):
+    subcat = discourse.utterances[index - 1].frame.subcat
+    for role, eid in assignment.items():
+        slot = f"{path}.assignment.{role.name.lower()}"
+        if role not in subcat:
+            reader.fail(slot, f"utterance {index} has no such slot")
+        elif eid not in discourse.entity_map:
+            reader.fail(slot, f"undeclared entity {eid!r}", VALIDATION)
+    if not set(subcat) <= set(assignment):
         reader.fail(f"{path}.assignment", "must bind exactly the subcategorized roles")
-        return None
-    undeclared = [eid for eid in assignment.values() if eid not in declared]
-    if undeclared:
-        reader.issues.append(FormatIssue(
-            VALIDATION, f"{path}.assignment",
-            f"undeclared entity {undeclared[0]!r}",
-        ))
-        return None
-    ordered = {role: assignment[role] for role in utterance.frame.subcat}
-    return GoldLabel(index, ordered, support, significance)
+    ordered = {role: assignment[role] for role in subcat if role in assignment}
+    return reader.build(before, path, GoldLabel, index, ordered, support, significance)
 
 
 def parse_discourse(text: str | bytes) -> tuple[Discourse, tuple[GoldLabel, ...]]:
@@ -362,6 +300,8 @@ def parse_discourse(text: str | bytes) -> tuple[Discourse, tuple[GoldLabel, ...]
     issue for input that is not UTF-8 JSON, nests too deep or holds an
     integer too long to convert, schema issues for structural problems,
     and validation issues when the well-formed discourse is infelicitous.
+    Every issue of every entity and utterance is reported; gold labels
+    are read only once the entities and utterances read cleanly.
     """
     try:
         if isinstance(text, bytes):
@@ -386,55 +326,48 @@ def parse_discourse(text: str | bytes) -> tuple[Discourse, tuple[GoldLabel, ...]
     if top is None:
         raise DiscourseFormatError(reader.issues)
 
-    entities: list[Entity] = []
-    entities_raw = reader.array(top["entities"], "$.entities")
-    if entities_raw is not None:
-        for i, item in enumerate(entities_raw):
-            entity = _read_entity(reader, item, f"$.entities[{i}]")
-            if entity is not None:
-                entities.append(entity)
-
-    utterances: list[Utterance] = []
-    utterances_raw = reader.array(top["utterances"], "$.utterances")
-    if utterances_raw is not None:
-        for i, item in enumerate(utterances_raw):
-            utterance = _read_utterance(reader, item, f"$.utterances[{i}]", i + 1)
-            if utterance is not None:
-                utterances.append(utterance)
-
-    if reader.issues:
+    entities = [
+        _read_entity(reader, item, f"$.entities[{i}]")
+        for i, item in enumerate(reader.array(top["entities"], "$.entities"))
+    ]
+    seen: set[str] = set()
+    for i, entity in enumerate(entities):
+        if entity is not None:
+            if entity.id in seen:
+                reader.fail(f"$.entities[{i}].id", f"duplicate entity id {entity.id!r}")
+            seen.add(entity.id)
+    utterances = [
+        _read_utterance(reader, item, f"$.utterances[{i}]", i + 1)
+        for i, item in enumerate(reader.array(top["utterances"], "$.utterances"))
+    ]
+    if top["utterances"] == []:
+        reader.fail("$.utterances", "discourse needs at least one utterance")
+    discourse = reader.build(0, "$", Discourse, tuple(entities), tuple(utterances))
+    if discourse is None:
         raise DiscourseFormatError(reader.issues)
 
-    try:
-        discourse = Discourse(tuple(entities), tuple(utterances))
-    except ValueError as err:
-        raise DiscourseFormatError([FormatIssue(SCHEMA, "$", str(err))]) from None
-
-    declared = frozenset(e.id for e in entities)
-    golds: list[GoldLabel] = []
-    if "gold" in top:
-        gold_raw = reader.array(top["gold"], "$.gold")
-        if gold_raw is not None:
-            for i, item in enumerate(gold_raw):
-                label = _read_gold(reader, item, f"$.gold[{i}]", utterances, declared)
-                if label is not None:
-                    golds.append(label)
+    golds = tuple(
+        _read_gold(reader, item, f"$.gold[{i}]", discourse)
+        for i, item in enumerate(reader.array(top.get("gold", []), "$.gold"))
+    )
     if reader.issues:
         raise DiscourseFormatError(reader.issues)
 
     violations = validate_discourse(discourse)
     if violations:
         raise DiscourseFormatError([
-            FormatIssue(
-                VALIDATION,
-                f"$.utterances[{v.utterance_index - 1}]"
-                + (f".{v.slot.name.lower()}" if v.slot is not None else ""),
-                f"{v.code.value}: {v.message}",
-            )
+            FormatIssue(VALIDATION, _violation_path(discourse, v), f"{v.code.value}: {v.message}")
             for v in violations
         ])
+    return discourse, golds
 
-    return discourse, tuple(golds)
+
+def _violation_path(discourse: Discourse, violation: Violation) -> str:
+    """The JSON path of a violation: its argument, or the others list when it has no slot."""
+    i = violation.utterance_index - 1
+    if violation.slot is None:
+        return f"$.utterances[{i}].others"
+    return f"$.utterances[{i}].args[{discourse.utterances[i].frame.subcat.index(violation.slot)}]"
 
 
 # --------------------------------------------------------------------------

@@ -118,6 +118,8 @@ class EngineConfig:
     strict_validation: bool = True
 
     def __post_init__(self) -> None:
+        if type(self.beam_width) is not int:  # a bool is an int to isinstance
+            raise TypeError(f"beam width must be an int, got {type(self.beam_width).__name__}")
         if self.beam_width < 1:
             raise ValueError("beam width must be at least 1")
 

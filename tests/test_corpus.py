@@ -1,5 +1,6 @@
 """Corpus wire format: parsing, canonical serialization, gold checking."""
 
+import itertools
 import json
 
 import pytest
@@ -110,17 +111,20 @@ def test_unknown_fields_are_schema_errors_with_paths():
 
 def test_an_earlier_issue_does_not_hide_a_later_constructor_issue():
     # Each item's constructor check must run whatever went wrong in an
-    # earlier item: a frame with a duplicate role, and an utterance whose
-    # args do not follow its frame.
+    # earlier item, or in a field that feeds no constructor: a frame with
+    # a duplicate role and an unknown field, and an utterance whose args
+    # do not follow its frame.
     doc = json.loads(corpus.corpus_text("cont_ret_ex.json"))
     doc["utterances"][0]["mystery"] = 1
     doc["utterances"][1]["verb"]["subcat"][1] = "subj"
+    doc["utterances"][1]["verb"]["mystery"] = 1
     doc["utterances"][2]["args"].reverse()
     with pytest.raises(DiscourseFormatError) as err:
         parse_discourse(json.dumps(doc))
     found = {(i.path, i.message) for i in err.value.issues}
     assert ("$.utterances[0].mystery", "unknown field") in found
     assert ("$.utterances[1].verb", "miseru: duplicate role in subcat") in found
+    assert ("$.utterances[1].verb.mystery", "unknown field") in found
     assert any(
         path == "$.utterances[2]" and "args must realize exactly" in message
         for path, message in found
@@ -174,19 +178,32 @@ def test_bad_significance_keyword_is_a_schema_error():
 
 
 def test_undeclared_argument_entity_is_a_validation_issue():
+    # Located at the argument, and at the others list for an others entry.
     doc = json.loads(valid_text())
     doc["utterances"][0]["args"][0]["realization"] = {"np": "nobody"}
+    doc["utterances"][2]["others"] = ["no-one"]
     with pytest.raises(DiscourseFormatError) as err:
         parse_discourse(json.dumps(doc))
-    assert err.value.categories == {VALIDATION}
+    assert categories_of(err.value) == [
+        (VALIDATION, "$.utterances[0].args[0]"),
+        (VALIDATION, "$.utterances[2].others"),
+    ]
 
 
 def test_undeclared_gold_entity_is_a_validation_issue():
+    # Every undeclared entity is reported, each at its own slot.
     doc = json.loads(valid_text())
-    doc["gold"][0]["assignment"]["subj"] = "nobody"
+    slots = list(doc["gold"][0]["assignment"])
+    for slot in slots:
+        doc["gold"][0]["assignment"][slot] = f"nobody-{slot}"
     with pytest.raises(DiscourseFormatError) as err:
         parse_discourse(json.dumps(doc))
-    assert err.value.categories == {VALIDATION}
+    assert categories_of(err.value) == [
+        (VALIDATION, f"$.gold[0].assignment.{slot}") for slot in slots
+    ]
+    assert [i.message for i in err.value.issues] == [
+        f"undeclared entity 'nobody-{slot}'" for slot in slots
+    ]
 
 
 def test_gold_slots_must_cover_the_frame():
@@ -223,17 +240,141 @@ def test_negative_support_count_is_a_schema_issue():
 
 
 def test_starred_files_each_carry_one_designated_violation():
+    # A violation points at the argument that carries it: args[j], where j
+    # is the slot's position in the frame's subcat.
     expected = {
-        "invalid_wa_indefinite.json": "WA_ON_INDEFINITE",
-        "invalid_empathy_hearer_new.json": "EMPATHY_NOT_EVOKED",
-        "invalid_empathy_indefinite.json": "EMPATHY_NOT_EVOKED",
+        "invalid_wa_indefinite.json": ("WA_ON_INDEFINITE", "$.utterances[0].args[0]"),
+        "invalid_empathy_hearer_new.json": ("EMPATHY_NOT_EVOKED", "$.utterances[0].args[1]"),
+        "invalid_empathy_indefinite.json": ("EMPATHY_NOT_EVOKED", "$.utterances[0].args[1]"),
     }
-    for name, code in expected.items():
+    for name, (code, path) in expected.items():
         with pytest.raises(DiscourseFormatError) as err:
             load_corpus(name)
         assert err.value.categories == {VALIDATION}, name
         assert len(err.value.issues) == 1, name
         assert err.value.issues[0].message.startswith(code), name
+        assert err.value.issues[0].path == path, name
+
+
+# --------------------------------------------------------------------------
+# Every issue of every item
+
+
+def error_of(doc):
+    with pytest.raises(DiscourseFormatError) as err:
+        parse_discourse(json.dumps(doc))
+    return err.value
+
+
+def at_or_under(issues, path):
+    return any(
+        i.path == path or i.path.startswith((path + ".", path + "["))
+        for i in issues
+    )
+
+
+def json_objects(value, path="$"):
+    """Every (path, object) in a JSON document, the document first."""
+    if isinstance(value, dict):
+        yield path, value
+        for key, item in value.items():
+            yield from json_objects(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from json_objects(item, f"{path}[{i}]")
+
+
+def json_leaves(value, path="$"):
+    """Every (path, container, key) whose value is a scalar or an empty container."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, item in items:
+        where = f"{path}.{key}" if isinstance(value, dict) else f"{path}[{key}]"
+        if isinstance(item, (dict, list)) and item:
+            yield from json_leaves(item, where)
+        else:
+            yield where, value, key
+
+
+def test_every_bad_field_of_an_item_is_reported():
+    # For each object of the valid files, spoil each pair of its scalar
+    # fields (and the sortal and assignment objects): both are reported.
+    pairs = 0
+    for name in corpus.VALID_FILES:
+        text = corpus.corpus_text(name)
+        for path, obj in json_objects(json.loads(text)):
+            fields = [
+                key for key, item in obj.items()
+                if key in ("sortal", "assignment") or not isinstance(item, (dict, list))
+            ]
+            for first, second in itertools.combinations(fields, 2):
+                doc = json.loads(text)
+                spoiled = dict(json_objects(doc))[path]
+                spoiled[first] = spoiled[second] = [1]
+                issues = error_of(doc).issues
+                for key in (first, second):
+                    assert at_or_under(issues, f"{path}.{key}"), (name, path, first, second)
+                pairs += 1
+    assert pairs == 736
+
+
+def test_a_bad_leaf_anywhere_ends_in_a_format_error():
+    # Replace every leaf of every bundled file with each JSON type in turn:
+    # the parse succeeds or raises DiscourseFormatError, never anything else.
+    for name in corpus.CORPUS_FILES:
+        doc = json.loads(corpus.corpus_text(name))
+        for path, container, key in list(json_leaves(doc)):
+            original = container[key]
+            for replacement in (None, 7, [], {}):
+                container[key] = replacement
+                try:
+                    parse_discourse(json.dumps(doc))
+                except DiscourseFormatError:
+                    pass
+                except Exception as err:
+                    pytest.fail(f"{name}: {path} = {replacement!r} raised {err!r}")
+            container[key] = original
+
+
+def test_a_frame_reports_a_bad_lemma_and_a_bad_sortal_together():
+    doc = json.loads(corpus.corpus_text("cont_ret_ex.json"))
+    doc["utterances"][0]["verb"]["lemma"] = 7
+    doc["utterances"][0]["verb"]["sortal"] = {"subj": "plant"}
+    lemma, sortal = error_of(doc).issues
+    assert (lemma.path, lemma.message) == ("$.utterances[0].verb.lemma", "expected a string, got int")
+    assert sortal.path == "$.utterances[0].verb.sortal.subj"
+    assert sortal.message.startswith("unknown sortal constraint 'plant'")
+
+
+def test_a_gold_label_reports_every_bad_slot():
+    doc = json.loads(valid_text())
+    doc["gold"][0]["assignment"]["subj"] = 7
+    doc["gold"][0]["assignment"]["topic"] = "taroo"
+    assert categories_of(error_of(doc)) == [
+        (SCHEMA, "$.gold[0].assignment.subj"),
+        (SCHEMA, "$.gold[0].assignment.topic"),
+    ]
+
+
+def test_discourse_level_issues_are_located():
+    doc = json.loads(valid_text())
+    doc["entities"].append(dict(doc["entities"][0]))
+    doc["entities"].append(dict(doc["entities"][1]))
+    n = len(doc["entities"])
+    assert [(i.path, i.message) for i in error_of(doc).issues] == [
+        (f"$.entities[{n - 2}].id", f"duplicate entity id {doc['entities'][0]['id']!r}"),
+        (f"$.entities[{n - 1}].id", f"duplicate entity id {doc['entities'][1]['id']!r}"),
+    ]
+    doc = json.loads(valid_text())
+    doc["utterances"] = []
+    doc["gold"] = []
+    assert categories_of(error_of(doc)) == [(SCHEMA, "$.utterances")]
+
+
+def test_gold_labels_are_read_only_once_the_discourse_reads_cleanly():
+    doc = json.loads(valid_text())
+    doc["entities"][0]["animate"] = "yes"
+    doc["gold"][0]["significance"] = "sure"
+    assert categories_of(error_of(doc)) == [(SCHEMA, "$.entities[0].animate")]
 
 
 # --------------------------------------------------------------------------

@@ -276,6 +276,14 @@ def test_resolve_respects_beam_width():
     assert narrow.top.steps[-1].assignment == wide.top.steps[-1].assignment
 
 
+def test_beam_width_must_be_a_positive_int():
+    for width in (2.5, True, "4", None):
+        with pytest.raises(TypeError, match="beam width must be an int"):
+            EngineConfig(beam_width=width)
+    with pytest.raises(ValueError, match="at least 1"):
+        EngineConfig(beam_width=0)
+
+
 def test_retroactive_instantiation_backfills_the_initial_center():
     d = load("instantiation_ga.json")
     res = resolve(d, WIDE)
