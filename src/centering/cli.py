@@ -16,7 +16,7 @@ Exit codes:
      discrepancy (oracle)
   2  felicity validation failure
   3  the discourse is unresolvable (some utterance admits no reading)
-  4  the reading space exceeds the enumerator's size limit (oracle)
+  4  a projected upper bound on the readings passes the size limit (oracle)
   5  the input file cannot be read
   6  the input file is not UTF-8 JSON or is shaped wrongly
   7  bad command line (unknown option, missing argument, beam width < 1)

@@ -7,17 +7,18 @@ antecedents, pairs each binding with its possible backward-looking
 centers, discards impossible candidates, builds the resulting center
 state, classifies the transition, optionally adds zero-topic variants,
 and ranks what survives.  Readings are scored by the sum of their
-transition ordinals (lower = more coherent); the beam keeps the best
-`beam_width` readings at every stage.  A step's cost does not grow with
-the discourse: a child's score is its parent's plus one ordinal, and
-`resolve` sorts every beam, the first included, by one five-part key of
-fixed size - score, last transition, the parent's whole history as one
-rank within its beam, and the content of the last two steps - then cuts
-it in one place.  That order equals the reference `hypothesis_sort_key`,
-which `resolve` never calls.  An utterance's readings depend only on the
+transition ordinals (lower = more coherent), derived from their steps;
+the beam keeps the best `beam_width` readings at every stage.  A step's
+cost does not grow with the discourse: `resolve` reads no reading's
+score but sorts every beam, the first included, by one five-part key of
+fixed size - score (a child's is its parent key's plus one ordinal),
+last transition, the parent's whole history as one rank within its
+beam, and the content of the last two steps - then cuts it in one
+place.  That order equals the reference `hypothesis_sort_key`, which
+`resolve` never calls.  An utterance's readings depend only on the
 previous center state, so parents that share their last state share one
 expansion, memoised per utterance in a plain dict that only `step`
-reads.  Siblings share their parent's score and rank, so they compare
+reads.  Siblings share their parent's key score and rank, so they compare
 on their transition, the Cb their parent's last step takes after
 write-back and their own content - their sibling key, fixed by that
 state: each expansion keeps only its `beam_width` best survivors, cut
@@ -428,21 +429,18 @@ def _child(parent: Hypothesis, new_step: Step) -> Hypothesis:
 
     When the child pins down a center (its Cb is not None) and the
     parent's latest step left its Cb uninstantiated (None), the newly
-    determined entity is written back into that step (provided the entity
-    is realized there) - the earlier utterance was about it all along.
+    determined entity is written back into that step - the earlier
+    utterance was about it all along.  It is always realized there: a
+    child's Cb comes from the parent's last Cf, which lists every slot.
     """
     steps = parent.steps
     new_cb = new_step.state.cb
     if new_cb is not None:
         last = steps[-1]
-        if last.state.cb is None and new_cb in last.assignment.values():
+        if last.state.cb is None:
             unified = replace(last, state=replace(last.state, cb=new_cb))
             steps = steps[:-1] + (unified,)
-    return Hypothesis(
-        steps + (new_step,),
-        parent.score + new_step.transition_cost,
-        _parent_score=parent.score,
-    )
+    return Hypothesis(steps + (new_step,))
 
 
 def step(
@@ -568,13 +566,15 @@ def _child_keys(keyed_parent: Keyed, result: StepResult, rank: int) -> list[Keye
     The transition, the write-back Cb and the last step's content come
     from each child's sibling key in result.keys, and the content of the
     parent's last step from the parent's own key, with its Cb replaced
-    when the write-back index is set (>= 0).
+    when the write-back index is set (>= 0), and the score from the
+    parent's key plus the transition floored at 0 (a reset costs 0).
     """
+    score = keyed_parent[0][0]
     bound, _cb, zta = last_content = keyed_parent[0][4]
     return [
         (
             (
-                child.score,
+                score + max(transition, 0),
                 transition,
                 rank,
                 last_content if cb < 0 else (bound, cb, zta),
@@ -599,7 +599,7 @@ def _initial_hypotheses(
 ) -> tuple[list[Hypothesis], list[Rejection]]:
     """All readings of the first utterance (score 0, INITIAL transition)."""
     survivors, rejections = _survivors(discourse, None, discourse.utterances[0], config)
-    return [Hypothesis((s,), 0) for s in survivors], rejections
+    return [Hypothesis((s,)) for s in survivors], rejections
 
 
 def resolve(discourse: Discourse, config: EngineConfig = EngineConfig()) -> ResolveResult:

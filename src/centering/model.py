@@ -370,28 +370,21 @@ class Step:
 
 @dataclass(frozen=True)
 class Hypothesis:
-    """A reading of the discourse so far: one step per utterance, plus score.
+    """A reading of the discourse so far: one step per utterance.
 
-    The score is the sum of transition ordinals over the steps (initial
-    and reset steps contribute nothing); lower is better.  The engine
-    extends a parent by one step and passes the parent's score as
-    _parent_score, so the check costs one addition instead of a re-sum
-    over the whole history; a hypothesis built without it is re-summed.
+    Its score is derived from the steps, never stored: the sum of their
+    transition ordinals (initial and reset steps add 0); lower is better.
     """
 
     steps: tuple[Step, ...]
-    score: int
-    _parent_score: Optional[int] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.steps:
             raise ValueError("hypothesis needs at least one step")
-        if self._parent_score is not None:
-            expected = self._parent_score + self.steps[-1].transition_cost
-        else:
-            expected = sum(s.transition_cost for s in self.steps)
-        if self.score != expected:
-            raise ValueError(f"score {self.score} != sum of ordinals {expected}")
+
+    @property
+    def score(self) -> int:
+        return sum(s.transition_cost for s in self.steps)
 
     @property
     def last(self) -> Step:

@@ -57,14 +57,17 @@ SIZE_LIMIT = 1_000_000
 
 
 class SizeLimitError(Exception):
-    """The discourse's reading space exceeds the enumerable bound."""
+    """A layer's projected reading count passes SIZE_LIMIT.
+
+    bound is that projection, an upper bound that may exceed the true count.
+    """
 
     def __init__(self, utterance_index: int, bound: int) -> None:
         self.utterance_index = utterance_index
         self.bound = bound
         super().__init__(
-            f"enumeration at utterance {utterance_index} exceeds "
-            f"{SIZE_LIMIT} readings (projected {bound})"
+            f"enumeration at utterance {utterance_index} may exceed "
+            f"{SIZE_LIMIT} readings (projected upper bound {bound})"
         )
 
 
@@ -430,9 +433,9 @@ def enumerate_all(
 ) -> list[GlobalReading]:
     """Every complete reading of the discourse, best first.
 
-    Exhaustive and beam-free; raises SizeLimitError if the reading space
-    would exceed SIZE_LIMIT.  An empty list means some utterance admits
-    no reading at all.
+    Exhaustive and beam-free; raises SizeLimitError if a projected upper
+    bound on some layer, which may exceed its true size, passes
+    SIZE_LIMIT.  An empty list means some utterance admits no reading.
     """
     readings, _, _ = _enumerate(discourse, config)
     entity_index = {e.id: i for i, e in enumerate(discourse.entities)}

@@ -161,27 +161,23 @@ def test_center_state_invariants():
     assert state.cf_ids == ("a", "b")
 
 
-def test_hypothesis_checks_score_arithmetic():
-    frame = VerbFrame("v", (SUBJ,))
+def test_hypothesis_score_is_derived_from_its_steps():
     state = CenterState("a", (("a", SalienceRole.SUBJ),))
     step = Step(1, {SUBJ: "a"}, state, None)
-    assert Hypothesis((step,), 0).step_at(1) is step
+    # An initial or reset step adds 0, a RETAIN adds 1.
+    assert Hypothesis((step,)).score == 0
+    assert Hypothesis((step,)).step_at(1) is step
+    reset = Step(2, {SUBJ: "a"}, state, None)
+    linked = Step(3, {SUBJ: "a"}, state, Transition.RETAIN)
+    assert Hypothesis((step, reset)).score == 0
+    assert Hypothesis((step, reset, linked)).score == 1
     with pytest.raises(ValueError):
-        Hypothesis((step,), 3)
-    linked = Step(2, {SUBJ: "a"}, state, Transition.RETAIN)
-    cost = Transition.RETAIN.ordinal
-    assert Hypothesis((step, linked), cost).score == cost
-    with pytest.raises(ValueError):
-        Hypothesis((step, linked), cost + 1)
-    # A child checked against its parent's score: one addition, same rule.
-    assert Hypothesis((step, linked), cost, _parent_score=0).score == cost
-    with pytest.raises(ValueError):
-        Hypothesis((step, linked), cost, _parent_score=1)
+        Hypothesis(())
 
 
 def test_step_at_rejects_utterances_outside_the_reading():
     state = CenterState("a", (("a", SalienceRole.SUBJ),))
-    hyp = Hypothesis((Step(1, {SUBJ: "a"}, state, None),), 0)
+    hyp = Hypothesis((Step(1, {SUBJ: "a"}, state, None),))
     for index in (0, -1, 2):
         with pytest.raises(IndexError):
             hyp.step_at(index)
