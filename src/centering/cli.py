@@ -16,7 +16,10 @@ Exit codes:
      discrepancy (oracle)
   2  felicity validation failure
   3  the discourse is unresolvable (some utterance admits no reading)
-  4  a projected upper bound on the readings passes the size limit (oracle)
+  4  the oracle refuses an utterance, the first included, before
+     building its readings: an upper bound projected per previous
+     center state (a ZTA variant counted only where that state's Cb is
+     set) passes the size limit (oracle)
   5  the input file cannot be read
   6  the input file is not UTF-8 JSON or is shaped wrongly
   7  bad command line (unknown option, missing argument, beam width < 1)

@@ -476,7 +476,7 @@ def step(
     rejections: tuple[Rejection, ...] = ()
     if kept is None:
         survivors, found = _survivors(discourse, state, utterance, config)
-        keyed = zip(_sibling_keys(state, survivors, discourse.entity_index()), survivors)
+        keyed = zip(_sibling_keys(state, survivors, discourse.entity_index), survivors)
         best = heapq.nsmallest(config.beam_width, keyed, key=itemgetter(0))
         kept = memo[state] = (tuple([k for k, _ in best]), tuple([s for _, s in best]))
         rejections = tuple(found)
@@ -618,7 +618,7 @@ def resolve(discourse: Discourse, config: EngineConfig = EngineConfig()) -> Reso
     if fatal:
         raise DiscourseInvalidError(fatal)
 
-    entity_index = discourse.entity_index()
+    entity_index = discourse.entity_index
     initial, rejections = _initial_hypotheses(discourse, config)
     rejection_log: dict[int, tuple[Rejection, ...]] = {1: tuple(rejections)}
     # The first readings in the children's key shape: no transition or earlier step.

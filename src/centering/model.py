@@ -299,12 +299,9 @@ class Discourse:
         return tuple(e.id for e in self.entities if e.hearer_old)
 
     @cached_property
-    def _entity_index(self) -> Mapping[str, int]:
-        return {e.id: i for i, e in enumerate(self.entities)}
-
     def entity_index(self) -> Mapping[str, int]:
-        """Declaration-order index of each entity id (for deterministic keys; cached)."""
-        return self._entity_index
+        """Declaration-order index of each entity id, for deterministic keys (cached as above)."""
+        return {e.id: i for i, e in enumerate(self.entities)}
 
 
 #: A complete binding of an utterance's subcategorized slots to entities,

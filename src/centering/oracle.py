@@ -52,14 +52,18 @@ from .model import (
     validate_discourse,
 )
 
-#: Hard cap on the number of readings the enumerator will materialize.
+#: Cap on the projected readings of one layer; no layer past it is built.
 SIZE_LIMIT = 1_000_000
 
 
 class SizeLimitError(Exception):
     """A layer's projected reading count passes SIZE_LIMIT.
 
-    bound is that projection, an upper bound that may exceed the true count.
+    The projection sums _projected_bound over the distinct center states
+    of the previous layer (the empty state for the first utterance) and
+    is checked before any reading of the layer is built.  bound is that
+    sum, stopped at the first state that takes it past SIZE_LIMIT: an
+    upper bound that may exceed the true count.
     """
 
     def __init__(self, utterance_index: int, bound: int) -> None:
@@ -317,99 +321,31 @@ def _unify(steps: tuple[StepSignature, ...], cb: Optional[str]) -> tuple[StepSig
     return steps[:-1] + (fixed,)
 
 
-def _initial_readings(
-    discourse: Discourse, entities: Mapping[str, Entity], hearer_old: Sequence[str]
-) -> list[GlobalReading]:
-    first = discourse.utterances[0]
-    wa_entity: Optional[str] = None
-    for arg in first.args:
-        if arg.marking is Marking.WA and not arg.realization.is_zero:
-            wa_entity = arg.realization.entity_id
-    readings: list[GlobalReading] = []
-    for assignment in _raw_assignments(first, hearer_old):
-        if _reject(first, assignment, [], None, entities):
-            continue
-        cf = _cf_list(first, assignment, None)
-        sig = _step_signature(first, assignment, wa_entity, cf, None, False)
-        readings.append(GlobalReading((sig,), 0))
-    return readings
-
-
 def _projected_bound(
     utterance: Utterance,
-    readings: Sequence[GlobalReading],
+    state: tuple,
+    count: int,
     config: EngineConfig,
     hearer_old: frozenset[str],
 ) -> int:
-    """Cheap upper bound on the next layer's size (never an underestimate)."""
-    n_zeros = sum(1 for a in utterance.args if a.realization.is_zero)
-    total = 0
-    zta_factor = 2 if config.zta_enabled else 1
-    for reading in readings:
-        prev_cf = reading.steps[-1][3]
-        # The pool is the hearer-old entities plus the rest of the previous
-        # Cf, which lists each entity once.
-        pool = len(hearer_old) + sum(1 for eid, _ in prev_cf if eid not in hearer_old)
-        combos = 1
-        for _ in range(n_zeros):
-            combos *= pool
-        cb_options = 1 if reading.steps[-1][2] is not None else max(1, len(prev_cf))
-        total += combos * cb_options * zta_factor
-        if total > SIZE_LIMIT:
-            break
-    return total
+    """Upper bound on the readings that count parents in state give utterance.
 
-
-def _enumerate(
-    discourse: Discourse, config: EngineConfig
-) -> tuple[list[GlobalReading], Optional[int], int]:
-    """All complete readings, the first dead utterance, the widest layer.
-
-    The widest-layer count lets the equivalence check size the engine
-    beam so that no intermediate truncation can occur (a mid-discourse
-    layer may be larger than the final reading count).  Like `resolve`,
-    raises DiscourseInvalidError if the discourse names an undeclared
-    entity, whatever the validation mode.
+    state is the parents' last (Cf, Cb).  The bound never underestimates
+    and may exceed the true count: every zero ranges over the whole pool,
+    the hearer-old entities plus the rest of the previous Cf (which lists
+    each entity once); while the previous Cb is open a binding may pair
+    with each previous-Cf entity as Cb, and once it is set each reading
+    may add a zero-topic variant, since ZTA needs an instantiated parent
+    center.
     """
-    undeclared = [
-        v for v in validate_discourse(discourse)
-        if v.code is ViolationCode.UNDECLARED_ENTITY
-    ]
-    if undeclared:
-        raise DiscourseInvalidError(undeclared)
-    entities, hearer_old = _entity_tables(discourse)
-    hearer_old_set = frozenset(hearer_old)
-    readings = _initial_readings(discourse, entities, hearer_old)
-    max_layer = len(readings)
-    if not readings:
-        return [], discourse.utterances[0].index, 0
-    if len(readings) > SIZE_LIMIT:
-        raise SizeLimitError(discourse.utterances[0].index, len(readings))
-
-    for utterance in discourse.utterances[1:]:
-        bound = _projected_bound(utterance, readings, config, hearer_old_set)
-        if bound > SIZE_LIMIT:
-            raise SizeLimitError(utterance.index, bound)
-        layer: list[GlobalReading] = []
-        expected = 0
-        for reading in readings:
-            prev = reading.steps[-1]
-            children = _parent_candidates(
-                utterance, prev[3], prev[2], config, entities, hearer_old
-            )
-            expected += len(children)
-            for sig, cost in children:
-                steps = _unify(reading.steps, sig[2])
-                layer.append(GlobalReading(steps + (sig,), reading.score + cost))
-                if len(layer) > SIZE_LIMIT:
-                    raise SizeLimitError(utterance.index, len(layer))
-        assert len(layer) == expected, "enumeration bookkeeping out of sync"
-        if not layer:
-            return [], utterance.index, max_layer
-        readings = layer
-        max_layer = max(max_layer, len(layer))
-
-    return readings, None, max_layer
+    prev_cf, prev_cb = state
+    n_zeros = sum(1 for a in utterance.args if a.realization.is_zero)
+    pool = len(hearer_old) + sum(1 for eid, _ in prev_cf if eid not in hearer_old)
+    if prev_cb is None:
+        per_binding = max(1, len(prev_cf))
+    else:
+        per_binding = 2 if config.zta_enabled else 1
+    return count * pool**n_zeros * per_binding
 
 
 def _reading_sort_key(reading: GlobalReading, entity_index: Mapping[str, int]) -> tuple:
@@ -428,19 +364,80 @@ def _reading_sort_key(reading: GlobalReading, entity_index: Mapping[str, int]) -
     return (reading.score, recency, content)
 
 
+def _enumerate(
+    discourse: Discourse, config: EngineConfig
+) -> tuple[list[GlobalReading], Optional[int], int]:
+    """All complete readings best first, the first dead utterance, the widest layer.
+
+    Readings are grouped by their last center state (Cf, Cb), which is
+    all the next utterance's candidates depend on, so each distinct
+    state is sized and expanded once per utterance.  The discourse
+    starts from an empty state (no Cf, no Cb), and each reading of the
+    first utterance takes the wa topic's entity, if any, as its Cb.
+    Before any reading of a layer is built, the projected bounds of its
+    states are summed, and SizeLimitError is raised once the sum passes
+    SIZE_LIMIT.  The widest-layer count lets the equivalence check size
+    the engine beam so that no intermediate truncation can occur (a
+    mid-discourse layer may be larger than the final reading count).
+    Like `resolve`, raises DiscourseInvalidError if the discourse names
+    an undeclared entity, whatever the validation mode.
+    """
+    undeclared = [
+        v for v in validate_discourse(discourse)
+        if v.code is ViolationCode.UNDECLARED_ENTITY
+    ]
+    if undeclared:
+        raise DiscourseInvalidError(undeclared)
+    entities, hearer_old = _entity_tables(discourse)
+    hearer_old_set = frozenset(hearer_old)
+    first = discourse.utterances[0]
+    topic = next(
+        (a.realization.entity_id for a in first.args if a.marking is Marking.WA), None
+    )
+    states: dict[tuple, list[GlobalReading]] = {((), None): [GlobalReading((), 0)]}
+    max_layer = 0
+
+    for utterance in discourse.utterances:
+        bound = 0
+        for state, readings in states.items():
+            bound += _projected_bound(utterance, state, len(readings), config, hearer_old_set)
+            if bound > SIZE_LIMIT:
+                raise SizeLimitError(utterance.index, bound)
+        layer: dict[tuple, list[GlobalReading]] = {}
+        for (prev_cf, prev_cb), readings in states.items():
+            children = _parent_candidates(
+                utterance, prev_cf, prev_cb, config, entities, hearer_old
+            )
+            if utterance is first:
+                children = [(sig[:2] + (topic,) + sig[3:], cost) for sig, cost in children]
+            for reading in readings:
+                for sig, cost in children:
+                    steps = _unify(reading.steps, sig[2]) + (sig,)
+                    layer.setdefault((sig[3], sig[2]), []).append(
+                        GlobalReading(steps, reading.score + cost)
+                    )
+        if not layer:
+            return [], utterance.index, max_layer
+        states = layer
+        max_layer = max(max_layer, sum(map(len, layer.values())))
+
+    entity_index = {e.id: i for i, e in enumerate(discourse.entities)}
+    readings = [r for group in states.values() for r in group]
+    readings.sort(key=lambda r: _reading_sort_key(r, entity_index))
+    return readings, None, max_layer
+
+
 def enumerate_all(
     discourse: Discourse, config: EngineConfig = EngineConfig()
 ) -> list[GlobalReading]:
     """Every complete reading of the discourse, best first.
 
-    Exhaustive and beam-free; raises SizeLimitError if a projected upper
-    bound on some layer, which may exceed its true size, passes
-    SIZE_LIMIT.  An empty list means some utterance admits no reading.
+    Exhaustive and beam-free; raises SizeLimitError before building a
+    layer whose projected upper bound (see _projected_bound), which may
+    exceed its true size, passes SIZE_LIMIT.  An empty list means some
+    utterance admits no reading.
     """
-    readings, _, _ = _enumerate(discourse, config)
-    entity_index = {e.id: i for i, e in enumerate(discourse.entities)}
-    readings.sort(key=lambda r: _reading_sort_key(r, entity_index))
-    return readings
+    return _enumerate(discourse, config)[0]
 
 
 def hypothesis_signature(hypothesis: Hypothesis) -> GlobalReading:
@@ -469,8 +466,6 @@ def check_equivalence(
     that dies at k).
     """
     readings, first_dead, max_layer = _enumerate(discourse, config)
-    entity_index = {e.id: i for i, e in enumerate(discourse.entities)}
-    readings.sort(key=lambda r: _reading_sort_key(r, entity_index))
 
     width = max(config.beam_width, max_layer, 1)
     try:

@@ -9,6 +9,8 @@ them:
   property sweeps, next to two fixed edge cases: a discourse that is
   unresolvable and one the oracle refuses because its projected reading
   count, an upper bound that may exceed the true count, passes SIZE_LIMIT;
+  and a seeded chain whose readings double at every utterance over a
+  few center states;
 
 * an invariant walker that re-derives, from first principles and the
   oracle's naive helpers, everything a finished hypothesis claims:
@@ -142,9 +144,12 @@ def unresolvable_discourse() -> Discourse:
 def oversized_discourse() -> Discourse:
     """Three all-zero four-slot utterances over six entities.
 
-    The oracle refuses it at utterance 2: its projected bound on the next
-    layer passes SIZE_LIMIT, although counting each layer over distinct
-    center states gives 360, 34,560 and 829,440 readings, all below it.
+    The oracle refuses it at utterance 2, before building that layer.
+    The first utterance projects 6**4 bindings and has 360 readings, each
+    its own center state with no Cb.  At utterance 2 each of those states
+    projects 6**4 bindings times 4 Cb candidates (no ZTA variant, since
+    no Cb is set), and the sum passes SIZE_LIMIT, although the true
+    layers hold 360, 34,560 and 829,440 readings, all below it.
     """
     return Discourse(
         tuple(
@@ -159,6 +164,44 @@ def oversized_discourse() -> Discourse:
             )
             for k in (1, 2, 3)
         ),
+    )
+
+
+def ambiguous_chain(rng: random.Random, length: int) -> Discourse:
+    """A length-utterance chain over six hearer-old entities that stays ambiguous.
+
+    A wa-topic opener names two entities; every later utterance has a
+    subject zero and an overt object drawn at random.  The zero may bind
+    either previous-Cf entity the object leaves free, so the readings
+    about double at every utterance while their center states stay few.
+    """
+    subj, obj = GrammaticalRole.SUBJ, GrammaticalRole.OBJ
+    ids = [f"z{i}" for i in range(6)]
+    opener, named = rng.sample(ids, 2)
+    utterances = [
+        Utterance(
+            1,
+            VerbFrame("v1", (subj, obj)),
+            (
+                Argument(subj, Marking.WA, Realization.overt(opener)),
+                Argument(obj, Marking.O, Realization.overt(named)),
+            ),
+        )
+    ]
+    for k in range(2, length + 1):
+        utterances.append(
+            Utterance(
+                k,
+                VerbFrame(f"v{k}", (subj, obj)),
+                (
+                    Argument(subj, Marking.NONE, Realization.zero()),
+                    Argument(obj, Marking.O, Realization.overt(rng.choice(ids))),
+                ),
+            )
+        )
+    return Discourse(
+        tuple(Entity(eid, animate=True, hearer_old=True, definite=True) for eid in ids),
+        tuple(utterances),
     )
 
 
@@ -377,7 +420,7 @@ def hypothesis_invariant_failures(
 
     if len(result.hypotheses) > config.beam_width:
         failures.append("beam width exceeded")
-    entity_index = discourse.entity_index()
+    entity_index = discourse.entity_index
     keys = [engine.hypothesis_sort_key(h, entity_index) for h in result.hypotheses]
     if keys != sorted(keys):
         failures.append("beam not sorted by score/recency/content")

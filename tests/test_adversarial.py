@@ -9,11 +9,15 @@ resolve, check, oracle and validate by run_cli.  The shapes:
 * four-zero frames: twice in a row over 4 hearer-old entities, once
   over 6;
 * a 2,000-utterance chain that keeps one reading throughout;
-* 2,000 declared entities, three of them hearer-old, 20 of them named.
+* 2,000 declared entities, three of them hearer-old, 20 of them named;
+* a 40-utterance chain over six hearer-old entities whose readings
+  double at every utterance (helpers.ambiguous_chain): the oracle
+  refuses it with exit 4 once its projected bound passes SIZE_LIMIT,
+  before building that layer, and every other command succeeds.
 
-The engine has no bound on its own work yet, and the oracle's reading
-space multiplies at every ambiguous utterance, so larger pools, more
-zeros and long ambiguous chains stay out of this gate.
+The engine has no bound on its own work yet, so larger pools and more
+zeros stay out of this gate; so do three four-zero frames in a row,
+whose 13,824 readings take the oracle command too close to the bound.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from centering.model import (
     Utterance,
     VerbFrame,
 )
+from helpers import ambiguous_chain
 
 SUBJ, OBJ2, OBJ, OTHER = (
     GrammaticalRole.SUBJ, GrammaticalRole.OBJ2, GrammaticalRole.OBJ, GrammaticalRole.OTHER,
@@ -130,9 +135,13 @@ def adversarial_inputs(seed):
         yield f"four_zeros/{pool}x{repeats}", four_zeros(rng, pool, repeats)
     yield "topic_chain/2000", topic_chain(rng, 2000, 4)
     yield "declared/2000", topic_chain(rng, 20, 20, 1977)
+    yield AMBIGUOUS, ambiguous_chain(rng, 40)
 
 
 COMMANDS = ("resolve", "check", "oracle", "validate")
+
+#: The one shape whose oracle run passes SIZE_LIMIT.
+AMBIGUOUS = "ambiguous_chain/40"
 
 
 def test_large_valid_inputs_end_in_a_documented_exit_code(tmp_path, capsys):
@@ -150,7 +159,9 @@ def test_large_valid_inputs_end_in_a_documented_exit_code(tmp_path, capsys):
             assert spent < RUN_BOUND_S, (name, command, spent)
             codes[name, command] = code
     # The inputs are valid and carry no gold labels: check has nothing
-    # to check, and every other command succeeds.
+    # to check, the oracle refuses the ambiguous chain, and every other
+    # command succeeds.
+    assert codes.pop((AMBIGUOUS, "oracle")) == cli.EXIT_SIZE_LIMIT
     assert {c for (_, command), c in codes.items() if command != "check"} == {cli.EXIT_OK}
     assert {c for (_, command), c in codes.items() if command == "check"} == {
         cli.EXIT_MISMATCH

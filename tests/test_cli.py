@@ -401,16 +401,47 @@ def test_every_subcommand_exits_with_the_documented_code_per_input_kind(
         assert err and not out
 
 
+def _env(**overrides):
+    """The environment of a child Python that imports this checkout's package."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **overrides)
+
+
+# --------------------------------------------------------------------------
+# Determinism across processes
+
+_EVERY_OUTPUT = """
+import sys
+from centering.cli import run_cli
+for path in sys.argv[1:]:
+    for argv in (["resolve", path, "--format", "json"], ["resolve", path, "--trace"], ["oracle", path]):
+        print(argv, "->", run_cli(argv))
+"""
+
+
+def test_output_is_identical_under_different_hash_seeds(corpus_file):
+    """String hashing differs per process; no output may depend on it."""
+    paths = [corpus_file(name) for name in corpus.VALID_FILES]
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", _EVERY_OUTPUT, *paths],
+            env=_env(PYTHONHASHSEED=seed), capture_output=True, check=True,
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"EQUIVALENT") == len(paths)
+    assert outputs[0].count(b"-> 0\n") == 3 * len(paths)
+
+
 # --------------------------------------------------------------------------
 # Output that cannot be written
 
 
 def _assert_unwritable_exits_eight(argv, target):
     """With stdout on target, argv exits 8 with one error line, buffered or not."""
-    for unbuffered in ("", "1"):  # PYTHONUNBUFFERED
-        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
-        ))
+    for unbuffered in ("", "1"):
+        env = _env(PYTHONUNBUFFERED=unbuffered)
 
         def start(stdout):
             return subprocess.Popen(

@@ -400,7 +400,7 @@ def reference_beam_failures(discourse, config):
     every child step makes of the previous beam, sorted by
     hypothesis_sort_key over the whole history, cut to the beam width.
     """
-    entity_index = discourse.entity_index()
+    entity_index = discourse.entity_index
     failures = []
     candidates, _ = engine._initial_hypotheses(discourse, config)
     for n in range(1, len(discourse.utterances) + 1):
@@ -505,7 +505,7 @@ def step_contract_failures(discourse, config):
     that concatenated they are resolve's log for the utterance.
     """
     failures = []
-    entity_index = discourse.entity_index()
+    entity_index = discourse.entity_index
     try:
         beam = resolve(prefix(discourse, 1), config).hypotheses
     except UnresolvableError:
@@ -583,7 +583,7 @@ def full_siblings(parent, utterance, discourse, config):
     wide = EngineConfig(beam_width=10**9, zta_enabled=False, strict_validation=False)
     plain, _ = engine._survivors(discourse, state, utterance, wide)
     steps = plain + apply_zta(plain, state.cb, utterance, config)
-    entity_index = discourse.entity_index()
+    entity_index = discourse.entity_index
     children = [engine._child(parent, s) for s in steps]
     return sorted(children, key=lambda h: hypothesis_sort_key(h, entity_index))
 
@@ -662,7 +662,7 @@ def test_children_made_are_bounded_by_the_beam_on_a_wide_pool(monkeypatch, workl
     assert made and set(made) == set(states)
     for u, n in made.items():
         assert n <= len(states[u]) * config.beam_width, (u, n)
-    entity_index = pool.entity_index()
+    entity_index = pool.entity_index
     wide = resolve(pool, EngineConfig(beam_width=64)).hypotheses
     want = sorted(wide, key=lambda h: hypothesis_sort_key(h, entity_index))
     assert result.hypotheses == tuple(want[: config.beam_width])

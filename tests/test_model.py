@@ -141,6 +141,8 @@ def test_derived_entity_views_leave_equality_and_repr_alone():
     text = repr(d)
     assert d.hearer_old_ids == ("c", "a")
     assert d.entity_map["new"] is ents[1]
+    assert d.entity_index == {"c": 0, "new": 1, "a": 2}
+    assert d.entity_index is d.entity_index
     assert d == fresh
     assert repr(d) == text == repr(fresh)
 

@@ -22,9 +22,14 @@ from centering.model import (
     Utterance,
     VerbFrame,
 )
-from helpers import oversized_discourse, random_discourse, unresolvable_discourse
+from helpers import (
+    ambiguous_chain,
+    oversized_discourse,
+    random_discourse,
+    unresolvable_discourse,
+)
 
-SUBJ = GrammaticalRole.SUBJ
+SUBJ, OBJ = GrammaticalRole.SUBJ, GrammaticalRole.OBJ
 
 WIDE = EngineConfig(beam_width=64)
 
@@ -83,9 +88,64 @@ def test_oracle_single_utterance_without_zeros_has_one_initial_reading():
     assert readings[0].steps[0][4] is None
 
 
+@pytest.mark.parametrize("marking, cb", [(Marking.WA, "a"), (Marking.GA, None)])
+def test_first_utterance_readings_take_the_wa_topic_as_cb(marking, cb):
+    d = Discourse(
+        tuple(Entity(eid, animate=True, hearer_old=True, definite=True) for eid in "abc"),
+        (
+            Utterance(
+                1,
+                VerbFrame("v", (SUBJ, OBJ)),
+                (
+                    Argument(SUBJ, marking, Realization.overt("a")),
+                    Argument(OBJ, Marking.NONE, Realization.zero()),
+                ),
+            ),
+        ),
+    )
+    tier = "gramm_topic" if marking is Marking.WA else "subj"
+    assert oracle.enumerate_all(d, WIDE) == [
+        oracle.GlobalReading(
+            ((1, (("subj", "a"), ("obj", eid)), cb, (("a", tier), (eid, "obj")), None, False),),
+            0,
+        )
+        for eid in "bc"
+    ]
+
+
 def test_oracle_order_is_reproducible():
     d = load("zta_ex_ga.json")
     assert oracle.enumerate_all(d, WIDE) == oracle.enumerate_all(d, WIDE)
+
+
+@pytest.mark.parametrize(
+    "discourse, shared",
+    [(load("zta_ex_ga.json"), False), (ambiguous_chain(random.Random(7), 12), True)],
+    ids=["zta_ex_ga", "ambiguous_chain"],
+)
+def test_oracle_expands_each_distinct_center_state_once(monkeypatch, discourse, shared):
+    expanded = []
+    real = oracle._parent_candidates
+
+    def recording(utterance, prev_cf, prev_cb, *rest):
+        expanded.append((utterance.index, prev_cf, prev_cb))
+        return real(utterance, prev_cf, prev_cb, *rest)
+
+    monkeypatch.setattr(oracle, "_parent_candidates", recording)
+    oracle.enumerate_all(discourse, WIDE)
+    monkeypatch.undo()
+    assert len(expanded) == len(set(expanded))
+    assert [e for e in expanded if e[0] == 1] == [(1, (), None)]
+    parents = 1  # the empty state the discourse starts from
+    for k in range(2, len(discourse.utterances) + 1):
+        prefix = Discourse(discourse.entities, discourse.utterances[: k - 1])
+        readings = oracle.enumerate_all(prefix, WIDE)
+        states = {(r.steps[-1][3], r.steps[-1][2]) for r in readings}
+        assert {(cf, cb) for index, cf, cb in expanded if index == k} == states, k
+        parents += len(readings)
+    # The chain's parents share their states: one expansion per parent
+    # reading would be far more.
+    assert (len(expanded) < parents) is shared
 
 
 # --------------------------------------------------------------------------
@@ -218,3 +278,40 @@ def test_oracle_refuses_oversized_enumerations():
     # The beam engine handles the same discourse without blowing up.
     res = resolve(d, EngineConfig(beam_width=8))
     assert len(res.hypotheses) == 8
+
+
+def test_oracle_refuses_an_oversized_first_utterance_before_building_it(monkeypatch):
+    # Four zeros over 32 hearer-old entities: 32**4 bindings pass SIZE_LIMIT.
+    roles = (SUBJ, GrammaticalRole.OBJ2, OBJ, GrammaticalRole.OTHER)
+    d = Discourse(
+        tuple(Entity(f"e{i}", animate=True, hearer_old=True, definite=True) for i in range(32)),
+        (
+            Utterance(
+                1,
+                VerbFrame("v", roles),
+                tuple(Argument(r, Marking.NONE, Realization.zero()) for r in roles),
+            ),
+        ),
+    )
+    monkeypatch.setattr(oracle, "_parent_candidates", None)  # any expansion fails
+    with pytest.raises(oracle.SizeLimitError) as err:
+        oracle.enumerate_all(d, WIDE)
+    assert (err.value.utterance_index, err.value.bound) == (1, 32**4)
+
+
+def test_projected_bound_doubles_for_zta_only_under_a_set_cb():
+    u = Utterance(
+        2,
+        VerbFrame("v", (SUBJ, OBJ)),
+        (
+            Argument(SUBJ, Marking.NONE, Realization.zero()),
+            Argument(OBJ, Marking.O, Realization.overt("a")),
+        ),
+    )
+    cf = (("a", "subj"), ("n", "obj"), ("b", "other"))  # "n" is hearer-new: a pool of 4
+    old = frozenset({"a", "b", "c"})
+    no_zta = replace(WIDE, zta_enabled=False)
+    assert oracle._projected_bound(u, (cf, None), 5, WIDE, old) == 5 * 4 * 3
+    assert oracle._projected_bound(u, (cf, "a"), 5, WIDE, old) == 5 * 4 * 2
+    assert oracle._projected_bound(u, (cf, "a"), 5, no_zta, old) == 5 * 4
+    assert oracle._projected_bound(u, ((), None), 5, WIDE, old) == 5 * 3
