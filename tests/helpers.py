@@ -6,11 +6,11 @@ them:
 * a seeded random discourse generator biased toward resolvable inputs
   (zeros need antecedents, so most entities are hearer-old and the first
   utterance is mostly overt), used for engine/oracle equivalence and
-  property sweeps, next to two fixed edge cases: a discourse that is
-  unresolvable and one the oracle refuses because its projected reading
-  count, an upper bound that may exceed the true count, passes SIZE_LIMIT;
-  and a seeded chain whose readings double at every utterance over a
-  few center states;
+  property sweeps, next to three fixed shapes: a discourse that is
+  unresolvable, one the oracle refuses because its projected reading
+  count, an upper bound that may exceed the true count, passes
+  SIZE_LIMIT, and a seeded chain whose readings double at every
+  utterance over a few center states;
 
 * an invariant walker that re-derives, from first principles and the
   oracle's naive helpers, everything a finished hypothesis claims:
