@@ -9,15 +9,18 @@ the two routes share only the published definitions:
 
   * antecedent pool: previous Cf in order, then hearer-old entities in
     declaration order;
-  * salience tiers: zero topic > wa topic > empathy > subj > obj2 > obj >
-    other, one tier per entity, ties by subcat position (a zero topic
-    demotes the wa topic to its grammatical role);
   * Cb candidates: previous-Cf entities realized by the assignment -
-    forced to the highest ranked when the previous Cb is instantiated;
+    forced to the highest ranked when the previous Cb is instantiated -
+    or no Cb (a reset) when none is realized;
   * filters: contra-indexing, sortal constraints, the pronoun rule (if a
     zero realizes previous-Cf material the Cb's slot must be a zero), and
     recoverability (zeros bind inside the previous Cf or to hearer-old
     entities, the latter only when no reading stays inside the Cf);
+  * salience tiers: zero topic > wa topic > empathy > subj > obj2 > obj >
+    other, ties by subcat position (a zero topic demotes the wa topic to
+    its grammatical role); the Cf is ranked only for bindings that passed
+    the filters, which are injective, so each entity fills one slot and
+    takes that slot's tier;
   * transitions per the standard two-by-two table, costs
     continue=0 < retain=1 < smooth_shift=2 < rough_shift=3;
   * zero topic assignment: only when the parent center is instantiated
@@ -31,22 +34,27 @@ the two routes share only the published definitions:
     last step backwards (initial/reset = -1), then a content key over
     entity declaration indices.
 
-Readings are compared between the routes as plain signatures (tuples of
-primitives), so the comparison itself cannot hide a representation bug.
+Each raw binding is filtered once per Cb option, and ranked and turned
+into its signature once, when the first option passes.  Readings are
+compared between the routes as plain signatures (tuples of primitives),
+so the comparison itself cannot hide a representation bug.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
 
 from .engine import DiscourseInvalidError, EngineConfig, UnresolvableError, resolve
 from .model import (
     Discourse,
     Entity,
+    GrammaticalRole,
     Hypothesis,
     Marking,
+    SalienceRole,
+    Transition,
     Utterance,
     ViolationCode,
     validate_discourse,
@@ -104,7 +112,14 @@ _TRANSITION_TABLE = {
 }
 
 #: Slots from which a zero may be read as zero topic.
-_ZERO_TOPIC_SLOTS = ("subj", "obj2")
+_ZERO_TOPIC_ROLES = (GrammaticalRole.SUBJ, GrammaticalRole.OBJ2)
+
+#: The lowercase name of each role, tier and transition; None stays None.
+_NAME = {
+    member: member.name.lower()
+    for kind in (GrammaticalRole, SalienceRole, Transition)
+    for member in kind
+} | {None: None}
 
 
 @dataclass(frozen=True)
@@ -125,10 +140,6 @@ class EquivalenceReport:
     detail: str
 
 
-def _role_name(role) -> str:
-    return role.name.lower()
-
-
 def _tier_for(arg, utterance: Utterance, entity_id: str, zero_topic: Optional[str]) -> str:
     if zero_topic is not None and entity_id == zero_topic:
         return "zero_topic"
@@ -136,7 +147,7 @@ def _tier_for(arg, utterance: Utterance, entity_id: str, zero_topic: Optional[st
         return "gramm_topic"
     if utterance.frame.empathy_locus is arg.role:
         return "empathy"
-    return _role_name(arg.role)
+    return _NAME[arg.role]
 
 
 def _cf_list(
@@ -144,26 +155,26 @@ def _cf_list(
     assignment: Mapping,
     zero_topic: Optional[str],
 ) -> tuple[tuple[str, str], ...]:
-    """Salience-ordered (entity, tier) pairs, one per distinct entity."""
-    best: dict[str, tuple[int, int, str]] = {}
-    for pos, arg in enumerate(utterance.args):
-        entity_id = assignment[arg.role]
-        tier = _tier_for(arg, utterance, entity_id, zero_topic)
-        key = (_TIER_RANK[tier], pos, tier)
-        if entity_id not in best or key < best[entity_id]:
-            best[entity_id] = key
-    ordered = sorted(best.items(), key=lambda item: item[1][:2])
-    return tuple((entity_id, tier) for entity_id, (_, _, tier) in ordered)
+    """Salience-ordered (entity, tier) pairs of a binding that passed _reject.
+
+    Such a binding is injective, so each slot gives its own entity one
+    tier; ties keep subcat order.
+    """
+    pairs = [
+        (assignment[a.role], _tier_for(a, utterance, assignment[a.role], zero_topic))
+        for a in utterance.args
+    ]
+    return tuple(sorted(pairs, key=lambda pair: _TIER_RANK[pair[1]]))
 
 
 def _reject(
     utterance: Utterance,
     assignment: Mapping,
-    prev_cf_ids: Sequence[str],
+    old: AbstractSet[str],
     cb: Optional[str],
     entities: Mapping,
 ) -> bool:
-    """True if the candidate breaks any hard constraint."""
+    """True if the candidate breaks any hard constraint; old is the previous Cf."""
     values = [assignment[a.role] for a in utterance.args]
     if len(set(values)) != len(values):
         return True
@@ -172,50 +183,23 @@ def _reject(
         if constraint is not None and constraint.value == "animate":
             if not entities[assignment[arg.role]].animate:
                 return True
-    old = set(prev_cf_ids)
-    if cb is not None:
-        pronominalized_old = [
-            a for a in utterance.args
-            if a.realization.is_zero and assignment[a.role] in old
-        ]
-        if pronominalized_old:
-            for a in utterance.args:
-                if assignment[a.role] == cb and not a.realization.is_zero:
-                    return True
-    for a in utterance.args:
-        if a.realization.is_zero:
-            bound = assignment[a.role]
-            if bound not in old and not entities[bound].hearer_old:
-                return True
-    return False
+    zeros = [assignment[a.role] for a in utterance.args if a.realization.is_zero]
+    if cb is not None and cb not in zeros and any(z in old for z in zeros):
+        return True
+    return any(z not in old and not entities[z].hearer_old for z in zeros)
 
 
 def _raw_assignments(
     utterance: Utterance, pool: Sequence[str]
 ) -> Iterable[dict]:
     """Cartesian zero bindings in pool order; constraints filtered later."""
-    zero_roles = [a.role for a in utterance.args if a.realization.is_zero]
-    overt = {
-        a.role: a.realization.entity_id
-        for a in utterance.args
-        if not a.realization.is_zero
-    }
-    for combo in itertools.product(pool, repeat=len(zero_roles)):
-        bound = dict(overt)
-        bound.update(dict(zip(zero_roles, combo)))
-        yield {a.role: bound[a.role] for a in utterance.args}
-
-
-def _step_signature(
-    utterance: Utterance,
-    assignment: Mapping,
-    cb: Optional[str],
-    cf: tuple[tuple[str, str], ...],
-    transition: Optional[str],
-    zta: bool,
-) -> StepSignature:
-    items = tuple((_role_name(a.role), assignment[a.role]) for a in utterance.args)
-    return (utterance.index, items, cb, cf, transition, zta)
+    roles = [a.role for a in utterance.args]
+    slots = [a.realization.entity_id for a in utterance.args]
+    zeros = [p for p, a in enumerate(utterance.args) if a.realization.is_zero]
+    for combo in itertools.product(pool, repeat=len(zeros)):
+        for p, entity_id in zip(zeros, combo):
+            slots[p] = entity_id
+        yield dict(zip(roles, slots))
 
 
 def _entity_tables(discourse: Discourse) -> tuple[dict[str, Entity], tuple[str, ...]]:
@@ -236,75 +220,60 @@ def _parent_candidates(
 
     entities and hearer_old are the discourse's _entity_tables.  Returns
     (signature, cost) pairs in deterministic order: assignments in
-    pool-product order, Cb candidates in previous-Cf order, zero-topic
-    variants appended after the plain candidates.
+    pool-product order, Cb candidates in previous-Cf order (no Cb when
+    nothing links back), zero-topic variants appended after the plain
+    candidates.  A reading is inside when every zero binds a previous-Cf
+    entity; the outside ones survive only when no inside one does.
     """
     prev_cf_ids = [eid for eid, _ in prev_cf]
-    pool = prev_cf_ids + [eid for eid in hearer_old if eid not in prev_cf_ids]
+    old = frozenset(prev_cf_ids)
+    pool = prev_cf_ids + [eid for eid in hearer_old if eid not in old]
 
-    plain: list[tuple[dict, Optional[str], tuple, Optional[str], bool]] = []
+    inside: list[tuple[StepSignature, int]] = []
+    outside: list[tuple[StepSignature, int]] = []
     for assignment in _raw_assignments(utterance, pool):
         realized = set(assignment.values())
         linked = [eid for eid in prev_cf_ids if eid in realized]
-        if not linked:
-            if _reject(utterance, assignment, prev_cf_ids, None, entities):
+        cf = None
+        for cb in (linked[:1] if prev_cb is not None else linked) or [None]:
+            if _reject(utterance, assignment, old, cb, entities):
                 continue
-            cf = _cf_list(utterance, assignment, None)
-            plain.append((assignment, None, cf, None, _pure(utterance, assignment, prev_cf_ids)))
+            if cf is None:
+                cf = _cf_list(utterance, assignment, None)
+                items = tuple((_NAME[a.role], assignment[a.role]) for a in utterance.args)
+                zeros_inside = all(
+                    assignment[a.role] in old for a in utterance.args if a.realization.is_zero
+                )
+            transition = None
+            if cb is not None:
+                transition = _TRANSITION_TABLE[(prev_cb in (None, cb), cb == cf[0][0])]
+            sig = (utterance.index, items, cb, cf, transition, False)
+            (inside if zeros_inside else outside).append((sig, _COST.get(transition, 0)))
+    readings = inside or outside
+
+    if (
+        not config.zta_enabled
+        or prev_cb is None
+        or any(sig[4] == "continue" for sig, _cost in readings)
+    ):
+        return readings
+    variants = []
+    for sig, _cost in readings:
+        index, items, cb = sig[:3]
+        if cb != prev_cb:
             continue
-        cb_options = [linked[0]] if prev_cb is not None else linked
-        cf = _cf_list(utterance, assignment, None)
-        for cb in cb_options:
-            if _reject(utterance, assignment, prev_cf_ids, cb, entities):
-                continue
-            kept = prev_cb is None or prev_cb == cb
-            transition = _TRANSITION_TABLE[(kept, cb == cf[0][0])]
-            plain.append((assignment, cb, cf, transition, _pure(utterance, assignment, prev_cf_ids)))
-
-    if any(is_pure for *_rest, is_pure in plain):
-        plain = [entry for entry in plain if entry[4]]
-
-    variants: list[tuple[dict, Optional[str], tuple, Optional[str], bool]] = []
-    zta_allowed = (
-        config.zta_enabled
-        and prev_cb is not None
-        and not any(t == "continue" for *_r, t, _p in plain)
-    )
-    if zta_allowed:
-        for assignment, cb, _cf, _transition, is_pure in plain:
-            slot = None
-            for arg in utterance.args:
-                if arg.realization.is_zero and assignment[arg.role] == prev_cb:
-                    slot = _role_name(arg.role)
-                    break
-            if slot is None or slot not in _ZERO_TOPIC_SLOTS or cb != prev_cb:
-                continue
-            cf = _cf_list(utterance, assignment, prev_cb)
-            kept = prev_cb == cb
-            transition = _TRANSITION_TABLE[(kept, cb == cf[0][0])]
-            variants.append((assignment, cb, cf, transition, is_pure))
-
-    out: list[tuple[StepSignature, int]] = []
-    for assignment, cb, cf, transition, _is_pure in plain:
-        cost = _COST[transition] if transition is not None else 0
-        out.append((_step_signature(utterance, assignment, cb, cf, transition, False), cost))
-    for assignment, cb, cf, transition, _is_pure in variants:
-        cost = _COST[transition] if transition is not None else 0
-        out.append((_step_signature(utterance, assignment, cb, cf, transition, True), cost))
-    return out
-
-
-def _pure(
-    utterance: Utterance,
-    assignment: Mapping,
-    prev_cf_ids: Sequence[str],
-) -> bool:
-    old = set(prev_cf_ids)
-    return all(
-        assignment[a.role] in old
-        for a in utterance.args
-        if a.realization.is_zero
-    )
+        assignment = {a.role: eid for a, (_, eid) in zip(utterance.args, items)}
+        slot = next(
+            (a.role for a in utterance.args
+             if a.realization.is_zero and assignment[a.role] == prev_cb),
+            None,
+        )
+        if slot not in _ZERO_TOPIC_ROLES:
+            continue
+        cf = _cf_list(utterance, assignment, prev_cb)
+        transition = _TRANSITION_TABLE[(True, cb == cf[0][0])]
+        variants.append(((index, items, cb, cf, transition, True), _COST[transition]))
+    return readings + variants
 
 
 def _unify(steps: tuple[StepSignature, ...], cb: Optional[str]) -> tuple[StepSignature, ...]:
@@ -440,19 +409,32 @@ def enumerate_all(
     return _enumerate(discourse, config)[0]
 
 
+def _readings_of(hypotheses: Sequence[Hypothesis]) -> list[GlobalReading]:
+    """Flatten engine hypotheses into the comparable signature form.
+
+    Readings share their earlier steps, so each distinct Step is
+    flattened once; keying by id is sound while hypotheses holds them.
+    """
+    flat: dict[int, StepSignature] = {}
+    readings = []
+    for hypothesis in hypotheses:
+        steps = []
+        for s in hypothesis.steps:
+            sig = flat.get(id(s))
+            if sig is None:
+                items = tuple((_NAME[role], eid) for role, eid in s.assignment.items())
+                cf = tuple((eid, _NAME[tier]) for eid, tier in s.state.cf)
+                sig = flat[id(s)] = (
+                    s.utterance_index, items, s.state.cb, cf, _NAME[s.transition], s.zta_applied
+                )
+            steps.append(sig)
+        readings.append(GlobalReading(tuple(steps), hypothesis.score))
+    return readings
+
+
 def hypothesis_signature(hypothesis: Hypothesis) -> GlobalReading:
     """Flatten an engine hypothesis into the comparable signature form."""
-    steps = []
-    for s in hypothesis.steps:
-        items = tuple(
-            (_role_name(role), entity_id) for role, entity_id in s.assignment.items()
-        )
-        cf = tuple((eid, tier.name.lower()) for eid, tier in s.state.cf)
-        transition = s.transition.name.lower() if s.transition is not None else None
-        steps.append(
-            (s.utterance_index, items, s.state.cb, cf, transition, s.zta_applied)
-        )
-    return GlobalReading(tuple(steps), hypothesis.score)
+    return _readings_of([hypothesis])[0]
 
 
 def check_equivalence(
@@ -488,7 +470,7 @@ def check_equivalence(
             f"oracle dies at utterance {first_dead}, engine found readings",
         )
 
-    engine_readings = [hypothesis_signature(h) for h in result.hypotheses]
+    engine_readings = _readings_of(result.hypotheses)
     if len(engine_readings) != len(readings):
         return EquivalenceReport(
             False, len(engine_readings), len(readings),

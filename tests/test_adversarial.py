@@ -6,8 +6,8 @@ resolve, check, oracle and validate by run_cli.  The shapes:
 
 * wide pools: an overt opener, then three zeros over up to 12
   hearer-old entities, with and without an in-Cf reading;
-* four-zero frames: twice in a row over 4 hearer-old entities, once
-  over 6;
+* four-zero frames: twice and three times in a row over 4 hearer-old
+  entities (13,824 readings), once over 6;
 * a 2,000-utterance chain that keeps one reading throughout;
 * 2,000 declared entities, three of them hearer-old, 20 of them named;
 * a 40-utterance chain over six hearer-old entities whose readings
@@ -16,8 +16,7 @@ resolve, check, oracle and validate by run_cli.  The shapes:
   before building that layer, and every other command succeeds.
 
 The engine has no bound on its own work yet, so larger pools and more
-zeros stay out of this gate; so do three four-zero frames in a row,
-whose 13,824 readings take the oracle command too close to the bound.
+zeros stay out of this gate.
 """
 
 from __future__ import annotations
@@ -131,7 +130,7 @@ def adversarial_inputs(seed):
     for pool in (8, 12):
         for in_cf in (True, False):
             yield f"wide_pool/{pool}/{in_cf}", wide_pool(rng, pool, in_cf)
-    for pool, repeats in ((4, 2), (6, 1)):
+    for pool, repeats in ((4, 2), (6, 1), (4, 3)):
         yield f"four_zeros/{pool}x{repeats}", four_zeros(rng, pool, repeats)
     yield "topic_chain/2000", topic_chain(rng, 2000, 4)
     yield "declared/2000", topic_chain(rng, 20, 20, 1977)

@@ -1,11 +1,13 @@
 """Brute-force oracle: pinned enumerations, equivalence, size guard."""
 
+import ast
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from centering import corpus, oracle
+from centering import corpus, engine, oracle
 from centering.engine import (
     DiscourseInvalidError,
     EngineConfig,
@@ -17,8 +19,10 @@ from centering.model import (
     Discourse,
     Entity,
     GrammaticalRole,
+    Hypothesis,
     Marking,
     Realization,
+    Transition,
     Utterance,
     VerbFrame,
 )
@@ -244,6 +248,75 @@ def test_equivalence_gate_reports_each_disagreement(
     assert report.equivalent is False
     assert (report.engine_count, report.oracle_count) == counts
     assert report.detail.startswith(detail)
+
+
+_REAL_APPLY_ZTA = engine.apply_zta
+_REAL_CLASSIFY = engine.classify_transition
+
+
+def _zta_without_stand_down(steps, *rest):
+    # apply_zta reads a base step's transition only to stand down on a
+    # plain CONTINUE, and every variant is classified anew.
+    hidden = [
+        replace(s, transition=None) if s.transition is Transition.CONTINUE else s
+        for s in steps
+    ]
+    return _REAL_APPLY_ZTA(hidden, *rest)
+
+
+def _continue_as_retain(*args):
+    transition = _REAL_CLASSIFY(*args)
+    return Transition.RETAIN if transition is Transition.CONTINUE else transition
+
+
+#: One wrong engine rule each: (owner in engine, name, replacement).
+ENGINE_MUTANTS = {
+    "rule1-ignored": ("_Plan", "passes", lambda plan, binding, prev_cf, cb: plan.overt_ok),
+    "no-zta": (None, "apply_zta", lambda *args: []),
+    "zta-ignores-continue": (None, "apply_zta", _zta_without_stand_down),
+    "no-write-back": (None, "_child", lambda parent, new_step: Hypothesis(parent.steps + (new_step,))),
+    "continue-as-retain": (None, "classify_transition", _continue_as_retain),
+}
+
+
+MUTANT_CONFIG = EngineConfig(beam_width=8, strict_validation=False)
+
+
+@pytest.fixture(scope="module")
+def mutant_inputs():
+    """The valid corpus files, then 300 seeded random discourses.
+
+    The real engine agrees with the oracle on every one of them.
+    """
+    rng = random.Random(7)
+    files = [d for _name, d, _golds in corpus.iter_valid_corpus()]
+    inputs = files + [random_discourse(rng) for _ in range(300)]
+    assert all(oracle.check_equivalence(d, MUTANT_CONFIG).equivalent for d in inputs)
+    return inputs
+
+
+@pytest.mark.parametrize("owner, name, mutant", ENGINE_MUTANTS.values(), ids=list(ENGINE_MUTANTS))
+def test_the_oracle_catches_a_wrong_engine_rule(monkeypatch, mutant_inputs, owner, name, mutant):
+    monkeypatch.setattr(getattr(engine, owner) if owner else engine, name, mutant)
+    assert any(not oracle.check_equivalence(d, MUTANT_CONFIG).equivalent for d in mutant_inputs)
+
+
+def test_the_oracle_reuses_no_engine_or_rules_function():
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    names: dict[str, set] = {}  # package module -> the names imported from it
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith("centering") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = ".".join(filter(None, ("centering", module)))
+            names.setdefault(module, set()).update(a.name for a in node.names)
+    assert not {"engine", "rules"} & names.get("centering", set())
+    assert "centering.rules" not in names
+    assert names["centering.engine"] == {
+        "DiscourseInvalidError", "EngineConfig", "UnresolvableError", "resolve",
+    }
 
 
 def test_undeclared_entities_are_refused_in_either_mode():
