@@ -4,11 +4,11 @@ The engine walks a discourse utterance by utterance, keeping a beam of
 readings (hypotheses).  For each parent reading and each next utterance
 it: enumerates every way of binding the utterance's zeros to candidate
 antecedents, pairs each binding with its possible backward-looking
-centers, discards impossible candidates, builds the resulting center
-state, classifies the transition, optionally adds zero-topic variants,
-and ranks what survives.  Readings are scored by the sum of their
-transition ordinals (lower = more coherent), derived from their steps;
-the beam keeps the best `beam_width` readings at every stage.  A step's
+centers, discards impossible candidates, classifies the transition,
+optionally adds zero-topic variants, ranks what survives and builds the
+center state of each reading it keeps.  Readings are scored by the sum
+of their transition ordinals (lower = more coherent), derived from their
+steps; the beam keeps the best `beam_width` readings at every stage.  A step's
 cost does not grow with the discourse: `resolve` reads no reading's
 score but sorts every beam, the first included, by one five-part key of
 fixed size - score (a child's is its parent key's plus one ordinal),
@@ -31,11 +31,18 @@ sibling keys and logs the rejections each state's expanding call
 reports.
 
 One expansion path builds every utterance's readings: `_survivors`
-turns a previous center state and an utterance into `Step`s.  The
-discourse-initial utterance goes through it with no previous state
-(prev=None): its pool is the hearer-old entities, no Cb links back and
-no transition or zero-topic variant arises, and each reading takes the
-wa topic, if any, as its Cb.  A Cb is an entity id, or None while it is
+turns a previous center state and an utterance into candidates, each a
+tuple of its sibling key, binding, Cb, transition, Cf order and ZTA
+flag, keyed once as it is made.  A wide pool's last resort makes
+thousands of them for an expansion that keeps `beam_width`, so nothing
+more is built before the cut: `step` takes the best by key and only
+then builds the assignment, the validated center state, the Cf and the
+`Step` of each one it keeps.  The discourse-initial utterance goes
+through the same path with no previous state (prev=None): its pool is
+the hearer-old entities, no Cb links back and no transition or
+zero-topic variant arises, each reading takes the wa topic, if any, as
+its Cb, and every one of them is built, since the first beam is cut
+only in `resolve`.  A Cb is an entity id, or None while it is
 uninstantiated; the next utterance that pins it down writes it back.
 
 Candidates are tuple work against a plan of the utterance (`_Plan`),
@@ -50,11 +57,13 @@ tier depends on its role, its marking, the empathy locus and the zero
 topic, never on the entity in it, so the Cf of every binding is one
 fixed order of slot positions; the rules rank a probe binding once to
 find it, and once more per zero-topic slot.  Per candidate what remains
-is the binding as a tuple, its Cb candidates from the previous Cf, the
-Rule 1 test and the Cf read off the order.  The rules stay the
-specification: `filter_assignment` names the code of each pairing the
-plan rejects, and the tests hold the plan to `filter_assignment`,
-`assign_salience_roles` and `rank_cf` on every generated pairing.
+is the binding as generation yields it (a tuple of entity ids), its Cb
+candidates from the previous Cf, the Rule 1 test, the transition and
+the sibling key; the Cf is read off the order only for a candidate the
+cut keeps.  The rules stay the specification: `filter_assignment` names
+the code of each pairing the plan rejects, and the tests hold the plan
+to `filter_assignment`, `assign_salience_roles` and `rank_cf` on every
+generated pairing.
 
 Zero topic assignment (ZTA) is the salience-promoting reading of a zero
 that picks up the current center: when a parent's candidates include no
@@ -77,12 +86,11 @@ import heapq
 from dataclasses import dataclass, field, replace
 from itertools import product
 from operator import itemgetter
-from typing import AbstractSet, Hashable, Iterator, Mapping, Optional, Sequence
+from typing import AbstractSet, Hashable, Mapping, Optional, Sequence
 
 from .model import (
     Assignment,
     CenterState,
-    CfEntry,
     Discourse,
     Entity,
     GrammaticalRole,
@@ -123,6 +131,9 @@ class EngineConfig:
             raise TypeError(f"beam width must be an int, got {type(self.beam_width).__name__}")
         if self.beam_width < 1:
             raise ValueError("beam width must be at least 1")
+        for flag in ("zta_enabled", "strict_validation"):
+            if type(getattr(self, flag)) is not bool:  # "false" would read as true
+                raise TypeError(f"{flag} must be a bool, got {type(getattr(self, flag)).__name__}")
 
 
 @dataclass(frozen=True)
@@ -195,25 +206,29 @@ def instantiate_initial_cb(first: Utterance) -> Optional[str]:
     return wa.realization.entity_id if wa is not None else None
 
 
+#: A binding of an utterance's slots: their entity ids, in subcat order.
+Binding = tuple[str, ...]
+
+
 def generate_assignments(
     utterance: Utterance,
     context: Sequence[str],
     entities: Mapping[str, Entity],
-) -> list[Assignment]:
+) -> list[Binding]:
     """Every way of binding the utterance's zeros to context entities.
 
     context is the ordered antecedent pool (previous-Cf order first, then
     any remaining hearer-old entities in declaration order).  Zeros are
     expanded in subcat order, each over the context entities that no
     overt slot names (only the animate ones for an animate-only slot), and
-    no entity fills two zeros.  So every assignment binds its zeros
+    no entity fills two zeros.  So every binding fills its zeros
     injectively, apart from its overt slots, sortal-correctly and to
     recoverable antecedents: of filter_assignment's checks, CONTRA_INDEX
     and SORTAL can fail only on the overt slots, the same way for every
-    assignment, ZERO_ANTECEDENT never fails, and RULE_1 is the only one
-    left to run per candidate.  Overt slots pass through untouched.  The
-    result preserves generation order; each assignment maps every
-    subcategorized role, keyed in subcat order.
+    binding, ZERO_ANTECEDENT never fails, and RULE_1 is the only one left
+    to run per candidate.  Overt slots pass through untouched.  The
+    result preserves generation order; each binding is the tuple of the
+    entity ids in the utterance's slots, in subcat order.
     """
     roles = utterance.frame.subcat
     slots = [a.realization.entity_id for a in utterance.args]
@@ -226,18 +241,22 @@ def generate_assignments(
         else free
         for p in zeros
     ]
-    results: list[Assignment] = []
+    results: list[Binding] = []
     for fill in product(*pools):
         if len(set(fill)) < len(fill):
             continue
         for p, eid in zip(zeros, fill):
             slots[p] = eid
-        results.append(dict(zip(roles, slots)))
+        results.append(tuple(slots))
     return results
 
 
 #: Slot positions in Cf order, each with the salience tier it earns.
 CfOrder = tuple[tuple[int, SalienceRole], ...]
+
+#: A surviving candidate before the cut: (sibling key, binding, Cb,
+#: transition, Cf order, ZTA flag).  See _survivors for the key.
+Candidate = tuple[tuple, Binding, Optional[str], Optional[Transition], CfOrder, bool]
 
 
 def _cf_order(utterance: Utterance, topic: Optional[int] = None) -> CfOrder:
@@ -250,11 +269,6 @@ def _cf_order(utterance: Utterance, topic: Optional[int] = None) -> CfOrder:
     """
     probe = {a.role: pos for pos, a in enumerate(utterance.args)}
     return rank_cf(assign_salience_roles(utterance, probe, topic))
-
-
-def _ranked(binding: Sequence[str], order: CfOrder) -> tuple[CfEntry, ...]:
-    """The Cf of one binding (entity ids in subcat order) under order."""
-    return tuple([(binding[pos], tier) for pos, tier in order])
 
 
 @dataclass(frozen=True)
@@ -305,51 +319,51 @@ class _Plan:
 
 
 def apply_zta(
-    steps: Sequence[Step],
+    candidates: Sequence[Candidate],
     parent_cb: Optional[str],
     utterance: Utterance,
     config: EngineConfig,
-) -> list[Step]:
-    """Zero-topic variants of the surviving readings, in base order.
+) -> list[Candidate]:
+    """Zero-topic variants of the surviving candidates, in base order.
 
     Preconditions for any variant at all: ZTA enabled, the parent center
-    instantiated, and no surviving plain reading already a CONTINUE
+    instantiated, and no surviving plain candidate already a CONTINUE
     (when the center continues smoothly there is nothing for the zero
-    topic to rescue).  A reading spawns a variant when its own Cb is
+    topic to rescue).  A candidate spawns a variant when its own Cb is
     that same entity — the zero topic continues the previous center as
     the current one — and a zero slot binds it from a subject or
-    second-object position.  The variant keeps the reading's Cb and
-    assignment but takes the Cf order with that slot as zero topic
-    (which demotes any wa topic to its plain grammatical role), one
-    order per slot for all readings, and reclassifies the transition,
-    which lands on CONTINUE: the zero topic heads the Cf, so Cb and Cp
-    coincide on the carried-over center.  Variants are additional
-    readings; the originals stay.
+    second-object position.  The variant keeps the candidate's Cb and
+    binding but takes the Cf order with that slot as zero topic (which
+    demotes any wa topic to its plain grammatical role), one order per
+    slot for all candidates, and reclassifies the transition, which
+    lands on CONTINUE: the zero topic heads the Cf, so Cb and Cp
+    coincide on the carried-over center.  Its sibling key is the base's
+    with that transition and the ZTA flag set.  Variants are additional
+    candidates; the originals stay.
     """
     if not config.zta_enabled or parent_cb is None:
         return []
-    if any(s.transition is Transition.CONTINUE and not s.zta_applied for s in steps):
+    if any(c[3] is Transition.CONTINUE and not c[5] for c in candidates):
         return []
 
     topic_slots = [
-        p
-        for p, a in enumerate(utterance.args)
+        p for p, a in enumerate(utterance.args)
         if a.realization.is_zero and a.role in ZERO_TOPIC_ROLES
     ]
     orders: dict[int, CfOrder] = {}
-    variants: list[Step] = []
-    for base in steps:
-        if base.state.cb != parent_cb:
+    variants: list[Candidate] = []
+    for base_key, binding, cb, _, _, _ in candidates:
+        if cb != parent_cb:
             continue
-        binding = tuple(base.assignment.values())
         slot = next((p for p in topic_slots if binding[p] == parent_cb), None)
         if slot is None:
             continue
         if slot not in orders:
             orders[slot] = _cf_order(utterance, slot)
-        state = CenterState(base.state.cb, _ranked(binding, orders[slot]))
-        transition = classify_transition(parent_cb, parent_cb, state.cp)
-        variants.append(replace(base, state=state, transition=transition, zta_applied=True))
+        order = orders[slot]
+        transition = classify_transition(parent_cb, parent_cb, binding[order[0][0]])
+        key = (transition.ordinal, base_key[1], base_key[2][:2] + (1,))
+        variants.append((key, binding, cb, transition, order, True))
     return variants
 
 
@@ -363,61 +377,87 @@ def _survivors(
     prev: Optional[CenterState],
     utterance: Utterance,
     config: EngineConfig,
-) -> tuple[list[Step], list[Rejection]]:
-    """Filtered, ZTA-extended readings of one utterance after state prev.
+) -> tuple[list[Candidate], list[Rejection]]:
+    """Filtered, ZTA-extended candidates of one utterance after state prev.
 
-    prev is None for the discourse-initial utterance, whose readings are
-    then all unlinked (no transition) and take the wa topic's entity, if
-    any, as their Cb (instantiate_initial_cb).  Each binding is
-    paired with each of its Cb candidates (compute_cb_candidates), or with
-    no Cb when nothing links it to prev (a segment reset).  A reading is
+    prev is None for the discourse-initial utterance, whose candidates
+    are then all unlinked (no transition) and take the wa topic's entity,
+    if any, as their Cb (instantiate_initial_cb).  Each binding is paired
+    with each of its Cb candidates (compute_cb_candidates), or with no Cb
+    when nothing links it to prev (a segment reset).  A candidate is
     inside when every zero binds a previous-Cf entity; the outside ones
     reach out to hearer-old entities and survive only as a last resort,
-    when no inside reading does.  Every pairing goes through the
+    when no inside candidate does.  Every pairing goes through the
     utterance's plan; filter_assignment names the rule of each one the
     plan rejects.
+
+    Each survivor is keyed as it is made, by its key among the children
+    of any parent whose last state is prev.  Siblings share their
+    parent's score and rank, so in the beam they compare on their
+    transition sort value (the cost is that value floored at 0, so the
+    value alone orders both), the Cb index the parent's last step takes
+    after write-back and the content of the new step: the bound entity
+    indices in subcat order, the Cb index (-1 while open) and the ZTA
+    flag.  Write-back fires exactly when prev's Cb is open and the
+    candidate links to it, since its Cb then comes from prev's Cf;
+    otherwise the parent's own Cb, the same for every sibling, stands as
+    -1.  Nothing else is built: step makes the Step of each candidate
+    the beam can keep, and _initial_hypotheses of every first reading.
     """
     entities = discourse.entity_map
+    entity_index = discourse.entity_index
+    roles = utterance.frame.subcat
     plan = _Plan.of(utterance, entities)
+    zeros, cp = plan.zeros, plan.cf[0][0]
     prev_cf = prev.cf_ids if prev is not None else ()
     prev_cf_set = frozenset(prev_cf)
     prev_cb = prev.cb if prev is not None else None
     first_cb = instantiate_initial_cb(utterance) if prev is None else None
-    forced = prev_cb is not None
+    open_cb = prev is not None and prev_cb is None  # a linked Cb is written back
     index = utterance.index
 
-    inside: list[Step] = []
-    outside: list[Step] = []
+    inside: list[Candidate] = []
+    outside: list[Candidate] = []
     rejections: list[Rejection] = []
-    for assignment in generate_assignments(
-        utterance, _context_for(discourse, prev_cf), entities
-    ):
-        binding = tuple(assignment.values())
+    context = _context_for(discourse, prev_cf)
+    for binding in generate_assignments(utterance, context, entities):
         # compute_cb_candidates: the realized previous-Cf entities in
         # previous-Cf order, only the first if the previous Cb is set.
         linked = [e for e in prev_cf if e in binding]
-        cf = None
-        for cb in (linked[:1] if forced else linked) or [None]:
+        bound = None
+        for cb in (linked if open_cb else linked[:1]) or [None]:
             if not plan.passes(binding, prev_cf_set, cb):
+                assignment = dict(zip(roles, binding))
                 code = filter_assignment(utterance, assignment, prev, cb, entities)
                 rejections.append(Rejection(index, assignment, cb, code))
                 continue
-            if cf is None:
-                cf = _ranked(binding, plan.cf)
-                inside_cf = prev_cf_set.issuperset([binding[p] for p in plan.zeros])
-            state = CenterState(first_cb or cb, cf)
-            transition = None if cb is None else classify_transition(prev_cb, cb, cf[0][0])
-            (inside if inside_cf else outside).append(
-                Step(index, assignment, state, transition)
-            )
+            if bound is None:
+                bound = tuple([entity_index[e] for e in binding])
+                side = inside if prev_cf_set.issuperset([binding[p] for p in zeros]) else outside
+            transition = None if cb is None else classify_transition(prev_cb, cb, binding[cp])
+            state_cb = first_cb or cb
+            cb_index = entity_index.get(state_cb, -1)
+            write_back = cb_index if open_cb else -1
+            key = (_transition_sort_value(transition), write_back, (bound, cb_index, 0))
+            side.append((key, binding, state_cb, transition, plan.cf, False))
 
     if inside:
         rejections.extend(
-            Rejection(index, s.assignment, s.state.cb, OUT_OF_CF_PRUNED)
-            for s in outside
+            Rejection(index, dict(zip(roles, c[1])), c[2], OUT_OF_CF_PRUNED)
+            for c in outside
         )
     survivors = inside or outside
     return survivors + apply_zta(survivors, prev_cb, utterance, config), rejections
+
+
+def _step(utterance: Utterance, candidate: Candidate) -> Step:
+    """The Step of one candidate: its assignment and validated center state.
+
+    The Cf lists the binding's entities in the candidate's Cf order.
+    """
+    _, binding, cb, transition, order, zta = candidate
+    state = CenterState(cb, tuple([(binding[pos], tier) for pos, tier in order]))
+    return Step(utterance.index, dict(zip(utterance.frame.subcat, binding)), state, transition, zta)
 
 
 def _transition_sort_value(transition: Optional[Transition]) -> int:
@@ -459,8 +499,10 @@ def step(
     parent's last step takes after write-back, then the new step's
     content, as hypothesis_sort_key orders siblings.  No child past
     them can reach the beam.  keys holds each child's sibling key (see
-    _sibling_keys), in the same order.  An empty ranked list means this
-    parent cannot account for the utterance.
+    _survivors), in the same order.  An empty ranked list means this
+    parent cannot account for the utterance.  The survivors stay keyed
+    candidates through the cut (heapq.nsmallest on the key); only the
+    kept ones become Steps and children.
 
     The survivors and their order depend only on the parent's last
     center state.  memo is a plain dict, shared by the parents of one
@@ -476,9 +518,9 @@ def step(
     rejections: tuple[Rejection, ...] = ()
     if kept is None:
         survivors, found = _survivors(discourse, state, utterance, config)
-        keyed = zip(_sibling_keys(state, survivors, discourse.entity_index), survivors)
-        best = heapq.nsmallest(config.beam_width, keyed, key=itemgetter(0))
-        kept = memo[state] = (tuple([k for k, _ in best]), tuple([s for _, s in best]))
+        best = heapq.nsmallest(config.beam_width, survivors, key=itemgetter(0))
+        steps = tuple([_step(utterance, c) for c in best])
+        kept = memo[state] = (tuple([c[0] for c in best]), steps)
         rejections = tuple(found)
     keys, steps = kept
     return StepResult(tuple([_child(parent, s) for s in steps]), keys, rejections)
@@ -491,30 +533,6 @@ def _step_content(s: Step, entity_index: Mapping[str, int]) -> tuple:
         entity_index.get(s.state.cb, -1),
         int(s.zta_applied),
     )
-
-
-def _sibling_keys(
-    state: CenterState, steps: Sequence[Step], entity_index: Mapping[str, int]
-) -> Iterator[tuple]:
-    """Each step's key among the children of any parent whose last state is state.
-
-    Siblings share their parent's score and rank, so in the beam they
-    compare on their transition cost, their transition sort value, the Cb
-    index of the parent's last step after write-back and the content of
-    the new step.  The cost is the sort value floored at 0, so the sort
-    value alone orders both.  Write-back fires exactly when state's Cb is
-    open and the step's Cb is in state's Cf, which lists every slot's
-    entity; otherwise the parent's own Cb, the same for every sibling,
-    stands as -1.
-    """
-    open_cf = () if state.cb is not None else state.cf_ids
-    for s in steps:
-        cb = s.state.cb
-        yield (
-            _transition_sort_value(s.transition),
-            entity_index[cb] if cb in open_cf else -1,
-            _step_content(s, entity_index),
-        )
 
 
 def hypothesis_sort_key(
@@ -598,8 +616,9 @@ def _initial_hypotheses(
     discourse: Discourse, config: EngineConfig
 ) -> tuple[list[Hypothesis], list[Rejection]]:
     """All readings of the first utterance (score 0, INITIAL transition)."""
-    survivors, rejections = _survivors(discourse, None, discourse.utterances[0], config)
-    return [Hypothesis((s,)) for s in survivors], rejections
+    first = discourse.utterances[0]
+    survivors, rejections = _survivors(discourse, None, first, config)
+    return [Hypothesis((_step(first, c),)) for c in survivors], rejections
 
 
 def resolve(discourse: Discourse, config: EngineConfig = EngineConfig()) -> ResolveResult:

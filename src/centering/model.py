@@ -39,9 +39,6 @@ class GrammaticalRole(enum.Enum):
     def rank(self) -> int:
         return self.value
 
-    def __str__(self) -> str:  # pragma: no cover - display helper
-        return self.name.lower()
-
 
 class Marking(enum.Enum):
     """Surface particle annotated on an overt argument.
@@ -79,9 +76,6 @@ class SalienceRole(enum.Enum):
     def rank(self) -> int:
         return self.value
 
-    def __str__(self) -> str:  # pragma: no cover - display helper
-        return self.name.lower()
-
 
 #: Salience tier a grammatical role maps to when no topic/empathy applies.
 GRAMMATICAL_SALIENCE: Mapping[GrammaticalRole, SalienceRole] = {
@@ -114,9 +108,6 @@ class Transition(enum.Enum):
     @property
     def ordinal(self) -> int:
         return self.value
-
-    def __str__(self) -> str:  # pragma: no cover - display helper
-        return self.name.lower()
 
 
 class Significance(enum.Enum):

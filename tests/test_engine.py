@@ -114,17 +114,14 @@ def test_generation_expands_two_animate_zeros():
         "computer": entity("computer", animate=False),
     }
     got = generate_assignments(utt, ["taroo", "john", "computer"], ents)
-    assert got == [
-        {SUBJ: "taroo", OBJ2: "john"},
-        {SUBJ: "john", OBJ2: "taroo"},
-    ]
+    assert got == [("taroo", "john"), ("john", "taroo")]
 
 
 def test_generation_single_zero_single_antecedent():
     frame = VerbFrame("v", (OBJ2,))
     utt = Utterance(1, frame, (zero(OBJ2),))
     got = generate_assignments(utt, ["taroo"], {"taroo": entity("taroo")})
-    assert got == [{OBJ2: "taroo"}]
+    assert got == [("taroo",)]
 
 
 def test_generation_with_empty_context_yields_nothing():
@@ -137,22 +134,29 @@ def test_generation_keeps_overt_slots_fixed():
     frame = VerbFrame("v", (SUBJ, OBJ))
     utt = Utterance(1, frame, (zero(SUBJ), overt(OBJ, "b")))
     ents = {"a": entity("a"), "b": entity("b")}
-    assert generate_assignments(utt, ["a", "b"], ents) == [{SUBJ: "a", OBJ: "b"}]
+    assert generate_assignments(utt, ["a", "b"], ents) == [("a", "b")]
 
 
 # --------------------------------------------------------------------------
 # Zero topic assignment
 
 
+def candidate(utt, binding, cb, transition):
+    """A plain candidate of utt as _survivors makes it, with a, b, ... declared in order."""
+    bound = tuple(ord(eid) - ord("a") for eid in binding)
+    key = (transition.ordinal, -1, (bound, ord(cb) - ord("a"), 0))
+    return (key, binding, cb, transition, engine._cf_order(utt), False)
+
+
 def _retain_candidate():
     """A RETAIN reading of 'b showed-zero a': Cb=a carried, Cp=b."""
     frame = VerbFrame("v", (SUBJ, OBJ2))
     utt = Utterance(1, frame, (overt(SUBJ, "b"), zero(OBJ2)))
-    state = CenterState(
+    cand = candidate(utt, ("b", "a"), "a", Transition.RETAIN)
+    assert engine._step(utt, cand).state == CenterState(
         "a",
         (("b", SalienceRole.SUBJ), ("a", SalienceRole.OBJ2)),
     )
-    cand = Step(1, {SUBJ: "b", OBJ2: "a"}, state, Transition.RETAIN)
     return utt, cand
 
 
@@ -160,15 +164,17 @@ def test_zta_variant_promotes_the_carried_center():
     utt, cand = _retain_candidate()
     variants = apply_zta([cand], "a", utt, WIDE)
     assert len(variants) == 1
-    v = variants[0]
+    v = engine._step(utt, variants[0])
     assert v.zta_applied
-    assert v.assignment == cand.assignment
+    assert v.assignment == engine._step(utt, cand).assignment
     assert v.state.cb == "a"
     assert v.state.cf == (
         ("a", SalienceRole.ZERO_TOPIC),
         ("b", SalienceRole.SUBJ),
     )
     assert v.transition is Transition.CONTINUE
+    # The base's sibling key, with the variant's transition and ZTA flag.
+    assert variants[0][0] == (Transition.CONTINUE.ordinal, -1, ((1, 0), 0, 1))
 
 
 def test_zta_requires_enabled_config_and_instantiated_parent():
@@ -180,11 +186,8 @@ def test_zta_requires_enabled_config_and_instantiated_parent():
 
 def test_zta_stands_down_when_a_continue_exists():
     utt, cand = _retain_candidate()
-    cont_state = CenterState(
-        "b",
-        (("b", SalienceRole.SUBJ), ("a", SalienceRole.OBJ2)),
-    )
-    cont = Step(1, {SUBJ: "b", OBJ2: "a"}, cont_state, Transition.CONTINUE)
+    cont = candidate(utt, ("b", "a"), "b", Transition.CONTINUE)
+    assert engine._step(utt, cont).state.cf_ids == ("b", "a")
     assert apply_zta([cand, cont], "a", utt, WIDE) == []
 
 
@@ -193,11 +196,11 @@ def test_zta_skips_low_zero_slots():
     # too low to be a zero topic.
     frame = VerbFrame("v", (SUBJ, OBJ))
     utt = Utterance(1, frame, (overt(SUBJ, "b"), zero(OBJ)))
-    state = CenterState(
-        "a",
-        (("b", SalienceRole.SUBJ), ("a", SalienceRole.OBJ)),
+    cand = candidate(utt, ("b", "a"), "a", Transition.RETAIN)
+    assert engine._step(utt, cand).state.cf == (
+        ("b", SalienceRole.SUBJ),
+        ("a", SalienceRole.OBJ),
     )
-    cand = Step(1, {SUBJ: "b", OBJ: "a"}, state, Transition.RETAIN)
     assert apply_zta([cand], "a", utt, WIDE) == []
 
 
@@ -206,11 +209,11 @@ def test_zta_requires_the_candidate_to_carry_the_center():
     # elsewhere, so there is no continuation to promote.
     frame = VerbFrame("v", (SUBJ, OBJ))
     utt = Utterance(1, frame, (zero(SUBJ), overt(OBJ, "b")))
-    state = CenterState(
-        "b",
-        (("a", SalienceRole.SUBJ), ("b", SalienceRole.OBJ)),
+    cand = candidate(utt, ("a", "b"), "b", Transition.ROUGH_SHIFT)
+    assert engine._step(utt, cand).state.cf == (
+        ("a", SalienceRole.SUBJ),
+        ("b", SalienceRole.OBJ),
     )
-    cand = Step(1, {SUBJ: "a", OBJ: "b"}, state, Transition.ROUGH_SHIFT)
     assert apply_zta([cand], "a", utt, WIDE) == []
 
 
@@ -282,6 +285,15 @@ def test_beam_width_must_be_a_positive_int():
             EngineConfig(beam_width=width)
     with pytest.raises(ValueError, match="at least 1"):
         EngineConfig(beam_width=0)
+
+
+def test_engine_flags_must_be_bools():
+    # "false" is truthy: taken as given it would turn zero topics on.
+    for flag in ("zta_enabled", "strict_validation"):
+        for value in ("false", 0, 1, None):
+            with pytest.raises(TypeError, match=f"{flag} must be a bool"):
+                EngineConfig(**{flag: value})
+        assert getattr(EngineConfig(**{flag: False}), flag) is False
 
 
 def test_retroactive_instantiation_backfills_the_initial_center():
@@ -582,9 +594,9 @@ def full_siblings(parent, utterance, discourse, config):
     state = parent.last.state
     wide = EngineConfig(beam_width=10**9, zta_enabled=False, strict_validation=False)
     plain, _ = engine._survivors(discourse, state, utterance, wide)
-    steps = plain + apply_zta(plain, state.cb, utterance, config)
+    candidates = plain + apply_zta(plain, state.cb, utterance, config)
     entity_index = discourse.entity_index
-    children = [engine._child(parent, s) for s in steps]
+    children = [engine._child(parent, engine._step(utterance, c)) for c in candidates]
     return sorted(children, key=lambda h: hypothesis_sort_key(h, entity_index))
 
 
@@ -641,26 +653,37 @@ def test_step_returns_the_beam_width_best_of_all_siblings(workloads):
 
 
 def test_children_made_are_bounded_by_the_beam_on_a_wide_pool(monkeypatch, workloads):
+    # Steps as well as children: a survivor the per-state cut drops is
+    # never built into a Step.  The first utterance has no parent state
+    # and builds a Step for every reading.
     pool = workloads.wide_pool(random.Random(5), 20, True)
     config = EngineConfig()
-    made, states = Counter(), {}
+    made, built, states = Counter(), Counter(), {}
     child, plain_step = engine._child, engine.step
 
     def counting_child(parent, new_step):
         made[new_step.utterance_index] += 1
         return child(parent, new_step)
 
+    def counting_step_type(utterance_index, *args):
+        built[utterance_index] += 1
+        return Step(utterance_index, *args)
+
     def recording_step(parent, utterance, discourse, config, **kwargs):
         states.setdefault(utterance.index, set()).add(parent.last.state)
         return plain_step(parent, utterance, discourse, config, **kwargs)
 
     monkeypatch.setattr(engine, "_child", counting_child)
+    monkeypatch.setattr(engine, "Step", counting_step_type)
     monkeypatch.setattr(engine, "step", recording_step)
     result = resolve(pool, config)
     monkeypatch.undo()
 
     assert made and set(made) == set(states)
     for u, n in made.items():
+        assert n <= len(states[u]) * config.beam_width, (u, n)
+    assert built.pop(1) >= 1 and set(built) == set(states)
+    for u, n in built.items():
         assert n <= len(states[u]) * config.beam_width, (u, n)
     entity_index = pool.entity_index
     wide = resolve(pool, EngineConfig(beam_width=64)).hypotheses
@@ -676,7 +699,8 @@ def _pairings(discourse, utterance, prev):
     """Every generated (assignment, Cb) pairing of utterance after state prev."""
     entities = discourse.entity_map
     context = engine._context_for(discourse, prev.cf_ids if prev is not None else ())
-    for assignment in generate_assignments(utterance, context, entities):
+    for binding in generate_assignments(utterance, context, entities):
+        assignment = dict(zip(utterance.frame.subcat, binding))
         for cb in compute_cb_candidates(prev, assignment) or [None]:
             yield assignment, cb
 
@@ -693,6 +717,10 @@ def plan_mismatches(discourse, utterance, prev, verdicts):
     plan = engine._Plan.of(utterance, entities)
     prev_cf = set(prev.cf_ids) if prev is not None else set()
     mismatches = []
+
+    def cf(binding, order):  # the Cf the engine builds for a binding under order
+        return engine._step(utterance, (None, binding, None, None, order, False)).state.cf
+
     for assignment, cb in _pairings(discourse, utterance, prev):
         binding = tuple(assignment.values())
         code = filter_assignment(utterance, assignment, prev, cb, entities)
@@ -701,14 +729,14 @@ def plan_mismatches(discourse, utterance, prev, verdicts):
             mismatches.append(("verdict", assignment, cb, code))
         if len(set(binding)) < len(binding):
             continue
-        if engine._ranked(binding, plan.cf) != rank_cf(
+        if cf(binding, plan.cf) != rank_cf(
             assign_salience_roles(utterance, assignment)
         ):
             mismatches.append(("cf", assignment))
         for pos in plan.zeros:
             topic = binding[pos]
             want = rank_cf(assign_salience_roles(utterance, assignment, zero_topic=topic))
-            if engine._ranked(binding, engine._cf_order(utterance, pos)) != want:
+            if cf(binding, engine._cf_order(utterance, pos)) != want:
                 mismatches.append(("zero topic cf", assignment, topic))
     return mismatches
 

@@ -254,12 +254,12 @@ _REAL_APPLY_ZTA = engine.apply_zta
 _REAL_CLASSIFY = engine.classify_transition
 
 
-def _zta_without_stand_down(steps, *rest):
-    # apply_zta reads a base step's transition only to stand down on a
-    # plain CONTINUE, and every variant is classified anew.
+def _zta_without_stand_down(candidates, *rest):
+    # apply_zta reads a base candidate's transition (its fourth field) only
+    # to stand down on a plain CONTINUE, and every variant is classified anew.
     hidden = [
-        replace(s, transition=None) if s.transition is Transition.CONTINUE else s
-        for s in steps
+        c[:3] + (None,) + c[4:] if c[3] is Transition.CONTINUE else c
+        for c in candidates
     ]
     return _REAL_APPLY_ZTA(hidden, *rest)
 
