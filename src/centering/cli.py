@@ -32,7 +32,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, NoReturn, Optional, Sequence
+from typing import Callable, NoReturn, Optional, Sequence, TypeVar
 
 from .corpus import (
     DiscourseFormatError,
@@ -45,6 +45,8 @@ from .corpus import (
 from .engine import EngineConfig, ResolveResult, UnresolvableError, resolve
 from .model import Discourse, Hypothesis, Step
 from .oracle import SizeLimitError, check_equivalence
+
+_T = TypeVar("_T")
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -135,8 +137,27 @@ def _format_assignment(step: Step) -> str:
     return " ".join(f"{r.name.lower()}={e}" for r, e in step.assignment.items())
 
 
-def _step_json(step: Step) -> dict:
-    return {
+def _by_identity(fn: Callable[[Step], _T]) -> Callable[[Step], _T]:
+    """fn, run once per distinct step.
+
+    The beam shares prefixes, so a result's readings hold far fewer
+    distinct steps than step references.  Steps are keyed by id(), which
+    stays unique while the result holds every step.
+    """
+    memo: dict[int, _T] = {}
+
+    def once(step: Step) -> _T:
+        value = memo.get(id(step))
+        if value is None:
+            value = memo[id(step)] = fn(step)
+        return value
+
+    return once
+
+
+def _step_json(step: Step) -> str:
+    """One step as JSON, indented to its depth in the readings document."""
+    return json.dumps({
         "utterance_index": step.utterance_index,
         "assignment": {r.name.lower(): e for r, e in step.assignment.items()},
         "cb": step.state.cb,
@@ -145,59 +166,75 @@ def _step_json(step: Step) -> dict:
             step.transition.name.lower() if step.transition is not None else None
         ),
         "zta": step.zta_applied,
-    }
+    }, indent=2).replace("\n", "\n        ")
 
 
-def _readings_json(hypotheses: Sequence[Hypothesis]) -> list[dict]:
-    return [
-        {"rank": rank, "score": h.score, "steps": [_step_json(s) for s in h.steps]}
-        for rank, h in enumerate(hypotheses, start=1)
-    ]
+def _render_readings_json(hypotheses: Sequence[Hypothesis]) -> str:
+    """What json.dumps({"readings": [...]}, indent=2) writes for the readings.
+
+    Each reading is {"rank", "score", "steps"}, its steps laid out by
+    _step_json; the wrapper around them is written here.
+    """
+    if not hypotheses:
+        return '{\n  "readings": []\n}'
+    step_json = _by_identity(_step_json)
+    parts = ['{\n  "readings": [\n']
+    for rank, h in enumerate(hypotheses, start=1):
+        parts.append(
+            f'    {{\n      "rank": {rank},\n      "score": {h.score},\n'
+            '      "steps": [\n        '
+        )
+        for s in h.steps:
+            parts += (step_json(s), ",\n        ")
+        parts[-1] = "\n      ]\n    },\n"
+    parts[-1] = "\n      ]\n    }\n  ]\n}"
+    return "".join(parts)
+
+
+def _reading_line(step: Step) -> str:
+    zta = " zta" if step.zta_applied else ""
+    return (
+        f"  u{step.utterance_index}: {_format_assignment(step)} | "
+        f"cb={_format_cb(step)} cf={_format_cf(step)} {_format_transition(step)}{zta}"
+    )
 
 
 def _print_readings(result: ResolveResult) -> None:
+    line = _by_identity(_reading_line)
     print(f"{len(result.hypotheses)} reading(s)")
     for rank, h in enumerate(result.hypotheses, start=1):
-        print(f"#{rank} score={h.score}")
-        for s in h.steps:
-            zta = " zta" if s.zta_applied else ""
-            print(
-                f"  u{s.utterance_index}: {_format_assignment(s)} | "
-                f"cb={_format_cb(s)} cf={_format_cf(s)} {_format_transition(s)}{zta}"
-            )
+        print("\n".join([f"#{rank} score={h.score}", *map(line, h.steps)]))
+
+
+def _trace_cells(step: Step) -> tuple[int, tuple[str, str, str, str]]:
+    """The step's transition cost and its CB, CF, TRANSITION and ZTA cells."""
+    return step.transition_cost, (
+        _format_cb(step),
+        _format_cf(step),
+        _format_transition(step),
+        "yes" if step.zta_applied else "no",
+    )
 
 
 def _print_trace(discourse: Discourse, result: ResolveResult) -> None:
     """Per-utterance tables: one row per reading, fixed columns."""
     header = ("HYP", "CB", "CF", "TRANSITION", "ZTA", "SCORE")
+    cells = _by_identity(_trace_cells)
     totals = [0] * len(result.hypotheses)  # each reading's score so far
     for utterance in discourse.utterances:
         rows = []
         for i, h in enumerate(result.hypotheses):
-            s = h.step_at(utterance.index)
-            totals[i] += s.transition_cost
-            rows.append((
-                str(i + 1),
-                _format_cb(s),
-                _format_cf(s),
-                _format_transition(s),
-                "yes" if s.zta_applied else "no",
-                str(totals[i]),
-            ))
-        widths = [
-            max(len(header[col]), *(len(r[col]) for r in rows))
-            for col in range(len(header))
-        ]
+            cost, step_cells = cells(h.step_at(utterance.index))
+            totals[i] += cost
+            rows.append((str(i + 1), *step_cells, str(totals[i])))
+        widths = [max(len(name), *map(len, col)) for name, col in zip(header, zip(*rows))]
+        row_format = " | ".join(f"{{:{w}}}" for w in widths)
         title = f"u{utterance.index}: {utterance.frame.lemma}"
         if utterance.gloss:
             title += f" - {utterance.gloss}"
-        print(title)
-        line = " | ".join(h.ljust(w) for h, w in zip(header, widths))
-        print(line)
-        print("-" * len(line))
-        for row in rows:
-            print(" | ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-        print()
+        line = row_format.format(*header)
+        table = [title, line, "-" * len(line), *(row_format.format(*row) for row in rows)]
+        print("\n".join(table), end="\n\n")
 
 
 def _emit_format_error(err: DiscourseFormatError, fmt: str) -> int:
@@ -241,10 +278,18 @@ def _config(args: argparse.Namespace) -> EngineConfig:
 
 
 def _cmd_resolve(args: argparse.Namespace) -> int:
+    """Print the readings best first, as text, --trace tables or JSON.
+
+    The JSON is a stable contract: {"readings": [{"rank", "score",
+    "steps": [{"utterance_index", "assignment", "cb", "cf", "transition",
+    "zta"}]}]}, the text json.dumps(..., indent=2) writes for it (2-space
+    indent, non-ASCII escaped, null for an open Cb and for the transition
+    of an initial or reset step).  --trace is ignored under --format json.
+    """
     discourse, _golds = _load(args.file)
     result = resolve(discourse, _config(args))
     if args.format == "json":
-        print(json.dumps({"readings": _readings_json(result.hypotheses)}, indent=2))
+        print(_render_readings_json(result.hypotheses))
     elif args.trace:
         _print_trace(discourse, result)
     else:

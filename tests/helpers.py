@@ -18,12 +18,15 @@ them:
   constraint, the pronoun rule, zero-topic soundness and beam ordering.
   It returns human-readable failure strings instead of asserting so
   callers can aggregate across many discourses.
+
+It also holds the plain-data form of the readings that
+`resolve --format json` prints, the reference for the CLI's renderer.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from centering import engine, oracle
 from centering.engine import EngineConfig, ResolveResult
@@ -203,6 +206,38 @@ def ambiguous_chain(rng: random.Random, length: int) -> Discourse:
         tuple(Entity(eid, animate=True, hearer_old=True, definite=True) for eid in ids),
         tuple(utterances),
     )
+
+
+# --------------------------------------------------------------------------
+# Reference JSON rendering
+
+
+def readings_json(hypotheses: Sequence[Hypothesis]) -> list[dict]:
+    """The readings as plain data.
+
+    json.dumps({"readings": readings_json(h)}, indent=2) is the text that
+    `resolve --format json` must print, byte for byte.
+    """
+    return [
+        {
+            "rank": rank,
+            "score": h.score,
+            "steps": [
+                {
+                    "utterance_index": s.utterance_index,
+                    "assignment": {r.name.lower(): e for r, e in s.assignment.items()},
+                    "cb": s.state.cb,
+                    "cf": [[eid, tier.name.lower()] for eid, tier in s.state.cf],
+                    "transition": (
+                        s.transition.name.lower() if s.transition is not None else None
+                    ),
+                    "zta": s.zta_applied,
+                }
+                for s in h.steps
+            ],
+        }
+        for rank, h in enumerate(hypotheses, start=1)
+    ]
 
 
 # --------------------------------------------------------------------------

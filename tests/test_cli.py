@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from centering import corpus, oracle
+from centering import cli, corpus, oracle
 from centering.cli import (
     EXIT_FORMAT,
     EXIT_IO,
@@ -24,7 +24,13 @@ from centering.cli import (
     run_cli,
 )
 from centering.corpus import serialize_discourse
-from helpers import oversized_discourse, unresolvable_discourse
+from centering.engine import EngineConfig, resolve
+from helpers import (
+    oversized_discourse,
+    random_discourse,
+    readings_json,
+    unresolvable_discourse,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -100,19 +106,22 @@ def test_resolve_json_is_machine_readable(corpus_file, capsys):
     assert top["steps"][2]["zta"] is True
 
 
+#: A discourse-initial ga subject leaves the Cb uninstantiated; none of
+#: the bundled files ends a reading with an open Cb.
+GA_OPENER = {
+    "entities": [
+        {"id": "taroo", "animate": True, "hearer_old": True, "definite": True}
+    ],
+    "utterances": [{
+        "verb": {"lemma": "kuru", "subcat": ["subj"]},
+        "args": [{"role": "subj", "marking": "ga", "realization": {"np": "taroo"}}],
+    }],
+}
+
+
 def test_an_open_cb_renders_as_a_placeholder_in_text_and_null_in_json(tmp_path, capsys):
-    # A discourse-initial ga subject leaves the Cb uninstantiated; none of
-    # the bundled files ends a reading with an open Cb.
     path = tmp_path / "open_cb.json"
-    path.write_text(json.dumps({
-        "entities": [
-            {"id": "taroo", "animate": True, "hearer_old": True, "definite": True}
-        ],
-        "utterances": [{
-            "verb": {"lemma": "kuru", "subcat": ["subj"]},
-            "args": [{"role": "subj", "marking": "ga", "realization": {"np": "taroo"}}],
-        }],
-    }), encoding="utf-8")
+    path.write_text(json.dumps(GA_OPENER), encoding="utf-8")
     assert run_cli(["resolve", str(path)]) == EXIT_OK
     assert capsys.readouterr().out == (
         "1 reading(s)\n"
@@ -136,6 +145,123 @@ def test_an_open_cb_renders_as_a_placeholder_in_text_and_null_in_json(tmp_path, 
 def test_resolve_honors_beam_width(corpus_file, capsys):
     assert run_cli(["resolve", corpus_file("zta_ex_ga.json"), "--beam", "1"]) == EXIT_OK
     assert capsys.readouterr().out.startswith("1 reading(s)")
+
+
+# --------------------------------------------------------------------------
+# resolve --format json against the reference encoding
+
+
+def _resolve_json_matches_reference(path, capsys, beam=16, zta=True) -> int:
+    """Assert that resolve --format json prints the reference text; return its exit code.
+
+    The reference is json.dumps over helpers.readings_json of the same
+    readings.  An unresolvable or infelicitous discourse prints no
+    readings to compare.
+    """
+    argv = ["resolve", str(path), "--format", "json", "--beam", str(beam)]
+    code = run_cli(argv if zta else [*argv, "--no-zta"])
+    out = capsys.readouterr().out
+    if code != EXIT_OK:
+        return code
+    discourse, _golds = corpus.parse_discourse(Path(path).read_bytes())
+    result = resolve(discourse, EngineConfig(beam_width=beam, zta_enabled=zta))
+    reference = json.dumps({"readings": readings_json(result.hypotheses)}, indent=2)
+    assert out == reference + "\n", (path, beam, zta)
+    return code
+
+
+@pytest.mark.parametrize("name", corpus.VALID_FILES)
+def test_resolve_json_matches_the_reference_on_the_bundled_files(corpus_file, capsys, name):
+    path = corpus_file(name)
+    for beam in (1, 2, 4, 16, 64):
+        for zta in (True, False):
+            assert _resolve_json_matches_reference(path, capsys, beam, zta) == EXIT_OK
+
+
+def test_resolve_json_matches_the_reference_on_generated_discourses(
+    tmp_path, capsys, workloads
+):
+    discourses = [workloads.long_chain(random.Random(k), 50) for k in range(2)]
+    discourses += [workloads.wide_pool(random.Random(10), 10, kind) for kind in (False, True)]
+    discourses += [random_discourse(random.Random(k)) for k in range(40)]
+    codes = []
+    for i, discourse in enumerate(discourses):
+        path = tmp_path / f"d{i}.json"
+        path.write_text(serialize_discourse(discourse), encoding="utf-8")
+        codes.append(_resolve_json_matches_reference(path, capsys))
+    assert codes[:4] == [EXIT_OK] * 4
+    assert set(codes) <= {EXIT_OK, EXIT_UNRESOLVABLE, EXIT_VALIDATION}
+    assert codes.count(EXIT_OK) > len(codes) // 2
+
+
+def test_resolve_json_escapes_non_ascii_ids_and_prints_an_open_cb_as_null(
+    tmp_path, capsys
+):
+    opener = tmp_path / "ga_opener.json"
+    opener.write_text(json.dumps(GA_OPENER), encoding="utf-8")
+    assert _resolve_json_matches_reference(opener, capsys) == EXIT_OK
+
+    ids = ["太郎", "花子", "José"]
+    path = tmp_path / "non_ascii.json"
+    path.write_text(json.dumps({
+        "entities": [
+            {"id": eid, "animate": True, "hearer_old": True, "definite": True}
+            for eid in ids
+        ],
+        "utterances": [
+            {
+                "verb": {"lemma": "miru", "subcat": ["subj", "obj"]},
+                "args": [
+                    {"role": "subj", "marking": "wa", "realization": {"np": ids[0]}},
+                    {"role": "obj", "marking": "o", "realization": {"np": ids[1]}},
+                ],
+            },
+            {
+                "verb": {"lemma": "yobu", "subcat": ["subj", "obj"]},
+                "args": [
+                    {"role": "subj", "marking": "none", "realization": "zero"},
+                    {"role": "obj", "marking": "o", "realization": {"np": ids[2]}},
+                ],
+            },
+        ],
+    }, ensure_ascii=False), encoding="utf-8")
+    assert _resolve_json_matches_reference(path, capsys) == EXIT_OK
+    assert run_cli(["resolve", str(path), "--format", "json"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.isascii() and r'"\u592a\u90ce"' in out and r'"Jos\u00e9"' in out
+
+
+def test_resolve_json_of_no_readings_is_the_reference_text():
+    assert cli._render_readings_json(()) == json.dumps({"readings": []}, indent=2)
+
+
+def test_resolve_json_encodes_each_distinct_step_once(tmp_path, capsys, workloads, monkeypatch):
+    """The beam shares prefixes: 16 readings of 200 steps hold far fewer distinct ones."""
+    path = tmp_path / "chain.json"
+    path.write_text(
+        serialize_discourse(workloads.long_chain(random.Random(200), 200)), encoding="utf-8"
+    )
+    results = []
+    encoded = []
+    step_json = cli._step_json
+
+    def resolve_and_keep(*args):
+        results.append(resolve(*args))
+        return results[-1]
+
+    def counting_step_json(step):
+        encoded.append(step)
+        return step_json(step)
+
+    monkeypatch.setattr(cli, "resolve", resolve_and_keep)
+    monkeypatch.setattr(cli, "_step_json", counting_step_json)
+    assert run_cli(["resolve", str(path), "--format", "json"]) == EXIT_OK
+    capsys.readouterr()
+    (result,) = results
+    references = [s for h in result.hypotheses for s in h.steps]
+    distinct = {id(s) for s in references}
+    assert len(references) == 3200 and len(distinct) < 400
+    assert len(encoded) == len(distinct)
 
 
 # --------------------------------------------------------------------------
