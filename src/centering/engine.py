@@ -35,15 +35,17 @@ turns a previous center state and an utterance into candidates, each a
 tuple of its sibling key, binding, Cb, transition, Cf order and ZTA
 flag, keyed once as it is made.  A wide pool's last resort makes
 thousands of them for an expansion that keeps `beam_width`, so nothing
-more is built before the cut: `step` takes the best by key and only
-then builds the assignment, the validated center state, the Cf and the
-`Step` of each one it keeps.  The discourse-initial utterance goes
-through the same path with no previous state (prev=None): its pool is
-the hearer-old entities, no Cb links back and no transition or
-zero-topic variant arises, each reading takes the wa topic, if any, as
-its Cb, and every one of them is built, since the first beam is cut
-only in `resolve`.  A Cb is an entity id, or None while it is
-uninstantiated; the next utterance that pins it down writes it back.
+more is built before the cut: `_kept_steps`, the one place a candidate
+becomes a `Step`, takes the best by key and only then builds the
+assignment, the validated center state, the Cf and the `Step` of each
+one it keeps.  `step` calls it once per distinct state, and
+`_initial_hypotheses` once for the discourse-initial utterance, with no
+previous state (prev=None): its pool is the hearer-old entities, no Cb
+links back and no transition or zero-topic variant arises, and each
+reading takes the wa topic, if any, as its Cb.  Those candidates differ
+only in content, so their cut is the first beam.  A Cb is an entity
+id, or None while it is uninstantiated; the next utterance that pins it
+down writes it back.
 
 Candidates are tuple work against a plan of the utterance (`_Plan`),
 compiled once per expansion, before its first candidate.
@@ -401,8 +403,8 @@ def _survivors(
     flag.  Write-back fires exactly when prev's Cb is open and the
     candidate links to it, since its Cb then comes from prev's Cf;
     otherwise the parent's own Cb, the same for every sibling, stands as
-    -1.  Nothing else is built: step makes the Step of each candidate
-    the beam can keep, and _initial_hypotheses of every first reading.
+    -1.  Nothing else is built: _kept_steps makes the Step of each
+    candidate the beam can keep, for step and _initial_hypotheses alike.
     """
     entities = discourse.entity_map
     entity_index = discourse.entity_index
@@ -448,6 +450,22 @@ def _survivors(
         )
     survivors = inside or outside
     return survivors + apply_zta(survivors, prev_cb, utterance, config), rejections
+
+
+def _kept_steps(
+    discourse: Discourse, prev: Optional[CenterState], utterance: Utterance, config: EngineConfig
+) -> tuple[tuple[tuple, ...], tuple[Step, ...], tuple[Rejection, ...]]:
+    """Cut one expansion's survivors to beam_width, then build only those.
+
+    The one place a candidate becomes a Step, for every utterance: the
+    survivors of _survivors stay keyed tuples through the cut
+    (heapq.nsmallest on the key).  Returns the kept candidates' keys and
+    Steps, best first, and the expansion's rejections.
+    """
+    survivors, rejections = _survivors(discourse, prev, utterance, config)
+    best = heapq.nsmallest(config.beam_width, survivors, key=itemgetter(0))
+    keys = tuple([c[0] for c in best])
+    return keys, tuple([_step(utterance, c) for c in best]), tuple(rejections)
 
 
 def _step(utterance: Utterance, candidate: Candidate) -> Step:
@@ -501,8 +519,8 @@ def step(
     them can reach the beam.  keys holds each child's sibling key (see
     _survivors), in the same order.  An empty ranked list means this
     parent cannot account for the utterance.  The survivors stay keyed
-    candidates through the cut (heapq.nsmallest on the key); only the
-    kept ones become Steps and children.
+    candidates through the cut (_kept_steps); only the kept ones become
+    Steps and children.
 
     The survivors and their order depend only on the parent's last
     center state.  memo is a plain dict, shared by the parents of one
@@ -514,20 +532,16 @@ def step(
     if memo is None:
         memo = {}
     state = parent.last.state
-    kept = memo.get(state)
-    rejections: tuple[Rejection, ...] = ()
-    if kept is None:
-        survivors, found = _survivors(discourse, state, utterance, config)
-        best = heapq.nsmallest(config.beam_width, survivors, key=itemgetter(0))
-        steps = tuple([_step(utterance, c) for c in best])
-        kept = memo[state] = (tuple([c[0] for c in best]), steps)
-        rejections = tuple(found)
-    keys, steps = kept
-    return StepResult(tuple([_child(parent, s) for s in steps]), keys, rejections)
+    expands = state not in memo
+    if expands:
+        memo[state] = _kept_steps(discourse, state, utterance, config)
+    keys, steps, rejections = memo[state]
+    children = tuple([_child(parent, s) for s in steps])
+    return StepResult(children, keys, rejections if expands else ())
 
 
 def _step_content(s: Step, entity_index: Mapping[str, int]) -> tuple:
-    """One step's share of the content key: bindings, Cb, ZTA flag."""
+    """One step's share of hypothesis_sort_key's content: bindings, Cb, ZTA flag."""
     return (
         tuple([entity_index[eid] for eid in s.assignment.values()]),
         entity_index.get(s.state.cb, -1),
@@ -549,8 +563,8 @@ def hypothesis_sort_key(
 
     This is the reference order: every beam `resolve` keeps, and the one
     it returns, is in it.  `resolve` never computes this key; it sorts by
-    the fixed-size keys of `_child_keys`, which order readings the same
-    way, and the tests hold those keys to this one.
+    the fixed-size keys of `_initial_hypotheses` and `_child_keys`, which
+    order readings the same way, and the tests hold those keys to this one.
     """
     recency = tuple(
         _transition_sort_value(s.transition) for s in reversed(hypothesis.steps)
@@ -614,11 +628,18 @@ def _cut(keyed: list[Keyed], utterance_index: int, beam_width: int) -> list[Keye
 
 def _initial_hypotheses(
     discourse: Discourse, config: EngineConfig
-) -> tuple[list[Hypothesis], list[Rejection]]:
-    """All readings of the first utterance (score 0, INITIAL transition)."""
-    first = discourse.utterances[0]
-    survivors, rejections = _survivors(discourse, None, first, config)
-    return [Hypothesis((_step(first, c),)) for c in survivors], rejections
+) -> tuple[list[Keyed], tuple[Rejection, ...]]:
+    """The first beam, keyed as children are, and the first utterance's rejections.
+
+    The first utterance goes through _kept_steps with no previous state,
+    so only its beam_width best readings (score 0, no transition) are
+    built.  Its candidates differ only in content, the last part of their
+    sibling key, and have no zero-topic variants, so that cut is exactly
+    the first beam.  Each reading's key has the children's shape: score 0,
+    no transition, rank 0, no earlier step, then its own content.
+    """
+    keys, steps, rejections = _kept_steps(discourse, None, discourse.utterances[0], config)
+    return [((0, -1, 0, (), key[2]), Hypothesis((s,))) for key, s in zip(keys, steps)], rejections
 
 
 def resolve(discourse: Discourse, config: EngineConfig = EngineConfig()) -> ResolveResult:
@@ -637,11 +658,8 @@ def resolve(discourse: Discourse, config: EngineConfig = EngineConfig()) -> Reso
     if fatal:
         raise DiscourseInvalidError(fatal)
 
-    entity_index = discourse.entity_index
-    initial, rejections = _initial_hypotheses(discourse, config)
-    rejection_log: dict[int, tuple[Rejection, ...]] = {1: tuple(rejections)}
-    # The first readings in the children's key shape: no transition or earlier step.
-    first = [((0, -1, 0, (), _step_content(h.last, entity_index)), h) for h in initial]
+    first, rejections = _initial_hypotheses(discourse, config)
+    rejection_log: dict[int, tuple[Rejection, ...]] = {1: rejections}
     keyed = _cut(first, 1, config.beam_width)
 
     for utterance in discourse.utterances[1:]:

@@ -1,5 +1,6 @@
 """Engine behavior: generation, zero-topic variants, stepping, resolution."""
 
+import heapq
 import itertools
 import random
 from collections import Counter
@@ -27,6 +28,7 @@ from centering.model import (
     Discourse,
     Entity,
     GrammaticalRole,
+    Hypothesis,
     Marking,
     Realization,
     SalienceRole,
@@ -405,16 +407,23 @@ def test_out_of_cf_bindings_are_last_resort():
 # Beam order and per-state expansion
 
 
+def first_readings(discourse, config):
+    """Every reading of the first utterance, each built as it is drawn, with no cut."""
+    first = discourse.utterances[0]
+    survivors, _ = engine._survivors(discourse, None, first, config)
+    return (Hypothesis((engine._step(first, c),)) for c in survivors)
+
+
 def reference_beam_failures(discourse, config):
     """Prefixes whose beam is not the reference cut of its candidate readings.
 
-    The reference is the definition: the first utterance's readings, or
-    every child step makes of the previous beam, sorted by
+    The reference is the definition: every reading of the first utterance,
+    or every child step makes of the previous beam, sorted by
     hypothesis_sort_key over the whole history, cut to the beam width.
     """
     entity_index = discourse.entity_index
     failures = []
-    candidates, _ = engine._initial_hypotheses(discourse, config)
+    candidates = list(first_readings(discourse, config))
     for n in range(1, len(discourse.utterances) + 1):
         try:
             beam = resolve(prefix(discourse, n), config).hypotheses
@@ -456,21 +465,56 @@ def test_every_beam_is_the_reference_cut_at_narrow_widths(monkeypatch, workloads
 
 
 def test_the_first_beam_is_sorted_before_it_is_cut(monkeypatch):
-    # Generation lists the first readings in key order already, so only
-    # a shuffled list shows whether resolve sorts them before the cut.
-    initial = engine._initial_hypotheses
+    # Generation lists the first utterance's candidates in key order
+    # already, so only a shuffled list shows whether the cut sorts them.
+    survivors = engine._survivors
 
-    def reversed_initial(discourse, config):
-        hypotheses, rejections = initial(discourse, config)
-        return hypotheses[::-1], rejections
+    def reversed_first(discourse, prev, utterance, config):
+        candidates, rejections = survivors(discourse, prev, utterance, config)
+        return (candidates[::-1] if prev is None else candidates), rejections
 
-    monkeypatch.setattr(engine, "_initial_hypotheses", reversed_initial)
+    monkeypatch.setattr(engine, "_survivors", reversed_first)
     rng = random.Random(5)
     for trial in range(100):
         d = random_discourse(rng)
         for width in (1, 2, 3):
             config = EngineConfig(beam_width=width, strict_validation=False)
             assert reference_beam_failures(d, config) == [], (trial, width)
+
+
+def three_zero_opener(pool):
+    """One utterance whose three zeros range over pool hearer-old entities."""
+    subcat = (SUBJ, OBJ2, OBJ)
+    first = Utterance(1, VerbFrame("ageru", subcat), tuple(zero(r) for r in subcat))
+    return Discourse(tuple(entity(f"x{i}") for i in range(pool)), (first,))
+
+
+def test_the_first_utterance_builds_only_what_its_beam_keeps(monkeypatch):
+    # The first utterance is cut on its candidates' keys before any is
+    # built, as every later one is, and the cut is still the reference's.
+    built = Counter()
+    build = engine._step
+
+    def counting_step(utterance, candidate):
+        built[utterance.index] += 1
+        return build(utterance, candidate)
+
+    monkeypatch.setattr(engine, "_step", counting_step)
+    for pool, count in ((12, 1_320), (40, 59_280)):
+        d = three_zero_opener(pool)
+        built.clear()
+        # nsmallest(16) is the sorted readings cut to 16, so each width's cut is a prefix.
+        reference = heapq.nsmallest(
+            16,
+            first_readings(d, EngineConfig()),
+            key=lambda h: hypothesis_sort_key(h, d.entity_index),
+        )
+        assert built[1] == count
+        for width in (1, 4, 16):
+            built.clear()
+            beam = resolve(d, EngineConfig(beam_width=width)).hypotheses
+            assert built[1] <= width, (pool, width, built[1])
+            assert beam == tuple(reference[:width]), (pool, width)
 
 
 def test_survivors_run_once_per_distinct_parent_state(monkeypatch, workloads):

@@ -22,4 +22,9 @@ def test_readme_library_snippet_runs():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(snippet, str(README), "exec"), {})
-    assert out.getvalue().splitlines()[2:] == ["taroo", "('taroo', 'ziroo')"]
+    assert out.getvalue().splitlines() == [
+        "0",
+        "{<GrammaticalRole.SUBJ: 0>: 'taroo', <GrammaticalRole.OBJ: 2>: 'ziroo'}",
+        "taroo",
+        "('taroo', 'ziroo')",
+    ]
