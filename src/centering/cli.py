@@ -84,7 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser, handler: Callable, beam: bool = True) -> None:
-        p.set_defaults(handler=handler)
+        # run_cli reports a bad --beam through the subcommand's own parser.
+        p.set_defaults(handler=handler, parser=p)
         p.add_argument("file", help="annotated discourse JSON file")
         if beam:
             p.add_argument(
@@ -355,7 +356,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "beam", 1) < 1:
-        parser.error(f"argument --beam: must be at least 1, got {args.beam}")
+        args.parser.error(f"argument --beam: must be at least 1, got {args.beam}")
     try:
         return args.handler(args)
     except _ReadError as err:

@@ -85,13 +85,12 @@ unordered data, so identical inputs give byte-identical outputs.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import product
 from operator import itemgetter
 from typing import AbstractSet, Hashable, Mapping, Optional, Sequence
 
 from .model import (
-    Assignment,
     CenterState,
     Discourse,
     Entity,
@@ -138,12 +137,22 @@ class EngineConfig:
                 raise TypeError(f"{flag} must be a bool, got {type(getattr(self, flag)).__name__}")
 
 
+#: A binding of an utterance's slots: their entity ids, in subcat order.
+Binding = tuple[str, ...]
+
+
 @dataclass(frozen=True)
 class Rejection:
-    """A discarded candidate and the rule that discarded it."""
+    """A discarded pairing and the rule that discarded it.
+
+    binding is the pairing's binding as generate_assignments yields it
+    (the entity ids in the utterance's slots, in subcat order) and cb its
+    Cb; code is filter_assignment's RejectionCode, or OUT_OF_CF_PRUNED
+    for an out-of-Cf pairing that an in-Cf one made unnecessary.
+    """
 
     utterance_index: int
-    assignment: Assignment
+    binding: Binding
     cb: Optional[str]
     code: str
 
@@ -167,7 +176,9 @@ class ResolveResult:
     """Final beam after the whole discourse, best reading first.
 
     rejections maps each utterance to the records of every center state
-    expanded there, once per state, in the order the states were expanded.
+    expanded there, once per state, in the order the states were expanded;
+    each Rejection names a discarded pairing by its binding (entity ids in
+    subcat order) and Cb.
     """
 
     hypotheses: tuple[Hypothesis, ...]
@@ -206,10 +217,6 @@ def instantiate_initial_cb(first: Utterance) -> Optional[str]:
     """
     wa = first.wa_argument
     return wa.realization.entity_id if wa is not None else None
-
-
-#: A binding of an utterance's slots: their entity ids, in subcat order.
-Binding = tuple[str, ...]
 
 
 def generate_assignments(
@@ -391,7 +398,9 @@ def _survivors(
     reach out to hearer-old entities and survive only as a last resort,
     when no inside candidate does.  Every pairing goes through the
     utterance's plan; filter_assignment names the rule of each one the
-    plan rejects.
+    plan rejects, and that call is the only place a rejected pairing's
+    role -> entity dict is built.  Every Rejection keeps the binding as
+    generated, the pruned outside candidates' included.
 
     Each survivor is keyed as it is made, by its key among the children
     of any parent whose last state is prev.  Siblings share their
@@ -429,9 +438,8 @@ def _survivors(
         bound = None
         for cb in (linked if open_cb else linked[:1]) or [None]:
             if not plan.passes(binding, prev_cf_set, cb):
-                assignment = dict(zip(roles, binding))
-                code = filter_assignment(utterance, assignment, prev, cb, entities)
-                rejections.append(Rejection(index, assignment, cb, code))
+                code = filter_assignment(utterance, dict(zip(roles, binding)), prev, cb, entities)
+                rejections.append(Rejection(index, binding, cb, code))
                 continue
             if bound is None:
                 bound = tuple([entity_index[e] for e in binding])
@@ -444,10 +452,7 @@ def _survivors(
             side.append((key, binding, state_cb, transition, plan.cf, False))
 
     if inside:
-        rejections.extend(
-            Rejection(index, dict(zip(roles, c[1])), c[2], OUT_OF_CF_PRUNED)
-            for c in outside
-        )
+        rejections.extend(Rejection(index, c[1], c[2], OUT_OF_CF_PRUNED) for c in outside)
     survivors = inside or outside
     return survivors + apply_zta(survivors, prev_cb, utterance, config), rejections
 
@@ -492,12 +497,14 @@ def _child(parent: Hypothesis, new_step: Step) -> Hypothesis:
     child's Cb comes from the parent's last Cf, which lists every slot.
     """
     steps = parent.steps
+    last = steps[-1]
     new_cb = new_step.state.cb
-    if new_cb is not None:
-        last = steps[-1]
-        if last.state.cb is None:
-            unified = replace(last, state=replace(last.state, cb=new_cb))
-            steps = steps[:-1] + (unified,)
+    if new_cb is not None and last.state.cb is None:
+        unified = Step(
+            last.utterance_index, last.assignment, CenterState(new_cb, last.state.cf),
+            last.transition, last.zta_applied,
+        )
+        return Hypothesis(steps[:-1] + (unified, new_step))
     return Hypothesis(steps + (new_step,))
 
 
@@ -532,10 +539,11 @@ def step(
     if memo is None:
         memo = {}
     state = parent.last.state
-    expands = state not in memo
+    kept = memo.get(state)
+    expands = kept is None
     if expands:
-        memo[state] = _kept_steps(discourse, state, utterance, config)
-    keys, steps, rejections = memo[state]
+        kept = memo[state] = _kept_steps(discourse, state, utterance, config)
+    keys, steps, rejections = kept
     children = tuple([_child(parent, s) for s in steps])
     return StepResult(children, keys, rejections if expands else ())
 

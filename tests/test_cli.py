@@ -449,6 +449,9 @@ def test_bad_input_and_command_lines_exit_with_documented_codes(
             assert err.startswith("parse: $")
         elif expected == EXIT_USAGE:
             assert "usage:" in err and "error:" in err
+        if "--beam" in extra:  # the subcommand's usage, not the top level's
+            assert err.startswith(f"usage: centering {command} "), err
+            assert f"centering {command}: error: argument --beam: must be" in err
 
 
 def test_unresolvable_discourse_exits_three(tmp_path, capsys):

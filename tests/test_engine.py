@@ -387,7 +387,7 @@ def test_undeclared_entities_are_refused_in_either_mode():
         ]
 
 
-def test_out_of_cf_bindings_are_last_resort():
+def test_out_of_cf_bindings_are_last_resort(workloads):
     ents = (entity("a"), entity("b"), entity("c"))
     d = Discourse(
         ents,
@@ -400,7 +400,23 @@ def test_out_of_cf_bindings_are_last_resort():
     bound = {h.steps[1].assignment[SUBJ] for h in res.hypotheses}
     assert bound == {"a", "b"}  # c stays out: the previous Cf suffices
     pruned = [r for r in res.rejections[2] if r.code == OUT_OF_CF_PRUNED]
-    assert [r.assignment[SUBJ] for r in pruned] == ["c"]
+    assert [r.binding for r in pruned] == [("c",)]
+
+    # On a wide in-Cf pool the records are exactly the out-of-Cf pairings
+    # that pass the filters, in generation order, each binding a tuple.
+    pool = workloads.wide_pool(random.Random(5), 10, False)
+    utterance = pool.utterances[1]
+    prev = resolve(prefix(pool, 1), WIDE).top.last.state
+    zero_roles = [a.role for a in utterance.args if a.realization.is_zero]
+    want = [
+        (tuple(a.values()), cb)
+        for a, cb in _pairings(pool, utterance, prev)
+        if not set(prev.cf_ids).issuperset([a[r] for r in zero_roles])
+        and filter_assignment(utterance, a, prev, cb, pool.entity_map) is None
+    ]
+    pruned = [r for r in resolve(pool, WIDE).rejections[2] if r.code == OUT_OF_CF_PRUNED]
+    assert want and all(type(r.binding) is tuple for r in pruned)
+    assert [(r.binding, r.cb) for r in pruned] == want
 
 
 # --------------------------------------------------------------------------
@@ -900,7 +916,7 @@ def test_overt_slots_that_doom_every_pairing_reject_each_with_its_code(frame, ar
     parent = resolve(prefix(d, 1), config).top
     prev = parent.last.state
     want = [
-        Rejection(2, a, cb, filter_assignment(utterance, a, prev, cb, d.entity_map))
+        Rejection(2, tuple(a.values()), cb, filter_assignment(utterance, a, prev, cb, d.entity_map))
         for a, cb in _pairings(d, utterance, prev)
     ]
     assert len(want) == 3 and {r.code for r in want} == {code}
