@@ -157,17 +157,33 @@ def _by_identity(fn: Callable[[Step], _T]) -> Callable[[Step], _T]:
 
 
 def _step_json(step: Step) -> str:
-    """One step as JSON, indented to its depth in the readings document."""
-    return json.dumps({
-        "utterance_index": step.utterance_index,
-        "assignment": {r.name.lower(): e for r, e in step.assignment.items()},
-        "cb": step.state.cb,
-        "cf": [[eid, tier.name.lower()] for eid, tier in step.state.cf],
-        "transition": (
-            step.transition.name.lower() if step.transition is not None else None
-        ),
-        "zta": step.zta_applied,
-    }, indent=2).replace("\n", "\n        ")
+    """One step as JSON, indented to its depth in the readings document.
+
+    The text json.dumps(..., indent=2) writes for the step's object, each
+    line after the first indented by 8 more spaces, laid out by hand at
+    the step's fixed nesting: only the scalars go through json.dumps,
+    whose compact encoder escapes non-ASCII ids the same way.  An
+    indenting encoder would be built anew, in pure Python, for every
+    step.  A step's assignment and Cf are never empty (a frame
+    subcategorizes at least one role), so no {} or [] arises.
+    """
+    dumps = json.dumps
+    assignment = ",\n            ".join([
+        f"{dumps(r.name.lower())}: {dumps(e)}" for r, e in step.assignment.items()
+    ])
+    cf = ",\n            ".join([
+        f"[\n              {dumps(eid)},\n              {dumps(tier.name.lower())}\n            ]"
+        for eid, tier in step.state.cf
+    ])
+    transition = step.transition.name.lower() if step.transition is not None else None
+    return (
+        f'{{\n          "utterance_index": {dumps(step.utterance_index)},'
+        f'\n          "assignment": {{\n            {assignment}\n          }},'
+        f'\n          "cb": {dumps(step.state.cb)},'
+        f'\n          "cf": [\n            {cf}\n          ],'
+        f'\n          "transition": {dumps(transition)},'
+        f'\n          "zta": {dumps(step.zta_applied)}\n        }}'
+    )
 
 
 def _render_readings_json(hypotheses: Sequence[Hypothesis]) -> str:

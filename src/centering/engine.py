@@ -51,7 +51,9 @@ Candidates are tuple work against a plan of the utterance (`_Plan`),
 compiled once per expansion, before its first candidate.
 `generate_assignments` binds the zeros injectively, never to an entity
 an overt slot names, only to animate entities in animate-only slots and
-only to previous-Cf or hearer-old entities.  Of the filters,
+only to previous-Cf or hearer-old entities; it extends each partial
+fill only by the entities it does not hold yet, and when every slot is
+a zero each fill is the binding itself.  Of the filters,
 CONTRA_INDEX and SORTAL can then fail only on the overt slots, one
 verdict for the whole utterance, and ZERO_ANTECEDENT never fails, so
 Rule 1 is the only filter left to run per pairing.  A slot's salience
@@ -60,9 +62,13 @@ topic, never on the entity in it, so the Cf of every binding is one
 fixed order of slot positions; the rules rank a probe binding once to
 find it, and once more per zero-topic slot.  Per candidate what remains
 is the binding as generation yields it (a tuple of entity ids), its Cb
-candidates from the previous Cf, the Rule 1 test, the transition and
-the sibling key; the Cf is read off the order only for a candidate the
-cut keeps.  The rules stay the specification: `filter_assignment` names
+candidates from the previous Cf, the Rule 1 test and the sibling key;
+the Cf is read off the order only for a candidate the cut keeps.  The
+previous Cb is fixed within an expansion, so a transition depends only
+on the (Cb, Cp entity) pair: each expansion classifies a pair once,
+through `classify_transition`, and reads every other candidate's
+transition and ordinal from a dict that dies with the expansion.  The
+rules stay the specification: `filter_assignment` names
 the code of each pairing the plan rejects, and the tests hold the plan
 to `filter_assignment`, `assign_salience_roles` and `rank_cf` on every
 generated pairing.
@@ -86,7 +92,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from itertools import product
 from operator import itemgetter
 from typing import AbstractSet, Hashable, Mapping, Optional, Sequence
 
@@ -236,8 +241,12 @@ def generate_assignments(
     and SORTAL can fail only on the overt slots, the same way for every
     binding, ZERO_ANTECEDENT never fails, and RULE_1 is the only one left
     to run per candidate.  Overt slots pass through untouched.  The
-    result preserves generation order; each binding is the tuple of the
-    entity ids in the utterance's slots, in subcat order.
+    result is a list in generation order, the order of the product of the
+    zeros' pools; each binding is the tuple of the entity ids in the
+    utterance's slots, in subcat order.  Each fill of the zeros is built
+    by extending the fills of the earlier zeros with the entities they do
+    not hold yet, so no non-injective fill is made; when every slot is a
+    zero, a fill is returned as the binding itself.
     """
     roles = utterance.frame.subcat
     slots = [a.realization.entity_id for a in utterance.args]
@@ -250,10 +259,13 @@ def generate_assignments(
         else free
         for p in zeros
     ]
+    fills: list[tuple[str, ...]] = [()]
+    for pool in pools:  # each fill extended by every entity it does not hold yet
+        fills = [fill + (eid,) for fill in fills for eid in pool if eid not in fill]
+    if len(zeros) == len(slots):  # every slot a zero: each fill is its binding
+        return fills
     results: list[Binding] = []
-    for fill in product(*pools):
-        if len(set(fill)) < len(fill):
-            continue
+    for fill in fills:
         for p, eid in zip(zeros, fill):
             slots[p] = eid
         results.append(tuple(slots))
@@ -348,12 +360,15 @@ def apply_zta(
     lands on CONTINUE: the zero topic heads the Cf, so Cb and Cp
     coincide on the carried-over center.  Its sibling key is the base's
     with that transition and the ZTA flag set.  Variants are additional
-    candidates; the originals stay.
+    candidates; the originals stay.  A wide pool's last resort hands over
+    thousands of candidates, so both passes over them are plain loops
+    that read a candidate's Cb (or transition) before anything else.
     """
     if not config.zta_enabled or parent_cb is None:
         return []
-    if any(c[3] is Transition.CONTINUE and not c[5] for c in candidates):
-        return []
+    for c in candidates:
+        if c[3] is Transition.CONTINUE and not c[5]:
+            return []
 
     topic_slots = [
         p for p, a in enumerate(utterance.args)
@@ -361,9 +376,10 @@ def apply_zta(
     ]
     orders: dict[int, CfOrder] = {}
     variants: list[Candidate] = []
-    for base_key, binding, cb, _, _, _ in candidates:
-        if cb != parent_cb:
+    for c in candidates:
+        if c[2] != parent_cb:
             continue
+        base_key, binding, cb = c[:3]
         slot = next((p for p in topic_slots if binding[p] == parent_cb), None)
         if slot is None:
             continue
@@ -414,14 +430,26 @@ def _survivors(
     otherwise the parent's own Cb, the same for every sibling, stands as
     -1.  Nothing else is built: _kept_steps makes the Step of each
     candidate the beam can keep, for step and _initial_hypotheses alike.
+
+    Only what is specific to a candidate is computed per candidate.  With
+    prev's Cb fixed, the transition depends on the (Cb, Cp entity) pair
+    alone, so a dict local to this call holds each pair's transition and
+    sort value, filled through classify_transition on a miss.  Where
+    prev's Cb is set, a binding's one Cb candidate is the first
+    previous-Cf entity it holds.
     """
     entities = discourse.entity_map
     entity_index = discourse.entity_index
     roles = utterance.frame.subcat
     plan = _Plan.of(utterance, entities)
-    zeros, cp = plan.zeros, plan.cf[0][0]
+    cp = plan.cf[0][0]
     prev_cf = prev.cf_ids if prev is not None else ()
     prev_cf_set = frozenset(prev_cf)
+    # No zero binds an entity an overt slot names, so a binding is inside
+    # exactly when its slots hold only previous-Cf and overt entities.
+    inside_ids = prev_cf_set.union(
+        [a.realization.entity_id for a in utterance.args if not a.realization.is_zero]
+    )
     prev_cb = prev.cb if prev is not None else None
     first_cb = instantiate_initial_cb(utterance) if prev is None else None
     open_cb = prev is not None and prev_cb is None  # a linked Cb is written back
@@ -430,26 +458,45 @@ def _survivors(
     inside: list[Candidate] = []
     outside: list[Candidate] = []
     rejections: list[Rejection] = []
+    # (Cb, Cp entity) -> (transition, its sort value)
+    transitions: dict[tuple[str, str], tuple[Transition, int]] = {}
+    index_of = entity_index.__getitem__
+    passes, cf = plan.passes, plan.cf
     context = _context_for(discourse, prev_cf)
     for binding in generate_assignments(utterance, context, entities):
         # compute_cb_candidates: the realized previous-Cf entities in
         # previous-Cf order, only the first if the previous Cb is set.
-        linked = [e for e in prev_cf if e in binding]
+        if open_cb:
+            cbs = [e for e in prev_cf if e in binding] or (None,)
+        else:
+            cbs = (None,)
+            for e in prev_cf:
+                if e in binding:
+                    cbs = (e,)
+                    break
         bound = None
-        for cb in (linked if open_cb else linked[:1]) or [None]:
-            if not plan.passes(binding, prev_cf_set, cb):
+        for cb in cbs:
+            if not passes(binding, prev_cf_set, cb):
                 code = filter_assignment(utterance, dict(zip(roles, binding)), prev, cb, entities)
                 rejections.append(Rejection(index, binding, cb, code))
                 continue
             if bound is None:
-                bound = tuple([entity_index[e] for e in binding])
-                side = inside if prev_cf_set.issuperset([binding[p] for p in zeros]) else outside
-            transition = None if cb is None else classify_transition(prev_cb, cb, binding[cp])
+                bound = tuple(map(index_of, binding))
+                side = inside if inside_ids.issuperset(binding) else outside
+            if cb is None:
+                transition, ordinal = None, -1
+            else:
+                pair = (cb, binding[cp])
+                known = transitions.get(pair)
+                if known is None:
+                    t = classify_transition(prev_cb, *pair)
+                    known = transitions[pair] = (t, t.ordinal)
+                transition, ordinal = known
             state_cb = first_cb or cb
             cb_index = entity_index.get(state_cb, -1)
             write_back = cb_index if open_cb else -1
-            key = (_transition_sort_value(transition), write_back, (bound, cb_index, 0))
-            side.append((key, binding, state_cb, transition, plan.cf, False))
+            key = (ordinal, write_back, (bound, cb_index, 0))
+            side.append((key, binding, state_cb, transition, cf, False))
 
     if inside:
         rejections.extend(Rejection(index, c[1], c[2], OUT_OF_CF_PRUNED) for c in outside)

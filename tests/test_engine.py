@@ -42,6 +42,7 @@ from centering.model import (
 from centering.rules import (
     RejectionCode,
     assign_salience_roles,
+    classify_transition,
     compute_cb_candidates,
     filter_assignment,
     rank_cf,
@@ -137,6 +138,77 @@ def test_generation_keeps_overt_slots_fixed():
     utt = Utterance(1, frame, (zero(SUBJ), overt(OBJ, "b")))
     ents = {"a": entity("a"), "b": entity("b")}
     assert generate_assignments(utt, ["a", "b"], ents) == [("a", "b")]
+
+
+def reference_bindings(utterance, context, entities):
+    """generate_assignments by brute force over itertools.product.
+
+    Every fill of the zeros from the whole context, in product order, kept
+    when it is injective, names no entity an overt slot names and puts
+    only animate entities in animate-only slots.
+    """
+    slots = [a.realization.entity_id for a in utterance.args]
+    zeros = [p for p, eid in enumerate(slots) if eid is None]
+    animate_only = [
+        utterance.frame.constraint(utterance.frame.subcat[p]) is SortalConstraint.ANIMATE
+        for p in zeros
+    ]
+    bindings = []
+    for fill in itertools.product(context, repeat=len(zeros)):
+        if len(set(fill)) < len(fill) or any(eid in slots for eid in fill):
+            continue
+        if any(only and not entities[eid].animate for only, eid in zip(animate_only, fill)):
+            continue
+        binding = list(slots)
+        for p, eid in zip(zeros, fill):
+            binding[p] = eid
+        bindings.append(tuple(binding))
+    return bindings
+
+
+def random_generation_input(rng, all_zero):
+    """A seeded utterance over 1-4 roles, its context and its entities.
+
+    Each slot is a zero when all_zero is set, else one at random; about a
+    third of the roles are animate-only, and the context holds 0-6 of the
+    entities in a shuffled order, so it is often smaller than the number
+    of zeros.
+    """
+    ids = [f"e{i}" for i in range(rng.randint(1, 7))]
+    entities = {eid: entity(eid, animate=rng.random() < 0.6) for eid in ids}
+    subcat = tuple(rng.sample(list(GrammaticalRole), rng.randint(1, 4)))
+    subcat = tuple(sorted(subcat, key=lambda r: r.value))
+    sortal = {r: SortalConstraint.ANIMATE for r in subcat if rng.random() < 0.35}
+    args = [
+        zero(role) if all_zero or rng.random() < 0.5 else overt(role, rng.choice(ids))
+        for role in subcat
+    ]
+    context = rng.sample(ids, rng.randint(0, min(6, len(ids))))
+    return Utterance(1, VerbFrame("v", subcat, sortal), tuple(args)), context, entities
+
+
+@pytest.mark.parametrize("all_zero", [True, False], ids=["all-zero", "mixed"])
+def test_generation_equals_the_itertools_reference(all_zero):
+    rng = random.Random(19 if all_zero else 20)
+    covered = Counter()
+    for trial in range(2000):
+        utterance, context, entities = random_generation_input(rng, all_zero)
+        got = generate_assignments(utterance, context, entities)
+        assert got == reference_bindings(utterance, context, entities), trial
+        assert type(got) is list and all(type(b) is tuple for b in got), trial
+        n_zeros = sum(a.realization.is_zero for a in utterance.args)
+        covered["all zero"] += n_zeros == len(utterance.args)
+        covered["overt slots"] += n_zeros < len(utterance.args)
+        covered["animate-only zero"] += any(
+            a.realization.is_zero and utterance.frame.constraint(a.role) is SortalConstraint.ANIMATE
+            for a in utterance.args
+        )
+        covered["pool smaller than zeros"] += 0 < len(context) < n_zeros
+        covered["bindings"] += len(got)
+    for case in ("all zero", "animate-only zero", "pool smaller than zeros"):
+        assert covered[case] >= 100, covered
+    assert covered["overt slots"] >= (0 if all_zero else 100), covered
+    assert covered["bindings"] >= 2000, covered
 
 
 # --------------------------------------------------------------------------
@@ -749,6 +821,83 @@ def test_children_made_are_bounded_by_the_beam_on_a_wide_pool(monkeypatch, workl
     wide = resolve(pool, EngineConfig(beam_width=64)).hypotheses
     want = sorted(wide, key=lambda h: hypothesis_sort_key(h, entity_index))
     assert result.hypotheses == tuple(want[: config.beam_width])
+
+
+# --------------------------------------------------------------------------
+# Sibling keys against keys built from scratch
+
+
+def expanded_states(discourse, n, config):
+    """The states expanded at utterance n (0-based): None first, else the beam's last ones."""
+    if n == 0:
+        return [None]
+    beam = resolve(prefix(discourse, n), config).hypotheses
+    return list(dict.fromkeys(h.last.state for h in beam))
+
+
+def sibling_key_failures(discourse, config, covered):
+    """Survivors whose sibling key or transition differs from one built from scratch.
+
+    For each state expanded at each utterance, every survivor of
+    _survivors is checked against the rules alone: the transition that
+    classify_transition gives for the previous Cb, the survivor's Cb and
+    the Cp that rank_cf puts first (the Cb as zero topic for a variant),
+    and the key of that transition's ordinal (-1 without one), the
+    write-back index (the Cb's when the previous Cb is open and the
+    survivor links to a Cb, else -1), the bound entity indices, the Cb
+    index (-1 while open) and the ZTA flag.  covered counts what was seen.
+    """
+    entity_index = discourse.entity_index
+    failures = []
+    for n, utterance in enumerate(discourse.utterances):
+        try:
+            states = expanded_states(discourse, n, config)
+        except UnresolvableError:
+            break
+        for prev in states:
+            survivors, _ = engine._survivors(discourse, prev, utterance, config)
+            for key, binding, cb, transition, _order, zta in survivors:
+                want = None
+                if prev is None:
+                    if cb != instantiate_initial_cb(utterance):
+                        failures.append((n + 1, binding, cb))
+                elif cb is not None:
+                    assignment = dict(zip(utterance.frame.subcat, binding))
+                    cf = rank_cf(assign_salience_roles(
+                        utterance, assignment, zero_topic=cb if zta else None
+                    ))
+                    want = classify_transition(prev.cb, cb, cf[0][0])
+                links = prev is not None and cb is not None
+                write_back = entity_index[cb] if links and prev.cb is None else -1
+                want_key = (
+                    want.ordinal if want is not None else -1,
+                    write_back,
+                    (
+                        tuple(entity_index[eid] for eid in binding),
+                        entity_index[cb] if cb is not None else -1,
+                        int(zta),
+                    ),
+                )
+                if (key, transition) != (want_key, want):
+                    failures.append((n + 1, prev, binding, cb, zta, key, want_key))
+                covered[want.name if want is not None else "no transition"] += 1
+                covered["write-back"] += write_back >= 0
+                covered["zta"] += zta
+    return failures
+
+
+def test_every_sibling_key_equals_one_built_from_scratch(workloads):
+    config = EngineConfig(beam_width=4, strict_validation=False)
+    covered = Counter()
+    rng = random.Random(11)
+    for trial in range(500):
+        assert sibling_key_failures(random_discourse(rng), config, covered) == [], trial
+    for pool in (10, 20):
+        for last_resort in (False, True):
+            d = workloads.wide_pool(random.Random(5), pool, last_resort)
+            assert sibling_key_failures(d, EngineConfig(), covered) == [], (pool, last_resort)
+    for name in ("no transition", "write-back", "zta", *(t.name for t in Transition)):
+        assert covered[name] >= 20, covered
 
 
 # --------------------------------------------------------------------------
