@@ -49,11 +49,12 @@ down writes it back.
 
 Candidates are tuple work against a plan of the utterance (`_Plan`),
 compiled once per expansion, before its first candidate.
-`generate_assignments` binds the zeros injectively, never to an entity
-an overt slot names, only to animate entities in animate-only slots and
-only to previous-Cf or hearer-old entities; it extends each partial
-fill only by the entities it does not hold yet, and when every slot is
-a zero each fill is the binding itself.  Of the filters,
+`generate_assignments` grows each binding slot by slot, in subcat
+order: an overt slot appends its entity, and a zero each entity of its
+pool the binding does not hold yet, so it binds the zeros injectively,
+never to an entity an overt slot names, only to animate entities in
+animate-only slots and only to previous-Cf or hearer-old entities.  A
+repeated overt entity is left for the filters.  Of the filters,
 CONTRA_INDEX and SORTAL can then fail only on the overt slots, one
 verdict for the whole utterance, and ZERO_ANTECEDENT never fails, so
 Rule 1 is the only filter left to run per pairing.  A slot's salience
@@ -70,8 +71,8 @@ through `classify_transition`, and reads every other candidate's
 transition and ordinal from a dict that dies with the expansion.  The
 rules stay the specification: `filter_assignment` names
 the code of each pairing the plan rejects, and the tests hold the plan
-to `filter_assignment`, `assign_salience_roles` and `rank_cf` on every
-generated pairing.
+to `filter_assignment` on every generated pairing, and to
+`assign_salience_roles` and `rank_cf` on every injective one.
 
 Zero topic assignment (ZTA) is the salience-promoting reading of a zero
 that picks up the current center: when a parent's candidates include no
@@ -91,7 +92,7 @@ unordered data, so identical inputs give byte-identical outputs.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import AbstractSet, Hashable, Mapping, Optional, Sequence
 
@@ -188,7 +189,7 @@ class ResolveResult:
 
     hypotheses: tuple[Hypothesis, ...]
     violations: tuple[Violation, ...]
-    rejections: Mapping[int, tuple[Rejection, ...]] = field(default_factory=dict)
+    rejections: Mapping[int, tuple[Rejection, ...]]
 
     @property
     def top(self) -> Hypothesis:
@@ -232,44 +233,33 @@ def generate_assignments(
     """Every way of binding the utterance's zeros to context entities.
 
     context is the ordered antecedent pool (previous-Cf order first, then
-    any remaining hearer-old entities in declaration order).  Zeros are
-    expanded in subcat order, each over the context entities that no
-    overt slot names (only the animate ones for an animate-only slot), and
-    no entity fills two zeros.  So every binding fills its zeros
-    injectively, apart from its overt slots, sortal-correctly and to
-    recoverable antecedents: of filter_assignment's checks, CONTRA_INDEX
-    and SORTAL can fail only on the overt slots, the same way for every
-    binding, ZERO_ANTECEDENT never fails, and RULE_1 is the only one left
-    to run per candidate.  Overt slots pass through untouched.  The
-    result is a list in generation order, the order of the product of the
-    zeros' pools; each binding is the tuple of the entity ids in the
-    utterance's slots, in subcat order.  Each fill of the zeros is built
-    by extending the fills of the earlier zeros with the entities they do
-    not hold yet, so no non-injective fill is made; when every slot is a
-    zero, a fill is returned as the binding itself.
+    any remaining hearer-old entities in declaration order).  Bindings
+    grow slot by slot, in subcat order: an overt slot appends its entity
+    to every binding, unchecked, and a zero appends each entity of its
+    pool that the binding does not hold yet, the pool being the context
+    entities that no overt slot names (only the animate ones for an
+    animate-only slot).  So every binding fills its zeros injectively,
+    apart from its overt slots, sortal-correctly and to recoverable
+    antecedents: of filter_assignment's checks, CONTRA_INDEX and SORTAL
+    can fail only on the overt slots, the same way for every binding,
+    ZERO_ANTECEDENT never fails, and RULE_1 is the only one left to run
+    per candidate.  The result is a list in generation order, the order
+    of the product of the zeros' pools; each binding is the tuple of the
+    entity ids in the utterance's slots, in subcat order.
     """
-    roles = utterance.frame.subcat
-    slots = [a.realization.entity_id for a in utterance.args]
-    zeros = [p for p, eid in enumerate(slots) if eid is None]
-    free = [eid for eid in context if eid not in slots]
+    named = [a.realization.entity_id for a in utterance.args]
+    free = [eid for eid in context if eid not in named]
     animate = [eid for eid in free if entities[eid].animate]
-    pools = [
-        animate
-        if utterance.frame.constraint(roles[p]) is SortalConstraint.ANIMATE
-        else free
-        for p in zeros
-    ]
-    fills: list[tuple[str, ...]] = [()]
-    for pool in pools:  # each fill extended by every entity it does not hold yet
-        fills = [fill + (eid,) for fill in fills for eid in pool if eid not in fill]
-    if len(zeros) == len(slots):  # every slot a zero: each fill is its binding
-        return fills
-    results: list[Binding] = []
-    for fill in fills:
-        for p, eid in zip(zeros, fill):
-            slots[p] = eid
-        results.append(tuple(slots))
-    return results
+    bindings: list[Binding] = [()]
+    for arg, eid in zip(utterance.args, named):
+        if eid is not None:  # overt: unchecked, so CONTRA_INDEX logs a repeat
+            bindings = [b + (eid,) for b in bindings]
+        else:
+            pool = free
+            if utterance.frame.constraint(arg.role) is SortalConstraint.ANIMATE:
+                pool = animate
+            bindings = [b + (e,) for b in bindings for e in pool if e not in b]
+    return bindings
 
 
 #: Slot positions in Cf order, each with the salience tier it earns.
@@ -530,10 +520,6 @@ def _step(utterance: Utterance, candidate: Candidate) -> Step:
     return Step(utterance.index, dict(zip(utterance.frame.subcat, binding)), state, transition, zta)
 
 
-def _transition_sort_value(transition: Optional[Transition]) -> int:
-    return transition.ordinal if transition is not None else -1
-
-
 def _child(parent: Hypothesis, new_step: Step) -> Hypothesis:
     """Assemble a child hypothesis, retroactively unifying the parent Cb.
 
@@ -622,7 +608,8 @@ def hypothesis_sort_key(
     order readings the same way, and the tests hold those keys to this one.
     """
     recency = tuple(
-        _transition_sort_value(s.transition) for s in reversed(hypothesis.steps)
+        s.transition.ordinal if s.transition is not None else -1
+        for s in reversed(hypothesis.steps)
     )
     content = tuple(_step_content(s, entity_index) for s in hypothesis.steps)
     return (hypothesis.score, recency, content)

@@ -28,8 +28,9 @@ the two routes share only the published definitions:
     zero bound to the parent center qualifies; variants are extra
     readings;
   * retroactive instantiation: a newly determined Cb is written back into
-    an immediately preceding step whose Cb was uninstantiated, when
-    realized there;
+    an immediately preceding step whose Cb was uninstantiated; it is
+    always realized there, since a Cb comes from that step's Cf, which
+    lists every entity the step binds;
   * reading order: cumulative score, then transition ordinals from the
     last step backwards (initial/reset = -1), then a content key over
     entity declaration indices.
@@ -202,12 +203,6 @@ def _raw_assignments(
         yield dict(zip(roles, slots))
 
 
-def _entity_tables(discourse: Discourse) -> tuple[dict[str, Entity], tuple[str, ...]]:
-    """Each entity by id, and the hearer-old ids in declaration order."""
-    entities = {e.id: e for e in discourse.entities}
-    return entities, tuple(e.id for e in discourse.entities if e.hearer_old)
-
-
 def _parent_candidates(
     utterance: Utterance,
     prev_cf: tuple[tuple[str, str], ...],
@@ -218,12 +213,13 @@ def _parent_candidates(
 ) -> list[tuple[StepSignature, int]]:
     """All surviving readings of one utterance after one parent state.
 
-    entities and hearer_old are the discourse's _entity_tables.  Returns
-    (signature, cost) pairs in deterministic order: assignments in
-    pool-product order, Cb candidates in previous-Cf order (no Cb when
-    nothing links back), zero-topic variants appended after the plain
-    candidates.  A reading is inside when every zero binds a previous-Cf
-    entity; the outside ones survive only when no inside one does.
+    entities and hearer_old are the discourse's entity_map and
+    hearer_old_ids.  Returns (signature, cost) pairs in deterministic
+    order: assignments in pool-product order, Cb candidates in
+    previous-Cf order (no Cb when nothing links back), zero-topic
+    variants appended after the plain candidates.  A reading is inside
+    when every zero binds a previous-Cf entity; the outside ones survive
+    only when no inside one does.
     """
     prev_cf_ids = [eid for eid, _ in prev_cf]
     old = frozenset(prev_cf_ids)
@@ -282,9 +278,6 @@ def _unify(steps: tuple[StepSignature, ...], cb: Optional[str]) -> tuple[StepSig
         return steps
     last = steps[-1]
     if last[2] is not None:
-        return steps
-    realized = {entity_id for _, entity_id in last[1]}
-    if cb not in realized:
         return steps
     fixed = (last[0], last[1], cb, last[3], last[4], last[5])
     return steps[:-1] + (fixed,)
@@ -357,8 +350,7 @@ def _enumerate(
     ]
     if undeclared:
         raise DiscourseInvalidError(undeclared)
-    entities, hearer_old = _entity_tables(discourse)
-    hearer_old_set = frozenset(hearer_old)
+    hearer_old_set = frozenset(discourse.hearer_old_ids)
     first = discourse.utterances[0]
     topic = next(
         (a.realization.entity_id for a in first.args if a.marking is Marking.WA), None
@@ -375,7 +367,8 @@ def _enumerate(
         layer: dict[tuple, list[GlobalReading]] = {}
         for (prev_cf, prev_cb), readings in states.items():
             children = _parent_candidates(
-                utterance, prev_cf, prev_cb, config, entities, hearer_old
+                utterance, prev_cf, prev_cb, config,
+                discourse.entity_map, discourse.hearer_old_ids,
             )
             if utterance is first:
                 children = [(sig[:2] + (topic,) + sig[3:], cost) for sig, cost in children]
@@ -390,9 +383,8 @@ def _enumerate(
         states = layer
         max_layer = max(max_layer, sum(map(len, layer.values())))
 
-    entity_index = {e.id: i for i, e in enumerate(discourse.entities)}
     readings = [r for group in states.values() for r in group]
-    readings.sort(key=lambda r: _reading_sort_key(r, entity_index))
+    readings.sort(key=lambda r: _reading_sort_key(r, discourse.entity_index))
     return readings, None, max_layer
 
 
@@ -430,11 +422,6 @@ def _readings_of(hypotheses: Sequence[Hypothesis]) -> list[GlobalReading]:
             steps.append(sig)
         readings.append(GlobalReading(tuple(steps), hypothesis.score))
     return readings
-
-
-def hypothesis_signature(hypothesis: Hypothesis) -> GlobalReading:
-    """Flatten an engine hypothesis into the comparable signature form."""
-    return _readings_of([hypothesis])[0]
 
 
 def check_equivalence(

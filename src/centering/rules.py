@@ -12,9 +12,12 @@ Salience ordering for Japanese Cf lists, from most to least salient:
               > subject > second object > direct object > others
 
 A zero topic, when assigned, displaces the wa topic: the wa-marked
-argument then counts only by its grammatical role.  Each entity occupies
-a single Cf slot - the most salient one any of its argument slots earns -
-and ties between entities on the same tier fall back to subcat order.
+argument then counts only by its grammatical role.  Salience is ranked
+only for injective bindings - the arguments of one verb are disjoint in
+reference (contra-indexing), as generation and filter_assignment's
+CONTRA_INDEX ensure - so each entity fills one slot and takes that
+slot's tier, and ties between entities on the same tier fall back to
+subcat order.
 """
 
 from __future__ import annotations
@@ -54,13 +57,14 @@ def assign_salience_roles(
     assignment: Assignment,
     zero_topic: Optional[str] = None,
 ) -> list[RoleBinding]:
-    """Map every bound entity to its single most salient role.
+    """Map every bound entity to the salience role its slot earns.
 
-    The assignment must bind every subcategorized slot.  If zero_topic is
-    given, it must be an entity the assignment binds at some zero slot;
-    that entity takes the ZERO_TOPIC tier and any wa-marked argument is
-    demoted to its plain grammatical role.  Output preserves subcat order
-    (one binding per distinct entity, at its best tier).
+    The assignment must bind every subcategorized slot, each to its own
+    entity: an assignment that puts one entity in two slots raises
+    ValueError.  If zero_topic is given, it must be an entity the
+    assignment binds at some zero slot; that entity takes the ZERO_TOPIC
+    tier and any wa-marked argument is demoted to its plain grammatical
+    role.  Output preserves subcat order (one binding per slot).
     """
     if zero_topic is not None:
         bound_at_zero = {
@@ -73,13 +77,14 @@ def assign_salience_roles(
                 f"zero topic {zero_topic!r} is not bound at any zero slot"
             )
 
-    best: dict[str, RoleBinding] = {}
-    order: list[str] = []
+    bindings: list[RoleBinding] = []
     for pos, arg in enumerate(utterance.args):
         role = arg.role
         if role not in assignment:
             raise ValueError(f"assignment misses subcategorized role {role}")
         entity_id = assignment[role]
+        if any(b.entity_id == entity_id for b in bindings):
+            raise ValueError(f"entity {entity_id!r} fills two slots")
 
         if zero_topic is not None and entity_id == zero_topic:
             salience = SalienceRole.ZERO_TOPIC
@@ -90,14 +95,8 @@ def assign_salience_roles(
         else:
             salience = GRAMMATICAL_SALIENCE[role]
 
-        binding = RoleBinding(entity_id, salience, pos)
-        if entity_id not in best:
-            best[entity_id] = binding
-            order.append(entity_id)
-        elif salience.rank < best[entity_id].salience.rank:
-            best[entity_id] = binding
-
-    return [best[eid] for eid in order]
+        bindings.append(RoleBinding(entity_id, salience, pos))
+    return bindings
 
 
 def rank_cf(bindings: Sequence[RoleBinding]) -> tuple[CfEntry, ...]:

@@ -419,7 +419,7 @@ def _check_zta(
     plain = oracle._parent_candidates(
         utt, prev_cf_sig, prev.state.cb,
         EngineConfig(zta_enabled=False, strict_validation=False),
-        *oracle._entity_tables(discourse),
+        discourse.entity_map, discourse.hearer_old_ids,
     )
     if any(sig[4] == "continue" for sig, _cost in plain):
         failures.append(f"{label}: ZTA fired although a plain CONTINUE existed")

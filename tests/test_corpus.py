@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from operator import setitem
 
 import pytest
 
@@ -212,6 +213,13 @@ def test_gold_slots_must_cover_the_frame():
     with pytest.raises(DiscourseFormatError) as err:
         parse_discourse(json.dumps(doc))
     assert err.value.categories == {SCHEMA}
+    # A slot the utterance lacks is reported at that slot.
+    doc = json.loads(valid_text())
+    assert doc["gold"][0]["utterance_index"] == 4
+    doc["gold"][0]["assignment"]["other"] = "hanako"
+    assert [(i.category, i.path, i.message) for i in error_of(doc).issues] == [
+        (SCHEMA, "$.gold[0].assignment.other", "utterance 4 has no such slot"),
+    ]
 
 
 def test_gold_index_must_point_at_an_utterance():
@@ -370,6 +378,34 @@ def test_discourse_level_issues_are_located():
     assert categories_of(error_of(doc)) == [(SCHEMA, "$.utterances")]
 
 
+def issues_of_spoiled(spoil):
+    """The (category, path, message) of each issue once spoil has changed valid_text()."""
+    doc = json.loads(valid_text())
+    spoil(doc)
+    return [(i.category, i.path, i.message) for i in error_of(doc).issues]
+
+
+def test_an_item_that_is_not_a_whole_object_is_one_issue_at_its_path():
+    # Another JSON type in place of an item, or an item without a required
+    # field, is reported at the item itself; nothing is built from it, so
+    # no later check reports it again.
+    assert issues_of_spoiled(lambda doc: setitem(doc["entities"], 1, 7)) == [
+        (SCHEMA, "$.entities[1]", "expected an object, got int"),
+    ]
+    assert issues_of_spoiled(lambda doc: doc["utterances"][2]["verb"].pop("subcat")) == [
+        (SCHEMA, "$.utterances[2].verb", "missing required field 'subcat'"),
+    ]
+    assert issues_of_spoiled(lambda doc: setitem(doc["utterances"][1]["args"], 0, "zero")) == [
+        (SCHEMA, "$.utterances[1].args[0]", "expected an object, got str"),
+    ]
+    assert issues_of_spoiled(lambda doc: doc["utterances"][3].pop("args")) == [
+        (SCHEMA, "$.utterances[3]", "missing required field 'args'"),
+    ]
+    assert issues_of_spoiled(lambda doc: setitem(doc["gold"], 1, [])) == [
+        (SCHEMA, "$.gold[1]", "expected an object, got list"),
+    ]
+
+
 def test_gold_labels_are_read_only_once_the_discourse_reads_cleanly():
     doc = json.loads(valid_text())
     doc["entities"][0]["animate"] = "yes"
@@ -425,6 +461,11 @@ def test_significant_gold_requires_the_top_reading_to_match():
         for g in golds
     )
     assert not check_gold(flipped, result.hypotheses).ok
+    # With no readings at all there is no top reading to match.
+    report = check_gold(golds, ())
+    assert [(c.utterance_index, c.ok, c.detail) for c in report.checks] == [
+        (4, False, "no hypotheses produced"),
+    ]
 
 
 def test_ambiguous_gold_requires_both_readings_present():

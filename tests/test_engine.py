@@ -145,7 +145,8 @@ def reference_bindings(utterance, context, entities):
 
     Every fill of the zeros from the whole context, in product order, kept
     when it is injective, names no entity an overt slot names and puts
-    only animate entities in animate-only slots.
+    only animate entities in animate-only slots.  The overt slots are
+    copied as they are, a repeated entity included.
     """
     slots = [a.realization.entity_id for a in utterance.args]
     zeros = [p for p, eid in enumerate(slots) if eid is None]
@@ -205,9 +206,12 @@ def test_generation_equals_the_itertools_reference(all_zero):
         )
         covered["pool smaller than zeros"] += 0 < len(context) < n_zeros
         covered["bindings"] += len(got)
+        named = [a.realization.entity_id for a in utterance.args if not a.realization.is_zero]
+        covered["repeated overt entity"] += len(set(named)) < len(named) and bool(got)
     for case in ("all zero", "animate-only zero", "pool smaller than zeros"):
         assert covered[case] >= 100, covered
-    assert covered["overt slots"] >= (0 if all_zero else 100), covered
+    for case in ("overt slots", "repeated overt entity"):
+        assert covered[case] >= (0 if all_zero else 100), covered
     assert covered["bindings"] >= 2000, covered
 
 

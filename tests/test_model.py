@@ -87,12 +87,23 @@ def test_model_values_are_immutable():
         e.animate = False
 
 
+def test_empty_ids_and_a_zero_index_are_refused():
+    with pytest.raises(ValueError, match="entity id must be non-empty"):
+        entity("")
+    with pytest.raises(ValueError, match="overt realization needs an entity id"):
+        Realization.overt("")
+    with pytest.raises(ValueError, match="utterance index is 1-based"):
+        Utterance(0, VerbFrame("v", (SUBJ,)), (overt(SUBJ, "a"),))
+
+
 def test_zero_argument_rejects_particle_marking():
     with pytest.raises(ValueError):
         Argument(SUBJ, Marking.WA, Realization.zero())
 
 
 def test_frame_requires_nonempty_distinct_subcat():
+    with pytest.raises(ValueError, match="verb frame needs a lemma"):
+        VerbFrame("", (SUBJ,))
     with pytest.raises(ValueError):
         VerbFrame("v", ())
     with pytest.raises(ValueError):
@@ -131,6 +142,8 @@ def test_discourse_rejects_duplicate_ids_and_index_gaps():
     u3 = Utterance(3, frame, (overt(SUBJ, "a"),))
     with pytest.raises(ValueError):
         Discourse((entity("a"),), (u1, u3))
+    with pytest.raises(ValueError, match="discourse needs at least one utterance"):
+        Discourse((entity("a"),), ())
 
 
 def test_derived_entity_views_leave_equality_and_repr_alone():

@@ -125,6 +125,17 @@ def test_zero_topic_must_be_bound_at_a_zero_slot():
         assign_salience_roles(utt, {SUBJ: "a", OBJ: "b"}, zero_topic="b")
 
 
+def test_salience_needs_every_slot_bound_to_an_entity_of_its_own():
+    # Ranking takes only injective bindings: the arguments of one verb are
+    # disjoint in reference, so one entity in two slots is refused.
+    frame = VerbFrame("v", (SUBJ, OBJ))
+    utt = Utterance(1, frame, (overt(SUBJ, "a"), overt(OBJ, "a")))
+    with pytest.raises(ValueError, match="misses subcategorized role"):
+        assign_salience_roles(utt, {SUBJ: "a"})
+    with pytest.raises(ValueError, match="'a' fills two slots"):
+        assign_salience_roles(utt, {SUBJ: "a", OBJ: "a"})
+
+
 def test_equal_tiers_keep_subcat_order():
     frame = VerbFrame("v", (OBJ2, OBJ))
     utt = Utterance(1, frame, (overt(OBJ2, "x", Marking.NI), overt(OBJ, "y")))
