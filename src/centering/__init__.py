@@ -20,7 +20,6 @@ from .engine import (
     EngineConfig,
     UnresolvableError,
     resolve,
-    step,
 )
 from .oracle import SizeLimitError, check_equivalence, enumerate_all
 from .corpus import (
@@ -32,7 +31,6 @@ from .corpus import (
 
 __all__ = [
     "resolve",
-    "step",
     "EngineConfig",
     "check_gold",
     "enumerate_all",

@@ -17,18 +17,22 @@ beam, and the content of the last two steps - then cuts it in one
 place.  That order equals the reference `hypothesis_sort_key`, which
 `resolve` never calls.  An utterance's readings depend only on the
 previous center state, so parents that share their last state share one
-expansion, memoised per utterance in a plain dict that only `step`
-reads.  Siblings share their parent's key score and rank, so they compare
-on their transition, the Cb their parent's last step takes after
-write-back and their own content - their sibling key, fixed by that
-state: each expansion keeps only its `beam_width` best survivors, cut
-after the zero-topic variants are added, and `step` returns the
-parent's `beam_width` best children in beam order with their sibling
-keys.  A child past them has `beam_width` siblings ahead of it and
-cannot reach the beam, so the cut is exact.  `resolve` needs nothing
-from a step but its return value: it keys the children from their
-sibling keys and logs the rejections each state's expanding call
-reports.
+expansion, memoised per utterance in a plain dict that `resolve` makes
+and `step`, its per-parent call, fills.  Siblings share their parent's
+key score and rank, so they compare on their transition, the Cb their
+parent's last step takes after write-back and their own content - their
+sibling key, fixed by that state: each expansion keeps only its
+`beam_width` best survivors, cut after the zero-topic variants are
+added, and `step` returns the parent's `beam_width` best children in
+beam order with their sibling keys.  A child past them has `beam_width`
+siblings ahead of it and cannot reach the beam, so the cut is exact.
+`resolve` needs nothing from a step but its return value: it keys the
+children from their sibling keys and logs the rejections each state's
+expanding call reports.
+
+`resolve` is the engine's one entry point.  `step` is its per-parent
+call, not an API of its own; it keeps its name and call pattern only
+because the benchmark's tracer (bench/tracing.py) wraps it by name.
 
 One expansion path builds every utterance's readings: `_survivors`
 turns a previous center state and an utterance into candidates, each a
@@ -164,7 +168,7 @@ class Rejection:
 
 
 @dataclass(frozen=True)
-class StepResult:
+class _StepResult:
     """Ranked children of one parent for one utterance, plus the discards.
 
     keys[i] is ranked[i]'s sibling key: (transition sort value, the Cb
@@ -184,11 +188,11 @@ class ResolveResult:
     rejections maps each utterance to the records of every center state
     expanded there, once per state, in the order the states were expanded;
     each Rejection names a discarded pairing by its binding (entity ids in
-    subcat order) and Cb.
+    subcat order) and Cb.  The non-fatal violations of a relaxed run come
+    from validate_discourse.
     """
 
     hypotheses: tuple[Hypothesis, ...]
-    violations: tuple[Violation, ...]
     rejections: Mapping[int, tuple[Rejection, ...]]
 
     @property
@@ -338,17 +342,18 @@ def apply_zta(
     """Zero-topic variants of the surviving candidates, in base order.
 
     Preconditions for any variant at all: ZTA enabled, the parent center
-    instantiated, and no surviving plain candidate already a CONTINUE
-    (when the center continues smoothly there is nothing for the zero
-    topic to rescue).  A candidate spawns a variant when its own Cb is
-    that same entity — the zero topic continues the previous center as
-    the current one — and a zero slot binds it from a subject or
-    second-object position.  The variant keeps the candidate's Cb and
-    binding but takes the Cf order with that slot as zero topic (which
-    demotes any wa topic to its plain grammatical role), one order per
-    slot for all candidates, and reclassifies the transition, which
-    lands on CONTINUE: the zero topic heads the Cf, so Cb and Cp
-    coincide on the carried-over center.  Its sibling key is the base's
+    instantiated, and no surviving candidate already a CONTINUE (when the
+    center continues smoothly there is nothing for the zero topic to
+    rescue); every candidate handed in is plain, since variants are made
+    only here.  A candidate spawns a variant when its own Cb is that same
+    entity — the zero topic continues the previous center as the current
+    one — and a zero slot binds it from a subject or second-object
+    position.  The variant keeps the candidate's Cb and binding but takes
+    the Cf order with that slot as zero topic (which demotes any wa topic
+    to its plain grammatical role), one order per slot for all
+    candidates, and reclassifies the transition, which lands on CONTINUE:
+    the zero topic heads the Cf, so Cb and Cp coincide on the
+    carried-over center.  Its sibling key is the base's
     with that transition and the ZTA flag set.  Variants are additional
     candidates; the originals stay.  A wide pool's last resort hands over
     thousands of candidates, so both passes over them are plain loops
@@ -357,7 +362,7 @@ def apply_zta(
     if not config.zta_enabled or parent_cb is None:
         return []
     for c in candidates:
-        if c[3] is Transition.CONTINUE and not c[5]:
+        if c[3] is Transition.CONTINUE:
             return []
 
     topic_slots = [
@@ -547,9 +552,12 @@ def step(
     discourse: Discourse,
     config: EngineConfig,
     *,
-    memo: Optional[dict] = None,
-) -> StepResult:
-    """Extend one parent reading by one utterance.
+    memo: dict,
+) -> _StepResult:
+    """Extend one parent reading by one utterance: resolve's per-parent call.
+
+    Not an API of its own: it keeps its name and call pattern only because
+    the benchmark's tracer wraps it by name.
 
     Returns the parent's beam_width best children in beam order:
     transition ordinal first (CONTINUE before RETAIN before the shifts;
@@ -563,14 +571,11 @@ def step(
     Steps and children.
 
     The survivors and their order depend only on the parent's last
-    center state.  memo is a plain dict, shared by the parents of one
-    utterance and read by nothing but step, that expands each distinct
-    state once; only the call that expands a state reports its
-    rejections, and a call that finds the state in memo reports ().
-    Without a memo every call expands and reports.
+    center state.  memo is the plain dict resolve shares among the
+    parents of one utterance, so each distinct state expands once; only
+    the call that expands a state reports its rejections, and a call that
+    finds the state in memo reports ().
     """
-    if memo is None:
-        memo = {}
     state = parent.last.state
     kept = memo.get(state)
     expands = kept is None
@@ -578,7 +583,7 @@ def step(
         kept = memo[state] = _kept_steps(discourse, state, utterance, config)
     keys, steps, rejections = kept
     children = tuple([_child(parent, s) for s in steps])
-    return StepResult(children, keys, rejections if expands else ())
+    return _StepResult(children, keys, rejections if expands else ())
 
 
 def _step_content(s: Step, entity_index: Mapping[str, int]) -> tuple:
@@ -625,7 +630,7 @@ def _dense_ranks(values: Sequence[Hashable]) -> list[int]:
     return [rank[v] for v in values]
 
 
-def _child_keys(keyed_parent: Keyed, result: StepResult, rank: int) -> list[Keyed]:
+def _child_keys(keyed_parent: Keyed, result: _StepResult, rank: int) -> list[Keyed]:
     """One parent's children, each with a key of fixed size for the beam sort.
 
     A child's hypothesis_sort_key is its score, its new step's transition
@@ -693,6 +698,7 @@ def resolve(discourse: Discourse, config: EngineConfig = EngineConfig()) -> Reso
     no reading survives.  The returned hypotheses are sorted best-first
     under hypothesis_sort_key and truncated to the beam width at every
     utterance, so the result is deterministic for identical inputs.
+    The non-fatal violations of a relaxed run are validate_discourse's.
     """
     violations = validate_discourse(discourse)
     strict = config.strict_validation
@@ -716,4 +722,4 @@ def resolve(discourse: Discourse, config: EngineConfig = EngineConfig()) -> Reso
         rejection_log[utterance.index] = tuple(logged)
         keyed = _cut(children, utterance.index, config.beam_width)
 
-    return ResolveResult(tuple(h for _, h in keyed), tuple(violations), rejection_log)
+    return ResolveResult(tuple(h for _, h in keyed), rejection_log)

@@ -475,11 +475,11 @@ def hypothesis_invariant_failures(
 
 
 # --------------------------------------------------------------------------
-# StepResult replay
+# Per-parent step replay
 
 
 def step_result_failures(discourse: Discourse, config: EngineConfig) -> List[str]:
-    """Replay resolution one step at a time and check each StepResult.
+    """Replay resolution one step at a time and check each parent's children.
 
     For every beam state and every following utterance: children are
     ranked by non-decreasing transition ordinal, each child extends its
@@ -498,14 +498,14 @@ def step_result_failures(discourse: Discourse, config: EngineConfig) -> List[str
         except engine.UnresolvableError:
             return failures
         for parent in beam:
-            res = engine.step(parent, utterances[k], discourse, config)
+            res = engine.step(parent, utterances[k], discourse, config, memo={})
             ordinals = [
                 -1 if child.last.transition is None else child.last.transition.ordinal
                 for child in res.ranked
             ]
             if ordinals != sorted(ordinals):
                 failures.append(
-                    f"u{k + 1}: StepResult not ordered by transition ordinal"
+                    f"u{k + 1}: children not ordered by transition ordinal"
                 )
             prev_cf = set(parent.last.state.cf_ids)
             zero_roles = [

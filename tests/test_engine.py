@@ -304,7 +304,7 @@ def test_step_ranks_continue_before_retain():
     parent = top_parent(d, 2)
     assert parent.last.state.cb == "taroo"
     assert parent.last.state.cf_ids == ("taroo", "john", "computer")
-    res = step(parent, d.utterances[2], d, WIDE)
+    res = step(parent, d.utterances[2], d, WIDE, memo={})
     assert len(res.ranked) == 2
     first, second = (h.last for h in res.ranked)
     assert names(first.assignment) == {"subj": "taroo", "obj2": "john"}
@@ -318,7 +318,7 @@ def test_step_ranks_smooth_before_rough_shift():
     parent = top_parent(d, 3)
     assert parent.last.state.cb == "taroo"
     assert parent.last.state.cf_ids == ("ziroo", "taroo")
-    res = step(parent, d.utterances[3], d, WIDE)
+    res = step(parent, d.utterances[3], d, WIDE, memo={})
     assert len(res.ranked) == 2
     first, second = (h.last for h in res.ranked)
     assert names(first.assignment) == {"subj": "ziroo", "obj": "taroo"}
@@ -331,7 +331,7 @@ def test_step_prefers_the_empathic_continue():
     d = load("emp_cont_ret.json")
     parent = top_parent(d, 2)
     assert parent.last.state.cb == "hanako"
-    res = step(parent, d.utterances[2], d, WIDE)
+    res = step(parent, d.utterances[2], d, WIDE, memo={})
     first = res.ranked[0].last
     assert names(first.assignment) == {"subj": "hanako", "obj": "taroo"}
     assert first.transition is Transition.CONTINUE
@@ -529,7 +529,7 @@ def reference_beam_failures(discourse, config):
             candidates = [
                 child
                 for parent in beam
-                for child in step(parent, utterance, discourse, config).ranked
+                for child in step(parent, utterance, discourse, config, memo={}).ranked
             ]
     return failures
 
@@ -637,7 +637,7 @@ def test_survivors_run_once_per_distinct_parent_state(monkeypatch, workloads):
             logged = tuple(
                 r
                 for p in {p.last.state: p for p in ps}.values()
-                for r in step(p, d.utterances[u - 1], d, EngineConfig()).rejections
+                for r in step(p, d.utterances[u - 1], d, EngineConfig(), memo={}).rejections
             )
             assert result.rejections[u] == logged
     # Parents of the chain's utterances share states, so the count is a saving.
@@ -647,10 +647,11 @@ def test_survivors_run_once_per_distinct_parent_state(monkeypatch, workloads):
 def step_contract_failures(discourse, config):
     """Where step, called on every beam parent with one shared memo, breaks its contract.
 
-    Per utterance: ranked and keys equal the memo-less call's, keys are
-    non-decreasing and each is its child's sibling key, and each distinct
-    parent state's records come once, from the call that expands it, so
-    that concatenated they are resolve's log for the utterance.
+    Per utterance: ranked and keys equal those of a call with a fresh
+    memo, keys are non-decreasing and each is its child's sibling key,
+    and each distinct parent state's records come once, from the call
+    that expands it, so that concatenated they are resolve's log for the
+    utterance.
     """
     failures = []
     entity_index = discourse.entity_index
@@ -663,10 +664,10 @@ def step_contract_failures(discourse, config):
         memo, expanded, reported = {}, set(), []
         for i, parent in enumerate(beam):
             shared = step(parent, utterance, discourse, config, memo=memo)
-            alone = step(parent, utterance, discourse, config)
+            alone = step(parent, utterance, discourse, config, memo={})
             where = (n + 1, i)
             if (shared.ranked, shared.keys) != (alone.ranked, alone.keys):
-                failures.append((*where, "differs from the memo-less call"))
+                failures.append((*where, "differs from a call with a fresh memo"))
             if list(shared.keys) != sorted(shared.keys):
                 failures.append((*where, "keys out of order"))
             want_keys = tuple(
@@ -713,7 +714,7 @@ def test_children_add_one_ordinal_to_the_parent_score():
     for name, d, _golds in corpus.iter_valid_corpus():
         for n in range(1, len(d.utterances)):
             for parent in resolve(prefix(d, n), WIDE).hypotheses:
-                for child in step(parent, d.utterances[n], d, WIDE).ranked:
+                for child in step(parent, d.utterances[n], d, WIDE, memo={}).ranked:
                     assert child.score == parent.score + child.last.transition_cost, name
 
 
@@ -747,7 +748,7 @@ def cut_step_failures(discourse, config):
         utterance = discourse.utterances[n]
         for i, parent in enumerate(beam):
             want = full_siblings(parent, utterance, discourse, config)[: config.beam_width]
-            if step(parent, utterance, discourse, config).ranked != tuple(want):
+            if step(parent, utterance, discourse, config, memo={}).ranked != tuple(want):
                 failures.append((n + 1, i))
     return failures
 
@@ -784,7 +785,8 @@ def test_step_returns_the_beam_width_best_of_all_siblings(workloads):
     for width in (1, 2, 3, 4):
         assert cut_step_failures(pool, EngineConfig(beam_width=width)) == [], width
         assert cut_step_failures(d, EngineConfig(beam_width=width)) == [], width
-    [best] = step(resolve(prefix(d, 1)).top, d.utterances[1], d, EngineConfig(beam_width=1)).ranked
+    parent = resolve(prefix(d, 1)).top
+    [best] = step(parent, d.utterances[1], d, EngineConfig(beam_width=1), memo={}).ranked
     assert best.last.zta_applied and best.last.transition is Transition.CONTINUE
 
 
@@ -1073,6 +1075,6 @@ def test_overt_slots_that_doom_every_pairing_reject_each_with_its_code(frame, ar
         for a, cb in _pairings(d, utterance, prev)
     ]
     assert len(want) == 3 and {r.code for r in want} == {code}
-    result = step(parent, utterance, d, config)
+    result = step(parent, utterance, d, config, memo={})
     assert result.ranked == ()
     assert list(result.rejections) == want
