@@ -21,9 +21,11 @@ Exit codes:
      center state (a ZTA variant counted only where that state's Cb is
      set) passes the size limit (oracle)
   5  the input file cannot be read
-  6  the input file is not UTF-8 JSON or is shaped wrongly
+  6  the input file is not UTF-8 JSON or is shaped wrongly (a string
+     holding a lone surrogate escape such as "\\ud800" included)
   7  bad command line (unknown option, missing argument, beam width < 1)
-  8  the output cannot be written (closed pipe, full device)
+  8  the output cannot be written (closed pipe, full device, or a
+     character stdout's encoding cannot hold)
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import Callable, NoReturn, Optional, Sequence, TypeVar
 
 from .corpus import (
@@ -256,18 +259,7 @@ def _print_trace(discourse: Discourse, result: ResolveResult) -> None:
 
 def _emit_format_error(err: DiscourseFormatError, fmt: str) -> int:
     if fmt == "json":
-        print(json.dumps({
-            "issues": [
-                {
-                    "category": i.category,
-                    "path": i.path,
-                    "message": i.message,
-                    "line": i.line,
-                    "column": i.column,
-                }
-                for i in err.issues
-            ]
-        }, indent=2))
+        print(json.dumps({"issues": [asdict(i) for i in err.issues]}, indent=2))
     else:
         for issue in err.issues:
             print(str(issue), file=sys.stderr)
@@ -288,6 +280,12 @@ def _load(path: str) -> tuple[Discourse, tuple[GoldLabel, ...]]:
     except OSError as err:
         raise _ReadError(f"cannot read {path}: {err}") from err
     return parse_discourse(data)
+
+
+#: The failures reported as one "error:" line on stderr, by exact class.
+_ERROR_EXITS: dict[type[Exception], int] = {
+    _ReadError: EXIT_IO, UnresolvableError: EXIT_UNRESOLVABLE, SizeLimitError: EXIT_SIZE_LIMIT,
+}
 
 
 def _config(args: argparse.Namespace) -> EngineConfig:
@@ -318,13 +316,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     discourse, golds = _load(args.file)
     report = check_gold(golds, resolve(discourse, _config(args)).hypotheses)
     if args.format == "json":
-        print(json.dumps({
-            "ok": report.ok,
-            "checks": [
-                {"utterance_index": c.utterance_index, "ok": c.ok, "detail": c.detail}
-                for c in report.checks
-            ],
-        }, indent=2))
+        print(json.dumps({"ok": report.ok, "checks": [asdict(c) for c in report.checks]}, indent=2))
     else:
         for c in report.checks:
             status = "ok" if c.ok else "MISMATCH"
@@ -340,12 +332,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     discourse, _golds = _load(args.file)
     report = check_equivalence(discourse, _config(args))
     if args.format == "json":
-        print(json.dumps({
-            "equivalent": report.equivalent,
-            "engine_count": report.engine_count,
-            "oracle_count": report.oracle_count,
-            "detail": report.detail,
-        }, indent=2))
+        print(json.dumps(asdict(report), indent=2))
     else:
         verdict = "EQUIVALENT" if report.equivalent else "DISCREPANCY"
         print(f"{verdict}: {report.detail}")
@@ -366,8 +353,8 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
 
     A bad command line raises SystemExit(EXIT_USAGE), as --help raises
     SystemExit(0).  Each failure a subcommand raises is mapped to its
-    documented exit code here, except an OSError from writing stdout,
-    which main() turns into EXIT_OUTPUT.
+    documented exit code here, except an OSError or UnicodeEncodeError
+    from writing stdout, which main() turns into EXIT_OUTPUT.
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -375,17 +362,11 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         args.parser.error(f"argument --beam: must be at least 1, got {args.beam}")
     try:
         return args.handler(args)
-    except _ReadError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
     except DiscourseFormatError as err:
         return _emit_format_error(err, args.format)
-    except UnresolvableError as err:
+    except tuple(_ERROR_EXITS) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_UNRESOLVABLE
-    except SizeLimitError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_SIZE_LIMIT
+        return _ERROR_EXITS[type(err)]
 
 
 def main() -> None:  # pragma: no cover - the tests run it in a subprocess
@@ -395,7 +376,9 @@ def main() -> None:  # pragma: no cover - the tests run it in a subprocess
         finally:
             # Also when argparse exits: --help leaves its text in the buffer.
             sys.stdout.flush()
-    except OSError as err:  # a closed pipe or a full device on stdout
+    except (OSError, UnicodeEncodeError) as err:
+        # A closed pipe or a full device on stdout, or a character its
+        # encoding cannot hold (say, under PYTHONIOENCODING=ascii).
         # Drop the unwritten output, or the flush at exit fails again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: cannot write output: {err}", file=sys.stderr)

@@ -137,10 +137,17 @@ class _Reader:
         self.issues.append(FormatIssue(category, path, message))
 
     def expect(self, value: Any, path: str, kind: type) -> Any:
-        """value if JSON gave it the type kind, else None after an issue."""
-        if type(value) is kind:
+        """value if JSON gave it the type kind, else None after an issue.
+
+        A string holding a lone surrogate (an unpaired \\ud800-\\udfff
+        escape, which json accepts) is refused too, as no encoding can write it.
+        """
+        if type(value) is not kind:
+            self.fail(path, f"expected {_JSON_TYPES[kind]}, got {type(value).__name__}")
+        elif kind is str and not value.isascii() and any("\ud800" <= c <= "\udfff" for c in value):
+            self.fail(path, "lone surrogate escape: a string must be valid Unicode")
+        else:
             return value
-        self.fail(path, f"expected {_JSON_TYPES[kind]}, got {type(value).__name__}")
         return None
 
     def array(self, value: Any, path: str) -> list:

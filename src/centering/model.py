@@ -408,7 +408,7 @@ class Violation:
     slot: Optional[GrammaticalRole]
     message: str
 
-    def __str__(self) -> str:  # pragma: no cover - display helper
+    def __str__(self) -> str:
         where = f"utterance {self.utterance_index}"
         if self.slot is not None:
             where += f", {self.slot.name.lower()}"

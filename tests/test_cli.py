@@ -377,6 +377,95 @@ def test_validate_json_carries_issue_records(corpus_file, capsys):
     assert "EMPATHY_NOT_EVOKED" in doc["issues"][0]["message"]
 
 
+_CHECK_JSON = """\
+{
+  "ok": true,
+  "checks": [
+    {
+      "utterance_index": 3,
+      "ok": true,
+      "detail": "top reading matches the preferred label (subj=taroo, obj2=john)"
+    }
+  ]
+}
+"""
+
+_ORACLE_JSON = """\
+{
+  "equivalent": true,
+  "engine_count": 2,
+  "oracle_count": 2,
+  "detail": "2 readings agree in content and order"
+}
+"""
+
+_VALIDATE_JSON = """\
+{
+  "issues": [
+    {
+      "category": "validation",
+      "path": "$.utterances[0].args[1]",
+      "message": "EMPATHY_NOT_EVOKED: empathy locus of 'kasite-kureru' filled by unevoked entity 'dareka'",
+      "line": null,
+      "column": null
+    }
+  ]
+}
+"""
+
+_SYNTAX_JSON = """\
+{
+  "issues": [
+    {
+      "category": "parse",
+      "path": "$",
+      "message": "Expecting property name enclosed in double quotes",
+      "line": 1,
+      "column": 2
+    }
+  ]
+}
+"""
+
+_SCHEMA_JSON = """\
+{
+  "issues": [
+    {
+      "category": "schema",
+      "path": "$.mystery",
+      "message": "unknown field",
+      "line": null,
+      "column": null
+    }
+  ]
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "command, content, expected_code, expected_out",
+    [
+        ("check", lambda: corpus.corpus_text("cont_ret_ex.json"), EXIT_OK, _CHECK_JSON),
+        ("oracle", lambda: corpus.corpus_text("minimal_pair_1.json"), EXIT_OK, _ORACLE_JSON),
+        (
+            "validate", lambda: corpus.corpus_text("invalid_empathy_hearer_new.json"),
+            EXIT_VALIDATION, _VALIDATE_JSON,
+        ),
+        ("resolve", lambda: "{oops", EXIT_FORMAT, _SYNTAX_JSON),
+        ("check", lambda: _schema_error().decode("utf-8"), EXIT_FORMAT, _SCHEMA_JSON),
+    ],
+    ids=["check", "oracle", "validate", "syntax-error", "schema-error"],
+)
+def test_report_json_is_the_documented_text_byte_for_byte(
+    tmp_path, capsys, command, content, expected_code, expected_out
+):
+    """Key order, nesting and null or integer positions are part of the contract."""
+    path = tmp_path / "input.json"
+    path.write_text(content(), encoding="utf-8")
+    assert run_cli([command, str(path), "--format", "json"]) == expected_code
+    assert capsys.readouterr() == (expected_out, "")
+
+
 def test_missing_file_is_an_io_error(tmp_path, capsys):
     assert run_cli(["resolve", str(tmp_path / "nope.json")]) == EXIT_IO
     assert "cannot read" in capsys.readouterr().err
@@ -478,6 +567,10 @@ def _schema_error():
     return json.dumps(doc).encode("utf-8")
 
 
+#: shift_ex.json with the entity taroo, named by its gold labels too,
+#: renamed to an id json decodes with an unpaired surrogate.
+_LONE_SURROGATE = _VALID.replace(b'"taroo"', b'"a\\ud800"')
+
 #: Input kind -> (file bytes, None for a path that is no file; the exit
 #: code of each subcommand the kind applies to).  "clean" is the control.
 _KINDS = {
@@ -486,6 +579,7 @@ _KINDS = {
     "directory": (None, _every(EXIT_IO)),
     "bad-utf8": (lambda: b'{"entities": ["tar\xffoo"]}', _every(EXIT_FORMAT)),
     "schema": (_schema_error, _every(EXIT_FORMAT)),
+    "lone-surrogate": (lambda: _LONE_SURROGATE, _every(EXIT_FORMAT)),
     "infelicitous": (
         lambda: corpus.corpus_text("invalid_wa_indefinite.json").encode("utf-8"),
         _every(EXIT_VALIDATION),
@@ -536,6 +630,30 @@ def _env(**overrides):
     return dict(os.environ, PYTHONPATH=path, **overrides)
 
 
+def test_a_lone_surrogate_is_located_by_every_subcommand(tmp_path, capsys):
+    """No output could encode the id: parsing refuses it where it stands."""
+    path = tmp_path / "surrogate.json"
+    path.write_bytes(_LONE_SURROGATE)
+    for command in _COMMANDS:
+        assert run_cli([command, str(path)]) == EXIT_FORMAT
+        assert capsys.readouterr().err.startswith("schema: $.entities[0].id: lone surrogate")
+        assert run_cli([command, str(path), "--format", "json"]) == EXIT_FORMAT
+        issue = json.loads(capsys.readouterr().out)["issues"][0]
+        assert (issue["category"], issue["path"]) == ("schema", "$.entities[0].id")
+
+
+def test_a_lone_surrogate_ends_the_program_without_a_traceback(tmp_path):
+    path = tmp_path / "surrogate.json"
+    path.write_bytes(_LONE_SURROGATE)
+    proc = subprocess.run(
+        [sys.executable, "-m", "centering", "resolve", str(path)],
+        env=_env(), capture_output=True,
+    )
+    assert proc.returncode == EXIT_FORMAT
+    assert proc.stdout == b"" and b"Traceback" not in proc.stderr
+    assert proc.stderr.startswith(b"schema: $.entities[0].id: lone surrogate")
+
+
 # --------------------------------------------------------------------------
 # Determinism across processes
 
@@ -571,6 +689,8 @@ def _assert_unwritable_exits_eight(argv, target):
     """With stdout on target, argv exits 8 with one error line, buffered or not."""
     for unbuffered in ("", "1"):
         env = _env(PYTHONUNBUFFERED=unbuffered)
+        if target == "ascii-stdout":
+            env["PYTHONIOENCODING"] = "ascii"
 
         def start(stdout):
             return subprocess.Popen(
@@ -581,6 +701,8 @@ def _assert_unwritable_exits_eight(argv, target):
         if target == "closed-pipe":
             proc = start(subprocess.PIPE)
             proc.stdout.close()
+        elif target == "ascii-stdout":
+            proc = start(subprocess.DEVNULL)
         else:
             if not os.path.exists("/dev/full"):
                 pytest.skip("no /dev/full on this platform")
@@ -617,3 +739,17 @@ def test_unwritable_output_exits_eight_with_one_error_line(
 def test_unwritable_help_exits_eight_with_one_error_line(target, argv):
     """argparse drops a failed write; the help of a parser or subparser may not."""
     _assert_unwritable_exits_eight(argv, target)
+
+
+def test_a_character_stdout_cannot_encode_exits_eight_with_one_error_line(tmp_path):
+    """Text prints the id as it is; JSON escapes it, so it still succeeds."""
+    path = tmp_path / "non_ascii.json"
+    path.write_text(
+        corpus.corpus_text("shift_ex.json").replace('"taroo"', '"太郎"'), encoding="utf-8"
+    )
+    _assert_unwritable_exits_eight(["resolve", str(path)], "ascii-stdout")
+    proc = subprocess.run(
+        [sys.executable, "-m", "centering", "resolve", str(path), "--format", "json"],
+        env=_env(PYTHONIOENCODING="ascii"), capture_output=True,
+    )
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")

@@ -343,6 +343,26 @@ def test_a_bad_leaf_anywhere_ends_in_a_format_error():
             container[key] = original
 
 
+def test_a_lone_surrogate_in_any_string_is_a_schema_issue_at_its_path():
+    # json decodes an unpaired \ud800 escape into a string no encoding can
+    # write; a paired escape decodes to one valid character and is kept.
+    spoiled = 0
+    for name in corpus.VALID_FILES:
+        doc = json.loads(corpus.corpus_text(name))
+        for path, container, key in list(json_leaves(doc)):
+            original = container[key]
+            if isinstance(original, str):
+                container[key] = original + "\ud800"
+                assert (SCHEMA, path) in categories_of(error_of(doc)), (name, path)
+                container[key] = original
+                spoiled += 1
+    assert spoiled == 603
+    doc = json.loads(valid_text())
+    doc["utterances"][0]["gloss"] = "\U0001F600"
+    assert "\\ud83d\\ude00" in json.dumps(doc)
+    assert parse_discourse(json.dumps(doc))[0].utterances[0].gloss == "\U0001F600"
+
+
 def test_a_frame_reports_a_bad_lemma_and_a_bad_sortal_together():
     doc = json.loads(corpus.corpus_text("cont_ret_ex.json"))
     doc["utterances"][0]["verb"]["lemma"] = 7
