@@ -282,7 +282,7 @@ def _load(path: str) -> tuple[Discourse, tuple[GoldLabel, ...]]:
     return parse_discourse(data)
 
 
-#: The failures reported as one "error:" line on stderr, by exact class.
+#: The failures reported as one "error:" line on stderr, by class.
 _ERROR_EXITS: dict[type[Exception], int] = {
     _ReadError: EXIT_IO, UnresolvableError: EXIT_UNRESOLVABLE, SizeLimitError: EXIT_SIZE_LIMIT,
 }
@@ -366,7 +366,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         return _emit_format_error(err, args.format)
     except tuple(_ERROR_EXITS) as err:
         print(f"error: {err}", file=sys.stderr)
-        return _ERROR_EXITS[type(err)]
+        return next(code for cls, code in _ERROR_EXITS.items() if isinstance(err, cls))
 
 
 def main() -> None:  # pragma: no cover - the tests run it in a subprocess
