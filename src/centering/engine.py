@@ -23,11 +23,15 @@ key score and rank, so they compare on their transition, the Cb their
 parent's last step takes after write-back and their own content - their
 sibling key, fixed by that state: each expansion keeps only its
 `beam_width` best survivors, cut after the zero-topic variants are
-added, and `step` returns the parent's `beam_width` best children in
-beam order with their sibling keys.  A child past them has `beam_width`
-siblings ahead of it and cannot reach the beam, so the cut is exact.
-`resolve` needs nothing from a step but its return value: it keys the
-children from their sibling keys and logs the rejections each state's
+added, and `step` returns the new steps of the parent's `beam_width`
+best children in beam order with their sibling keys.  A child past them
+has `beam_width` siblings ahead of it and cannot reach the beam, so the
+cut is exact.  `resolve` needs nothing from a step but its return
+value, and builds no child before its own cut: it keys every (parent,
+kept step) pair from the parent's key and the step's sibling key, cuts
+the pairs of all parents at once (`_cut`) and assembles a child
+(`_child`, which copies the parent's steps) only for each pair kept, so
+`beam_width` per utterance.  It logs the rejections each state's
 expanding call reports.
 
 `resolve` is the engine's one entry point.  `step` is its per-parent
@@ -52,7 +56,9 @@ id, or None while it is uninstantiated; the next utterance that pins it
 down writes it back.
 
 Candidates are tuple work against a plan of the utterance (`_Plan`),
-compiled once per expansion, before its first candidate.
+compiled once per `resolve`: `resolve` puts it in each utterance's memo,
+next to the expansions, and the discourse-initial utterance's one
+expansion compiles its own.
 `generate_assignments` grows each binding slot by slot, in subcat
 order: an overt slot appends its entity, and a zero each entity of its
 pool the binding does not hold yet, so it binds the zeros injectively,
@@ -65,8 +71,9 @@ Rule 1 is the only filter left to run per pairing.  A slot's salience
 tier depends on its role, its marking, the empathy locus and the zero
 topic, never on the entity in it, so the Cf of every binding is one
 fixed order of slot positions; the rules rank a probe binding once to
-find it, and once more per zero-topic slot.  Per candidate what remains
-is the binding as generation yields it (a tuple of entity ids), its Cb
+find it, and once more per zero-topic slot, the first time a variant
+takes that slot, into the plan.  Per candidate what remains is the
+binding as generation yields it (a tuple of entity ids), its Cb
 candidates from the previous Cf, the Rule 1 test and the sibling key;
 the Cf is read off the order only for a candidate the cut keeps.  The
 previous Cb is fixed within an expansion, so a transition depends only
@@ -96,7 +103,8 @@ unordered data, so identical inputs give byte-identical outputs.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 from typing import AbstractSet, Hashable, Mapping, Optional, Sequence
 
@@ -169,16 +177,26 @@ class Rejection:
 
 @dataclass(frozen=True)
 class _StepResult:
-    """Ranked children of one parent for one utterance, plus the discards.
+    """One parent's kept steps for one utterance, plus the discards.
 
-    keys[i] is ranked[i]'s sibling key: (transition sort value, the Cb
-    index the parent's last step takes by write-back or -1, content of
-    the new step).  rejections is () when a shared memo held the state.
+    steps are the new steps of the parent's beam_width best children, in
+    beam order, and keys[i] is steps[i]'s sibling key: (transition sort
+    value, the Cb index the parent's last step takes by write-back or -1,
+    content of the new step).  ranked builds those children on its first
+    read; resolve never reads it, since it builds a child only for a
+    (parent, step) pair its cut keeps.  rejections is () when a shared
+    memo held the state.
     """
 
-    ranked: tuple[Hypothesis, ...]
+    parent: Hypothesis
+    steps: tuple[Step, ...]
     keys: tuple[tuple, ...]
     rejections: tuple[Rejection, ...]
+
+    @cached_property
+    def ranked(self) -> tuple[Hypothesis, ...]:
+        """The children, in the order of steps."""
+        return tuple([_child(self.parent, s) for s in self.steps])
 
 
 @dataclass(frozen=True)
@@ -294,12 +312,15 @@ class _Plan:
     Generation binds the zeros injectively, apart from the overt slots,
     sortal-correctly and to recoverable antecedents, so filter_assignment
     passes a pairing exactly when overt_ok and Rule 1 hold, and the Cf of
-    every binding is the one order cf of slot positions.
+    every binding is the one order cf of slot positions.  topic_orders
+    holds the Cf order with each zero-topic slot, by slot position, as
+    apply_zta compiles it on first use.
     """
 
     zeros: tuple[int, ...]  # positions of the zero slots
     overt_ok: bool  # the overt slots pass CONTRA_INDEX and SORTAL
     cf: CfOrder
+    topic_orders: dict[int, CfOrder] = field(default_factory=dict, compare=False)
 
     @staticmethod
     def of(utterance: Utterance, entities: Mapping[str, Entity]) -> "_Plan":
@@ -338,6 +359,7 @@ def apply_zta(
     parent_cb: Optional[str],
     utterance: Utterance,
     config: EngineConfig,
+    orders: Optional[dict[int, CfOrder]] = None,
 ) -> list[Candidate]:
     """Zero-topic variants of the surviving candidates, in base order.
 
@@ -351,7 +373,9 @@ def apply_zta(
     position.  The variant keeps the candidate's Cb and binding but takes
     the Cf order with that slot as zero topic (which demotes any wa topic
     to its plain grammatical role), one order per slot for all
-    candidates, and reclassifies the transition, which lands on CONTINUE:
+    candidates, compiled on a miss into orders (the utterance plan's
+    topic_orders, so each is compiled once per utterance; a fresh dict
+    when None), and reclassifies the transition, which lands on CONTINUE:
     the zero topic heads the Cf, so Cb and Cp coincide on the
     carried-over center.  Its sibling key is the base's
     with that transition and the ZTA flag set.  Variants are additional
@@ -369,7 +393,8 @@ def apply_zta(
         p for p, a in enumerate(utterance.args)
         if a.realization.is_zero and a.role in ZERO_TOPIC_ROLES
     ]
-    orders: dict[int, CfOrder] = {}
+    if orders is None:
+        orders = {}
     variants: list[Candidate] = []
     for c in candidates:
         if c[2] != parent_cb:
@@ -397,6 +422,7 @@ def _survivors(
     prev: Optional[CenterState],
     utterance: Utterance,
     config: EngineConfig,
+    plan: Optional[_Plan] = None,
 ) -> tuple[list[Candidate], list[Rejection]]:
     """Filtered, ZTA-extended candidates of one utterance after state prev.
 
@@ -426,17 +452,20 @@ def _survivors(
     -1.  Nothing else is built: _kept_steps makes the Step of each
     candidate the beam can keep, for step and _initial_hypotheses alike.
 
-    Only what is specific to a candidate is computed per candidate.  With
-    prev's Cb fixed, the transition depends on the (Cb, Cp entity) pair
-    alone, so a dict local to this call holds each pair's transition and
-    sort value, filled through classify_transition on a miss.  Where
-    prev's Cb is set, a binding's one Cb candidate is the first
-    previous-Cf entity it holds.
+    Only what is specific to a candidate is computed per candidate.  plan
+    is the utterance's _Plan, compiled here when None; step passes the
+    one its memo holds, so an utterance compiles once whatever the number
+    of states expanded there.  With prev's Cb fixed, the transition
+    depends on the (Cb, Cp entity) pair alone, so a dict local to this
+    call holds each pair's transition and sort value, filled through
+    classify_transition on a miss.  Where prev's Cb is set, a binding's
+    one Cb candidate is the first previous-Cf entity it holds.
     """
     entities = discourse.entity_map
     entity_index = discourse.entity_index
     roles = utterance.frame.subcat
-    plan = _Plan.of(utterance, entities)
+    if plan is None:
+        plan = _Plan.of(utterance, entities)
     cp = plan.cf[0][0]
     prev_cf = prev.cf_ids if prev is not None else ()
     prev_cf_set = frozenset(prev_cf)
@@ -496,20 +525,24 @@ def _survivors(
     if inside:
         rejections.extend(Rejection(index, c[1], c[2], OUT_OF_CF_PRUNED) for c in outside)
     survivors = inside or outside
-    return survivors + apply_zta(survivors, prev_cb, utterance, config), rejections
+    variants = apply_zta(survivors, prev_cb, utterance, config, plan.topic_orders)
+    return survivors + variants, rejections
 
 
 def _kept_steps(
-    discourse: Discourse, prev: Optional[CenterState], utterance: Utterance, config: EngineConfig
+    discourse: Discourse, prev: Optional[CenterState], utterance: Utterance, config: EngineConfig,
+    plan: Optional[_Plan] = None,
 ) -> tuple[tuple[tuple, ...], tuple[Step, ...], tuple[Rejection, ...]]:
     """Cut one expansion's survivors to beam_width, then build only those.
 
     The one place a candidate becomes a Step, for every utterance: the
-    survivors of _survivors stay keyed tuples through the cut
-    (heapq.nsmallest on the key).  Returns the kept candidates' keys and
-    Steps, best first, and the expansion's rejections.
+    survivors of _survivors (given plan, the utterance's _Plan or None)
+    stay keyed tuples through the cut (heapq.nsmallest on the key).
+    Returns the kept candidates' keys and Steps, best first, and the
+    expansion's rejections.  A Step is not yet a child: resolve builds
+    one only for a (parent, step) pair its own cut keeps.
     """
-    survivors, rejections = _survivors(discourse, prev, utterance, config)
+    survivors, rejections = _survivors(discourse, prev, utterance, config, plan)
     best = heapq.nsmallest(config.beam_width, survivors, key=itemgetter(0))
     keys = tuple([c[0] for c in best])
     return keys, tuple([_step(utterance, c) for c in best]), tuple(rejections)
@@ -559,31 +592,33 @@ def step(
     Not an API of its own: it keeps its name and call pattern only because
     the benchmark's tracer wraps it by name.
 
-    Returns the parent's beam_width best children in beam order:
-    transition ordinal first (CONTINUE before RETAIN before the shifts;
-    an unclassified reset sorts with the initials), then the Cb the
-    parent's last step takes after write-back, then the new step's
-    content, as hypothesis_sort_key orders siblings.  No child past
-    them can reach the beam.  keys holds each child's sibling key (see
-    _survivors), in the same order.  An empty ranked list means this
-    parent cannot account for the utterance.  The survivors stay keyed
-    candidates through the cut (_kept_steps); only the kept ones become
-    Steps and children.
+    Returns the new steps of the parent's beam_width best children in
+    beam order: transition ordinal first (CONTINUE before RETAIN before
+    the shifts; an unclassified reset sorts with the initials), then the
+    Cb the parent's last step takes after write-back, then the new step's
+    content, as hypothesis_sort_key orders siblings.  No child past them
+    can reach the beam.  keys holds each step's sibling key (see
+    _survivors), in the same order.  No steps means this parent cannot
+    account for the utterance.  The survivors stay keyed candidates
+    through the cut (_kept_steps); only the kept ones become Steps, and
+    no child is built here: the result's ranked builds them on demand.
 
     The survivors and their order depend only on the parent's last
-    center state.  memo is the plain dict resolve shares among the
-    parents of one utterance, so each distinct state expands once; only
-    the call that expands a state reports its rejections, and a call that
-    finds the state in memo reports ().
+    center state.  memo is the plain dict resolve makes for one utterance
+    and shares among its parents: it maps _Plan to the utterance's plan,
+    which resolve compiles once (an expansion with no plan in memo
+    compiles its own), and each expanded state to its kept steps, so
+    each distinct state expands once.  Only the call that expands a state
+    reports its rejections; a call that finds the state in memo reports
+    ().
     """
     state = parent.last.state
     kept = memo.get(state)
     expands = kept is None
     if expands:
-        kept = memo[state] = _kept_steps(discourse, state, utterance, config)
+        kept = memo[state] = _kept_steps(discourse, state, utterance, config, memo.get(_Plan))
     keys, steps, rejections = kept
-    children = tuple([_child(parent, s) for s in steps])
-    return _StepResult(children, keys, rejections if expands else ())
+    return _StepResult(parent, steps, keys, rejections if expands else ())
 
 
 def _step_content(s: Step, entity_index: Mapping[str, int]) -> tuple:
@@ -609,8 +644,9 @@ def hypothesis_sort_key(
 
     This is the reference order: every beam `resolve` keeps, and the one
     it returns, is in it.  `resolve` never computes this key; it sorts by
-    the fixed-size keys of `_initial_hypotheses` and `_child_keys`, which
-    order readings the same way, and the tests hold those keys to this one.
+    the fixed-size keys of `_initial_hypotheses` and `_keyed_pairs`, which
+    order readings the same way (a pair's key is that of the child it
+    would make), and the tests hold those keys to this one.
     """
     recency = tuple(
         s.transition.ordinal if s.transition is not None else -1
@@ -623,6 +659,10 @@ def hypothesis_sort_key(
 #: A reading with its beam sort key.
 Keyed = tuple[tuple, Hypothesis]
 
+#: A parent and one of its kept steps, with the beam sort key of the
+#: child they would make.
+Pair = tuple[tuple, Hypothesis, Step]
+
 
 def _dense_ranks(values: Sequence[Hashable]) -> list[int]:
     """Each value's rank among the distinct values; equal values share one."""
@@ -630,47 +670,54 @@ def _dense_ranks(values: Sequence[Hashable]) -> list[int]:
     return [rank[v] for v in values]
 
 
-def _child_keys(keyed_parent: Keyed, result: _StepResult, rank: int) -> list[Keyed]:
-    """One parent's children, each with a key of fixed size for the beam sort.
+def _keyed_pairs(keyed_parent: Keyed, result: _StepResult, rank: int) -> list[Pair]:
+    """One parent's kept steps, each keyed as the child it would make.
 
-    A child's hypothesis_sort_key is its score, its new step's transition
-    followed by the parent's recency, and the content of the parent's
-    steps up to the last, then of its own last two steps (write-back may
-    have rewritten the parent's last one).  The parents of one utterance
-    all have the same length, so their (recency, content prefix) pairs
-    compare as one dense rank of the pair within the beam does, and
-    (score, transition, rank, content of steps[-2], content of steps[-1])
-    orders the children the same way, ties included.  key[1:4] is then
-    the child's own pair, so its dense rank serves the next utterance.
-    The transition, the write-back Cb and the last step's content come
-    from each child's sibling key in result.keys, and the content of the
-    parent's last step from the parent's own key, with its Cb replaced
-    when the write-back index is set (>= 0), and the score from the
-    parent's key plus the transition floored at 0 (a reset costs 0).
+    The key has a fixed size, for the beam sort, and needs no child
+    built.  A child's hypothesis_sort_key is its score, its new step's
+    transition followed by the parent's recency, and the content of the
+    parent's steps up to the last, then of its own last two steps
+    (write-back may have rewritten the parent's last one).  The parents
+    of one utterance all have the same length, so their (recency, content
+    prefix) pairs compare as one dense rank of the pair within the beam
+    does, and (score, transition, rank, content of steps[-2], content of
+    steps[-1]) orders the children the same way, ties included.
+    key[1:4] is then the child's own pair, so its dense rank serves the
+    next utterance.  The transition, the write-back Cb and the last
+    step's content come from each step's sibling key in result.keys, and
+    the content of the parent's last step from the parent's own key, with
+    its Cb replaced when the write-back index is set (>= 0), and the
+    score from the parent's key plus the transition floored at 0 (a reset
+    costs 0).
     """
-    score = keyed_parent[0][0]
-    bound, _cb, zta = last_content = keyed_parent[0][4]
+    key, parent = keyed_parent
+    bound, _cb, zta = last_content = key[4]
     return [
         (
             (
-                score + max(transition, 0),
+                key[0] + max(transition, 0),
                 transition,
                 rank,
                 last_content if cb < 0 else (bound, cb, zta),
                 content,
             ),
-            child,
+            parent,
+            s,
         )
-        for child, (transition, cb, content) in zip(result.ranked, result.keys)
+        for s, (transition, cb, content) in zip(result.steps, result.keys)
     ]
 
 
-def _cut(keyed: list[Keyed], utterance_index: int, beam_width: int) -> list[Keyed]:
-    """The beam_width best keyed readings, best first; UnresolvableError if none."""
-    if not keyed:
+def _cut(pairs: list[Pair], utterance_index: int, beam_width: int) -> list[Keyed]:
+    """The children of the beam_width best keyed pairs, best first.
+
+    Only the pairs kept are built into children (_child).  Raises
+    UnresolvableError if there is no pair at all.
+    """
+    if not pairs:
         raise UnresolvableError(utterance_index)
-    keyed.sort(key=itemgetter(0))
-    return keyed[:beam_width]
+    pairs.sort(key=itemgetter(0))
+    return [(key, _child(parent, s)) for key, parent, s in pairs[:beam_width]]
 
 
 def _initial_hypotheses(
@@ -706,20 +753,21 @@ def resolve(discourse: Discourse, config: EngineConfig = EngineConfig()) -> Reso
     if fatal:
         raise DiscourseInvalidError(fatal)
 
-    first, rejections = _initial_hypotheses(discourse, config)
+    keyed, rejections = _initial_hypotheses(discourse, config)
+    if not keyed:
+        raise UnresolvableError(1)
     rejection_log: dict[int, tuple[Rejection, ...]] = {1: rejections}
-    keyed = _cut(first, 1, config.beam_width)
 
     for utterance in discourse.utterances[1:]:
-        memo: dict = {}
-        children: list[Keyed] = []
+        memo: dict = {_Plan: _Plan.of(utterance, discourse.entity_map)}
+        pairs: list[Pair] = []
         logged: list[Rejection] = []
         ranks = _dense_ranks([key[1:4] for key, _ in keyed])
         for keyed_parent, rank in zip(keyed, ranks):
             result = step(keyed_parent[1], utterance, discourse, config, memo=memo)
-            children.extend(_child_keys(keyed_parent, result, rank))
+            pairs.extend(_keyed_pairs(keyed_parent, result, rank))
             logged.extend(result.rejections)
         rejection_log[utterance.index] = tuple(logged)
-        keyed = _cut(children, utterance.index, config.beam_width)
+        keyed = _cut(pairs, utterance.index, config.beam_width)
 
     return ResolveResult(tuple(h for _, h in keyed), rejection_log)

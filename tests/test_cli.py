@@ -653,25 +653,39 @@ def test_a_lone_surrogate_ends_the_program_without_a_traceback(tmp_path):
 _EVERY_OUTPUT = """
 import sys
 from centering.cli import run_cli
-for path in sys.argv[1:]:
+*paths, chain = sys.argv[1:]
+for path in paths:
     for argv in (["resolve", path, "--format", "json"], ["resolve", path, "--trace"], ["oracle", path]):
         print(argv, "->", run_cli(argv))
+wide = ["resolve", chain, "--beam", "64"]
+for argv in (wide + ["--format", "json"], wide + ["--trace"]):
+    print(argv, "->", run_cli(argv))
 """
 
 
-def test_output_is_identical_under_different_hash_seeds(corpus_file):
-    """String hashing differs per process; no output may depend on it."""
+def test_output_is_identical_under_different_hash_seeds(corpus_file, workloads, tmp_path):
+    """String hashing differs per process; no output may depend on it.
+
+    The bundled files seldom reach one utterance from two center states,
+    so a generated chain at a wide beam adds readings whose parents share
+    states and whose beam is cut from many parents' steps.
+    """
     paths = [corpus_file(name) for name in corpus.VALID_FILES]
+    chain = tmp_path / "long_chain.json"
+    chain.write_text(
+        serialize_discourse(workloads.long_chain(random.Random(3), 50)), encoding="utf-8"
+    )
     outputs = [
         subprocess.run(
-            [sys.executable, "-c", _EVERY_OUTPUT, *paths],
+            [sys.executable, "-c", _EVERY_OUTPUT, *paths, str(chain)],
             env=_env(PYTHONHASHSEED=seed), capture_output=True, check=True,
         ).stdout
         for seed in ("1", "2")
     ]
     assert outputs[0] == outputs[1]
     assert outputs[0].count(b"EQUIVALENT") == len(paths)
-    assert outputs[0].count(b"-> 0\n") == 3 * len(paths)
+    assert outputs[0].count(b"-> 0\n") == 3 * len(paths) + 2
+    assert outputs[0].count(b'"rank": 64') == 1
 
 
 # --------------------------------------------------------------------------

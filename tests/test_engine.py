@@ -433,6 +433,13 @@ def test_unresolvable_discourse_reports_the_utterance():
     with pytest.raises(UnresolvableError) as err:
         resolve(d, WIDE)
     assert err.value.utterance_index == 2
+    # The first utterance is cut apart from the later ones, so it raises apart.
+    inanimate_subject = Utterance(
+        1, VerbFrame("v0", (SUBJ,), {SUBJ: SortalConstraint.ANIMATE}), (overt(SUBJ, "rock"),)
+    )
+    with pytest.raises(UnresolvableError) as err:
+        resolve(Discourse(d.entities, (inanimate_subject,)), WIDE)
+    assert err.value.utterance_index == 1
 
 
 def test_strict_validation_refuses_infelicitous_discourses():
@@ -535,14 +542,22 @@ def reference_beam_failures(discourse, config):
 
 
 def test_every_beam_is_the_reference_cut_at_narrow_widths(monkeypatch, workloads):
-    # The beam key carries each reading's score without re-summing it; a
-    # reset counts 0 there, though it sorts as -1 in the transition part.
+    # Every (parent, kept step) pair resolve keys reaches the one cut, and
+    # its key carries the score of the child it would make, with no child
+    # built or score re-summed; a reset counts 0 there, though it sorts as
+    # -1 in the transition part.
     cut = engine._cut
+    checked = Counter()
 
-    def score_checking_cut(keyed, utterance_index, beam_width):
-        for key, h in keyed:
-            assert key[0] == h.score, (utterance_index, key, h.score)
-        return cut(keyed, utterance_index, beam_width)
+    def score_checking_cut(pairs, utterance_index, beam_width):
+        scores = {}  # a parent keys up to beam_width pairs; re-sum it once
+        for key, parent, new_step in pairs:
+            if id(parent) not in scores:
+                scores[id(parent)] = parent.score
+            want = scores[id(parent)] + new_step.transition_cost
+            assert key[0] == want, (utterance_index, key, want)
+        checked[beam_width] += len(pairs)
+        return cut(pairs, utterance_index, beam_width)
 
     monkeypatch.setattr(engine, "_cut", score_checking_cut)
     rng = random.Random(4)
@@ -552,8 +567,9 @@ def test_every_beam_is_the_reference_cut_at_narrow_widths(monkeypatch, workloads
             config = EngineConfig(beam_width=width, strict_validation=False)
             assert reference_beam_failures(d, config) == [], (trial, width)
     chain = workloads.long_chain(random.Random(60), 60)
-    for width in (1, 3):
-        assert reference_beam_failures(chain, EngineConfig(beam_width=width)) == []
+    for width in (1, 3, 16, 64):
+        assert reference_beam_failures(chain, EngineConfig(beam_width=width)) == [], width
+    assert all(checked[width] > width for width in (1, 2, 3, 4, 16, 64)), checked
 
 
 def test_the_first_beam_is_sorted_before_it_is_cut(monkeypatch):
@@ -561,8 +577,8 @@ def test_the_first_beam_is_sorted_before_it_is_cut(monkeypatch):
     # already, so only a shuffled list shows whether the cut sorts them.
     survivors = engine._survivors
 
-    def reversed_first(discourse, prev, utterance, config):
-        candidates, rejections = survivors(discourse, prev, utterance, config)
+    def reversed_first(discourse, prev, utterance, config, *plan):
+        candidates, rejections = survivors(discourse, prev, utterance, config, *plan)
         return (candidates[::-1] if prev is None else candidates), rejections
 
     monkeypatch.setattr(engine, "_survivors", reversed_first)
@@ -616,9 +632,9 @@ def test_survivors_run_once_per_distinct_parent_state(monkeypatch, workloads):
         parents = {}
         survivors, plain_step = engine._survivors, engine.step
 
-        def counting_survivors(discourse, prev, utterance, config):
+        def counting_survivors(discourse, prev, utterance, config, *plan):
             calls[utterance.index] += 1
-            return survivors(discourse, prev, utterance, config)
+            return survivors(discourse, prev, utterance, config, *plan)
 
         def recording_step(parent, utterance, discourse, config, **kwargs):
             parents.setdefault(utterance.index, []).append(parent)
@@ -817,9 +833,10 @@ def test_children_made_are_bounded_by_the_beam_on_a_wide_pool(monkeypatch, workl
     result = resolve(pool, config)
     monkeypatch.undo()
 
+    # A child is built only for a pair the beam keeps, a Step per state.
     assert made and set(made) == set(states)
     for u, n in made.items():
-        assert n <= len(states[u]) * config.beam_width, (u, n)
+        assert n <= config.beam_width, (u, n)
     assert built.pop(1) >= 1 and set(built) == set(states)
     for u, n in built.items():
         assert n <= len(states[u]) * config.beam_width, (u, n)
@@ -827,6 +844,82 @@ def test_children_made_are_bounded_by_the_beam_on_a_wide_pool(monkeypatch, workl
     wide = resolve(pool, EngineConfig(beam_width=64)).hypotheses
     want = sorted(wide, key=lambda h: hypothesis_sort_key(h, entity_index))
     assert result.hypotheses == tuple(want[: config.beam_width])
+
+
+def test_children_are_built_only_for_the_pairs_the_beam_keeps(monkeypatch, workloads):
+    # The chain's parents share states and each has up to beam_width kept
+    # steps, so a build per (parent, step) pair would pass the bound.
+    chain = workloads.long_chain(random.Random(30), 30)
+    made, pairs = Counter(), Counter()
+    child, cut = engine._child, engine._cut
+
+    def counting_child(parent, new_step):
+        made[new_step.utterance_index] += 1
+        return child(parent, new_step)
+
+    def counting_cut(keyed_pairs, utterance_index, beam_width):
+        pairs[utterance_index] += len(keyed_pairs)
+        return cut(keyed_pairs, utterance_index, beam_width)
+
+    monkeypatch.setattr(engine, "_child", counting_child)
+    monkeypatch.setattr(engine, "_cut", counting_cut)
+    for width in (1, 16, 64):
+        made.clear()
+        pairs.clear()
+        beam = resolve(chain, EngineConfig(beam_width=width)).hypotheses
+        assert set(made) == set(range(2, len(chain.utterances) + 1)), width
+        for u, n in made.items():
+            assert n == min(width, pairs[u]), (width, u, n, pairs[u])
+        assert len(beam) == made[len(chain.utterances)]
+        if width > 1:
+            assert max(pairs.values()) > width
+
+
+def test_each_utterance_is_compiled_once_per_resolve(monkeypatch, workloads):
+    # The plan and its Cf orders depend on the utterance alone, so however
+    # many states its parents reach, resolve compiles one plan for it and
+    # one zero-topic order per slot its variants use.
+    chain = workloads.long_chain(random.Random(30), 30)
+    for d in (load("zta_ex_ga.json"), chain):
+        plans, orders, states, variant_calls = Counter(), Counter(), {}, Counter()
+        plan_of, cf_order = engine._Plan.of, engine._cf_order
+        plain_step, plain_zta = engine.step, engine.apply_zta
+
+        def counting_plan(utterance, entities):
+            plans[utterance.index] += 1
+            return plan_of(utterance, entities)
+
+        def counting_order(utterance, topic=None):
+            orders[utterance.index, topic] += 1
+            return cf_order(utterance, topic)
+
+        def recording_step(parent, utterance, discourse, config, **kwargs):
+            states.setdefault(utterance.index, set()).add(parent.last.state)
+            return plain_step(parent, utterance, discourse, config, **kwargs)
+
+        def counting_zta(candidates, parent_cb, utterance, *rest):
+            variants = plain_zta(candidates, parent_cb, utterance, *rest)
+            if variants:
+                variant_calls[utterance.index] += 1
+            return variants
+
+        monkeypatch.setattr(engine._Plan, "of", staticmethod(counting_plan))
+        monkeypatch.setattr(engine, "_cf_order", counting_order)
+        monkeypatch.setattr(engine, "step", recording_step)
+        monkeypatch.setattr(engine, "apply_zta", counting_zta)
+        resolve(d)
+        monkeypatch.undo()
+
+        utterances = {u.index for u in d.utterances}
+        assert plans == Counter(utterances)
+        assert {u for u, topic in orders if topic is None} == utterances
+        assert set(orders.values()) == {1}, orders
+        used = {u for u, topic in orders if topic is not None}
+        assert used == set(variant_calls), (used, variant_calls)
+    # Many of the chain's utterances expand several states, and some make
+    # variants from more than one of them, so a compile per state would show.
+    assert sum(len(s) for s in states.values()) > len(states)
+    assert max(variant_calls.values()) > 1
 
 
 # --------------------------------------------------------------------------
