@@ -17,8 +17,8 @@ beam, and the content of the last two steps - then cuts it in one
 place.  That order equals the reference `hypothesis_sort_key`, which
 `resolve` never calls.  An utterance's readings depend only on the
 previous center state, so parents that share their last state share one
-expansion, memoised per utterance in a plain dict that `resolve` makes
-and `step`, its per-parent call, fills.  Siblings share their parent's
+expansion, memoised in the utterance's plan (below), which `step`, its
+per-parent call, fills.  Siblings share their parent's
 key score and rank, so they compare on their transition, the Cb their
 parent's last step takes after write-back and their own content - their
 sibling key, fixed by that state: each expansion keeps only its
@@ -39,9 +39,9 @@ call, not an API of its own; it keeps its name and call pattern only
 because the benchmark's tracer (bench/tracing.py) wraps it by name.
 
 One expansion path builds every utterance's readings: `_survivors`
-turns a previous center state and an utterance into candidates, each a
-tuple of its sibling key, binding, Cb, transition, Cf order and ZTA
-flag, keyed once as it is made.  A wide pool's last resort makes
+turns a previous center state and an utterance's plan into candidates,
+each a tuple of its sibling key, binding, Cb, transition, Cf order and
+ZTA flag, keyed once as it is made.  A wide pool's last resort makes
 thousands of them for an expansion that keeps `beam_width`, so nothing
 more is built before the cut: `_kept_steps`, the one place a candidate
 becomes a `Step`, takes the best by key and only then builds the
@@ -55,10 +55,12 @@ only in content, so their cut is the first beam.  A Cb is an entity
 id, or None while it is uninstantiated; the next utterance that pins it
 down writes it back.
 
-Candidates are tuple work against a plan of the utterance (`_Plan`),
-compiled once per `resolve`: `resolve` puts it in each utterance's memo,
-next to the expansions, and the discourse-initial utterance's one
-expansion compiles its own.
+Candidates are tuple work against a plan of the utterance (`_Plan`):
+`resolve` compiles one per utterance (`_initial_hypotheses` the
+discourse-initial one's) and passes it to every expansion there, which
+reads the utterance, its zeros, its overt entities and its Cf orders
+from it; `step` stores each state's kept steps in it.  No plan outlives
+its `resolve`.
 `generate_assignments` grows each binding slot by slot, in subcat
 order: an overt slot appends its entity, and a zero each entity of its
 pool the binding does not hold yet, so it binds the zeros injectively,
@@ -184,8 +186,8 @@ class _StepResult:
     value, the Cb index the parent's last step takes by write-back or -1,
     content of the new step).  ranked builds those children on its first
     read; resolve never reads it, since it builds a child only for a
-    (parent, step) pair its cut keeps.  rejections is () when a shared
-    memo held the state.
+    (parent, step) pair its cut keeps.  rejections is () when the
+    utterance's plan already held the state's expansion.
     """
 
     parent: Hypothesis
@@ -304,27 +306,38 @@ def _cf_order(utterance: Utterance, topic: Optional[int] = None) -> CfOrder:
     return rank_cf(assign_salience_roles(utterance, probe, topic))
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class _Plan:
-    """One utterance compiled for the bindings generate_assignments makes.
+    """One utterance compiled for one resolve call: all its expansions read it.
 
-    A binding is the tuple of entity ids its slots hold, in subcat order.
-    Generation binds the zeros injectively, apart from the overt slots,
-    sortal-correctly and to recoverable antecedents, so filter_assignment
-    passes a pairing exactly when overt_ok and Rule 1 hold, and the Cf of
-    every binding is the one order cf of slot positions.  topic_orders
-    holds the Cf order with each zero-topic slot, by slot position, as
-    apply_zta compiles it on first use.
+    resolve compiles one plan per utterance (_initial_hypotheses the
+    first one's) and hands it to every expansion there, so a plan and its
+    utterance never disagree and nothing about the utterance is worked
+    out twice.  A binding is the tuple of entity ids its slots hold, in
+    subcat order.  Generation binds the zeros injectively, apart from the
+    overt slots, sortal-correctly and to recoverable antecedents, so
+    filter_assignment passes a pairing exactly when overt_ok and Rule 1
+    hold, and the Cf of every binding is the one order cf of slot
+    positions.  topic_orders maps each zero-topic slot, by position, to
+    the Cf order with that slot as zero topic, as apply_zta compiles it
+    on first use; expansions maps each center state expanded here to its
+    kept keys, steps and rejections (_kept_steps), as step fills it.
+    Both die with the resolve call.
     """
 
+    utterance: Utterance
     zeros: tuple[int, ...]  # positions of the zero slots
+    topic_slots: tuple[int, ...]  # the zeros' positions that may take the zero topic
+    overt_ids: frozenset[str]  # the entities the overt slots name
     overt_ok: bool  # the overt slots pass CONTRA_INDEX and SORTAL
     cf: CfOrder
-    topic_orders: dict[int, CfOrder] = field(default_factory=dict, compare=False)
+    topic_orders: dict[int, CfOrder] = field(default_factory=dict)
+    expansions: dict[CenterState, tuple] = field(default_factory=dict)
 
     @staticmethod
     def of(utterance: Utterance, entities: Mapping[str, Entity]) -> "_Plan":
         args = utterance.args
+        zeros = tuple(p for p, a in enumerate(args) if a.realization.is_zero)
         named = [a.realization.entity_id for a in args if not a.realization.is_zero]
         sortal_ok = all(
             entities[a.realization.entity_id].animate
@@ -333,7 +346,10 @@ class _Plan:
             and utterance.frame.constraint(a.role) is SortalConstraint.ANIMATE
         )
         return _Plan(
-            tuple(p for p, a in enumerate(args) if a.realization.is_zero),
+            utterance,
+            zeros,
+            tuple(p for p in zeros if args[p].role in ZERO_TOPIC_ROLES),
+            frozenset(named),
             sortal_ok and len(set(named)) == len(named),
             _cf_order(utterance),
         )
@@ -357,9 +373,8 @@ class _Plan:
 def apply_zta(
     candidates: Sequence[Candidate],
     parent_cb: Optional[str],
-    utterance: Utterance,
+    plan: _Plan,
     config: EngineConfig,
-    orders: Optional[dict[int, CfOrder]] = None,
 ) -> list[Candidate]:
     """Zero-topic variants of the surviving candidates, in base order.
 
@@ -369,16 +384,15 @@ def apply_zta(
     rescue); every candidate handed in is plain, since variants are made
     only here.  A candidate spawns a variant when its own Cb is that same
     entity — the zero topic continues the previous center as the current
-    one — and a zero slot binds it from a subject or second-object
-    position.  The variant keeps the candidate's Cb and binding but takes
-    the Cf order with that slot as zero topic (which demotes any wa topic
-    to its plain grammatical role), one order per slot for all
-    candidates, compiled on a miss into orders (the utterance plan's
-    topic_orders, so each is compiled once per utterance; a fresh dict
-    when None), and reclassifies the transition, which lands on CONTINUE:
-    the zero topic heads the Cf, so Cb and Cp coincide on the
-    carried-over center.  Its sibling key is the base's
-    with that transition and the ZTA flag set.  Variants are additional
+    one — and one of the plan's topic_slots (a zero in a subject or
+    second-object position) binds it.  The variant keeps the candidate's
+    Cb and binding but takes the Cf order with that slot as zero topic
+    (which demotes any wa topic to its plain grammatical role), one order
+    per slot for all candidates, compiled on a miss into the plan's
+    topic_orders, so each is compiled once per utterance.  Its transition
+    is CONTINUE: the zero topic heads the Cf, so Cb and Cp coincide on
+    the carried-over center.  Its sibling key is the base's with
+    CONTINUE's ordinal (0) and the ZTA flag set.  Variants are additional
     candidates; the originals stay.  A wide pool's last resort hands over
     thousands of candidates, so both passes over them are plain loops
     that read a candidate's Cb (or transition) before anything else.
@@ -389,26 +403,18 @@ def apply_zta(
         if c[3] is Transition.CONTINUE:
             return []
 
-    topic_slots = [
-        p for p, a in enumerate(utterance.args)
-        if a.realization.is_zero and a.role in ZERO_TOPIC_ROLES
-    ]
-    if orders is None:
-        orders = {}
     variants: list[Candidate] = []
     for c in candidates:
         if c[2] != parent_cb:
             continue
         base_key, binding, cb = c[:3]
-        slot = next((p for p in topic_slots if binding[p] == parent_cb), None)
+        slot = next((p for p in plan.topic_slots if binding[p] == parent_cb), None)
         if slot is None:
             continue
-        if slot not in orders:
-            orders[slot] = _cf_order(utterance, slot)
-        order = orders[slot]
-        transition = classify_transition(parent_cb, parent_cb, binding[order[0][0]])
-        key = (transition.ordinal, base_key[1], base_key[2][:2] + (1,))
-        variants.append((key, binding, cb, transition, order, True))
+        if slot not in plan.topic_orders:
+            plan.topic_orders[slot] = _cf_order(plan.utterance, slot)
+        key = (0, base_key[1], base_key[2][:2] + (1,))
+        variants.append((key, binding, cb, Transition.CONTINUE, plan.topic_orders[slot], True))
     return variants
 
 
@@ -418,13 +424,9 @@ def _context_for(discourse: Discourse, prev_cf: Sequence[str]) -> list[str]:
 
 
 def _survivors(
-    discourse: Discourse,
-    prev: Optional[CenterState],
-    utterance: Utterance,
-    config: EngineConfig,
-    plan: Optional[_Plan] = None,
+    discourse: Discourse, prev: Optional[CenterState], plan: _Plan, config: EngineConfig
 ) -> tuple[list[Candidate], list[Rejection]]:
-    """Filtered, ZTA-extended candidates of one utterance after state prev.
+    """Filtered, ZTA-extended candidates of plan's utterance after state prev.
 
     prev is None for the discourse-initial utterance, whose candidates
     are then all unlinked (no transition) and take the wa topic's entity,
@@ -452,28 +454,25 @@ def _survivors(
     -1.  Nothing else is built: _kept_steps makes the Step of each
     candidate the beam can keep, for step and _initial_hypotheses alike.
 
-    Only what is specific to a candidate is computed per candidate.  plan
-    is the utterance's _Plan, compiled here when None; step passes the
-    one its memo holds, so an utterance compiles once whatever the number
-    of states expanded there.  With prev's Cb fixed, the transition
-    depends on the (Cb, Cp entity) pair alone, so a dict local to this
-    call holds each pair's transition and sort value, filled through
-    classify_transition on a miss.  Where prev's Cb is set, a binding's
-    one Cb candidate is the first previous-Cf entity it holds.
+    Only what is specific to a candidate is computed per candidate: the
+    zeros, the overt entities and the Cf order come from the plan, which
+    resolve compiles once per utterance whatever the number of states
+    expanded there.  With prev's Cb fixed, the transition depends on the
+    (Cb, Cp entity) pair alone, so a dict local to this call holds each
+    pair's transition and sort value, filled through classify_transition
+    on a miss.  Where prev's Cb is set, a binding's one Cb candidate is
+    the first previous-Cf entity it holds.
     """
+    utterance = plan.utterance
     entities = discourse.entity_map
     entity_index = discourse.entity_index
     roles = utterance.frame.subcat
-    if plan is None:
-        plan = _Plan.of(utterance, entities)
     cp = plan.cf[0][0]
     prev_cf = prev.cf_ids if prev is not None else ()
     prev_cf_set = frozenset(prev_cf)
     # No zero binds an entity an overt slot names, so a binding is inside
     # exactly when its slots hold only previous-Cf and overt entities.
-    inside_ids = prev_cf_set.union(
-        [a.realization.entity_id for a in utterance.args if not a.realization.is_zero]
-    )
+    inside_ids = prev_cf_set | plan.overt_ids
     prev_cb = prev.cb if prev is not None else None
     first_cb = instantiate_initial_cb(utterance) if prev is None else None
     open_cb = prev is not None and prev_cb is None  # a linked Cb is written back
@@ -525,27 +524,26 @@ def _survivors(
     if inside:
         rejections.extend(Rejection(index, c[1], c[2], OUT_OF_CF_PRUNED) for c in outside)
     survivors = inside or outside
-    variants = apply_zta(survivors, prev_cb, utterance, config, plan.topic_orders)
+    variants = apply_zta(survivors, prev_cb, plan, config)
     return survivors + variants, rejections
 
 
 def _kept_steps(
-    discourse: Discourse, prev: Optional[CenterState], utterance: Utterance, config: EngineConfig,
-    plan: Optional[_Plan] = None,
+    discourse: Discourse, prev: Optional[CenterState], plan: _Plan, config: EngineConfig
 ) -> tuple[tuple[tuple, ...], tuple[Step, ...], tuple[Rejection, ...]]:
     """Cut one expansion's survivors to beam_width, then build only those.
 
     The one place a candidate becomes a Step, for every utterance: the
-    survivors of _survivors (given plan, the utterance's _Plan or None)
-    stay keyed tuples through the cut (heapq.nsmallest on the key).
+    survivors of _survivors stay keyed tuples through the cut
+    (heapq.nsmallest on the key), and the Steps are plan's utterance's.
     Returns the kept candidates' keys and Steps, best first, and the
     expansion's rejections.  A Step is not yet a child: resolve builds
     one only for a (parent, step) pair its own cut keeps.
     """
-    survivors, rejections = _survivors(discourse, prev, utterance, config, plan)
+    survivors, rejections = _survivors(discourse, prev, plan, config)
     best = heapq.nsmallest(config.beam_width, survivors, key=itemgetter(0))
     keys = tuple([c[0] for c in best])
-    return keys, tuple([_step(utterance, c) for c in best]), tuple(rejections)
+    return keys, tuple([_step(plan.utterance, c) for c in best]), tuple(rejections)
 
 
 def _step(utterance: Utterance, candidate: Candidate) -> Step:
@@ -585,7 +583,7 @@ def step(
     discourse: Discourse,
     config: EngineConfig,
     *,
-    memo: dict,
+    plan: _Plan,
 ) -> _StepResult:
     """Extend one parent reading by one utterance: resolve's per-parent call.
 
@@ -604,19 +602,19 @@ def step(
     no child is built here: the result's ranked builds them on demand.
 
     The survivors and their order depend only on the parent's last
-    center state.  memo is the plain dict resolve makes for one utterance
-    and shares among its parents: it maps _Plan to the utterance's plan,
-    which resolve compiles once (an expansion with no plan in memo
-    compiles its own), and each expanded state to its kept steps, so
-    each distinct state expands once.  Only the call that expands a state
-    reports its rejections; a call that finds the state in memo reports
-    ().
+    center state.  plan is the utterance's _Plan, which resolve compiles
+    once and shares among the utterance's parents; its expansions map
+    each expanded state to its kept steps, so each distinct state expands
+    once.  Only the call that expands a state reports its rejections; a
+    call that finds the state in plan.expansions reports ().  The
+    expansion reads the utterance from plan; utterance stays an argument
+    because the tracer reads it.
     """
     state = parent.last.state
-    kept = memo.get(state)
+    kept = plan.expansions.get(state)
     expands = kept is None
     if expands:
-        kept = memo[state] = _kept_steps(discourse, state, utterance, config, memo.get(_Plan))
+        kept = plan.expansions[state] = _kept_steps(discourse, state, plan, config)
     keys, steps, rejections = kept
     return _StepResult(parent, steps, keys, rejections if expands else ())
 
@@ -725,14 +723,15 @@ def _initial_hypotheses(
 ) -> tuple[list[Keyed], tuple[Rejection, ...]]:
     """The first beam, keyed as children are, and the first utterance's rejections.
 
-    The first utterance goes through _kept_steps with no previous state,
-    so only its beam_width best readings (score 0, no transition) are
-    built.  Its candidates differ only in content, the last part of their
-    sibling key, and have no zero-topic variants, so that cut is exactly
-    the first beam.  Each reading's key has the children's shape: score 0,
+    The first utterance's plan is compiled here, and the utterance goes
+    through _kept_steps with no previous state, so only its beam_width
+    best readings (score 0, no transition) are built.  Its candidates
+    differ only in content, the last part of their sibling key, and have
+    no zero-topic variants, so that cut is exactly the first beam.  Each reading's key has the children's shape: score 0,
     no transition, rank 0, no earlier step, then its own content.
     """
-    keys, steps, rejections = _kept_steps(discourse, None, discourse.utterances[0], config)
+    plan = _Plan.of(discourse.utterances[0], discourse.entity_map)
+    keys, steps, rejections = _kept_steps(discourse, None, plan, config)
     return [((0, -1, 0, (), key[2]), Hypothesis((s,))) for key, s in zip(keys, steps)], rejections
 
 
@@ -759,12 +758,12 @@ def resolve(discourse: Discourse, config: EngineConfig = EngineConfig()) -> Reso
     rejection_log: dict[int, tuple[Rejection, ...]] = {1: rejections}
 
     for utterance in discourse.utterances[1:]:
-        memo: dict = {_Plan: _Plan.of(utterance, discourse.entity_map)}
+        plan = _Plan.of(utterance, discourse.entity_map)
         pairs: list[Pair] = []
         logged: list[Rejection] = []
         ranks = _dense_ranks([key[1:4] for key, _ in keyed])
         for keyed_parent, rank in zip(keyed, ranks):
-            result = step(keyed_parent[1], utterance, discourse, config, memo=memo)
+            result = step(keyed_parent[1], utterance, discourse, config, plan=plan)
             pairs.extend(_keyed_pairs(keyed_parent, result, rank))
             logged.extend(result.rejections)
         rejection_log[utterance.index] = tuple(logged)

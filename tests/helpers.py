@@ -497,8 +497,9 @@ def step_result_failures(discourse: Discourse, config: EngineConfig) -> List[str
             beam = engine.resolve(prefix, config).hypotheses
         except engine.UnresolvableError:
             return failures
+        plan = engine._Plan.of(utterances[k], discourse.entity_map)
         for parent in beam:
-            res = engine.step(parent, utterances[k], discourse, config, memo={})
+            res = engine.step(parent, utterances[k], discourse, config, plan=plan)
             ordinals = [
                 -1 if child.last.transition is None else child.last.transition.ordinal
                 for child in res.ranked

@@ -226,6 +226,11 @@ def candidate(utt, binding, cb, transition):
     return (key, binding, cb, transition, engine._cf_order(utt), False)
 
 
+def plan_of(utt):
+    """utt's plan; no overt slot here is animate-only, so no entity is looked up."""
+    return engine._Plan.of(utt, {})
+
+
 def _retain_candidate():
     """A RETAIN reading of 'b showed-zero a': Cb=a carried, Cp=b."""
     frame = VerbFrame("v", (SUBJ, OBJ2))
@@ -240,7 +245,7 @@ def _retain_candidate():
 
 def test_zta_variant_promotes_the_carried_center():
     utt, cand = _retain_candidate()
-    variants = apply_zta([cand], "a", utt, WIDE)
+    variants = apply_zta([cand], "a", plan_of(utt), WIDE)
     assert len(variants) == 1
     v = engine._step(utt, variants[0])
     assert v.zta_applied
@@ -258,15 +263,15 @@ def test_zta_variant_promotes_the_carried_center():
 def test_zta_requires_enabled_config_and_instantiated_parent():
     utt, cand = _retain_candidate()
     off = EngineConfig(zta_enabled=False)
-    assert apply_zta([cand], "a", utt, off) == []
-    assert apply_zta([cand], None, utt, WIDE) == []
+    assert apply_zta([cand], "a", plan_of(utt), off) == []
+    assert apply_zta([cand], None, plan_of(utt), WIDE) == []
 
 
 def test_zta_stands_down_when_a_continue_exists():
     utt, cand = _retain_candidate()
     cont = candidate(utt, ("b", "a"), "b", Transition.CONTINUE)
     assert engine._step(utt, cont).state.cf_ids == ("b", "a")
-    assert apply_zta([cand, cont], "a", utt, WIDE) == []
+    assert apply_zta([cand, cont], "a", plan_of(utt), WIDE) == []
 
 
 def test_zta_skips_low_zero_slots():
@@ -279,7 +284,7 @@ def test_zta_skips_low_zero_slots():
         ("b", SalienceRole.SUBJ),
         ("a", SalienceRole.OBJ),
     )
-    assert apply_zta([cand], "a", utt, WIDE) == []
+    assert apply_zta([cand], "a", plan_of(utt), WIDE) == []
 
 
 def test_zta_requires_the_candidate_to_carry_the_center():
@@ -292,7 +297,7 @@ def test_zta_requires_the_candidate_to_carry_the_center():
         ("a", SalienceRole.SUBJ),
         ("b", SalienceRole.OBJ),
     )
-    assert apply_zta([cand], "a", utt, WIDE) == []
+    assert apply_zta([cand], "a", plan_of(utt), WIDE) == []
 
 
 # --------------------------------------------------------------------------
@@ -304,7 +309,8 @@ def test_step_ranks_continue_before_retain():
     parent = top_parent(d, 2)
     assert parent.last.state.cb == "taroo"
     assert parent.last.state.cf_ids == ("taroo", "john", "computer")
-    res = step(parent, d.utterances[2], d, WIDE, memo={})
+    utterance = d.utterances[2]
+    res = step(parent, utterance, d, WIDE, plan=engine._Plan.of(utterance, d.entity_map))
     assert len(res.ranked) == 2
     first, second = (h.last for h in res.ranked)
     assert names(first.assignment) == {"subj": "taroo", "obj2": "john"}
@@ -318,7 +324,8 @@ def test_step_ranks_smooth_before_rough_shift():
     parent = top_parent(d, 3)
     assert parent.last.state.cb == "taroo"
     assert parent.last.state.cf_ids == ("ziroo", "taroo")
-    res = step(parent, d.utterances[3], d, WIDE, memo={})
+    utterance = d.utterances[3]
+    res = step(parent, utterance, d, WIDE, plan=engine._Plan.of(utterance, d.entity_map))
     assert len(res.ranked) == 2
     first, second = (h.last for h in res.ranked)
     assert names(first.assignment) == {"subj": "ziroo", "obj": "taroo"}
@@ -331,7 +338,8 @@ def test_step_prefers_the_empathic_continue():
     d = load("emp_cont_ret.json")
     parent = top_parent(d, 2)
     assert parent.last.state.cb == "hanako"
-    res = step(parent, d.utterances[2], d, WIDE, memo={})
+    utterance = d.utterances[2]
+    res = step(parent, utterance, d, WIDE, plan=engine._Plan.of(utterance, d.entity_map))
     first = res.ranked[0].last
     assert names(first.assignment) == {"subj": "hanako", "obj": "taroo"}
     assert first.transition is Transition.CONTINUE
@@ -509,7 +517,8 @@ def test_out_of_cf_bindings_are_last_resort(workloads):
 def first_readings(discourse, config):
     """Every reading of the first utterance, each built as it is drawn, with no cut."""
     first = discourse.utterances[0]
-    survivors, _ = engine._survivors(discourse, None, first, config)
+    plan = engine._Plan.of(first, discourse.entity_map)
+    survivors, _ = engine._survivors(discourse, None, plan, config)
     return (Hypothesis((engine._step(first, c),)) for c in survivors)
 
 
@@ -533,10 +542,11 @@ def reference_beam_failures(discourse, config):
             failures.append(n)
         if n < len(discourse.utterances):
             utterance = discourse.utterances[n]
+            plan = engine._Plan.of(utterance, discourse.entity_map)
             candidates = [
                 child
                 for parent in beam
-                for child in step(parent, utterance, discourse, config, memo={}).ranked
+                for child in step(parent, utterance, discourse, config, plan=plan).ranked
             ]
     return failures
 
@@ -577,8 +587,8 @@ def test_the_first_beam_is_sorted_before_it_is_cut(monkeypatch):
     # already, so only a shuffled list shows whether the cut sorts them.
     survivors = engine._survivors
 
-    def reversed_first(discourse, prev, utterance, config, *plan):
-        candidates, rejections = survivors(discourse, prev, utterance, config, *plan)
+    def reversed_first(discourse, prev, plan, config):
+        candidates, rejections = survivors(discourse, prev, plan, config)
         return (candidates[::-1] if prev is None else candidates), rejections
 
     monkeypatch.setattr(engine, "_survivors", reversed_first)
@@ -632,9 +642,9 @@ def test_survivors_run_once_per_distinct_parent_state(monkeypatch, workloads):
         parents = {}
         survivors, plain_step = engine._survivors, engine.step
 
-        def counting_survivors(discourse, prev, utterance, config, *plan):
-            calls[utterance.index] += 1
-            return survivors(discourse, prev, utterance, config, *plan)
+        def counting_survivors(discourse, prev, plan, config):
+            calls[plan.utterance.index] += 1
+            return survivors(discourse, prev, plan, config)
 
         def recording_step(parent, utterance, discourse, config, **kwargs):
             parents.setdefault(utterance.index, []).append(parent)
@@ -650,10 +660,13 @@ def test_survivors_run_once_per_distinct_parent_state(monkeypatch, workloads):
         assert calls == expected
         for u, ps in parents.items():
             # Each distinct state's records once, in the order it was first expanded.
+            utterance = d.utterances[u - 1]
             logged = tuple(
                 r
                 for p in {p.last.state: p for p in ps}.values()
-                for r in step(p, d.utterances[u - 1], d, EngineConfig(), memo={}).rejections
+                for r in step(
+                    p, utterance, d, EngineConfig(), plan=engine._Plan.of(utterance, d.entity_map)
+                ).rejections
             )
             assert result.rejections[u] == logged
     # Parents of the chain's utterances share states, so the count is a saving.
@@ -661,10 +674,10 @@ def test_survivors_run_once_per_distinct_parent_state(monkeypatch, workloads):
 
 
 def step_contract_failures(discourse, config):
-    """Where step, called on every beam parent with one shared memo, breaks its contract.
+    """Where step, called on every beam parent with one shared plan, breaks its contract.
 
     Per utterance: ranked and keys equal those of a call with a fresh
-    memo, keys are non-decreasing and each is its child's sibling key,
+    plan, keys are non-decreasing and each is its child's sibling key,
     and each distinct parent state's records come once, from the call
     that expands it, so that concatenated they are resolve's log for the
     utterance.
@@ -677,13 +690,14 @@ def step_contract_failures(discourse, config):
         return failures
     for n in range(1, len(discourse.utterances)):
         utterance = discourse.utterances[n]
-        memo, expanded, reported = {}, set(), []
+        plan, expanded, reported = engine._Plan.of(utterance, discourse.entity_map), set(), []
         for i, parent in enumerate(beam):
-            shared = step(parent, utterance, discourse, config, memo=memo)
-            alone = step(parent, utterance, discourse, config, memo={})
+            shared = step(parent, utterance, discourse, config, plan=plan)
+            fresh = engine._Plan.of(utterance, discourse.entity_map)
+            alone = step(parent, utterance, discourse, config, plan=fresh)
             where = (n + 1, i)
             if (shared.ranked, shared.keys) != (alone.ranked, alone.keys):
-                failures.append((*where, "differs from a call with a fresh memo"))
+                failures.append((*where, "differs from a call with a fresh plan"))
             if list(shared.keys) != sorted(shared.keys):
                 failures.append((*where, "keys out of order"))
             want_keys = tuple(
@@ -713,7 +727,7 @@ def step_contract_failures(discourse, config):
     return failures
 
 
-def test_step_returns_all_resolve_needs_with_a_shared_memo(workloads):
+def test_step_returns_all_resolve_needs_with_a_shared_plan(workloads):
     for name, d, _golds in corpus.iter_valid_corpus():
         assert step_contract_failures(d, EngineConfig()) == [], name
     rng = random.Random(9)
@@ -729,8 +743,9 @@ def test_step_returns_all_resolve_needs_with_a_shared_memo(workloads):
 def test_children_add_one_ordinal_to_the_parent_score():
     for name, d, _golds in corpus.iter_valid_corpus():
         for n in range(1, len(d.utterances)):
+            plan = engine._Plan.of(d.utterances[n], d.entity_map)
             for parent in resolve(prefix(d, n), WIDE).hypotheses:
-                for child in step(parent, d.utterances[n], d, WIDE, memo={}).ranked:
+                for child in step(parent, d.utterances[n], d, WIDE, plan=plan).ranked:
                     assert child.score == parent.score + child.last.transition_cost, name
 
 
@@ -746,8 +761,9 @@ def full_siblings(parent, utterance, discourse, config):
     """
     state = parent.last.state
     wide = EngineConfig(beam_width=10**9, zta_enabled=False, strict_validation=False)
-    plain, _ = engine._survivors(discourse, state, utterance, wide)
-    candidates = plain + apply_zta(plain, state.cb, utterance, config)
+    plan = engine._Plan.of(utterance, discourse.entity_map)
+    plain, _ = engine._survivors(discourse, state, plan, wide)
+    candidates = plain + apply_zta(plain, state.cb, plan, config)
     entity_index = discourse.entity_index
     children = [engine._child(parent, engine._step(utterance, c)) for c in candidates]
     return sorted(children, key=lambda h: hypothesis_sort_key(h, entity_index))
@@ -762,9 +778,10 @@ def cut_step_failures(discourse, config):
         except UnresolvableError:
             break
         utterance = discourse.utterances[n]
+        plan = engine._Plan.of(utterance, discourse.entity_map)
         for i, parent in enumerate(beam):
             want = full_siblings(parent, utterance, discourse, config)[: config.beam_width]
-            if step(parent, utterance, discourse, config, memo={}).ranked != tuple(want):
+            if step(parent, utterance, discourse, config, plan=plan).ranked != tuple(want):
                 failures.append((n + 1, i))
     return failures
 
@@ -802,7 +819,8 @@ def test_step_returns_the_beam_width_best_of_all_siblings(workloads):
         assert cut_step_failures(pool, EngineConfig(beam_width=width)) == [], width
         assert cut_step_failures(d, EngineConfig(beam_width=width)) == [], width
     parent = resolve(prefix(d, 1)).top
-    [best] = step(parent, d.utterances[1], d, EngineConfig(beam_width=1), memo={}).ranked
+    plan = engine._Plan.of(d.utterances[1], d.entity_map)
+    [best] = step(parent, d.utterances[1], d, EngineConfig(beam_width=1), plan=plan).ranked
     assert best.last.zta_applied and best.last.transition is Transition.CONTINUE
 
 
@@ -877,13 +895,16 @@ def test_children_are_built_only_for_the_pairs_the_beam_keeps(monkeypatch, workl
 
 def test_each_utterance_is_compiled_once_per_resolve(monkeypatch, workloads):
     # The plan and its Cf orders depend on the utterance alone, so however
-    # many states its parents reach, resolve compiles one plan for it and
-    # one zero-topic order per slot its variants use.
+    # many states its parents reach, resolve compiles one plan for it,
+    # hands that one plan to every expansion there, and compiles one
+    # zero-topic order per slot its variants use.  No plan outlives its
+    # resolve: resolving the same discourse again compiles every plan anew.
     chain = workloads.long_chain(random.Random(30), 30)
-    for d in (load("zta_ex_ga.json"), chain):
+    for d, runs in ((load("zta_ex_ga.json"), 1), (chain, 2), (chain, 1)):
         plans, orders, states, variant_calls = Counter(), Counter(), {}, Counter()
+        received = {}  # (run, utterance index) -> {id(plan): plan} of its expansions
         plan_of, cf_order = engine._Plan.of, engine._cf_order
-        plain_step, plain_zta = engine.step, engine.apply_zta
+        plain_step, plain_zta, survivors = engine.step, engine.apply_zta, engine._survivors
 
         def counting_plan(utterance, entities):
             plans[utterance.index] += 1
@@ -897,25 +918,37 @@ def test_each_utterance_is_compiled_once_per_resolve(monkeypatch, workloads):
             states.setdefault(utterance.index, set()).add(parent.last.state)
             return plain_step(parent, utterance, discourse, config, **kwargs)
 
-        def counting_zta(candidates, parent_cb, utterance, *rest):
-            variants = plain_zta(candidates, parent_cb, utterance, *rest)
+        def recording_survivors(discourse, prev, plan, config):
+            # The plan is kept alive with its id, so no later plan reuses the id.
+            received.setdefault((run, plan.utterance.index), {})[id(plan)] = plan
+            return survivors(discourse, prev, plan, config)
+
+        def counting_zta(candidates, parent_cb, plan, config):
+            variants = plain_zta(candidates, parent_cb, plan, config)
             if variants:
-                variant_calls[utterance.index] += 1
+                variant_calls[plan.utterance.index] += 1
             return variants
 
         monkeypatch.setattr(engine._Plan, "of", staticmethod(counting_plan))
         monkeypatch.setattr(engine, "_cf_order", counting_order)
         monkeypatch.setattr(engine, "step", recording_step)
+        monkeypatch.setattr(engine, "_survivors", recording_survivors)
         monkeypatch.setattr(engine, "apply_zta", counting_zta)
-        resolve(d)
+        for run in range(runs):
+            resolve(d)
         monkeypatch.undo()
 
         utterances = {u.index for u in d.utterances}
-        assert plans == Counter(utterances)
+        assert plans == Counter({u: runs for u in utterances})
         assert {u for u, topic in orders if topic is None} == utterances
-        assert set(orders.values()) == {1}, orders
+        assert set(orders.values()) == {runs}, orders
         used = {u for u, topic in orders if topic is not None}
         assert used == set(variant_calls), (used, variant_calls)
+        assert set(received) == {(run, u) for run in range(runs) for u in utterances}
+        for where, got in received.items():
+            assert len(got) == 1, (where, len(got))
+        for u in utterances:
+            assert all(received[0, u].keys().isdisjoint(received[r, u]) for r in range(1, runs))
     # Many of the chain's utterances expand several states, and some make
     # variants from more than one of them, so a compile per state would show.
     assert sum(len(s) for s in states.values()) > len(states)
@@ -953,8 +986,9 @@ def sibling_key_failures(discourse, config, covered):
             states = expanded_states(discourse, n, config)
         except UnresolvableError:
             break
+        plan = engine._Plan.of(utterance, discourse.entity_map)
         for prev in states:
-            survivors, _ = engine._survivors(discourse, prev, utterance, config)
+            survivors, _ = engine._survivors(discourse, prev, plan, config)
             for key, binding, cb, transition, _order, zta in survivors:
                 want = None
                 if prev is None:
@@ -1168,6 +1202,6 @@ def test_overt_slots_that_doom_every_pairing_reject_each_with_its_code(frame, ar
         for a, cb in _pairings(d, utterance, prev)
     ]
     assert len(want) == 3 and {r.code for r in want} == {code}
-    result = step(parent, utterance, d, config, memo={})
+    result = step(parent, utterance, d, config, plan=engine._Plan.of(utterance, d.entity_map))
     assert result.ranked == ()
     assert list(result.rejections) == want

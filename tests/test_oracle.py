@@ -256,7 +256,7 @@ _REAL_CLASSIFY = engine.classify_transition
 
 def _zta_without_stand_down(candidates, *rest):
     # apply_zta reads a base candidate's transition (its fourth field) only
-    # to stand down on a plain CONTINUE, and every variant is classified anew.
+    # to stand down on a plain CONTINUE; every variant is a CONTINUE of its own.
     hidden = [
         c[:3] + (None,) + c[4:] if c[3] is Transition.CONTINUE else c
         for c in candidates
