@@ -384,7 +384,3 @@ def main() -> None:  # pragma: no cover - the tests run it in a subprocess
         print(f"error: cannot write output: {err}", file=sys.stderr)
         code = EXIT_OUTPUT
     sys.exit(code)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -26,18 +26,14 @@ class GrammaticalRole(enum.Enum):
     """Subcategorized argument slots, in decreasing structural prominence.
 
     The member order is the canonical subcategorization order: subject,
-    indirect/second object, direct object, then any oblique.  Lower rank
-    number means higher prominence.
+    indirect/second object, direct object, then any oblique.  A lower
+    value means higher prominence.
     """
 
     SUBJ = 0
     OBJ2 = 1
     OBJ = 2
     OTHER = 3
-
-    @property
-    def rank(self) -> int:
-        return self.value
 
 
 class Marking(enum.Enum):

@@ -16,13 +16,13 @@ argument then counts only by its grammatical role.  Salience is ranked
 only for injective bindings - the arguments of one verb are disjoint in
 reference (contra-indexing), as generation and filter_assignment's
 CONTRA_INDEX ensure - so each entity fills one slot and takes that
-slot's tier, and ties between entities on the same tier fall back to
-subcat order.
+slot's tier, and each slot earns a tier of its own: one zero topic, one
+wa topic and one empathy locus per utterance, and a frame repeats no
+role.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .model import (
@@ -39,32 +39,20 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class RoleBinding:
-    """One realized entity with the salience tier and slot that earned it.
-
-    subcat_pos is the position of the earning slot in the frame's subcat
-    order; it breaks ties between entities on the same salience tier.
-    """
-
-    entity_id: str
-    salience: SalienceRole
-    subcat_pos: int
-
-
 def assign_salience_roles(
     utterance: Utterance,
     assignment: Assignment,
     zero_topic: Optional[str] = None,
-) -> list[RoleBinding]:
-    """Map every bound entity to the salience role its slot earns.
+) -> list[CfEntry]:
+    """Map every bound entity to the salience tier its slot earns.
 
     The assignment must bind every subcategorized slot, each to its own
     entity: an assignment that puts one entity in two slots raises
     ValueError.  If zero_topic is given, it must be an entity the
     assignment binds at some zero slot; that entity takes the ZERO_TOPIC
     tier and any wa-marked argument is demoted to its plain grammatical
-    role.  Output preserves subcat order (one binding per slot).
+    role.  Output is one (entity, tier) entry per slot, in subcat order;
+    no two entries share a tier.
     """
     if zero_topic is not None:
         bound_at_zero = {
@@ -77,13 +65,13 @@ def assign_salience_roles(
                 f"zero topic {zero_topic!r} is not bound at any zero slot"
             )
 
-    bindings: list[RoleBinding] = []
-    for pos, arg in enumerate(utterance.args):
+    entries: list[CfEntry] = []
+    for arg in utterance.args:
         role = arg.role
         if role not in assignment:
             raise ValueError(f"assignment misses subcategorized role {role}")
         entity_id = assignment[role]
-        if any(b.entity_id == entity_id for b in bindings):
+        if any(eid == entity_id for eid, _ in entries):
             raise ValueError(f"entity {entity_id!r} fills two slots")
 
         if zero_topic is not None and entity_id == zero_topic:
@@ -95,18 +83,18 @@ def assign_salience_roles(
         else:
             salience = GRAMMATICAL_SALIENCE[role]
 
-        bindings.append(RoleBinding(entity_id, salience, pos))
-    return bindings
+        entries.append((entity_id, salience))
+    return entries
 
 
-def rank_cf(bindings: Sequence[RoleBinding]) -> tuple[CfEntry, ...]:
-    """Order bindings into a Cf list: salience tier, then subcat position.
+def rank_cf(entries: Sequence[CfEntry]) -> tuple[CfEntry, ...]:
+    """Order Cf entries by salience tier, most salient first.
 
-    The sort is total and deterministic: no two bindings share both a tier
-    and a subcat position (each slot contributes at most one binding).
+    The entries of one utterance hold distinct tiers, so the order is
+    total; the sort is stable, so entries that did share a tier would
+    keep their input order.
     """
-    ordered = sorted(bindings, key=lambda b: (b.salience.rank, b.subcat_pos))
-    return tuple((b.entity_id, b.salience) for b in ordered)
+    return tuple(sorted(entries, key=lambda e: e[1].rank))
 
 
 def compute_cb_candidates(
@@ -126,11 +114,7 @@ def compute_cb_candidates(
         return []
     realized = set(assignment.values())
     in_cf_order = [eid for eid in prev.cf_ids if eid in realized]
-    if not in_cf_order:
-        return []
-    if prev.cb is not None:
-        return [in_cf_order[0]]
-    return in_cf_order
+    return in_cf_order[:1] if prev.cb is not None else in_cf_order
 
 
 def classify_transition(

@@ -290,8 +290,8 @@ def _check_step_composition(
     if set(step.state.cf_ids) != set(values):
         failures.append(f"{label}: Cf differs from bound entities")
     ranks = [tier.rank for _, tier in step.state.cf]
-    if ranks != sorted(ranks):
-        failures.append(f"{label}: Cf out of salience order")
+    if ranks != sorted(set(ranks)):
+        failures.append(f"{label}: Cf out of salience order or repeats a tier")
     expected_cf = oracle._cf_list(
         utt,
         step.assignment,

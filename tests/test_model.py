@@ -74,7 +74,7 @@ def test_transition_ordinals_are_the_preference_order():
 
 
 def test_role_rank_follows_subcat_prominence():
-    assert [r.rank for r in (SUBJ, OBJ2, OBJ, OTHER)] == [0, 1, 2, 3]
+    assert [r.value for r in (SUBJ, OBJ2, OBJ, OTHER)] == [0, 1, 2, 3]
 
 
 # --------------------------------------------------------------------------

@@ -110,7 +110,13 @@ def test_zero_topic_heads_cf_and_demotes_wa_topic():
         (overt(SUBJ, "a", Marking.WA), zero(OBJ2), overt(OBJ, "c")),
     )
     assignment = {SUBJ: "a", OBJ2: "b", OBJ: "c"}
-    cf = rank_cf(assign_salience_roles(utt, assignment, zero_topic="b"))
+    entries = assign_salience_roles(utt, assignment, zero_topic="b")
+    assert entries == [  # one (entity, tier) entry per slot, in subcat order
+        ("a", SalienceRole.SUBJ),
+        ("b", SalienceRole.ZERO_TOPIC),
+        ("c", SalienceRole.OBJ),
+    ]
+    cf = rank_cf(entries)
     assert cf == (
         ("b", SalienceRole.ZERO_TOPIC),
         ("a", SalienceRole.SUBJ),  # wa topic demoted to its grammatical slot
@@ -136,7 +142,7 @@ def test_salience_needs_every_slot_bound_to_an_entity_of_its_own():
         assign_salience_roles(utt, {SUBJ: "a", OBJ: "a"})
 
 
-def test_equal_tiers_keep_subcat_order():
+def test_second_object_outranks_direct_object():
     frame = VerbFrame("v", (OBJ2, OBJ))
     utt = Utterance(1, frame, (overt(OBJ2, "x", Marking.NI), overt(OBJ, "y")))
     cf = rank_cf(assign_salience_roles(utt, {OBJ2: "x", OBJ: "y"}))
