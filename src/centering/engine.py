@@ -122,7 +122,6 @@ from .model import (
     Transition,
     Utterance,
     Violation,
-    ViolationCode,
     validate_discourse,
 )
 from .rules import (
@@ -141,20 +140,18 @@ OUT_OF_CF_PRUNED = "OUT_OF_CF_PRUNED"
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Engine knobs: beam width, zero-topic toggle, validation strictness."""
+    """Engine knobs: beam width and the zero-topic toggle."""
 
     beam_width: int = 16
     zta_enabled: bool = True
-    strict_validation: bool = True
 
     def __post_init__(self) -> None:
         if type(self.beam_width) is not int:  # a bool is an int to isinstance
             raise TypeError(f"beam width must be an int, got {type(self.beam_width).__name__}")
         if self.beam_width < 1:
             raise ValueError("beam width must be at least 1")
-        for flag in ("zta_enabled", "strict_validation"):
-            if type(getattr(self, flag)) is not bool:  # "false" would read as true
-                raise TypeError(f"{flag} must be a bool, got {type(getattr(self, flag)).__name__}")
+        if type(self.zta_enabled) is not bool:  # "false" would read as true
+            raise TypeError(f"zta_enabled must be a bool, got {type(self.zta_enabled).__name__}")
 
 
 #: A binding of an utterance's slots: their entity ids, in subcat order.
@@ -208,8 +205,7 @@ class ResolveResult:
     rejections maps each utterance to the records of every center state
     expanded there, once per state, in the order the states were expanded;
     each Rejection names a discarded pairing by its binding (entity ids in
-    subcat order) and Cb.  The non-fatal violations of a relaxed run come
-    from validate_discourse.
+    subcat order) and Cb.
     """
 
     hypotheses: tuple[Hypothesis, ...]
@@ -229,7 +225,7 @@ class UnresolvableError(Exception):
 
 
 class DiscourseInvalidError(Exception):
-    """Strict-mode resolution refused a discourse with felicity violations."""
+    """Resolution refused a discourse with felicity violations."""
 
     def __init__(self, violations: Sequence[Violation]) -> None:
         self.violations = tuple(violations)
@@ -738,19 +734,16 @@ def _initial_hypotheses(
 def resolve(discourse: Discourse, config: EngineConfig = EngineConfig()) -> ResolveResult:
     """Resolve a whole discourse into a ranked beam of readings.
 
-    Raises DiscourseInvalidError if the annotation names an undeclared
-    entity or, under strict validation, has any felicity violation, and
+    Raises DiscourseInvalidError, carrying every violation
+    validate_discourse reports, if the annotation has any, and
     UnresolvableError (carrying the utterance index) if at some utterance
     no reading survives.  The returned hypotheses are sorted best-first
     under hypothesis_sort_key and truncated to the beam width at every
     utterance, so the result is deterministic for identical inputs.
-    The non-fatal violations of a relaxed run are validate_discourse's.
     """
     violations = validate_discourse(discourse)
-    strict = config.strict_validation
-    fatal = [v for v in violations if strict or v.code is ViolationCode.UNDECLARED_ENTITY]
-    if fatal:
-        raise DiscourseInvalidError(fatal)
+    if violations:
+        raise DiscourseInvalidError(violations)
 
     keyed, rejections = _initial_hypotheses(discourse, config)
     if not keyed:

@@ -341,8 +341,10 @@ def _enumerate(
     SIZE_LIMIT.  The widest-layer count lets the equivalence check size
     the engine beam so that no intermediate truncation can occur (a
     mid-discourse layer may be larger than the final reading count).
-    Like `resolve`, raises DiscourseInvalidError if the discourse names
-    an undeclared entity, whatever the validation mode.
+    Raises DiscourseInvalidError if the discourse names an undeclared
+    entity.  The other felicity violations do not stop the enumeration,
+    but `resolve` refuses them, so check_equivalence raises
+    DiscourseInvalidError on any violation.
     """
     undeclared = [
         v for v in validate_discourse(discourse)

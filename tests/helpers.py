@@ -68,6 +68,12 @@ def random_discourse(rng: random.Random) -> Discourse:
     and the discourse-initial utterance is mostly overt.  Unresolvable
     discourses still occur in around a third of draws, which keeps the
     error-path agreement between engine and oracle under test.
+
+    Every draw is felicitous, since resolve refuses any other: a wa mark
+    drawn for an indefinite filler is left off, and so is an empathy
+    locus whose overt filler is neither hearer-old nor mentioned in an
+    earlier utterance.  Both are decided after their random draws, so
+    the draws taken do not depend on them.
     """
     n_entities = rng.randint(2, 3) if rng.random() < 0.25 else 3
     entities = tuple(
@@ -81,6 +87,8 @@ def random_discourse(rng: random.Random) -> Discourse:
     )
     ids = [e.id for e in entities]
     animate_ids = [e.id for e in entities if e.animate]
+    definite_ids = {e.id for e in entities if e.definite}
+    evoked = {e.id for e in entities if e.hearer_old}
 
     utterances = []
     for k in range(rng.randint(2, 4)):
@@ -89,7 +97,6 @@ def random_discourse(rng: random.Random) -> Discourse:
             subcat = (GrammaticalRole.SUBJ,)
         sortal = {r: SortalConstraint.ANIMATE for r in subcat if rng.random() < 0.15}
         empathy = rng.choice(subcat) if rng.random() < 0.25 else None
-        frame = VerbFrame(f"v{k}", subcat, sortal, empathy)
 
         args = []
         zeros = 0
@@ -113,10 +120,17 @@ def random_discourse(rng: random.Random) -> Discourse:
         overt_slots = [i for i, a in enumerate(args) if not a.realization.is_zero]
         if overt_slots and rng.random() < 0.25:
             i = rng.choice(overt_slots)
-            args[i] = Argument(args[i].role, Marking.WA, args[i].realization)
+            if args[i].realization.entity_id in definite_ids:
+                args[i] = Argument(args[i].role, Marking.WA, args[i].realization)
         others = tuple(
             eid for eid in ids if rng.random() < 0.1 and eid not in used
         )
+        if empathy is not None:
+            locus = args[subcat.index(empathy)].realization
+            if not locus.is_zero and locus.entity_id not in evoked:
+                empathy = None
+        evoked |= used | set(others)
+        frame = VerbFrame(f"v{k}", subcat, sortal, empathy)
         utterances.append(Utterance(k + 1, frame, tuple(args), others, f"u{k + 1}"))
     return Discourse(entities, tuple(utterances))
 
@@ -418,7 +432,7 @@ def _check_zta(
     )
     plain = oracle._parent_candidates(
         utt, prev_cf_sig, prev.state.cb,
-        EngineConfig(zta_enabled=False, strict_validation=False),
+        EngineConfig(zta_enabled=False),
         discourse.entity_map, discourse.hearer_old_ids,
     )
     if any(sig[4] == "continue" for sig, _cost in plain):

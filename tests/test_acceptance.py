@@ -21,7 +21,7 @@ from helpers import (
 
 DEFAULT = EngineConfig()
 RANDOM_TRIALS = 1000
-RANDOM_CONFIG = EngineConfig(beam_width=8, strict_validation=False)
+RANDOM_CONFIG = EngineConfig(beam_width=8)
 
 SIGNIFICANT_FILES = (
     "shift_ex.json",

@@ -38,6 +38,7 @@ from centering.model import (
     Utterance,
     VerbFrame,
     ViolationCode,
+    validate_discourse,
 )
 from centering.rules import (
     RejectionCode,
@@ -375,11 +376,13 @@ def test_beam_width_must_be_a_positive_int():
 
 def test_engine_flags_must_be_bools():
     # "false" is truthy: taken as given it would turn zero topics on.
-    for flag in ("zta_enabled", "strict_validation"):
-        for value in ("false", 0, 1, None):
-            with pytest.raises(TypeError, match=f"{flag} must be a bool"):
-                EngineConfig(**{flag: value})
-        assert getattr(EngineConfig(**{flag: False}), flag) is False
+    for value in ("false", 0, 1, None):
+        with pytest.raises(TypeError, match="zta_enabled must be a bool"):
+            EngineConfig(zta_enabled=value)
+    assert EngineConfig(zta_enabled=False).zta_enabled is False
+    # resolve refuses every felicity violation; there is no mode to relax.
+    with pytest.raises(TypeError, match="strict_validation"):
+        EngineConfig(strict_validation=False)
 
 
 def test_retroactive_instantiation_backfills_the_initial_center():
@@ -450,32 +453,57 @@ def test_unresolvable_discourse_reports_the_utterance():
     assert err.value.utterance_index == 1
 
 
-def test_strict_validation_refuses_infelicitous_discourses():
-    d = Discourse(
-        (entity("someone", definite=False),),
-        (
-            Utterance(
-                1, VerbFrame("v", (SUBJ,)), (overt(SUBJ, "someone", Marking.WA),)
+def test_resolve_refuses_infelicitous_discourses():
+    opener = overt(SUBJ, "taroo")
+    cases = {
+        ViolationCode.WA_ON_INDEFINITE: Discourse(
+            (entity("someone", definite=False),),
+            (Utterance(1, VerbFrame("v", (SUBJ,)), (overt(SUBJ, "someone", Marking.WA),)),),
+        ),
+        ViolationCode.EMPATHY_NOT_EVOKED: Discourse(
+            (entity("taroo"), entity("stranger", hearer_old=False)),
+            (
+                Utterance(1, VerbFrame("v", (SUBJ,)), (opener,)),
+                Utterance(
+                    2,
+                    VerbFrame("kureta", (SUBJ, OBJ2), empathy_locus=OBJ2),
+                    (zero(SUBJ), overt(OBJ2, "stranger")),
+                ),
             ),
         ),
-    )
-    with pytest.raises(DiscourseInvalidError):
-        resolve(d, WIDE)
-    relaxed = resolve(d, EngineConfig(strict_validation=False))
-    assert len(relaxed.hypotheses) == 1
+        ViolationCode.UNDECLARED_ENTITY: Discourse(
+            (entity("taroo"),),
+            (Utterance(1, VerbFrame("v", (SUBJ,)), (opener,), ("ghost",)),),
+        ),
+    }
+    for code, d in cases.items():
+        with pytest.raises(DiscourseInvalidError) as err:
+            resolve(d, WIDE)
+        assert err.value.violations == tuple(validate_discourse(d)), code
+        assert [v.code for v in err.value.violations] == [code]
 
 
-def test_undeclared_entities_are_refused_in_either_mode():
+def test_random_discourses_are_felicitous():
+    # Every seeded stream of random_discourse the suite draws, and 2024,
+    # each at least as far as any test reads it; resolve refuses the rest.
+    for seed in (4, 5, 6, 7, 8, 9, 11, 2024, 9016, 41114):
+        rng = random.Random(seed)
+        for trial in range(1000):
+            assert validate_discourse(random_discourse(rng)) == [], (seed, trial)
+    for seed in range(40):
+        assert validate_discourse(random_discourse(random.Random(seed))) == [], seed
+
+
+def test_undeclared_entities_are_refused():
     d = Discourse(
         (entity("a"),),
         (Utterance(1, VerbFrame("v", (SUBJ,)), (overt(SUBJ, "ghost"),)),),
     )
-    for strict in (True, False):
-        with pytest.raises(DiscourseInvalidError) as err:
-            resolve(d, EngineConfig(strict_validation=strict))
-        assert [v.code for v in err.value.violations] == [
-            ViolationCode.UNDECLARED_ENTITY
-        ]
+    with pytest.raises(DiscourseInvalidError) as err:
+        resolve(d)
+    assert [v.code for v in err.value.violations] == [
+        ViolationCode.UNDECLARED_ENTITY
+    ]
 
 
 def test_out_of_cf_bindings_are_last_resort(workloads):
@@ -574,7 +602,7 @@ def test_every_beam_is_the_reference_cut_at_narrow_widths(monkeypatch, workloads
     for trial in range(300):
         d = random_discourse(rng)
         for width in (1, 2, 3, 4):
-            config = EngineConfig(beam_width=width, strict_validation=False)
+            config = EngineConfig(beam_width=width)
             assert reference_beam_failures(d, config) == [], (trial, width)
     chain = workloads.long_chain(random.Random(60), 60)
     for width in (1, 3, 16, 64):
@@ -596,7 +624,7 @@ def test_the_first_beam_is_sorted_before_it_is_cut(monkeypatch):
     for trial in range(100):
         d = random_discourse(rng)
         for width in (1, 2, 3):
-            config = EngineConfig(beam_width=width, strict_validation=False)
+            config = EngineConfig(beam_width=width)
             assert reference_beam_failures(d, config) == [], (trial, width)
 
 
@@ -734,7 +762,7 @@ def test_step_returns_all_resolve_needs_with_a_shared_plan(workloads):
     for trial in range(200):
         d = random_discourse(rng)
         for width in (1, 2, 3, 4):
-            config = EngineConfig(beam_width=width, strict_validation=False)
+            config = EngineConfig(beam_width=width)
             assert step_contract_failures(d, config) == [], (trial, width)
     chain = workloads.long_chain(random.Random(30), 30)
     assert step_contract_failures(chain, EngineConfig()) == []
@@ -760,7 +788,7 @@ def full_siblings(parent, utterance, discourse, config):
     inside it, before or after the variants, can hide a child.
     """
     state = parent.last.state
-    wide = EngineConfig(beam_width=10**9, zta_enabled=False, strict_validation=False)
+    wide = EngineConfig(beam_width=10**9, zta_enabled=False)
     plan = engine._Plan.of(utterance, discourse.entity_map)
     plain, _ = engine._survivors(discourse, state, plan, wide)
     candidates = plain + apply_zta(plain, state.cb, plan, config)
@@ -811,7 +839,7 @@ def test_step_returns_the_beam_width_best_of_all_siblings(workloads):
     for trial in range(300):
         d = random_discourse(rng)
         for width in (1, 2, 3, 4):
-            config = EngineConfig(beam_width=width, strict_validation=False)
+            config = EngineConfig(beam_width=width)
             assert cut_step_failures(d, config) == [], (trial, width)
     pool = workloads.wide_pool(random.Random(5), 20, True)
     d = zero_topic_behind_a_plain_retain()
@@ -1020,7 +1048,7 @@ def sibling_key_failures(discourse, config, covered):
 
 
 def test_every_sibling_key_equals_one_built_from_scratch(workloads):
-    config = EngineConfig(beam_width=4, strict_validation=False)
+    config = EngineConfig(beam_width=4)
     covered = Counter()
     rng = random.Random(11)
     for trial in range(500):
@@ -1188,7 +1216,7 @@ def _unresolvable_second_utterance(frame, args):
 )
 def test_overt_slots_that_doom_every_pairing_reject_each_with_its_code(frame, args, code):
     d = _unresolvable_second_utterance(frame, args)
-    config = EngineConfig(strict_validation=False)
+    config = EngineConfig()
     assert oracle.check_equivalence(d, config).equivalent
     with pytest.raises(UnresolvableError) as err:
         resolve(d, config)

@@ -172,7 +172,7 @@ def test_corpus_equivalence_without_zta():
 
 def test_randomized_equivalence():
     rng = random.Random(9016)
-    config = EngineConfig(beam_width=8, strict_validation=False)
+    config = EngineConfig(beam_width=8)
     resolvable = 0
     for trial in range(1000):
         d = random_discourse(rng)
@@ -279,7 +279,7 @@ ENGINE_MUTANTS = {
 }
 
 
-MUTANT_CONFIG = EngineConfig(beam_width=8, strict_validation=False)
+MUTANT_CONFIG = EngineConfig(beam_width=8)
 
 
 @pytest.fixture(scope="module")
@@ -319,7 +319,7 @@ def test_the_oracle_reuses_no_engine_or_rules_function():
     }
 
 
-def test_undeclared_entities_are_refused_in_either_mode():
+def test_undeclared_entities_are_refused():
     d = Discourse(
         (Entity("a", animate=True, hearer_old=True, definite=True),),
         (
@@ -330,12 +330,10 @@ def test_undeclared_entities_are_refused_in_either_mode():
             ),
         ),
     )
-    for strict in (True, False):
-        config = EngineConfig(strict_validation=strict)
-        with pytest.raises(DiscourseInvalidError):
-            oracle.enumerate_all(d, config)
-        with pytest.raises(DiscourseInvalidError):
-            oracle.check_equivalence(d, config)
+    with pytest.raises(DiscourseInvalidError):
+        oracle.enumerate_all(d)
+    with pytest.raises(DiscourseInvalidError):
+        oracle.check_equivalence(d)
 
 
 # --------------------------------------------------------------------------

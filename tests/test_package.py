@@ -59,3 +59,11 @@ def test_resolve_is_the_engines_one_entry_point():
     parent = centering.resolve(discourse).top
     with pytest.raises(TypeError):
         engine.step(parent, discourse.utterances[1], discourse, engine.EngineConfig())
+
+
+def test_readme_engine_config_signature_lists_every_field():
+    library = README.read_text(encoding="utf-8").split("## Library", 1)[1]
+    signature = re.search(r"^- `EngineConfig\((.*?)\)`", library, re.M).group(1)
+    documented = [tuple(param.split("=")) for param in signature.split(", ")]
+    fields = [(f.name, repr(f.default)) for f in dataclasses.fields(engine.EngineConfig)]
+    assert documented == fields
