@@ -57,7 +57,6 @@ from .model import (
     SalienceRole,
     Transition,
     Utterance,
-    ViolationCode,
     validate_discourse,
 )
 
@@ -341,17 +340,13 @@ def _enumerate(
     SIZE_LIMIT.  The widest-layer count lets the equivalence check size
     the engine beam so that no intermediate truncation can occur (a
     mid-discourse layer may be larger than the final reading count).
-    Raises DiscourseInvalidError if the discourse names an undeclared
-    entity.  The other felicity violations do not stop the enumeration,
-    but `resolve` refuses them, so check_equivalence raises
-    DiscourseInvalidError on any violation.
+    Raises DiscourseInvalidError, carrying every violation
+    validate_discourse reports, before any layer is sized or built, so
+    the oracle refuses exactly the discourses `resolve` refuses.
     """
-    undeclared = [
-        v for v in validate_discourse(discourse)
-        if v.code is ViolationCode.UNDECLARED_ENTITY
-    ]
-    if undeclared:
-        raise DiscourseInvalidError(undeclared)
+    violations = validate_discourse(discourse)
+    if violations:
+        raise DiscourseInvalidError(violations)
     hearer_old_set = frozenset(discourse.hearer_old_ids)
     first = discourse.utterances[0]
     topic = next(
@@ -395,10 +390,11 @@ def enumerate_all(
 ) -> list[GlobalReading]:
     """Every complete reading of the discourse, best first.
 
-    Exhaustive and beam-free; raises SizeLimitError before building a
-    layer whose projected upper bound (see _projected_bound), which may
-    exceed its true size, passes SIZE_LIMIT.  An empty list means some
-    utterance admits no reading.
+    Exhaustive and beam-free.  Raises DiscourseInvalidError on any
+    felicity violation, as `resolve` does, and SizeLimitError before
+    building a layer whose projected upper bound (see _projected_bound),
+    which may exceed its true size, passes SIZE_LIMIT.  An empty list
+    means some utterance admits no reading.
     """
     return _enumerate(discourse, config)[0]
 
@@ -434,7 +430,8 @@ def check_equivalence(
     The beam is widened to the oracle's reading count so truncation cannot
     hide a difference; set and order must both agree, and error cases must
     agree too (engine UNRESOLVABLE at utterance k matches an enumeration
-    that dies at k).
+    that dies at k).  Raises DiscourseInvalidError on any felicity
+    violation, as `resolve` does, before either route expands anything.
     """
     readings, first_dead, max_layer = _enumerate(discourse, config)
 

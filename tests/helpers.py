@@ -12,6 +12,10 @@ them:
   SIZE_LIMIT, and a seeded chain whose readings double at every
   utterance over a few center states;
 
+* the table of infelicitous discourses that every entry point refuses,
+  one felicity violation each, and the `entity`, `overt` and `zero`
+  builders the unit tests write their discourses with;
+
 * an invariant walker that re-derives, from first principles and the
   oracle's naive helpers, everything a finished hypothesis claims:
   center uniqueness, Cf composition and ordering, the backward-center
@@ -43,6 +47,7 @@ from centering.model import (
     Transition,
     Utterance,
     VerbFrame,
+    ViolationCode,
 )
 
 ROLE_ORDER = [
@@ -51,6 +56,22 @@ ROLE_ORDER = [
     GrammaticalRole.OBJ,
     GrammaticalRole.OTHER,
 ]
+
+
+# --------------------------------------------------------------------------
+# Builders
+
+
+def entity(eid, animate=True, hearer_old=True, definite=True):
+    return Entity(eid, animate=animate, hearer_old=hearer_old, definite=definite)
+
+
+def overt(role, eid, marking=Marking.NONE):
+    return Argument(role, marking, Realization.overt(eid))
+
+
+def zero(role):
+    return Argument(role, Marking.NONE, Realization.zero())
 
 
 # --------------------------------------------------------------------------
@@ -182,6 +203,54 @@ def oversized_discourse() -> Discourse:
             for k in (1, 2, 3)
         ),
     )
+
+
+def _infelicitous_discourses() -> dict[str, tuple[ViolationCode, Discourse]]:
+    subj, obj2 = GrammaticalRole.SUBJ, GrammaticalRole.OBJ2
+    opener = overt(subj, "taroo")
+    return {
+        "wa_on_indefinite": (
+            ViolationCode.WA_ON_INDEFINITE,
+            Discourse(
+                (entity("someone", definite=False),),
+                (Utterance(1, VerbFrame("v", (subj,)), (overt(subj, "someone", Marking.WA),)),),
+            ),
+        ),
+        "empathy_not_evoked": (
+            ViolationCode.EMPATHY_NOT_EVOKED,
+            Discourse(
+                (entity("taroo"), entity("stranger", hearer_old=False)),
+                (
+                    Utterance(1, VerbFrame("v", (subj,)), (opener,)),
+                    Utterance(
+                        2,
+                        VerbFrame("kureta", (subj, obj2), empathy_locus=obj2),
+                        (zero(subj), overt(obj2, "stranger")),
+                    ),
+                ),
+            ),
+        ),
+        "undeclared_other": (
+            ViolationCode.UNDECLARED_ENTITY,
+            Discourse(
+                (entity("taroo"),),
+                (Utterance(1, VerbFrame("v", (subj,)), (opener,), ("ghost",)),),
+            ),
+        ),
+        "undeclared_argument": (
+            ViolationCode.UNDECLARED_ENTITY,
+            Discourse(
+                (entity("a"),),
+                (Utterance(1, VerbFrame("v", (subj,)), (overt(subj, "ghost"),)),),
+            ),
+        ),
+    }
+
+
+#: Discourses that break one felicity condition each, by name: the code
+#: validate_discourse reports and the discourse.  Every entry point
+#: (resolve, enumerate_all, check_equivalence) refuses each of them.
+INFELICITOUS = _infelicitous_discourses()
 
 
 def ambiguous_chain(rng: random.Random, length: int) -> Discourse:

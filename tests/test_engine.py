@@ -23,21 +23,17 @@ from centering.engine import (
     step,
 )
 from centering.model import (
-    Argument,
     CenterState,
     Discourse,
-    Entity,
     GrammaticalRole,
     Hypothesis,
     Marking,
-    Realization,
     SalienceRole,
     SortalConstraint,
     Step,
     Transition,
     Utterance,
     VerbFrame,
-    ViolationCode,
     validate_discourse,
 )
 from centering.rules import (
@@ -48,7 +44,7 @@ from centering.rules import (
     filter_assignment,
     rank_cf,
 )
-from helpers import random_discourse
+from helpers import INFELICITOUS, entity, overt, random_discourse, zero
 
 SUBJ = GrammaticalRole.SUBJ
 OBJ2 = GrammaticalRole.OBJ2
@@ -56,18 +52,6 @@ OBJ = GrammaticalRole.OBJ
 OTHER = GrammaticalRole.OTHER
 
 WIDE = EngineConfig(beam_width=64)
-
-
-def overt(role, eid, marking=Marking.NONE):
-    return Argument(role, marking, Realization.overt(eid))
-
-
-def zero(role):
-    return Argument(role, Marking.NONE, Realization.zero())
-
-
-def entity(eid, animate=True, hearer_old=True, definite=True):
-    return Entity(eid, animate=animate, hearer_old=hearer_old, definite=definite)
 
 
 def load(name):
@@ -453,34 +437,12 @@ def test_unresolvable_discourse_reports_the_utterance():
     assert err.value.utterance_index == 1
 
 
-def test_resolve_refuses_infelicitous_discourses():
-    opener = overt(SUBJ, "taroo")
-    cases = {
-        ViolationCode.WA_ON_INDEFINITE: Discourse(
-            (entity("someone", definite=False),),
-            (Utterance(1, VerbFrame("v", (SUBJ,)), (overt(SUBJ, "someone", Marking.WA),)),),
-        ),
-        ViolationCode.EMPATHY_NOT_EVOKED: Discourse(
-            (entity("taroo"), entity("stranger", hearer_old=False)),
-            (
-                Utterance(1, VerbFrame("v", (SUBJ,)), (opener,)),
-                Utterance(
-                    2,
-                    VerbFrame("kureta", (SUBJ, OBJ2), empathy_locus=OBJ2),
-                    (zero(SUBJ), overt(OBJ2, "stranger")),
-                ),
-            ),
-        ),
-        ViolationCode.UNDECLARED_ENTITY: Discourse(
-            (entity("taroo"),),
-            (Utterance(1, VerbFrame("v", (SUBJ,)), (opener,), ("ghost",)),),
-        ),
-    }
-    for code, d in cases.items():
-        with pytest.raises(DiscourseInvalidError) as err:
-            resolve(d, WIDE)
-        assert err.value.violations == tuple(validate_discourse(d)), code
-        assert [v.code for v in err.value.violations] == [code]
+@pytest.mark.parametrize("code, d", INFELICITOUS.values(), ids=list(INFELICITOUS))
+def test_resolve_refuses_infelicitous_discourses(code, d):
+    with pytest.raises(DiscourseInvalidError) as err:
+        resolve(d, WIDE)
+    assert err.value.violations == tuple(validate_discourse(d))
+    assert [v.code for v in err.value.violations] == [code]
 
 
 def test_random_discourses_are_felicitous():
@@ -492,18 +454,6 @@ def test_random_discourses_are_felicitous():
             assert validate_discourse(random_discourse(rng)) == [], (seed, trial)
     for seed in range(40):
         assert validate_discourse(random_discourse(random.Random(seed))) == [], seed
-
-
-def test_undeclared_entities_are_refused():
-    d = Discourse(
-        (entity("a"),),
-        (Utterance(1, VerbFrame("v", (SUBJ,)), (overt(SUBJ, "ghost"),)),),
-    )
-    with pytest.raises(DiscourseInvalidError) as err:
-        resolve(d)
-    assert [v.code for v in err.value.violations] == [
-        ViolationCode.UNDECLARED_ENTITY
-    ]
 
 
 def test_out_of_cf_bindings_are_last_resort(workloads):

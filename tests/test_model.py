@@ -8,7 +8,6 @@ from centering.model import (
     Argument,
     CenterState,
     Discourse,
-    Entity,
     GRAMMATICAL_SALIENCE,
     GrammaticalRole,
     Hypothesis,
@@ -23,23 +22,12 @@ from centering.model import (
     ViolationCode,
     validate_discourse,
 )
+from helpers import entity, overt, zero
 
 SUBJ = GrammaticalRole.SUBJ
 OBJ2 = GrammaticalRole.OBJ2
 OBJ = GrammaticalRole.OBJ
 OTHER = GrammaticalRole.OTHER
-
-
-def entity(eid, animate=True, hearer_old=True, definite=True):
-    return Entity(eid, animate=animate, hearer_old=hearer_old, definite=definite)
-
-
-def overt(role, eid, marking=Marking.NONE):
-    return Argument(role, marking, Realization.overt(eid))
-
-
-def zero(role):
-    return Argument(role, Marking.NONE, Realization.zero())
 
 
 # --------------------------------------------------------------------------

@@ -25,8 +25,10 @@ from centering.model import (
     Transition,
     Utterance,
     VerbFrame,
+    validate_discourse,
 )
 from helpers import (
+    INFELICITOUS,
     ambiguous_chain,
     oversized_discourse,
     random_discourse,
@@ -319,21 +321,14 @@ def test_the_oracle_reuses_no_engine_or_rules_function():
     }
 
 
-def test_undeclared_entities_are_refused():
-    d = Discourse(
-        (Entity("a", animate=True, hearer_old=True, definite=True),),
-        (
-            Utterance(
-                1,
-                VerbFrame("v1", (SUBJ,)),
-                (Argument(SUBJ, Marking.GA, Realization.overt("ghost")),),
-            ),
-        ),
-    )
-    with pytest.raises(DiscourseInvalidError):
-        oracle.enumerate_all(d)
-    with pytest.raises(DiscourseInvalidError):
-        oracle.check_equivalence(d)
+@pytest.mark.parametrize("code, d", INFELICITOUS.values(), ids=list(INFELICITOUS))
+def test_the_oracle_refuses_infelicitous_discourses_before_expanding(monkeypatch, code, d):
+    monkeypatch.setattr(oracle, "_parent_candidates", None)  # any expansion fails
+    for route in (oracle.enumerate_all, oracle.check_equivalence):
+        with pytest.raises(DiscourseInvalidError) as err:
+            route(d, WIDE)
+        assert err.value.violations == tuple(validate_discourse(d)), route.__name__
+        assert [v.code for v in err.value.violations] == [code]
 
 
 # --------------------------------------------------------------------------

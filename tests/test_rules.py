@@ -5,12 +5,10 @@ import itertools
 import pytest
 
 from centering.model import (
-    Argument,
     CenterState,
     Entity,
     GrammaticalRole,
     Marking,
-    Realization,
     SalienceRole,
     SortalConstraint,
     Transition,
@@ -25,20 +23,12 @@ from centering.rules import (
     filter_assignment,
     rank_cf,
 )
-from helpers import expected_transition
+from helpers import expected_transition, overt, zero
 
 SUBJ = GrammaticalRole.SUBJ
 OBJ2 = GrammaticalRole.OBJ2
 OBJ = GrammaticalRole.OBJ
 OTHER = GrammaticalRole.OTHER
-
-
-def overt(role, eid, marking=Marking.NONE):
-    return Argument(role, marking, Realization.overt(eid))
-
-
-def zero(role):
-    return Argument(role, Marking.NONE, Realization.zero())
 
 
 def entities(*ids, inanimate=(), hearer_new=()):
