@@ -41,46 +41,55 @@ because the benchmark's tracer (bench/tracing.py) wraps it by name.
 One expansion path builds every utterance's readings: `_survivors`
 turns a previous center state and an utterance's plan into candidates,
 each a tuple of its sibling key, binding, Cb, transition, Cf order and
-ZTA flag, keyed once as it is made.  A wide pool's last resort makes
-thousands of them for an expansion that keeps `beam_width`, so nothing
-more is built before the cut: `_kept_steps`, the one place a candidate
-becomes a `Step`, takes the best by key and only then builds the
-assignment, the validated center state, the Cf and the `Step` of each
-one it keeps.  `step` calls it once per distinct state, and
-`_initial_hypotheses` once for the discourse-initial utterance, with no
-previous state (prev=None): its pool is the hearer-old entities, no Cb
-links back and no transition or zero-topic variant arises, and each
-reading takes the wa topic, if any, as its Cb.  Those candidates differ
-only in content, so their cut is the first beam.  A Cb is an entity
-id, or None while it is uninstantiated; the next utterance that pins it
-down writes it back.
+ZTA flag, keyed once it has passed the filters.  A wide pool's last
+resort makes thousands of them for an expansion that keeps
+`beam_width`, so nothing more is built before the cut: `_kept_steps`,
+the one place a candidate becomes a `Step`, takes the best by key and
+only then builds the assignment, the validated center state, the Cf
+and the `Step` of each one it keeps.  `step` calls it once per
+distinct state, and `_initial_hypotheses` once for the
+discourse-initial utterance, with no previous state (prev=None): its
+pool is the hearer-old entities, no Cb links back and no transition or
+zero-topic variant arises, and each reading takes the wa topic, if
+any, as its Cb.  Those candidates differ only in content, so their cut
+is the first beam.  A step's Cb is an entity id, or None while it is
+uninstantiated; the next utterance that pins it down writes it back.
 
-Candidates are tuple work against a plan of the utterance (`_Plan`):
-`resolve` compiles one per utterance (`_initial_hypotheses` the
-discourse-initial one's) and passes it to every expansion there, which
-reads the utterance, its zeros, its overt entities and its Cf orders
-from it; `step` stores each state's kept steps in it.  No plan outlives
-its `resolve`.
-`generate_assignments` grows each binding slot by slot, in subcat
-order: an overt slot appends its entity, and a zero each entity of its
-pool the binding does not hold yet, so it binds the zeros injectively,
-never to an entity an overt slot names, only to animate entities in
-animate-only slots and only to previous-Cf or hearer-old entities.  A
-repeated overt entity is left for the filters.  Of the filters,
-CONTRA_INDEX and SORTAL can then fail only on the overt slots, one
-verdict for the whole utterance, and ZERO_ANTECEDENT never fails, so
-Rule 1 is the only filter left to run per pairing.  A slot's salience
-tier depends on its role, its marking, the empathy locus and the zero
-topic, never on the entity in it, so the Cf of every binding is one
+Candidates are tuple work on integer entity codes against a plan of
+the utterance (`_Plan`).  An entity's code is its declaration index;
+`resolve` builds the code tables once (`_Codes`: ids and animate flags
+by code, the hearer-old codes in declaration order), compiles one plan
+per utterance over them and passes it to every expansion there, which
+reads the utterance, its zeros, its overt slots as codes and its Cf
+orders from it; `step` stores each state's kept steps in it.  No plan
+outlives its `resolve`.
+`generate_assignments` grows each binding, a tuple of codes, slot by
+slot in subcat order: an overt slot appends its entity, and a zero
+each entity of its pool the binding does not hold yet, so it binds the
+zeros injectively, never to an entity an overt slot names, only to
+animate entities in animate-only slots and only to previous-Cf or
+hearer-old entities.  A repeated overt entity is left for the filters.
+Of the filters, CONTRA_INDEX and SORTAL can then fail only on the overt
+slots, one verdict for the whole utterance, and ZERO_ANTECEDENT never
+fails, so Rule 1 is the only filter left to run per pairing.  A slot's
+salience tier depends on its role, its marking, the empathy locus and
+the zero topic, never on the entity in it, so the Cf of every binding is one
 fixed order of slot positions; the rules rank a probe binding once to
 find it, and once more per zero-topic slot, the first time a variant
-takes that slot, into the plan.  Per candidate what remains is the
-binding as generation yields it (a tuple of entity ids), its Cb
-candidates from the previous Cf, the Rule 1 test and the sibling key;
-the Cf is read off the order only for a candidate the cut keeps.  The
-previous Cb is fixed within an expansion, so a transition depends only
-on the (Cb, Cp entity) pair: each expansion classifies a pair once,
-through `classify_transition`, and reads every other candidate's
+takes that slot, into the plan.  Per pairing what remains is integer
+work: its Cb candidates from the previous Cf, the Rule 1 test and the
+inside test.  A passing pairing is held as its (binding, Cb) pair, and
+only the pairings that survive are keyed: the in-Cf ones, or the
+out-of-Cf ones when none is in-Cf, which otherwise become prune records
+unkeyed.  A sibling key's content is the binding itself and its Cb's
+code, and the Cf is read off the order only for a candidate the cut
+keeps.  Codes turn back into entity ids only where something outside
+the expansion reads them: in `_step` for the kept candidates, and in
+each `Rejection` with the `filter_assignment` call that names its rule.
+The previous Cb is fixed within an expansion, so a transition depends
+only on the (Cb, Cp entity) pair: each expansion classifies a pair
+once, through `classify_transition`, which compares entities only for
+equality and so takes codes, and reads every other candidate's
 transition and ordinal from a dict that dies with the expansion.  The
 rules stay the specification: `filter_assignment` names
 the code of each pairing the plan rejects, and the tests hold the plan
@@ -113,7 +122,6 @@ from typing import AbstractSet, Hashable, Mapping, Optional, Sequence
 from .model import (
     CenterState,
     Discourse,
-    Entity,
     GrammaticalRole,
     Hypothesis,
     SalienceRole,
@@ -154,22 +162,23 @@ class EngineConfig:
             raise TypeError(f"zta_enabled must be a bool, got {type(self.zta_enabled).__name__}")
 
 
-#: A binding of an utterance's slots: their entity ids, in subcat order.
-Binding = tuple[str, ...]
+#: A binding of an utterance's slots as expansion handles it: their entity
+#: codes (declaration indices, see _Codes), in subcat order.
+Binding = tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class Rejection:
     """A discarded pairing and the rule that discarded it.
 
-    binding is the pairing's binding as generate_assignments yields it
-    (the entity ids in the utterance's slots, in subcat order) and cb its
-    Cb; code is filter_assignment's RejectionCode, or OUT_OF_CF_PRUNED
-    for an out-of-Cf pairing that an in-Cf one made unnecessary.
+    binding is the pairing's binding (the entity ids in the utterance's
+    slots, in subcat order) and cb its Cb's entity id; code is
+    filter_assignment's RejectionCode, or OUT_OF_CF_PRUNED for an
+    out-of-Cf pairing that an in-Cf one made unnecessary.
     """
 
     utterance_index: int
-    binding: Binding
+    binding: tuple[str, ...]
     cb: Optional[str]
     code: str
 
@@ -245,49 +254,43 @@ def instantiate_initial_cb(first: Utterance) -> Optional[str]:
     return wa.realization.entity_id if wa is not None else None
 
 
-def generate_assignments(
-    utterance: Utterance,
-    context: Sequence[str],
-    entities: Mapping[str, Entity],
-) -> list[Binding]:
-    """Every way of binding the utterance's zeros to context entities.
+def generate_assignments(plan: _Plan, context: Sequence[int]) -> list[Binding]:
+    """Every way of binding plan's utterance's zeros to context entities.
 
-    context is the ordered antecedent pool (previous-Cf order first, then
-    any remaining hearer-old entities in declaration order).  Bindings
-    grow slot by slot, in subcat order: an overt slot appends its entity
-    to every binding, unchecked, and a zero appends each entity of its
-    pool that the binding does not hold yet, the pool being the context
-    entities that no overt slot names (only the animate ones for an
-    animate-only slot).  So every binding fills its zeros injectively,
-    apart from its overt slots, sortal-correctly and to recoverable
-    antecedents: of filter_assignment's checks, CONTRA_INDEX and SORTAL
-    can fail only on the overt slots, the same way for every binding,
-    ZERO_ANTECEDENT never fails, and RULE_1 is the only one left to run
-    per candidate.  The result is a list in generation order, the order
-    of the product of the zeros' pools; each binding is the tuple of the
-    entity ids in the utterance's slots, in subcat order.
+    context is the ordered antecedent pool as codes (previous-Cf order
+    first, then any remaining hearer-old entities in declaration order).
+    Bindings grow slot by slot, in subcat order: an overt slot appends its
+    entity's code to every binding, unchecked, and a zero appends each
+    code of its pool that the binding does not hold yet, the pool being
+    the context entities that no overt slot names (only the animate ones
+    for an animate-only slot).  So every binding fills its zeros
+    injectively, apart from its overt slots, sortal-correctly and to
+    recoverable antecedents: of filter_assignment's checks, CONTRA_INDEX
+    and SORTAL can fail only on the overt slots, the same way for every
+    binding, ZERO_ANTECEDENT never fails, and RULE_1 is the only one left
+    to run per candidate.  The result is a list in generation order, the
+    order of the product of the zeros' pools; each binding is the tuple
+    of the entity codes in the utterance's slots, in subcat order.
     """
-    named = [a.realization.entity_id for a in utterance.args]
-    free = [eid for eid in context if eid not in named]
-    animate = [eid for eid in free if entities[eid].animate]
+    animate = plan.codes.animate
+    free = [c for c in context if c not in plan.overt]
+    animate_free = [c for c in free if animate[c]]
     bindings: list[Binding] = [()]
-    for arg, eid in zip(utterance.args, named):
-        if eid is not None:  # overt: unchecked, so CONTRA_INDEX logs a repeat
-            bindings = [b + (eid,) for b in bindings]
+    for code, animate_only in zip(plan.slots, plan.animate_only):
+        if code is not None:  # overt: unchecked, so CONTRA_INDEX logs a repeat
+            bindings = [b + (code,) for b in bindings]
         else:
-            pool = free
-            if utterance.frame.constraint(arg.role) is SortalConstraint.ANIMATE:
-                pool = animate
-            bindings = [b + (e,) for b in bindings for e in pool if e not in b]
+            pool = animate_free if animate_only else free
+            bindings = [b + (c,) for b in bindings for c in pool if c not in b]
     return bindings
 
 
 #: Slot positions in Cf order, each with the salience tier it earns.
 CfOrder = tuple[tuple[int, SalienceRole], ...]
 
-#: A surviving candidate before the cut: (sibling key, binding, Cb,
-#: transition, Cf order, ZTA flag).  See _survivors for the key.
-Candidate = tuple[tuple, Binding, Optional[str], Optional[Transition], CfOrder, bool]
+#: A surviving candidate before the cut: (sibling key, binding, Cb code or
+#: None, transition, Cf order, ZTA flag).  See _survivors for the key.
+Candidate = tuple[tuple, Binding, Optional[int], Optional[Transition], CfOrder, bool]
 
 
 def _cf_order(utterance: Utterance, topic: Optional[int] = None) -> CfOrder:
@@ -302,16 +305,43 @@ def _cf_order(utterance: Utterance, topic: Optional[int] = None) -> CfOrder:
     return rank_cf(assign_salience_roles(utterance, probe, topic))
 
 
+@dataclass(frozen=True, eq=False)
+class _Codes:
+    """A discourse's entities as integer codes, built once per resolve call.
+
+    An entity's code is its declaration index (Discourse.entity_index,
+    kept here as index).  ids and animate hold each entity's id and
+    animate flag by code, and hearer_old the hearer-old entities' codes in
+    declaration order.
+    """
+
+    ids: tuple[str, ...]
+    index: Mapping[str, int]
+    animate: tuple[bool, ...]
+    hearer_old: tuple[int, ...]
+
+    @staticmethod
+    def of(discourse: Discourse) -> "_Codes":
+        entities = discourse.entities
+        return _Codes(
+            tuple([e.id for e in entities]),
+            discourse.entity_index,
+            tuple([e.animate for e in entities]),
+            tuple([c for c, e in enumerate(entities) if e.hearer_old]),
+        )
+
+
 @dataclass(eq=False)
 class _Plan:
     """One utterance compiled for one resolve call: all its expansions read it.
 
-    resolve compiles one plan per utterance (_initial_hypotheses the
-    first one's) and hands it to every expansion there, so a plan and its
-    utterance never disagree and nothing about the utterance is worked
-    out twice.  A binding is the tuple of entity ids its slots hold, in
-    subcat order.  Generation binds the zeros injectively, apart from the
-    overt slots, sortal-correctly and to recoverable antecedents, so
+    resolve compiles one plan per utterance, over the call's one _Codes,
+    and hands it to every expansion there, so a plan and its utterance
+    never disagree and nothing about the utterance is worked out twice.
+    A binding is the tuple of entity codes its slots hold, in subcat
+    order; slots holds each overt slot's code (None for a zero) and overt
+    the set of them.  Generation binds the zeros injectively, apart from
+    the overt slots, sortal-correctly and to recoverable antecedents, so
     filter_assignment passes a pairing exactly when overt_ok and Rule 1
     hold, and the Cf of every binding is the one order cf of slot
     positions.  topic_orders maps each zero-topic slot, by position, to
@@ -322,27 +352,37 @@ class _Plan:
     """
 
     utterance: Utterance
+    codes: _Codes
+    slots: tuple[Optional[int], ...]  # each slot's overt entity code, None for a zero
+    animate_only: tuple[bool, ...]  # whether each slot takes only animate entities
     zeros: tuple[int, ...]  # positions of the zero slots
     topic_slots: tuple[int, ...]  # the zeros' positions that may take the zero topic
-    overt_ids: frozenset[str]  # the entities the overt slots name
+    overt: frozenset[int]  # the codes of the entities the overt slots name
     overt_ok: bool  # the overt slots pass CONTRA_INDEX and SORTAL
     cf: CfOrder
     topic_orders: dict[int, CfOrder] = field(default_factory=dict)
     expansions: dict[CenterState, tuple] = field(default_factory=dict)
 
     @staticmethod
-    def of(utterance: Utterance, entities: Mapping[str, Entity]) -> "_Plan":
+    def of(utterance: Utterance, codes: _Codes) -> "_Plan":
         args = utterance.args
-        zeros = tuple(p for p, a in enumerate(args) if a.realization.is_zero)
-        named = [a.realization.entity_id for a in args if not a.realization.is_zero]
+        index = codes.index
+        slots = tuple(
+            None if a.realization.is_zero else index[a.realization.entity_id] for a in args
+        )
+        animate_only = tuple(
+            utterance.frame.constraint(a.role) is SortalConstraint.ANIMATE for a in args
+        )
+        zeros = tuple(p for p, c in enumerate(slots) if c is None)
+        named = [c for c in slots if c is not None]
         sortal_ok = all(
-            entities[a.realization.entity_id].animate
-            for a in args
-            if not a.realization.is_zero
-            and utterance.frame.constraint(a.role) is SortalConstraint.ANIMATE
+            codes.animate[c] for c, only in zip(slots, animate_only) if only and c is not None
         )
         return _Plan(
             utterance,
+            codes,
+            slots,
+            animate_only,
             zeros,
             tuple(p for p in zeros if args[p].role in ZERO_TOPIC_ROLES),
             frozenset(named),
@@ -351,13 +391,13 @@ class _Plan:
         )
 
     def passes(
-        self, binding: Sequence[str], prev_cf: AbstractSet[str], cb: Optional[str]
+        self, binding: Binding, prev_cf: AbstractSet[int], cb: Optional[int]
     ) -> bool:
         """Whether filter_assignment passes a generated binding with Cb cb.
 
-        prev_cf is the previous Cf as a set.  Past overt_ok only Rule 1 is
-        left: if a zero realizes a previous-Cf entity, the Cb's slot must
-        be a zero.
+        prev_cf is the previous Cf as a set of codes, and cb a code or
+        None.  Past overt_ok only Rule 1 is left: if a zero realizes a
+        previous-Cf entity, the Cb's slot must be a zero.
         """
         if not self.overt_ok:
             return False
@@ -368,19 +408,21 @@ class _Plan:
 
 def apply_zta(
     candidates: Sequence[Candidate],
-    parent_cb: Optional[str],
+    parent_cb: Optional[int],
     plan: _Plan,
     config: EngineConfig,
 ) -> list[Candidate]:
     """Zero-topic variants of the surviving candidates, in base order.
 
-    Preconditions for any variant at all: ZTA enabled, the parent center
-    instantiated, and no surviving candidate already a CONTINUE (when the
-    center continues smoothly there is nothing for the zero topic to
-    rescue); every candidate handed in is plain, since variants are made
-    only here.  A candidate spawns a variant when its own Cb is that same
-    entity — the zero topic continues the previous center as the current
-    one — and one of the plan's topic_slots (a zero in a subject or
+    parent_cb is the parent's Cb as an entity code, as the candidates'
+    Cbs and bindings are.  Preconditions for any variant at all: ZTA
+    enabled, the parent center instantiated, and no surviving candidate
+    already a CONTINUE (when the center continues smoothly there is
+    nothing for the zero topic to rescue); every candidate handed in is
+    plain, since variants are made only here.  A candidate spawns a
+    variant when its own Cb is that same entity — the zero topic
+    continues the previous center as the current one — and one of the
+    plan's topic_slots (a zero in a subject or
     second-object position) binds it.  The variant keeps the candidate's
     Cb and binding but takes the Cf order with that slot as zero topic
     (which demotes any wa topic to its plain grammatical role), one order
@@ -414,9 +456,11 @@ def apply_zta(
     return variants
 
 
-def _context_for(discourse: Discourse, prev_cf: Sequence[str]) -> list[str]:
-    """Antecedent pool: previous Cf in order, then other hearer-old entities."""
-    return list(prev_cf) + [e for e in discourse.hearer_old_ids if e not in prev_cf]
+def _ids(
+    ids: Sequence[str], binding: Binding, cb: Optional[int]
+) -> tuple[tuple[str, ...], Optional[str]]:
+    """A binding and Cb as entity ids; ids holds each entity's id by code."""
+    return tuple([ids[c] for c in binding]), None if cb is None else ids[cb]
 
 
 def _survivors(
@@ -428,27 +472,37 @@ def _survivors(
     are then all unlinked (no transition) and take the wa topic's entity,
     if any, as their Cb (instantiate_initial_cb).  Each binding is paired
     with each of its Cb candidates (compute_cb_candidates), or with no Cb
-    when nothing links it to prev (a segment reset).  A candidate is
-    inside when every zero binds a previous-Cf entity; the outside ones
-    reach out to hearer-old entities and survive only as a last resort,
-    when no inside candidate does.  Every pairing goes through the
-    utterance's plan; filter_assignment names the rule of each one the
-    plan rejects, and that call is the only place a rejected pairing's
-    role -> entity dict is built.  Every Rejection keeps the binding as
-    generated, the pruned outside candidates' included.
+    when nothing links it to prev (a segment reset).  A pairing is inside
+    when every zero binds a previous-Cf entity; the outside ones reach
+    out to hearer-old entities and survive only as a last resort, when no
+    inside pairing passes.  Every pairing goes through the utterance's
+    plan; filter_assignment names the rule of each one the plan rejects,
+    and that call is the only place a rejected pairing's role -> entity
+    dict is built.  The Rejections come in generation order, each naming
+    its pairing by entity ids, and the pruned outside pairings' last.
 
-    Each survivor is keyed as it is made, by its key among the children
-    of any parent whose last state is prev.  Siblings share their
-    parent's score and rank, so in the beam they compare on their
-    transition sort value (the cost is that value floored at 0, so the
-    value alone orders both), the Cb index the parent's last step takes
-    after write-back and the content of the new step: the bound entity
-    indices in subcat order, the Cb index (-1 while open) and the ZTA
-    flag.  Write-back fires exactly when prev's Cb is open and the
-    candidate links to it, since its Cb then comes from prev's Cf;
-    otherwise the parent's own Cb, the same for every sibling, stands as
-    -1.  Nothing else is built: _kept_steps makes the Step of each
-    candidate the beam can keep, for step and _initial_hypotheses alike.
+    Expansion runs on entity codes (_Codes): prev's Cf and Cb become codes
+    once per call, and the bindings, their Cb candidates, the Rule 1 test
+    (plan.passes), the inside test and the transition dict below all work
+    on codes.  Ids come back only where something outside reads them: in
+    a rejected pairing's filter_assignment call and Rejection, and in
+    _step, for the candidates the cut keeps.  A passing pairing is kept
+    as its (binding, Cb) pair; only the side that survives, the inside
+    pairings or else the outside ones, is keyed, and each outside pair
+    becomes its OUT_OF_CF_PRUNED record when an inside one passed.
+
+    Each survivor's key is its key among the children of any parent whose
+    last state is prev.  Siblings share their parent's score and rank, so
+    in the beam they compare on their transition sort value (the cost is
+    that value floored at 0, so the value alone orders both), the Cb
+    index the parent's last step takes after write-back and the content
+    of the new step: the bound entity indices in subcat order, which is
+    the binding itself, the Cb index (-1 while open) and the ZTA flag.
+    Write-back fires exactly when prev's Cb is open and the candidate
+    links to it, since its Cb then comes from prev's Cf; otherwise the
+    parent's own Cb, the same for every sibling, stands as -1.  Nothing
+    else is built: _kept_steps makes the Step of each candidate the beam
+    can keep, for step and _initial_hypotheses alike.
 
     Only what is specific to a candidate is computed per candidate: the
     zeros, the overt entities and the Cf order come from the plan, which
@@ -460,68 +514,81 @@ def _survivors(
     the first previous-Cf entity it holds.
     """
     utterance = plan.utterance
-    entities = discourse.entity_map
-    entity_index = discourse.entity_index
-    roles = utterance.frame.subcat
-    cp = plan.cf[0][0]
-    prev_cf = prev.cf_ids if prev is not None else ()
+    codes = plan.codes
+    ids, code_of = codes.ids, codes.index
+    index = utterance.index
+    if prev is None:
+        prev_cf: list[int] = []
+        prev_cb = None
+        first = instantiate_initial_cb(utterance)
+        first_cb = None if first is None else code_of[first]
+    else:
+        prev_cf = [code_of[e] for e in prev.cf_ids]
+        prev_cb = None if prev.cb is None else code_of[prev.cb]
+        first_cb = None
     prev_cf_set = frozenset(prev_cf)
     # No zero binds an entity an overt slot names, so a binding is inside
     # exactly when its slots hold only previous-Cf and overt entities.
-    inside_ids = prev_cf_set | plan.overt_ids
-    prev_cb = prev.cb if prev is not None else None
-    first_cb = instantiate_initial_cb(utterance) if prev is None else None
+    inside_codes = prev_cf_set | plan.overt
     open_cb = prev is not None and prev_cb is None  # a linked Cb is written back
-    index = utterance.index
+    context = prev_cf + [c for c in codes.hearer_old if c not in prev_cf_set]
 
-    inside: list[Candidate] = []
-    outside: list[Candidate] = []
+    inside: list[tuple[Binding, Optional[int]]] = []
+    outside: list[tuple[Binding, Optional[int]]] = []
     rejections: list[Rejection] = []
-    # (Cb, Cp entity) -> (transition, its sort value)
-    transitions: dict[tuple[str, str], tuple[Transition, int]] = {}
-    index_of = entity_index.__getitem__
-    passes, cf = plan.passes, plan.cf
-    context = _context_for(discourse, prev_cf)
-    for binding in generate_assignments(utterance, context, entities):
+    passes = plan.passes
+    for binding in generate_assignments(plan, context):
         # compute_cb_candidates: the realized previous-Cf entities in
         # previous-Cf order, only the first if the previous Cb is set.
         if open_cb:
-            cbs = [e for e in prev_cf if e in binding] or (None,)
+            cbs = [c for c in prev_cf if c in binding] or (None,)
         else:
             cbs = (None,)
-            for e in prev_cf:
-                if e in binding:
-                    cbs = (e,)
+            for c in prev_cf:
+                if c in binding:
+                    cbs = (c,)
                     break
-        bound = None
+        side = None
         for cb in cbs:
             if not passes(binding, prev_cf_set, cb):
-                code = filter_assignment(utterance, dict(zip(roles, binding)), prev, cb, entities)
-                rejections.append(Rejection(index, binding, cb, code))
+                bound, cb_id = _ids(ids, binding, cb)
+                assignment = dict(zip(utterance.frame.subcat, bound))
+                code = filter_assignment(utterance, assignment, prev, cb_id, discourse.entity_map)
+                rejections.append(Rejection(index, bound, cb_id, code))
                 continue
-            if bound is None:
-                bound = tuple(map(index_of, binding))
-                side = inside if inside_ids.issuperset(binding) else outside
-            if cb is None:
-                transition, ordinal = None, -1
-            else:
-                pair = (cb, binding[cp])
-                known = transitions.get(pair)
-                if known is None:
-                    t = classify_transition(prev_cb, *pair)
-                    known = transitions[pair] = (t, t.ordinal)
-                transition, ordinal = known
-            state_cb = first_cb or cb
-            cb_index = entity_index.get(state_cb, -1)
-            write_back = cb_index if open_cb else -1
-            key = (ordinal, write_back, (bound, cb_index, 0))
-            side.append((key, binding, state_cb, transition, cf, False))
+            if side is None:
+                side = inside if inside_codes.issuperset(binding) else outside
+            side.append((binding, cb))
 
-    if inside:
-        rejections.extend(Rejection(index, c[1], c[2], OUT_OF_CF_PRUNED) for c in outside)
-    survivors = inside or outside
-    variants = apply_zta(survivors, prev_cb, plan, config)
-    return survivors + variants, rejections
+    if inside:  # _ids inlined: an in-Cf pool can prune thousands of pairings
+        rejections += [
+            Rejection(
+                index,
+                tuple([ids[c] for c in binding]),
+                None if cb is None else ids[cb],
+                OUT_OF_CF_PRUNED,
+            )
+            for binding, cb in outside
+        ]
+    survivors: list[Candidate] = []
+    # (Cb, Cp entity) -> (transition, its sort value)
+    transitions: dict[tuple[int, int], tuple[Transition, int]] = {}
+    cp, cf = plan.cf[0][0], plan.cf
+    for binding, cb in inside or outside:
+        if cb is None:
+            transition, ordinal, state_cb = None, -1, first_cb
+        else:
+            pair = (cb, binding[cp])
+            known = transitions.get(pair)
+            if known is None:
+                t = classify_transition(prev_cb, *pair)
+                known = transitions[pair] = (t, t.ordinal)
+            transition, ordinal = known
+            state_cb = cb
+        cb_index = -1 if state_cb is None else state_cb
+        key = (ordinal, cb_index if open_cb else -1, (binding, cb_index, 0))
+        survivors.append((key, binding, state_cb, transition, cf, False))
+    return survivors + apply_zta(survivors, prev_cb, plan, config), rejections
 
 
 def _kept_steps(
@@ -539,17 +606,21 @@ def _kept_steps(
     survivors, rejections = _survivors(discourse, prev, plan, config)
     best = heapq.nsmallest(config.beam_width, survivors, key=itemgetter(0))
     keys = tuple([c[0] for c in best])
-    return keys, tuple([_step(plan.utterance, c) for c in best]), tuple(rejections)
+    return keys, tuple([_step(plan, c) for c in best]), tuple(rejections)
 
 
-def _step(utterance: Utterance, candidate: Candidate) -> Step:
-    """The Step of one candidate: its assignment and validated center state.
+def _step(plan: _Plan, candidate: Candidate) -> Step:
+    """The Step of one candidate of plan's utterance: assignment and validated state.
 
-    The Cf lists the binding's entities in the candidate's Cf order.
+    The one place a kept candidate's codes become entity ids: the
+    assignment maps each slot's role to its entity, and the Cf lists the
+    binding's entities in the candidate's Cf order.
     """
     _, binding, cb, transition, order, zta = candidate
-    state = CenterState(cb, tuple([(binding[pos], tier) for pos, tier in order]))
-    return Step(utterance.index, dict(zip(utterance.frame.subcat, binding)), state, transition, zta)
+    bound, cb_id = _ids(plan.codes.ids, binding, cb)
+    state = CenterState(cb_id, tuple([(bound[pos], tier) for pos, tier in order]))
+    utterance = plan.utterance
+    return Step(utterance.index, dict(zip(utterance.frame.subcat, bound)), state, transition, zta)
 
 
 def _child(parent: Hypothesis, new_step: Step) -> Hypothesis:
@@ -715,18 +786,18 @@ def _cut(pairs: list[Pair], utterance_index: int, beam_width: int) -> list[Keyed
 
 
 def _initial_hypotheses(
-    discourse: Discourse, config: EngineConfig
+    discourse: Discourse, config: EngineConfig, *, plan: _Plan
 ) -> tuple[list[Keyed], tuple[Rejection, ...]]:
     """The first beam, keyed as children are, and the first utterance's rejections.
 
-    The first utterance's plan is compiled here, and the utterance goes
-    through _kept_steps with no previous state, so only its beam_width
-    best readings (score 0, no transition) are built.  Its candidates
-    differ only in content, the last part of their sibling key, and have
-    no zero-topic variants, so that cut is exactly the first beam.  Each reading's key has the children's shape: score 0,
-    no transition, rank 0, no earlier step, then its own content.
+    plan is the first utterance's, which goes through _kept_steps with no
+    previous state, so only its beam_width best readings (score 0, no
+    transition) are built.  Its candidates differ only in content, the
+    last part of their sibling key, and have no zero-topic variants, so
+    that cut is exactly the first beam.  Each reading's key has the
+    children's shape: score 0, no transition, rank 0, no earlier step,
+    then its own content.
     """
-    plan = _Plan.of(discourse.utterances[0], discourse.entity_map)
     keys, steps, rejections = _kept_steps(discourse, None, plan, config)
     return [((0, -1, 0, (), key[2]), Hypothesis((s,))) for key, s in zip(keys, steps)], rejections
 
@@ -745,13 +816,15 @@ def resolve(discourse: Discourse, config: EngineConfig = EngineConfig()) -> Reso
     if violations:
         raise DiscourseInvalidError(violations)
 
-    keyed, rejections = _initial_hypotheses(discourse, config)
+    codes = _Codes.of(discourse)
+    first = _Plan.of(discourse.utterances[0], codes)
+    keyed, rejections = _initial_hypotheses(discourse, config, plan=first)
     if not keyed:
         raise UnresolvableError(1)
     rejection_log: dict[int, tuple[Rejection, ...]] = {1: rejections}
 
     for utterance in discourse.utterances[1:]:
-        plan = _Plan.of(utterance, discourse.entity_map)
+        plan = _Plan.of(utterance, codes)
         pairs: list[Pair] = []
         logged: list[Rejection] = []
         ranks = _dense_ranks([key[1:4] for key, _ in keyed])

@@ -23,7 +23,8 @@ them:
   It returns human-readable failure strings instead of asserting so
   callers can aggregate across many discourses.
 
-It also holds the plain-data form of the readings that
+It also holds the antecedent pool over entity ids, the reference the
+pairing tests generate over, and the plain-data form of the readings that
 `resolve --format json` prints, the reference for the CLI's renderer.
 """
 
@@ -289,6 +290,20 @@ def ambiguous_chain(rng: random.Random, length: int) -> Discourse:
         tuple(Entity(eid, animate=True, hearer_old=True, definite=True) for eid in ids),
         tuple(utterances),
     )
+
+
+# --------------------------------------------------------------------------
+# Antecedent pool
+
+
+def antecedent_pool(discourse: Discourse, prev_cf: Sequence[str]) -> list[str]:
+    """The ids a zero may bind after a state with Cf prev_cf, in generation order.
+
+    The previous Cf in order, then the other hearer-old entities in
+    declaration order: the id-level form of the pool the engine builds on
+    entity codes, the reference the pairing tests generate over.
+    """
+    return list(prev_cf) + [e for e in discourse.hearer_old_ids if e not in prev_cf]
 
 
 # --------------------------------------------------------------------------
@@ -580,7 +595,7 @@ def step_result_failures(discourse: Discourse, config: EngineConfig) -> List[str
             beam = engine.resolve(prefix, config).hypotheses
         except engine.UnresolvableError:
             return failures
-        plan = engine._Plan.of(utterances[k], discourse.entity_map)
+        plan = engine._Plan.of(utterances[k], engine._Codes.of(discourse))
         for parent in beam:
             res = engine.step(parent, utterances[k], discourse, config, plan=plan)
             ordinals = [

@@ -44,7 +44,7 @@ from centering.rules import (
     filter_assignment,
     rank_cf,
 )
-from helpers import INFELICITOUS, entity, overt, random_discourse, zero
+from helpers import INFELICITOUS, antecedent_pool, entity, overt, random_discourse, zero
 
 SUBJ = GrammaticalRole.SUBJ
 OBJ2 = GrammaticalRole.OBJ2
@@ -90,6 +90,20 @@ def test_no_topic_leaves_the_initial_center_open():
 # Assignment generation
 
 
+def generated(utterance, context, entities):
+    """generate_assignments on entity codes, each binding read back as entity ids.
+
+    The entities are declared in the mapping's order, and context lists
+    ids.  Every binding the engine generates is a tuple of int codes.
+    """
+    codes = engine._Codes.of(Discourse(tuple(entities.values()), (utterance,)))
+    plan = engine._Plan.of(utterance, codes)
+    got = generate_assignments(plan, [codes.index[eid] for eid in context])
+    assert type(got) is list and all(type(b) is tuple for b in got)
+    assert all(type(c) is int for b in got for c in b)
+    return [tuple([codes.ids[c] for c in b]) for b in got]
+
+
 def test_generation_expands_two_animate_zeros():
     frame = VerbFrame(
         "explain", (SUBJ, OBJ2),
@@ -101,32 +115,32 @@ def test_generation_expands_two_animate_zeros():
         "john": entity("john"),
         "computer": entity("computer", animate=False),
     }
-    got = generate_assignments(utt, ["taroo", "john", "computer"], ents)
+    got = generated(utt, ["taroo", "john", "computer"], ents)
     assert got == [("taroo", "john"), ("john", "taroo")]
 
 
 def test_generation_single_zero_single_antecedent():
     frame = VerbFrame("v", (OBJ2,))
     utt = Utterance(1, frame, (zero(OBJ2),))
-    got = generate_assignments(utt, ["taroo"], {"taroo": entity("taroo")})
+    got = generated(utt, ["taroo"], {"taroo": entity("taroo")})
     assert got == [("taroo",)]
 
 
 def test_generation_with_empty_context_yields_nothing():
     frame = VerbFrame("v", (SUBJ,))
     utt = Utterance(1, frame, (zero(SUBJ),))
-    assert generate_assignments(utt, [], {}) == []
+    assert generated(utt, [], {}) == []
 
 
 def test_generation_keeps_overt_slots_fixed():
     frame = VerbFrame("v", (SUBJ, OBJ))
     utt = Utterance(1, frame, (zero(SUBJ), overt(OBJ, "b")))
     ents = {"a": entity("a"), "b": entity("b")}
-    assert generate_assignments(utt, ["a", "b"], ents) == [("a", "b")]
+    assert generated(utt, ["a", "b"], ents) == [("a", "b")]
 
 
 def reference_bindings(utterance, context, entities):
-    """generate_assignments by brute force over itertools.product.
+    """generated's bindings by brute force over itertools.product.
 
     Every fill of the zeros from the whole context, in product order, kept
     when it is injective, names no entity an overt slot names and puts
@@ -179,9 +193,8 @@ def test_generation_equals_the_itertools_reference(all_zero):
     covered = Counter()
     for trial in range(2000):
         utterance, context, entities = random_generation_input(rng, all_zero)
-        got = generate_assignments(utterance, context, entities)
+        got = generated(utterance, context, entities)
         assert got == reference_bindings(utterance, context, entities), trial
-        assert type(got) is list and all(type(b) is tuple for b in got), trial
         n_zeros = sum(a.realization.is_zero for a in utterance.args)
         covered["all zero"] += n_zeros == len(utterance.args)
         covered["overt slots"] += n_zeros < len(utterance.args)
@@ -204,16 +217,21 @@ def test_generation_equals_the_itertools_reference(all_zero):
 # Zero topic assignment
 
 
-def candidate(utt, binding, cb, transition):
-    """A plain candidate of utt as _survivors makes it, with a, b, ... declared in order."""
-    bound = tuple(ord(eid) - ord("a") for eid in binding)
-    key = (transition.ordinal, -1, (bound, ord(cb) - ord("a"), 0))
-    return (key, binding, cb, transition, engine._cf_order(utt), False)
+def code(eid):
+    """The code of a or b, declared in that order by plan_of."""
+    return "ab".index(eid)
 
 
 def plan_of(utt):
-    """utt's plan; no overt slot here is animate-only, so no entity is looked up."""
-    return engine._Plan.of(utt, {})
+    """utt's plan over the codes of a and b."""
+    return engine._Plan.of(utt, engine._Codes.of(Discourse((entity("a"), entity("b")), (utt,))))
+
+
+def candidate(utt, binding, cb, transition):
+    """A plain candidate of utt as _survivors makes it, on plan_of's codes."""
+    bound = tuple(code(eid) for eid in binding)
+    key = (transition.ordinal, -1, (bound, code(cb), 0))
+    return (key, bound, code(cb), transition, engine._cf_order(utt), False)
 
 
 def _retain_candidate():
@@ -221,7 +239,7 @@ def _retain_candidate():
     frame = VerbFrame("v", (SUBJ, OBJ2))
     utt = Utterance(1, frame, (overt(SUBJ, "b"), zero(OBJ2)))
     cand = candidate(utt, ("b", "a"), "a", Transition.RETAIN)
-    assert engine._step(utt, cand).state == CenterState(
+    assert engine._step(plan_of(utt), cand).state == CenterState(
         "a",
         (("b", SalienceRole.SUBJ), ("a", SalienceRole.OBJ2)),
     )
@@ -230,11 +248,11 @@ def _retain_candidate():
 
 def test_zta_variant_promotes_the_carried_center():
     utt, cand = _retain_candidate()
-    variants = apply_zta([cand], "a", plan_of(utt), WIDE)
+    variants = apply_zta([cand], code("a"), plan_of(utt), WIDE)
     assert len(variants) == 1
-    v = engine._step(utt, variants[0])
+    v = engine._step(plan_of(utt), variants[0])
     assert v.zta_applied
-    assert v.assignment == engine._step(utt, cand).assignment
+    assert v.assignment == engine._step(plan_of(utt), cand).assignment
     assert v.state.cb == "a"
     assert v.state.cf == (
         ("a", SalienceRole.ZERO_TOPIC),
@@ -248,15 +266,15 @@ def test_zta_variant_promotes_the_carried_center():
 def test_zta_requires_enabled_config_and_instantiated_parent():
     utt, cand = _retain_candidate()
     off = EngineConfig(zta_enabled=False)
-    assert apply_zta([cand], "a", plan_of(utt), off) == []
+    assert apply_zta([cand], code("a"), plan_of(utt), off) == []
     assert apply_zta([cand], None, plan_of(utt), WIDE) == []
 
 
 def test_zta_stands_down_when_a_continue_exists():
     utt, cand = _retain_candidate()
     cont = candidate(utt, ("b", "a"), "b", Transition.CONTINUE)
-    assert engine._step(utt, cont).state.cf_ids == ("b", "a")
-    assert apply_zta([cand, cont], "a", plan_of(utt), WIDE) == []
+    assert engine._step(plan_of(utt), cont).state.cf_ids == ("b", "a")
+    assert apply_zta([cand, cont], code("a"), plan_of(utt), WIDE) == []
 
 
 def test_zta_skips_low_zero_slots():
@@ -265,11 +283,11 @@ def test_zta_skips_low_zero_slots():
     frame = VerbFrame("v", (SUBJ, OBJ))
     utt = Utterance(1, frame, (overt(SUBJ, "b"), zero(OBJ)))
     cand = candidate(utt, ("b", "a"), "a", Transition.RETAIN)
-    assert engine._step(utt, cand).state.cf == (
+    assert engine._step(plan_of(utt), cand).state.cf == (
         ("b", SalienceRole.SUBJ),
         ("a", SalienceRole.OBJ),
     )
-    assert apply_zta([cand], "a", plan_of(utt), WIDE) == []
+    assert apply_zta([cand], code("a"), plan_of(utt), WIDE) == []
 
 
 def test_zta_requires_the_candidate_to_carry_the_center():
@@ -278,11 +296,11 @@ def test_zta_requires_the_candidate_to_carry_the_center():
     frame = VerbFrame("v", (SUBJ, OBJ))
     utt = Utterance(1, frame, (zero(SUBJ), overt(OBJ, "b")))
     cand = candidate(utt, ("a", "b"), "b", Transition.ROUGH_SHIFT)
-    assert engine._step(utt, cand).state.cf == (
+    assert engine._step(plan_of(utt), cand).state.cf == (
         ("a", SalienceRole.SUBJ),
         ("b", SalienceRole.OBJ),
     )
-    assert apply_zta([cand], "a", plan_of(utt), WIDE) == []
+    assert apply_zta([cand], code("a"), plan_of(utt), WIDE) == []
 
 
 # --------------------------------------------------------------------------
@@ -295,7 +313,7 @@ def test_step_ranks_continue_before_retain():
     assert parent.last.state.cb == "taroo"
     assert parent.last.state.cf_ids == ("taroo", "john", "computer")
     utterance = d.utterances[2]
-    res = step(parent, utterance, d, WIDE, plan=engine._Plan.of(utterance, d.entity_map))
+    res = step(parent, utterance, d, WIDE, plan=engine._Plan.of(utterance, engine._Codes.of(d)))
     assert len(res.ranked) == 2
     first, second = (h.last for h in res.ranked)
     assert names(first.assignment) == {"subj": "taroo", "obj2": "john"}
@@ -310,7 +328,7 @@ def test_step_ranks_smooth_before_rough_shift():
     assert parent.last.state.cb == "taroo"
     assert parent.last.state.cf_ids == ("ziroo", "taroo")
     utterance = d.utterances[3]
-    res = step(parent, utterance, d, WIDE, plan=engine._Plan.of(utterance, d.entity_map))
+    res = step(parent, utterance, d, WIDE, plan=engine._Plan.of(utterance, engine._Codes.of(d)))
     assert len(res.ranked) == 2
     first, second = (h.last for h in res.ranked)
     assert names(first.assignment) == {"subj": "ziroo", "obj": "taroo"}
@@ -324,7 +342,7 @@ def test_step_prefers_the_empathic_continue():
     parent = top_parent(d, 2)
     assert parent.last.state.cb == "hanako"
     utterance = d.utterances[2]
-    res = step(parent, utterance, d, WIDE, plan=engine._Plan.of(utterance, d.entity_map))
+    res = step(parent, utterance, d, WIDE, plan=engine._Plan.of(utterance, engine._Codes.of(d)))
     first = res.ranked[0].last
     assert names(first.assignment) == {"subj": "hanako", "obj": "taroo"}
     assert first.transition is Transition.CONTINUE
@@ -472,20 +490,79 @@ def test_out_of_cf_bindings_are_last_resort(workloads):
     assert [r.binding for r in pruned] == [("c",)]
 
     # On a wide in-Cf pool the records are exactly the out-of-Cf pairings
-    # that pass the filters, in generation order, each binding a tuple.
-    pool = workloads.wide_pool(random.Random(5), 10, False)
-    utterance = pool.utterances[1]
-    prev = resolve(prefix(pool, 1), WIDE).top.last.state
-    zero_roles = [a.role for a in utterance.args if a.realization.is_zero]
-    want = [
-        (tuple(a.values()), cb)
-        for a, cb in _pairings(pool, utterance, prev)
-        if not set(prev.cf_ids).issuperset([a[r] for r in zero_roles])
-        and filter_assignment(utterance, a, prev, cb, pool.entity_map) is None
+    # that pass the filters, in generation order, each binding a tuple of
+    # entity ids and each Cb an id.
+    for size in (10, 20):
+        pool = workloads.wide_pool(random.Random(5), size, False)
+        utterance = pool.utterances[1]
+        prev = resolve(prefix(pool, 1), WIDE).top.last.state
+        zero_roles = [a.role for a in utterance.args if a.realization.is_zero]
+        want = [
+            (tuple(a.values()), cb)
+            for a, cb in _pairings(pool, utterance, prev)
+            if not set(prev.cf_ids).issuperset([a[r] for r in zero_roles])
+            and filter_assignment(utterance, a, prev, cb, pool.entity_map) is None
+        ]
+        pruned = [r for r in resolve(pool, WIDE).rejections[2] if r.code == OUT_OF_CF_PRUNED]
+        assert want and all(type(r.binding) is tuple for r in pruned), size
+        assert id_level_failures(pruned) == [], size
+        assert [(r.binding, r.cb) for r in pruned] == want, size
+
+
+def id_level_failures(records):
+    """Records whose binding is not a tuple of entity ids or whose Cb is not an id or None."""
+    return [
+        r
+        for r in records
+        if not all(type(eid) is str for eid in r.binding)
+        or not (r.cb is None or type(r.cb) is str)
     ]
-    pruned = [r for r in resolve(pool, WIDE).rejections[2] if r.code == OUT_OF_CF_PRUNED]
-    assert want and all(type(r.binding) is tuple for r in pruned)
-    assert [(r.binding, r.cb) for r in pruned] == want
+
+
+def reference_rejections(discourse, utterance, prev):
+    """One expansion's records, from _pairings and filter_assignment alone.
+
+    Every pairing filter_assignment rejects, with its code, in generation
+    order; then, when some pairing that binds every zero to a previous-Cf
+    entity passes, every passing pairing that does not, as pruned.
+    """
+    prev_cf = set(prev.cf_ids) if prev is not None else set()
+    zero_roles = [a.role for a in utterance.args if a.realization.is_zero]
+    rejected, pruned, inside = [], [], False
+    for a, cb in _pairings(discourse, utterance, prev):
+        code = filter_assignment(utterance, a, prev, cb, discourse.entity_map)
+        if code is not None:
+            rejected.append(Rejection(utterance.index, tuple(a.values()), cb, code))
+        elif prev_cf.issuperset(a[r] for r in zero_roles):
+            inside = True
+        else:
+            pruned.append(Rejection(utterance.index, tuple(a.values()), cb, OUT_OF_CF_PRUNED))
+    return rejected + (pruned if inside else [])
+
+
+def test_the_rejection_log_equals_the_reference_records(workloads):
+    # Expansion runs on entity codes; every record resolve logs is the one
+    # the rules give for the pairing in ids, in content and in order.
+    covered = Counter()
+    rng = random.Random(41114)
+    inputs = [random_discourse(rng) for _ in range(300)]
+    inputs += [workloads.wide_pool(random.Random(5), 10, last) for last in (False, True)]
+    for trial, d in enumerate(inputs):
+        for width in (1, 4):
+            config = EngineConfig(beam_width=width)
+            for n, utterance in enumerate(d.utterances):
+                try:
+                    states = expanded_states(d, n, config)
+                    logged = resolve(prefix(d, n + 1), config).rejections[n + 1]
+                except UnresolvableError:
+                    break
+                want = [r for prev in states for r in reference_rejections(d, utterance, prev)]
+                assert list(logged) == want, (trial, width, n + 1)
+                assert id_level_failures(logged) == [], (trial, width, n + 1)
+                covered.update(r.code for r in logged)
+                covered["Cb set"] += sum(r.cb is not None for r in logged)
+    for code in (RejectionCode.RULE_1, OUT_OF_CF_PRUNED, "Cb set"):
+        assert covered[code] >= 20, covered
 
 
 # --------------------------------------------------------------------------
@@ -495,9 +572,9 @@ def test_out_of_cf_bindings_are_last_resort(workloads):
 def first_readings(discourse, config):
     """Every reading of the first utterance, each built as it is drawn, with no cut."""
     first = discourse.utterances[0]
-    plan = engine._Plan.of(first, discourse.entity_map)
+    plan = engine._Plan.of(first, engine._Codes.of(discourse))
     survivors, _ = engine._survivors(discourse, None, plan, config)
-    return (Hypothesis((engine._step(first, c),)) for c in survivors)
+    return (Hypothesis((engine._step(plan, c),)) for c in survivors)
 
 
 def reference_beam_failures(discourse, config):
@@ -520,7 +597,7 @@ def reference_beam_failures(discourse, config):
             failures.append(n)
         if n < len(discourse.utterances):
             utterance = discourse.utterances[n]
-            plan = engine._Plan.of(utterance, discourse.entity_map)
+            plan = engine._Plan.of(utterance, engine._Codes.of(discourse))
             candidates = [
                 child
                 for parent in beam
@@ -591,9 +668,9 @@ def test_the_first_utterance_builds_only_what_its_beam_keeps(monkeypatch):
     built = Counter()
     build = engine._step
 
-    def counting_step(utterance, candidate):
-        built[utterance.index] += 1
-        return build(utterance, candidate)
+    def counting_step(plan, candidate):
+        built[plan.utterance.index] += 1
+        return build(plan, candidate)
 
     monkeypatch.setattr(engine, "_step", counting_step)
     for pool, count in ((12, 1_320), (40, 59_280)):
@@ -643,7 +720,8 @@ def test_survivors_run_once_per_distinct_parent_state(monkeypatch, workloads):
                 r
                 for p in {p.last.state: p for p in ps}.values()
                 for r in step(
-                    p, utterance, d, EngineConfig(), plan=engine._Plan.of(utterance, d.entity_map)
+                    p, utterance, d, EngineConfig(),
+                    plan=engine._Plan.of(utterance, engine._Codes.of(d)),
                 ).rejections
             )
             assert result.rejections[u] == logged
@@ -668,10 +746,10 @@ def step_contract_failures(discourse, config):
         return failures
     for n in range(1, len(discourse.utterances)):
         utterance = discourse.utterances[n]
-        plan, expanded, reported = engine._Plan.of(utterance, discourse.entity_map), set(), []
+        plan, expanded, reported = engine._Plan.of(utterance, engine._Codes.of(discourse)), set(), []
         for i, parent in enumerate(beam):
             shared = step(parent, utterance, discourse, config, plan=plan)
-            fresh = engine._Plan.of(utterance, discourse.entity_map)
+            fresh = engine._Plan.of(utterance, engine._Codes.of(discourse))
             alone = step(parent, utterance, discourse, config, plan=fresh)
             where = (n + 1, i)
             if (shared.ranked, shared.keys) != (alone.ranked, alone.keys):
@@ -721,7 +799,7 @@ def test_step_returns_all_resolve_needs_with_a_shared_plan(workloads):
 def test_children_add_one_ordinal_to_the_parent_score():
     for name, d, _golds in corpus.iter_valid_corpus():
         for n in range(1, len(d.utterances)):
-            plan = engine._Plan.of(d.utterances[n], d.entity_map)
+            plan = engine._Plan.of(d.utterances[n], engine._Codes.of(d))
             for parent in resolve(prefix(d, n), WIDE).hypotheses:
                 for child in step(parent, d.utterances[n], d, WIDE, plan=plan).ranked:
                     assert child.score == parent.score + child.last.transition_cost, name
@@ -739,11 +817,12 @@ def full_siblings(parent, utterance, discourse, config):
     """
     state = parent.last.state
     wide = EngineConfig(beam_width=10**9, zta_enabled=False)
-    plan = engine._Plan.of(utterance, discourse.entity_map)
+    plan = engine._Plan.of(utterance, engine._Codes.of(discourse))
     plain, _ = engine._survivors(discourse, state, plan, wide)
-    candidates = plain + apply_zta(plain, state.cb, plan, config)
+    parent_cb = None if state.cb is None else plan.codes.index[state.cb]
+    candidates = plain + apply_zta(plain, parent_cb, plan, config)
     entity_index = discourse.entity_index
-    children = [engine._child(parent, engine._step(utterance, c)) for c in candidates]
+    children = [engine._child(parent, engine._step(plan, c)) for c in candidates]
     return sorted(children, key=lambda h: hypothesis_sort_key(h, entity_index))
 
 
@@ -756,7 +835,7 @@ def cut_step_failures(discourse, config):
         except UnresolvableError:
             break
         utterance = discourse.utterances[n]
-        plan = engine._Plan.of(utterance, discourse.entity_map)
+        plan = engine._Plan.of(utterance, engine._Codes.of(discourse))
         for i, parent in enumerate(beam):
             want = full_siblings(parent, utterance, discourse, config)[: config.beam_width]
             if step(parent, utterance, discourse, config, plan=plan).ranked != tuple(want):
@@ -797,7 +876,7 @@ def test_step_returns_the_beam_width_best_of_all_siblings(workloads):
         assert cut_step_failures(pool, EngineConfig(beam_width=width)) == [], width
         assert cut_step_failures(d, EngineConfig(beam_width=width)) == [], width
     parent = resolve(prefix(d, 1)).top
-    plan = engine._Plan.of(d.utterances[1], d.entity_map)
+    plan = engine._Plan.of(d.utterances[1], engine._Codes.of(d))
     [best] = step(parent, d.utterances[1], d, EngineConfig(beam_width=1), plan=plan).ranked
     assert best.last.zta_applied and best.last.transition is Transition.CONTINUE
 
@@ -884,9 +963,9 @@ def test_each_utterance_is_compiled_once_per_resolve(monkeypatch, workloads):
         plan_of, cf_order = engine._Plan.of, engine._cf_order
         plain_step, plain_zta, survivors = engine.step, engine.apply_zta, engine._survivors
 
-        def counting_plan(utterance, entities):
+        def counting_plan(utterance, codes):
             plans[utterance.index] += 1
-            return plan_of(utterance, entities)
+            return plan_of(utterance, codes)
 
         def counting_order(utterance, topic=None):
             orders[utterance.index, topic] += 1
@@ -955,7 +1034,10 @@ def sibling_key_failures(discourse, config, covered):
     and the key of that transition's ordinal (-1 without one), the
     write-back index (the Cb's when the previous Cb is open and the
     survivor links to a Cb, else -1), the bound entity indices, the Cb
-    index (-1 while open) and the ZTA flag.  covered counts what was seen.
+    index (-1 while open) and the ZTA flag.  The binding and Cb are read
+    off the Step _step builds from the survivor, and the key's bound part
+    must be the survivor's binding object itself, so no survivor pays for
+    a conversion before the cut.  covered counts what was seen.
     """
     entity_index = discourse.entity_index
     failures = []
@@ -964,10 +1046,15 @@ def sibling_key_failures(discourse, config, covered):
             states = expanded_states(discourse, n, config)
         except UnresolvableError:
             break
-        plan = engine._Plan.of(utterance, discourse.entity_map)
+        plan = engine._Plan.of(utterance, engine._Codes.of(discourse))
         for prev in states:
             survivors, _ = engine._survivors(discourse, prev, plan, config)
-            for key, binding, cb, transition, _order, zta in survivors:
+            for c in survivors:
+                key, _binding, _cb, transition, _order, zta = c
+                built = engine._step(plan, c)
+                binding, cb = tuple(built.assignment.values()), built.state.cb
+                if key[2][0] is not c[1]:
+                    failures.append((n + 1, prev, binding, "key does not hold the binding"))
                 want = None
                 if prev is None:
                     if cb != instantiate_initial_cb(utterance):
@@ -1016,11 +1103,16 @@ def test_every_sibling_key_equals_one_built_from_scratch(workloads):
 
 
 def _pairings(discourse, utterance, prev):
-    """Every generated (assignment, Cb) pairing of utterance after state prev."""
-    entities = discourse.entity_map
-    context = engine._context_for(discourse, prev.cf_ids if prev is not None else ())
-    for binding in generate_assignments(utterance, context, entities):
-        assignment = dict(zip(utterance.frame.subcat, binding))
+    """Every generated (assignment, Cb) pairing of utterance after state prev.
+
+    Generation runs on the codes of the id-level antecedent pool, and each
+    binding is read back as entity ids; the Cb candidates are the rules'.
+    """
+    codes = engine._Codes.of(discourse)
+    pool = antecedent_pool(discourse, prev.cf_ids if prev is not None else ())
+    plan = engine._Plan.of(utterance, codes)
+    for binding in generate_assignments(plan, [codes.index[eid] for eid in pool]):
+        assignment = dict(zip(utterance.frame.subcat, [codes.ids[c] for c in binding]))
         for cb in compute_cb_candidates(prev, assignment) or [None]:
             yield assignment, cb
 
@@ -1034,18 +1126,21 @@ def plan_mismatches(discourse, utterance, prev, verdicts):
     verdicts counts the rules' verdicts, so callers can see what was covered.
     """
     entities = discourse.entity_map
-    plan = engine._Plan.of(utterance, entities)
-    prev_cf = set(prev.cf_ids) if prev is not None else set()
+    plan = engine._Plan.of(utterance, engine._Codes.of(discourse))
+    code_of = plan.codes.index
+    prev_cf = {code_of[eid] for eid in prev.cf_ids} if prev is not None else set()
     mismatches = []
 
     def cf(binding, order):  # the Cf the engine builds for a binding under order
-        return engine._step(utterance, (None, binding, None, None, order, False)).state.cf
+        bound = tuple(code_of[eid] for eid in binding)
+        return engine._step(plan, (None, bound, None, None, order, False)).state.cf
 
     for assignment, cb in _pairings(discourse, utterance, prev):
         binding = tuple(assignment.values())
         code = filter_assignment(utterance, assignment, prev, cb, entities)
         verdicts[code] += 1
-        if plan.passes(binding, prev_cf, cb) != (code is None):
+        bound = tuple(code_of[eid] for eid in binding)
+        if plan.passes(bound, prev_cf, None if cb is None else code_of[cb]) != (code is None):
             mismatches.append(("verdict", assignment, cb, code))
         if len(set(binding)) < len(binding):
             continue
@@ -1180,6 +1275,7 @@ def test_overt_slots_that_doom_every_pairing_reject_each_with_its_code(frame, ar
         for a, cb in _pairings(d, utterance, prev)
     ]
     assert len(want) == 3 and {r.code for r in want} == {code}
-    result = step(parent, utterance, d, config, plan=engine._Plan.of(utterance, d.entity_map))
+    plan = engine._Plan.of(utterance, engine._Codes.of(d))
+    result = step(parent, utterance, d, config, plan=plan)
     assert result.ranked == ()
     assert list(result.rejections) == want
