@@ -40,18 +40,19 @@ because the benchmark's tracer (bench/tracing.py) wraps it by name.
 
 One expansion path builds every utterance's readings: `_survivors`
 turns a previous center state and an utterance's plan into candidates,
-each a tuple of its sibling key, binding, Cb, transition, Cf order and
-ZTA flag, keyed once it has passed the filters.  A wide pool's last
-resort makes thousands of them for an expansion that keeps
+and a candidate is its sibling key - (transition ordinal, write-back
+index, (binding, Cb, ZTA flag)) - made once it has passed the filters;
+its transition, Cb and Cf order all follow from the key.  A wide
+pool's last resort makes thousands of them for an expansion that keeps
 `beam_width`, so nothing more is built before the cut: `_kept_steps`,
-the one place a candidate becomes a `Step`, takes the best by key and
-only then builds the assignment, the validated center state, the Cf
-and the `Step` of each one it keeps.  `step` calls it once per
-distinct state, and `_initial_hypotheses` once for the
-discourse-initial utterance, with no previous state (prev=None): its
-pool is the hearer-old entities, no Cb links back and no transition or
-zero-topic variant arises, and each reading takes the wa topic, if
-any, as its Cb.  Those candidates differ only in content, so their cut
+the one place a candidate becomes a `Step`, takes the smallest keys
+and only then has `_step` work out the transition, the assignment, the
+validated center state, the Cf and the `Step` of each one it keeps.
+`step` calls it once per distinct state, and `_initial_hypotheses` once
+for the discourse-initial utterance, with no previous state
+(prev=None): its pool is the hearer-old entities, no Cb links back and
+no transition or zero-topic variant arises, and each reading takes the
+wa topic, if any, as its Cb.  Those candidates differ only in content, so their cut
 is the first beam.  A step's Cb is an entity id, or None while it is
 uninstantiated; the next utterance that pins it down writes it back.
 
@@ -90,7 +91,7 @@ The previous Cb is fixed within an expansion, so a transition depends
 only on the (Cb, Cp entity) pair: each expansion classifies a pair
 once, through `classify_transition`, which compares entities only for
 equality and so takes codes, and reads every other candidate's
-transition and ordinal from a dict that dies with the expansion.  The
+transition ordinal from a dict that dies with the expansion.  The
 rules stay the specification: `filter_assignment` names
 the code of each pairing the plan rejects, and the tests hold the plan
 to `filter_assignment` on every generated pairing, and to
@@ -117,7 +118,7 @@ import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
-from typing import AbstractSet, Hashable, Mapping, Optional, Sequence
+from typing import AbstractSet, Hashable, Mapping, NamedTuple, Optional, Sequence
 
 from .model import (
     CenterState,
@@ -167,14 +168,15 @@ class EngineConfig:
 Binding = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Rejection:
+class Rejection(NamedTuple):
     """A discarded pairing and the rule that discarded it.
 
     binding is the pairing's binding (the entity ids in the utterance's
     slots, in subcat order) and cb its Cb's entity id; code is
     filter_assignment's RejectionCode, or OUT_OF_CF_PRUNED for an
-    out-of-Cf pairing that an in-Cf one made unnecessary.
+    out-of-Cf pairing that an in-Cf one made unnecessary.  An immutable
+    named tuple: a wide pool logs thousands per expansion, and a tuple
+    is built in one call.
     """
 
     utterance_index: int
@@ -188,17 +190,18 @@ class _StepResult:
     """One parent's kept steps for one utterance, plus the discards.
 
     steps are the new steps of the parent's beam_width best children, in
-    beam order, and keys[i] is steps[i]'s sibling key: (transition sort
-    value, the Cb index the parent's last step takes by write-back or -1,
-    content of the new step).  ranked builds those children on its first
-    read; resolve never reads it, since it builds a child only for a
-    (parent, step) pair its cut keeps.  rejections is () when the
-    utterance's plan already held the state's expansion.
+    beam order, and keys[i] is steps[i]'s sibling key, the candidate it
+    was built from (Candidate): (transition ordinal or -1, the Cb index
+    the parent's last step takes by write-back or -1, content of the new
+    step).  ranked builds those children on its first read; resolve never
+    reads it, since it builds a child only for a (parent, step) pair its
+    cut keeps.  rejections is () when the utterance's plan already held
+    the state's expansion.
     """
 
     parent: Hypothesis
     steps: tuple[Step, ...]
-    keys: tuple[tuple, ...]
+    keys: tuple[Candidate, ...]
     rejections: tuple[Rejection, ...]
 
     @cached_property
@@ -288,9 +291,12 @@ def generate_assignments(plan: _Plan, context: Sequence[int]) -> list[Binding]:
 #: Slot positions in Cf order, each with the salience tier it earns.
 CfOrder = tuple[tuple[int, SalienceRole], ...]
 
-#: A surviving candidate before the cut: (sibling key, binding, Cb code or
-#: None, transition, Cf order, ZTA flag).  See _survivors for the key.
-Candidate = tuple[tuple, Binding, Optional[int], Optional[Transition], CfOrder, bool]
+#: A surviving candidate before the cut is its sibling key: (transition
+#: ordinal, -1 without one; the code of the Cb the parent's last step takes
+#: by write-back, else -1; (binding, Cb code or -1, ZTA flag 0 or 1)).
+#: _step works out the rest for the candidates the cut keeps; see
+#: _survivors for the key.
+Candidate = tuple[int, int, tuple[Binding, int, int]]
 
 
 def _cf_order(utterance: Utterance, topic: Optional[int] = None) -> CfOrder:
@@ -414,45 +420,46 @@ def apply_zta(
 ) -> list[Candidate]:
     """Zero-topic variants of the surviving candidates, in base order.
 
-    parent_cb is the parent's Cb as an entity code, as the candidates'
-    Cbs and bindings are.  Preconditions for any variant at all: ZTA
-    enabled, the parent center instantiated, and no surviving candidate
-    already a CONTINUE (when the center continues smoothly there is
-    nothing for the zero topic to rescue); every candidate handed in is
-    plain, since variants are made only here.  A candidate spawns a
-    variant when its own Cb is that same entity — the zero topic
-    continues the previous center as the current one — and one of the
-    plan's topic_slots (a zero in a subject or
-    second-object position) binds it.  The variant keeps the candidate's
-    Cb and binding but takes the Cf order with that slot as zero topic
-    (which demotes any wa topic to its plain grammatical role), one order
-    per slot for all candidates, compiled on a miss into the plan's
-    topic_orders, so each is compiled once per utterance.  Its transition
-    is CONTINUE: the zero topic heads the Cf, so Cb and Cp coincide on
-    the carried-over center.  Its sibling key is the base's with
-    CONTINUE's ordinal (0) and the ZTA flag set.  Variants are additional
+    Candidates are sibling keys (Candidate), and parent_cb is the
+    parent's Cb as an entity code, as the keys' Cbs and bindings are.
+    Preconditions for any variant at all: ZTA enabled, the parent center
+    instantiated, and no surviving candidate already a CONTINUE, a key
+    with ordinal 0 (when the center continues smoothly there is nothing
+    for the zero topic to rescue); every candidate handed in is plain,
+    since variants are made only here.  A candidate spawns a variant when
+    its own Cb is that same entity — the zero topic continues the
+    previous center as the current one — and one of the plan's
+    topic_slots (a zero in a subject or second-object position) binds it.
+    The variant keeps the candidate's Cb and binding but takes the Cf
+    order with the first such slot as zero topic (which demotes any wa
+    topic to its plain grammatical role), one order per slot for all
+    candidates, compiled on a miss into the plan's topic_orders, so each
+    is compiled once per utterance and _step finds it there.  Its
+    transition is CONTINUE: the zero topic heads the Cf, so Cb and Cp
+    coincide on the carried-over center.  So the variant is the base key
+    with CONTINUE's ordinal (0) and the ZTA flag set:
+    (0, write-back index, (binding, Cb, 1)).  Variants are additional
     candidates; the originals stay.  A wide pool's last resort hands over
     thousands of candidates, so both passes over them are plain loops
-    that read a candidate's Cb (or transition) before anything else.
+    that read a key's ordinal (or Cb) before anything else.
     """
     if not config.zta_enabled or parent_cb is None:
         return []
     for c in candidates:
-        if c[3] is Transition.CONTINUE:
+        if c[0] == 0:
             return []
 
     variants: list[Candidate] = []
     for c in candidates:
-        if c[2] != parent_cb:
+        if c[2][1] != parent_cb:
             continue
-        base_key, binding, cb = c[:3]
+        binding = c[2][0]
         slot = next((p for p in plan.topic_slots if binding[p] == parent_cb), None)
         if slot is None:
             continue
         if slot not in plan.topic_orders:
             plan.topic_orders[slot] = _cf_order(plan.utterance, slot)
-        key = (0, base_key[1], base_key[2][:2] + (1,))
-        variants.append((key, binding, cb, Transition.CONTINUE, plan.topic_orders[slot], True))
+        variants.append((0, c[1], (binding, parent_cb, 1)))
     return variants
 
 
@@ -491,27 +498,29 @@ def _survivors(
     pairings or else the outside ones, is keyed, and each outside pair
     becomes its OUT_OF_CF_PRUNED record when an inside one passed.
 
-    Each survivor's key is its key among the children of any parent whose
-    last state is prev.  Siblings share their parent's score and rank, so
-    in the beam they compare on their transition sort value (the cost is
-    that value floored at 0, so the value alone orders both), the Cb
-    index the parent's last step takes after write-back and the content
-    of the new step: the bound entity indices in subcat order, which is
-    the binding itself, the Cb index (-1 while open) and the ZTA flag.
-    Write-back fires exactly when prev's Cb is open and the candidate
-    links to it, since its Cb then comes from prev's Cf; otherwise the
-    parent's own Cb, the same for every sibling, stands as -1.  Nothing
-    else is built: _kept_steps makes the Step of each candidate the beam
-    can keep, for step and _initial_hypotheses alike.
+    A candidate is its key, its key among the children of any parent
+    whose last state is prev, and nothing else is built per candidate.
+    Siblings share their parent's score and rank, so in the beam they
+    compare on their transition ordinal (-1 without one; the cost is the
+    ordinal floored at 0, so the ordinal alone orders both), the Cb code
+    the parent's last step takes after write-back and the content of the
+    new step: the binding itself (the bound entity codes in subcat
+    order), the Cb's code (-1 while open) and the ZTA flag.  Write-back
+    fires exactly when prev's Cb is open and the candidate links to it,
+    since its Cb then comes from prev's Cf; otherwise the parent's own
+    Cb, the same for every sibling, stands as -1.  Everything else about
+    a candidate follows from its key, so _kept_steps cuts the keys and
+    _step works out the Step of each key the beam can keep, for step and
+    _initial_hypotheses alike.
 
     Only what is specific to a candidate is computed per candidate: the
     zeros, the overt entities and the Cf order come from the plan, which
     resolve compiles once per utterance whatever the number of states
     expanded there.  With prev's Cb fixed, the transition depends on the
     (Cb, Cp entity) pair alone, so a dict local to this call holds each
-    pair's transition and sort value, filled through classify_transition
-    on a miss.  Where prev's Cb is set, a binding's one Cb candidate is
-    the first previous-Cf entity it holds.
+    pair's transition ordinal, filled through classify_transition on a
+    miss.  Where prev's Cb is set, a binding's one Cb candidate is the
+    first previous-Cf entity it holds.
     """
     utterance = plan.utterance
     codes = plan.codes
@@ -521,11 +530,11 @@ def _survivors(
         prev_cf: list[int] = []
         prev_cb = None
         first = instantiate_initial_cb(utterance)
-        first_cb = None if first is None else code_of[first]
+        first_cb = -1 if first is None else code_of[first]
     else:
         prev_cf = [code_of[e] for e in prev.cf_ids]
         prev_cb = None if prev.cb is None else code_of[prev.cb]
-        first_cb = None
+        first_cb = -1
     prev_cf_set = frozenset(prev_cf)
     # No zero binds an entity an overt slot names, so a binding is inside
     # exactly when its slots hold only previous-Cf and overt entities.
@@ -560,67 +569,68 @@ def _survivors(
                 side = inside if inside_codes.issuperset(binding) else outside
             side.append((binding, cb))
 
-    if inside:  # _ids inlined: an in-Cf pool can prune thousands of pairings
+    if inside:  # an in-Cf pool can prune thousands of pairings
+        id_of = ids.__getitem__
         rejections += [
-            Rejection(
-                index,
-                tuple([ids[c] for c in binding]),
-                None if cb is None else ids[cb],
-                OUT_OF_CF_PRUNED,
-            )
+            Rejection(index, tuple(map(id_of, binding)), None if cb is None else ids[cb],
+                      OUT_OF_CF_PRUNED)
             for binding, cb in outside
         ]
     survivors: list[Candidate] = []
-    # (Cb, Cp entity) -> (transition, its sort value)
-    transitions: dict[tuple[int, int], tuple[Transition, int]] = {}
-    cp, cf = plan.cf[0][0], plan.cf
+    ordinals: dict[tuple[int, int], int] = {}  # (Cb, Cp entity) -> transition ordinal
+    cp = plan.cf[0][0]
     for binding, cb in inside or outside:
         if cb is None:
-            transition, ordinal, state_cb = None, -1, first_cb
-        else:
-            pair = (cb, binding[cp])
-            known = transitions.get(pair)
-            if known is None:
-                t = classify_transition(prev_cb, *pair)
-                known = transitions[pair] = (t, t.ordinal)
-            transition, ordinal = known
-            state_cb = cb
-        cb_index = -1 if state_cb is None else state_cb
-        key = (ordinal, cb_index if open_cb else -1, (binding, cb_index, 0))
-        survivors.append((key, binding, state_cb, transition, cf, False))
+            survivors.append((-1, -1, (binding, first_cb, 0)))
+            continue
+        pair = (cb, binding[cp])
+        ordinal = ordinals.get(pair)
+        if ordinal is None:
+            ordinal = ordinals[pair] = classify_transition(prev_cb, *pair).ordinal
+        survivors.append((ordinal, cb if open_cb else -1, (binding, cb, 0)))
     return survivors + apply_zta(survivors, prev_cb, plan, config), rejections
 
 
 def _kept_steps(
     discourse: Discourse, prev: Optional[CenterState], plan: _Plan, config: EngineConfig
-) -> tuple[tuple[tuple, ...], tuple[Step, ...], tuple[Rejection, ...]]:
+) -> tuple[tuple[Candidate, ...], tuple[Step, ...], tuple[Rejection, ...]]:
     """Cut one expansion's survivors to beam_width, then build only those.
 
     The one place a candidate becomes a Step, for every utterance: the
-    survivors of _survivors stay keyed tuples through the cut
-    (heapq.nsmallest on the key), and the Steps are plan's utterance's.
-    Returns the kept candidates' keys and Steps, best first, and the
+    survivors of _survivors are their sibling keys, cut in their natural
+    order (heapq.nsmallest), and the Steps are plan's utterance's.
+    Returns the kept keys and their Steps, best first, and the
     expansion's rejections.  A Step is not yet a child: resolve builds
     one only for a (parent, step) pair its own cut keeps.
     """
     survivors, rejections = _survivors(discourse, prev, plan, config)
-    best = heapq.nsmallest(config.beam_width, survivors, key=itemgetter(0))
-    keys = tuple([c[0] for c in best])
-    return keys, tuple([_step(plan, c) for c in best]), tuple(rejections)
+    keys = tuple(heapq.nsmallest(config.beam_width, survivors))
+    return keys, tuple([_step(plan, k) for k in keys]), tuple(rejections)
 
 
 def _step(plan: _Plan, candidate: Candidate) -> Step:
     """The Step of one candidate of plan's utterance: assignment and validated state.
 
-    The one place a kept candidate's codes become entity ids: the
-    assignment maps each slot's role to its entity, and the Cf lists the
-    binding's entities in the candidate's Cf order.
+    A candidate is its sibling key, and the rest is worked out from it
+    here, for the candidates the cut keeps only: the Cb is None at index
+    -1 (a first-utterance key holds the wa topic's code), the transition
+    None at ordinal -1, and the Cf order is plan.cf, or, with the ZTA
+    flag set, the topic order of the first topic slot binding the Cb,
+    which apply_zta compiled into plan.topic_orders.  The one place a
+    kept candidate's codes become entity ids: the assignment maps each
+    slot's role to its entity, and the Cf lists the binding's entities in
+    that order.
     """
-    _, binding, cb, transition, order, zta = candidate
-    bound, cb_id = _ids(plan.codes.ids, binding, cb)
+    ordinal, _, (binding, cb, zta) = candidate
+    order = plan.cf
+    if zta:
+        order = plan.topic_orders[next(p for p in plan.topic_slots if binding[p] == cb)]
+    bound, cb_id = _ids(plan.codes.ids, binding, None if cb < 0 else cb)
     state = CenterState(cb_id, tuple([(bound[pos], tier) for pos, tier in order]))
     utterance = plan.utterance
-    return Step(utterance.index, dict(zip(utterance.frame.subcat, bound)), state, transition, zta)
+    transition = None if ordinal < 0 else Transition(ordinal)
+    assignment = dict(zip(utterance.frame.subcat, bound))
+    return Step(utterance.index, assignment, state, transition, bool(zta))
 
 
 def _child(parent: Hypothesis, new_step: Step) -> Hypothesis:

@@ -24,17 +24,25 @@ them:
   callers can aggregate across many discourses.
 
 It also holds the antecedent pool over entity ids, the reference the
-pairing tests generate over, and the plain-data form of the readings that
-`resolve --format json` prints, the reference for the CLI's renderer.
+pairing tests generate over, the plain-data form of the readings that
+`resolve --format json` prints, the reference for the CLI's renderer, and
+`sameness_digest`, one hash over the engine's output on a fixed sweep, so
+that a change meant to leave the output alone can show it did:
+
+    PYTHONPATH=src:tests python -c "import helpers; print(helpers.sameness_digest())"
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
+import sys
+from pathlib import Path
 from typing import List, Optional, Sequence
 
-from centering import engine, oracle
-from centering.engine import EngineConfig, ResolveResult
+from centering import corpus, engine, oracle
+from centering.engine import EngineConfig, ResolveResult, UnresolvableError
 from centering.model import (
     Argument,
     Discourse,
@@ -336,6 +344,64 @@ def readings_json(hypotheses: Sequence[Hypothesis]) -> list[dict]:
         }
         for rank, h in enumerate(hypotheses, start=1)
     ]
+
+
+# --------------------------------------------------------------------------
+# Output digest
+
+
+def _bench_workloads():
+    """The benchmark's seeded generators, bench/workloads.py."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    return workloads
+
+
+def sameness_digest() -> str:
+    """One sha256 over the readings and full rejection logs of a fixed seeded sweep.
+
+    The sweep is 600 random_discourse(Random(2029)) draws, the bundled
+    valid files and the benchmark's wide pools of 10, 20 and 40 entities,
+    with and without an in-Cf reading (seed 5), each resolved at widths
+    1, 4 and 16 with ZTA on and off.  Each resolve adds its readings as
+    readings_json gives them and every Rejection field by field, in log
+    order, or the index of the utterance it cannot resolve.  Equal digests
+    mean the engine's output did not change on any of them; the sweep
+    takes a few seconds.
+    """
+    workloads = _bench_workloads()
+    rng = random.Random(2029)
+    discourses = [random_discourse(rng) for _ in range(600)]
+    discourses += [d for _name, d, _golds in corpus.iter_valid_corpus()]
+    discourses += [
+        workloads.wide_pool(random.Random(5), pool, last_resort)
+        for pool in (10, 20, 40)
+        for last_resort in (False, True)
+    ]
+    digest = hashlib.sha256()
+    for d in discourses:
+        for width in (1, 4, 16):
+            for zta in (True, False):
+                try:
+                    result = engine.resolve(d, EngineConfig(beam_width=width, zta_enabled=zta))
+                except UnresolvableError as err:
+                    digest.update(f"unresolvable {err.utterance_index}\n".encode())
+                    continue
+                out = {
+                    "readings": readings_json(result.hypotheses),
+                    "rejections": [
+                        [r.utterance_index, list(r.binding), r.cb, r.code]
+                        for index in sorted(result.rejections)
+                        for r in result.rejections[index]
+                    ],
+                }
+                digest.update(json.dumps(out).encode())
+                digest.update(b"\n")
+    return digest.hexdigest()
 
 
 # --------------------------------------------------------------------------

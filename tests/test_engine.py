@@ -1,5 +1,6 @@
 """Engine behavior: generation, zero-topic variants, stepping, resolution."""
 
+import dataclasses
 import heapq
 import itertools
 import random
@@ -227,18 +228,16 @@ def plan_of(utt):
     return engine._Plan.of(utt, engine._Codes.of(Discourse((entity("a"), entity("b")), (utt,))))
 
 
-def candidate(utt, binding, cb, transition):
-    """A plain candidate of utt as _survivors makes it, on plan_of's codes."""
-    bound = tuple(code(eid) for eid in binding)
-    key = (transition.ordinal, -1, (bound, code(cb), 0))
-    return (key, bound, code(cb), transition, engine._cf_order(utt), False)
+def candidate(binding, cb, transition):
+    """A plain candidate as _survivors makes it, its sibling key, on plan_of's codes."""
+    return (transition.ordinal, -1, (tuple(code(eid) for eid in binding), code(cb), 0))
 
 
 def _retain_candidate():
     """A RETAIN reading of 'b showed-zero a': Cb=a carried, Cp=b."""
     frame = VerbFrame("v", (SUBJ, OBJ2))
     utt = Utterance(1, frame, (overt(SUBJ, "b"), zero(OBJ2)))
-    cand = candidate(utt, ("b", "a"), "a", Transition.RETAIN)
+    cand = candidate(("b", "a"), "a", Transition.RETAIN)
     assert engine._step(plan_of(utt), cand).state == CenterState(
         "a",
         (("b", SalienceRole.SUBJ), ("a", SalienceRole.OBJ2)),
@@ -248,11 +247,12 @@ def _retain_candidate():
 
 def test_zta_variant_promotes_the_carried_center():
     utt, cand = _retain_candidate()
-    variants = apply_zta([cand], code("a"), plan_of(utt), WIDE)
+    plan = plan_of(utt)  # apply_zta compiles the variant's Cf order into it
+    variants = apply_zta([cand], code("a"), plan, WIDE)
     assert len(variants) == 1
-    v = engine._step(plan_of(utt), variants[0])
+    v = engine._step(plan, variants[0])
     assert v.zta_applied
-    assert v.assignment == engine._step(plan_of(utt), cand).assignment
+    assert v.assignment == engine._step(plan, cand).assignment
     assert v.state.cb == "a"
     assert v.state.cf == (
         ("a", SalienceRole.ZERO_TOPIC),
@@ -260,7 +260,7 @@ def test_zta_variant_promotes_the_carried_center():
     )
     assert v.transition is Transition.CONTINUE
     # The base's sibling key, with the variant's transition and ZTA flag.
-    assert variants[0][0] == (Transition.CONTINUE.ordinal, -1, ((1, 0), 0, 1))
+    assert variants[0] == (Transition.CONTINUE.ordinal, -1, ((1, 0), 0, 1))
 
 
 def test_zta_requires_enabled_config_and_instantiated_parent():
@@ -272,7 +272,7 @@ def test_zta_requires_enabled_config_and_instantiated_parent():
 
 def test_zta_stands_down_when_a_continue_exists():
     utt, cand = _retain_candidate()
-    cont = candidate(utt, ("b", "a"), "b", Transition.CONTINUE)
+    cont = candidate(("b", "a"), "b", Transition.CONTINUE)
     assert engine._step(plan_of(utt), cont).state.cf_ids == ("b", "a")
     assert apply_zta([cand, cont], code("a"), plan_of(utt), WIDE) == []
 
@@ -282,7 +282,7 @@ def test_zta_skips_low_zero_slots():
     # too low to be a zero topic.
     frame = VerbFrame("v", (SUBJ, OBJ))
     utt = Utterance(1, frame, (overt(SUBJ, "b"), zero(OBJ)))
-    cand = candidate(utt, ("b", "a"), "a", Transition.RETAIN)
+    cand = candidate(("b", "a"), "a", Transition.RETAIN)
     assert engine._step(plan_of(utt), cand).state.cf == (
         ("b", SalienceRole.SUBJ),
         ("a", SalienceRole.OBJ),
@@ -295,7 +295,7 @@ def test_zta_requires_the_candidate_to_carry_the_center():
     # elsewhere, so there is no continuation to promote.
     frame = VerbFrame("v", (SUBJ, OBJ))
     utt = Utterance(1, frame, (zero(SUBJ), overt(OBJ, "b")))
-    cand = candidate(utt, ("a", "b"), "b", Transition.ROUGH_SHIFT)
+    cand = candidate(("a", "b"), "b", Transition.ROUGH_SHIFT)
     assert engine._step(plan_of(utt), cand).state.cf == (
         ("a", SalienceRole.SUBJ),
         ("b", SalienceRole.OBJ),
@@ -565,6 +565,29 @@ def test_the_rejection_log_equals_the_reference_records(workloads):
         assert covered[code] >= 20, covered
 
 
+def test_a_rejection_is_an_immutable_record_of_its_four_fields():
+    # The record's contract, whatever type carries it: four fields by name
+    # in this order, no assignment, equality and hashing by the fields,
+    # and a repr that names them.
+    r = Rejection(2, ("a", "b"), "a", RejectionCode.RULE_1)
+    assert r == Rejection(utterance_index=2, binding=("a", "b"), cb="a", code="RULE_1")
+    assert (r.utterance_index, r.binding, r.cb, r.code) == (2, ("a", "b"), "a", "RULE_1")
+    for name, value in (("utterance_index", 3), ("binding", ()), ("cb", None), ("code", "x")):
+        with pytest.raises(AttributeError):
+            setattr(r, name, value)
+    assert r.cb == "a"
+    twin = Rejection(2, ("a", "b"), "a", RejectionCode.RULE_1)
+    assert r == twin and hash(r) == hash(twin) and len({r, twin}) == 1
+    for other in (
+        Rejection(3, ("a", "b"), "a", RejectionCode.RULE_1),
+        Rejection(2, ("b", "a"), "a", RejectionCode.RULE_1),
+        Rejection(2, ("a", "b"), None, RejectionCode.RULE_1),
+        Rejection(2, ("a", "b"), "a", OUT_OF_CF_PRUNED),
+    ):
+        assert r != other
+    assert repr(r) == "Rejection(utterance_index=2, binding=('a', 'b'), cb='a', code='RULE_1')"
+
+
 # --------------------------------------------------------------------------
 # Beam order and per-state expansion
 
@@ -662,7 +685,7 @@ def three_zero_opener(pool):
     return Discourse(tuple(entity(f"x{i}") for i in range(pool)), (first,))
 
 
-def test_the_first_utterance_builds_only_what_its_beam_keeps(monkeypatch):
+def test_the_first_utterance_builds_only_what_its_beam_keeps(monkeypatch, workloads):
     # The first utterance is cut on its candidates' keys before any is
     # built, as every later one is, and the cut is still the reference's.
     built = Counter()
@@ -688,6 +711,14 @@ def test_the_first_utterance_builds_only_what_its_beam_keeps(monkeypatch):
             beam = resolve(d, EngineConfig(beam_width=width)).hypotheses
             assert built[1] <= width, (pool, width, built[1])
             assert beam == tuple(reference[:width]), (pool, width)
+    # A wide pool's last resort keys thousands of out-of-Cf candidates in
+    # one expansion at utterance 2 (the overt opener has one reading) and
+    # builds only the steps its cut keeps.
+    d = workloads.wide_pool(random.Random(5), 40, True)
+    for width in (1, 4, 16):
+        built.clear()
+        resolve(d, EngineConfig(beam_width=width))
+        assert 0 < built[2] <= width, (width, built[2])
 
 
 def test_survivors_run_once_per_distinct_parent_state(monkeypatch, workloads):
@@ -1035,12 +1066,19 @@ def sibling_key_failures(discourse, config, covered):
     write-back index (the Cb's when the previous Cb is open and the
     survivor links to a Cb, else -1), the bound entity indices, the Cb
     index (-1 while open) and the ZTA flag.  The binding and Cb are read
-    off the Step _step builds from the survivor, and the key's bound part
-    must be the survivor's binding object itself, so no survivor pays for
-    a conversion before the cut.  covered counts what was seen.
+    off the Step _step builds from the survivor, which is its key, and the
+    key's bound part must be a binding object generate_assignments made
+    itself, so no survivor pays for a conversion before the cut.  covered
+    counts what was seen.
     """
     entity_index = discourse.entity_index
     failures = []
+    generate, generated = engine.generate_assignments, []
+
+    def recording(plan, context):  # holds every binding, so no two share an id
+        bindings = generate(plan, context)
+        generated.extend(bindings)
+        return bindings
     for n, utterance in enumerate(discourse.utterances):
         try:
             states = expanded_states(discourse, n, config)
@@ -1048,12 +1086,16 @@ def sibling_key_failures(discourse, config, covered):
             break
         plan = engine._Plan.of(utterance, engine._Codes.of(discourse))
         for prev in states:
-            survivors, _ = engine._survivors(discourse, prev, plan, config)
-            for c in survivors:
-                key, _binding, _cb, transition, _order, zta = c
-                built = engine._step(plan, c)
+            generated.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(engine, "generate_assignments", recording)
+                survivors, _ = engine._survivors(discourse, prev, plan, config)
+            made = {id(b) for b in generated}
+            for key in survivors:
+                built = engine._step(plan, key)
                 binding, cb = tuple(built.assignment.values()), built.state.cb
-                if key[2][0] is not c[1]:
+                transition, zta = built.transition, built.zta_applied
+                if id(key[2][0]) not in made:
                     failures.append((n + 1, prev, binding, "key does not hold the binding"))
                 want = None
                 if prev is None:
@@ -1131,9 +1173,16 @@ def plan_mismatches(discourse, utterance, prev, verdicts):
     prev_cf = {code_of[eid] for eid in prev.cf_ids} if prev is not None else set()
     mismatches = []
 
-    def cf(binding, order):  # the Cf the engine builds for a binding under order
+    # A copy of the plan in which every zero slot may take the zero topic,
+    # so _step reads each zero slot's topic order from it.
+    every_zero = dataclasses.replace(plan, topic_slots=plan.zeros, topic_orders={})
+
+    def cf(binding, topic=None):  # the Cf _step builds for a binding, topic its zero-topic slot
         bound = tuple(code_of[eid] for eid in binding)
-        return engine._step(plan, (None, bound, None, None, order, False)).state.cf
+        if topic is None:
+            return engine._step(plan, (-1, -1, (bound, -1, 0))).state.cf
+        every_zero.topic_orders[topic] = engine._cf_order(utterance, topic)
+        return engine._step(every_zero, (0, -1, (bound, bound[topic], 1))).state.cf
 
     for assignment, cb in _pairings(discourse, utterance, prev):
         binding = tuple(assignment.values())
@@ -1144,14 +1193,14 @@ def plan_mismatches(discourse, utterance, prev, verdicts):
             mismatches.append(("verdict", assignment, cb, code))
         if len(set(binding)) < len(binding):
             continue
-        if cf(binding, plan.cf) != rank_cf(
+        if cf(binding) != rank_cf(
             assign_salience_roles(utterance, assignment)
         ):
             mismatches.append(("cf", assignment))
         for pos in plan.zeros:
             topic = binding[pos]
             want = rank_cf(assign_salience_roles(utterance, assignment, zero_topic=topic))
-            if cf(binding, engine._cf_order(utterance, pos)) != want:
+            if cf(binding, pos) != want:
                 mismatches.append(("zero topic cf", assignment, topic))
     return mismatches
 

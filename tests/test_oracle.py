@@ -257,12 +257,10 @@ _REAL_CLASSIFY = engine.classify_transition
 
 
 def _zta_without_stand_down(candidates, *rest):
-    # apply_zta reads a base candidate's transition (its fourth field) only
-    # to stand down on a plain CONTINUE; every variant is a CONTINUE of its own.
-    hidden = [
-        c[:3] + (None,) + c[4:] if c[3] is Transition.CONTINUE else c
-        for c in candidates
-    ]
+    # apply_zta reads a base candidate's ordinal (the first field of its
+    # key) only to stand down on a plain CONTINUE, ordinal 0; every variant
+    # is a CONTINUE of its own.
+    hidden = [(-1,) + c[1:] if c[0] == Transition.CONTINUE.ordinal else c for c in candidates]
     return _REAL_APPLY_ZTA(hidden, *rest)
 
 
