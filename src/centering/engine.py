@@ -35,8 +35,10 @@ the pairs of all parents at once (`_cut`) and assembles a child
 expanding call reports.
 
 `resolve` is the engine's one entry point.  `step` is its per-parent
-call, not an API of its own; it keeps its name and call pattern only
-because the benchmark's tracer (bench/tracing.py) wraps it by name.
+call, not an API of its own: `resolve` and the benchmark's tracer
+(bench/tracing.py), which wraps it by name, are its only callers, and
+it keeps its name and call pattern only for the tracer.  The tests hold
+`resolve`'s beams, not `step`'s results, to the beam's properties.
 
 One expansion path builds every utterance's readings: `_survivors`
 turns a previous center state and an utterance's plan into candidates,
@@ -195,8 +197,8 @@ class _StepResult:
     the parent's last step takes by write-back or -1, content of the new
     step).  ranked builds those children on its first read; resolve never
     reads it, since it builds a child only for a (parent, step) pair its
-    cut keeps.  rejections is () when the utterance's plan already held
-    the state's expansion.
+    cut keeps, and the tracer is its one reader.  rejections is () when
+    the utterance's plan already held the state's expansion.
     """
 
     parent: Hypothesis
@@ -243,18 +245,6 @@ class DiscourseInvalidError(Exception):
         self.violations = tuple(violations)
         lines = "; ".join(str(v) for v in violations)
         super().__init__(f"discourse fails validation: {lines}")
-
-
-def instantiate_initial_cb(first: Utterance) -> Optional[str]:
-    """Initial center of a discourse: the wa topic's entity, if any.
-
-    A discourse-initial utterance with a wa-marked argument is about that
-    argument's entity (a wa argument is always overt: Argument refuses a
-    marked zero); without one the center starts uninstantiated (None) and
-    is pinned down retroactively by the following utterance.
-    """
-    wa = first.wa_argument
-    return wa.realization.entity_id if wa is not None else None
 
 
 def generate_assignments(plan: _Plan, context: Sequence[int]) -> list[Binding]:
@@ -477,16 +467,18 @@ def _survivors(
 
     prev is None for the discourse-initial utterance, whose candidates
     are then all unlinked (no transition) and take the wa topic's entity,
-    if any, as their Cb (instantiate_initial_cb).  Each binding is paired
-    with each of its Cb candidates (compute_cb_candidates), or with no Cb
-    when nothing links it to prev (a segment reset).  A pairing is inside
-    when every zero binds a previous-Cf entity; the outside ones reach
-    out to hearer-old entities and survive only as a last resort, when no
-    inside pairing passes.  Every pairing goes through the utterance's
-    plan; filter_assignment names the rule of each one the plan rejects,
-    and that call is the only place a rejected pairing's role -> entity
-    dict is built.  The Rejections come in generation order, each naming
-    its pairing by entity ids, and the pruned outside pairings' last.
+    if any, as their Cb (utterance.wa_argument): the utterance is about
+    it; without one the center starts open, for the next utterance to
+    write back.  Each binding is paired with each of its Cb candidates
+    (compute_cb_candidates), or with no Cb when nothing links it to prev
+    (a segment reset).  A pairing is inside when every zero binds a
+    previous-Cf entity; the outside ones reach out to hearer-old entities
+    and survive only as a last resort, when no inside pairing passes.
+    Every pairing goes through the utterance's plan; filter_assignment
+    names the rule of each one the plan rejects, and that call is the
+    only place a rejected pairing's role -> entity dict is built.  The
+    Rejections come in generation order, each naming its pairing by
+    entity ids, and the pruned outside pairings' last.
 
     Expansion runs on entity codes (_Codes): prev's Cf and Cb become codes
     once per call, and the bindings, their Cb candidates, the Rule 1 test
@@ -529,8 +521,8 @@ def _survivors(
     if prev is None:
         prev_cf: list[int] = []
         prev_cb = None
-        first = instantiate_initial_cb(utterance)
-        first_cb = -1 if first is None else code_of[first]
+        wa = utterance.wa_argument  # always overt: Argument refuses a marked zero
+        first_cb = -1 if wa is None else code_of[wa.realization.entity_id]
     else:
         prev_cf = [code_of[e] for e in prev.cf_ids]
         prev_cb = None if prev.cb is None else code_of[prev.cb]
@@ -664,8 +656,9 @@ def step(
 ) -> _StepResult:
     """Extend one parent reading by one utterance: resolve's per-parent call.
 
-    Not an API of its own: it keeps its name and call pattern only because
-    the benchmark's tracer wraps it by name.
+    Not an API of its own: resolve and the benchmark's tracer, which
+    wraps it by name, are its only callers, and it keeps its name and
+    call pattern only for the tracer.
 
     Returns the new steps of the parent's beam_width best children in
     beam order: transition ordinal first (CONTINUE before RETAIN before

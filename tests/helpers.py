@@ -19,9 +19,10 @@ them:
 * an invariant walker that re-derives, from first principles and the
   oracle's naive helpers, everything a finished hypothesis claims:
   center uniqueness, Cf composition and ordering, the backward-center
-  constraint, the pronoun rule, zero-topic soundness and beam ordering.
-  It returns human-readable failure strings instead of asserting so
-  callers can aggregate across many discourses.
+  constraint, the pronoun rule, zero-topic soundness and beam ordering,
+  and a check of how resolve's beam at one prefix extends its beam at
+  the one before.  Both return human-readable failure strings instead
+  of asserting so callers can aggregate across many discourses.
 
 It also holds the antecedent pool over entity ids, the reference the
 pairing tests generate over, the plain-data form of the readings that
@@ -34,6 +35,7 @@ that a change meant to leave the output alone can show it did:
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -45,6 +47,7 @@ from centering import corpus, engine, oracle
 from centering.engine import EngineConfig, ResolveResult, UnresolvableError
 from centering.model import (
     Argument,
+    CenterState,
     Discourse,
     Entity,
     GrammaticalRole,
@@ -639,64 +642,63 @@ def hypothesis_invariant_failures(
 
 
 # --------------------------------------------------------------------------
-# Per-parent step replay
+# Beam extension
 
 
-def step_result_failures(discourse: Discourse, config: EngineConfig) -> List[str]:
-    """Replay resolution one step at a time and check each parent's children.
+def extends(parent: Hypothesis, child: Hypothesis) -> bool:
+    """Whether child is parent plus one step, the parent's last one at most written back.
 
-    For every beam state and every following utterance: children are
-    ranked by non-decreasing transition ordinal, each child extends its
-    parent by exactly one step (older steps untouched, the parent's last
-    step at most re-instantiated), and either every child binds its zeros
-    inside the parent Cf or none does (the out-of-Cf fallback is last
-    resort, so the two kinds never mix).
+    The older steps must be identical.  The parent's last step may change
+    only by write-back: its Cb was open and takes the new step's Cb.
+    """
+    *older, last = parent.steps
+    if len(child.steps) != len(parent.steps) + 1 or list(child.steps[:-2]) != older:
+        return False
+    was, cb = child.steps[-2], child.last.state.cb
+    if was == last:
+        return True
+    if last.state.cb is not None or cb is None or cb not in last.state.cf_ids:
+        return False
+    return was == dataclasses.replace(last, state=CenterState(cb, last.state.cf))
+
+
+def beam_extension_failures(discourse: Discourse, config: EngineConfig) -> List[str]:
+    """Where resolve's beams at two consecutive prefixes break the extension properties.
+
+    For each utterance after the first, against resolve's beam one
+    utterance earlier:
+    * every reading extends exactly one reading of the earlier beam: its
+      older steps are identical, and that parent's last step changes only
+      by write-back (an open Cb takes the new step's Cb);
+    * each parent's children, in beam order, come in non-decreasing
+      transition ordinal (an initial or reset step counts as -1);
+    * each parent's children bind their zeros either all inside the
+      parent's last Cf or all outside it (out-of-Cf readings are a last
+      resort, so the two kinds never mix).
     """
     failures: List[str] = []
     utterances = discourse.utterances
-
-    for k in range(1, len(utterances)):
-        prefix = Discourse(discourse.entities, utterances[:k])
+    beams = []
+    for k in range(1, len(utterances) + 1):
         try:
-            beam = engine.resolve(prefix, config).hypotheses
-        except engine.UnresolvableError:
-            return failures
-        plan = engine._Plan.of(utterances[k], engine._Codes.of(discourse))
-        for parent in beam:
-            res = engine.step(parent, utterances[k], discourse, config, plan=plan)
-            ordinals = [
-                -1 if child.last.transition is None else child.last.transition.ordinal
-                for child in res.ranked
-            ]
+            beams.append(engine.resolve(Discourse(discourse.entities, utterances[:k]), config))
+        except UnresolvableError:
+            break
+    for k, (beam, children) in enumerate(zip(beams, beams[1:]), start=2):
+        zero_roles = [a.role for a in utterances[k - 1].args if a.realization.is_zero]
+        families: dict[int, list[Hypothesis]] = {}  # parent's beam index -> its children
+        for c, child in enumerate(children.hypotheses):
+            parents = [i for i, p in enumerate(beam.hypotheses) if extends(p, child)]
+            if len(parents) != 1:
+                failures.append(f"u{k}: reading {c} extends {len(parents)} earlier readings")
+            else:
+                families.setdefault(parents[0], []).append(child)
+        for i, family in families.items():
+            ordinals = [-1 if h.last.transition is None else h.last.transition.ordinal
+                        for h in family]
             if ordinals != sorted(ordinals):
-                failures.append(
-                    f"u{k + 1}: children not ordered by transition ordinal"
-                )
-            prev_cf = set(parent.last.state.cf_ids)
-            zero_roles = [
-                a.role for a in utterances[k].args if a.realization.is_zero
-            ]
-            purities = {
-                all(child.last.assignment[r] in prev_cf for r in zero_roles)
-                for child in res.ranked
-            }
-            if len(purities) > 1:
-                failures.append(f"u{k + 1}: in-Cf and out-of-Cf children mixed")
-            for child in res.ranked:
-                if child.steps[: k - 1] != parent.steps[: k - 1]:
-                    failures.append(f"u{k + 1}: child rewrote settled steps")
-                old, new = parent.steps[k - 1], child.steps[k - 1]
-                if new != old:
-                    rewritten_ok = (
-                        old.state.cb is None
-                        and new.state.cb is not None
-                        and new.state.cb == child.last.state.cb
-                        and new.assignment == old.assignment
-                        and new.state.cf == old.state.cf
-                        and new.transition == old.transition
-                    )
-                    if not rewritten_ok:
-                        failures.append(
-                            f"u{k + 1}: parent's last step changed beyond unification"
-                        )
+                failures.append(f"u{k}: children not ordered by transition ordinal")
+            prev_cf = set(beam.hypotheses[i].last.state.cf_ids)
+            if len({all(h.last.assignment[r] in prev_cf for r in zero_roles) for h in family}) > 1:
+                failures.append(f"u{k}: in-Cf and out-of-Cf children mixed")
     return failures

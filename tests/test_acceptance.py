@@ -14,9 +14,9 @@ from centering.model import Significance, Transition
 from centering.rules import classify_transition
 from conftest import record_criterion
 from helpers import (
+    beam_extension_failures,
     hypothesis_invariant_failures,
     random_discourse,
-    step_result_failures,
 )
 
 DEFAULT = EngineConfig()
@@ -168,14 +168,14 @@ def test_criterion_6_invariants_hold_on_every_state():
     for name, (discourse, _golds, result) in corpus_results().items():
         for f in hypothesis_invariant_failures(discourse, DEFAULT, result):
             failures.append(f"{name}: {f}")
-        for f in step_result_failures(discourse, DEFAULT):
+        for f in beam_extension_failures(discourse, DEFAULT):
             failures.append(f"{name}: {f}")
     for i, (discourse, _report, result) in enumerate(random_trials()):
         if result is None:
             continue
         for f in hypothesis_invariant_failures(discourse, RANDOM_CONFIG, result):
             failures.append(f"random trial {i}: {f}")
-        for f in step_result_failures(discourse, RANDOM_CONFIG):
+        for f in beam_extension_failures(discourse, RANDOM_CONFIG):
             failures.append(f"random trial {i}: {f}")
     conclude(
         6, "center constraints, Rule 1, ZTA soundness, rank monotonicity",

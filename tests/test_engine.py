@@ -1,5 +1,6 @@
-"""Engine behavior: generation, zero-topic variants, stepping, resolution."""
+"""Engine behavior: generation, zero-topic variants, resolution and its beams."""
 
+import contextlib
 import dataclasses
 import heapq
 import itertools
@@ -19,9 +20,7 @@ from centering.engine import (
     apply_zta,
     generate_assignments,
     hypothesis_sort_key,
-    instantiate_initial_cb,
     resolve,
-    step,
 )
 from centering.model import (
     CenterState,
@@ -45,7 +44,9 @@ from centering.rules import (
     filter_assignment,
     rank_cf,
 )
-from helpers import INFELICITOUS, antecedent_pool, entity, overt, random_discourse, zero
+from helpers import (
+    INFELICITOUS, antecedent_pool, entity, extends, overt, random_discourse, zero,
+)
 
 SUBJ = GrammaticalRole.SUBJ
 OBJ2 = GrammaticalRole.OBJ2
@@ -75,16 +76,14 @@ def names(assignment):
 # Initial center
 
 
-def test_wa_topic_instantiates_the_initial_center():
-    frame = VerbFrame("v", (SUBJ, OBJ))
-    utt = Utterance(1, frame, (overt(SUBJ, "a", Marking.WA), overt(OBJ, "b")))
-    assert instantiate_initial_cb(utt) == "a"
-
-
-def test_no_topic_leaves_the_initial_center_open():
-    frame = VerbFrame("v", (SUBJ,))
-    utt = Utterance(1, frame, (overt(SUBJ, "a", Marking.GA),))
-    assert instantiate_initial_cb(utt) is None
+@pytest.mark.parametrize("marking, cb", [(Marking.WA, "a"), (Marking.GA, None)])
+def test_the_first_step_takes_the_wa_topic_as_its_cb(marking, cb):
+    # A wa-marked opener is about its topic from the start; without one
+    # the center starts open, whichever entity the zero binds.
+    first = Utterance(1, VerbFrame("v", (SUBJ, OBJ)), (overt(SUBJ, "a", marking), zero(OBJ)))
+    d = Discourse(tuple(entity(eid) for eid in "abc"), (first,))
+    beam = resolve(d, WIDE).hypotheses
+    assert [(h.last.assignment[OBJ], h.last.state.cb) for h in beam] == [("b", cb), ("c", cb)]
 
 
 # --------------------------------------------------------------------------
@@ -304,7 +303,12 @@ def test_zta_requires_the_candidate_to_carry_the_center():
 
 
 # --------------------------------------------------------------------------
-# Stepping on the corpus
+# Transition order on the corpus
+
+
+def children_of(parent, d, n):
+    """The last steps of the readings in resolve's wide beam at n + 1 that extend parent."""
+    return [h.last for h in resolve(prefix(d, n + 1), WIDE).hypotheses if extends(parent, h)]
 
 
 def test_step_ranks_continue_before_retain():
@@ -312,10 +316,7 @@ def test_step_ranks_continue_before_retain():
     parent = top_parent(d, 2)
     assert parent.last.state.cb == "taroo"
     assert parent.last.state.cf_ids == ("taroo", "john", "computer")
-    utterance = d.utterances[2]
-    res = step(parent, utterance, d, WIDE, plan=engine._Plan.of(utterance, engine._Codes.of(d)))
-    assert len(res.ranked) == 2
-    first, second = (h.last for h in res.ranked)
+    first, second = children_of(parent, d, 2)
     assert names(first.assignment) == {"subj": "taroo", "obj2": "john"}
     assert first.transition is Transition.CONTINUE
     assert names(second.assignment) == {"subj": "john", "obj2": "taroo"}
@@ -327,10 +328,7 @@ def test_step_ranks_smooth_before_rough_shift():
     parent = top_parent(d, 3)
     assert parent.last.state.cb == "taroo"
     assert parent.last.state.cf_ids == ("ziroo", "taroo")
-    utterance = d.utterances[3]
-    res = step(parent, utterance, d, WIDE, plan=engine._Plan.of(utterance, engine._Codes.of(d)))
-    assert len(res.ranked) == 2
-    first, second = (h.last for h in res.ranked)
+    first, second = children_of(parent, d, 3)
     assert names(first.assignment) == {"subj": "ziroo", "obj": "taroo"}
     assert first.transition is Transition.SMOOTH_SHIFT
     assert names(second.assignment) == {"subj": "taroo", "obj": "ziroo"}
@@ -341,11 +339,18 @@ def test_step_prefers_the_empathic_continue():
     d = load("emp_cont_ret.json")
     parent = top_parent(d, 2)
     assert parent.last.state.cb == "hanako"
-    utterance = d.utterances[2]
-    res = step(parent, utterance, d, WIDE, plan=engine._Plan.of(utterance, engine._Codes.of(d)))
-    first = res.ranked[0].last
+    first = children_of(parent, d, 2)[0]
     assert names(first.assignment) == {"subj": "hanako", "obj": "taroo"}
     assert first.transition is Transition.CONTINUE
+
+
+def test_children_add_one_ordinal_to_the_parent_score():
+    for name, d, _golds in corpus.iter_valid_corpus():
+        for n in range(1, len(d.utterances)):
+            beam = resolve(prefix(d, n), WIDE).hypotheses
+            for child in resolve(prefix(d, n + 1), WIDE).hypotheses:
+                [parent] = [p for p in beam if extends(p, child)]
+                assert child.score == parent.score + child.last.transition_cost, name
 
 
 # --------------------------------------------------------------------------
@@ -464,9 +469,10 @@ def test_resolve_refuses_infelicitous_discourses(code, d):
 
 
 def test_random_discourses_are_felicitous():
-    # Every seeded stream of random_discourse the suite draws, and 2024,
-    # each at least as far as any test reads it; resolve refuses the rest.
-    for seed in (4, 5, 6, 7, 8, 9, 11, 2024, 9016, 41114):
+    # Every seeded stream of random_discourse the suite draws, the digest's
+    # 2029 included, and 2024, each at least as far as any test reads it;
+    # resolve refuses the rest.
+    for seed in (4, 5, 6, 7, 11, 2024, 2029, 9016, 41114):
         rng = random.Random(seed)
         for trial in range(1000):
             assert validate_discourse(random_discourse(rng)) == [], (seed, trial)
@@ -600,12 +606,29 @@ def first_readings(discourse, config):
     return (Hypothesis((engine._step(plan, c),)) for c in survivors)
 
 
-def reference_beam_failures(discourse, config):
-    """Prefixes whose beam is not the reference cut of its candidate readings.
+def full_siblings(parent, utterance, discourse, config):
+    """Every child of parent, uncut, from a plan compiled for this parent alone.
+
+    The plain survivors come from a wide, ZTA-free expansion, so no cut
+    inside it, before or after the variants, can hide a child.
+    """
+    state = parent.last.state
+    wide = EngineConfig(beam_width=10**9, zta_enabled=False)
+    plan = engine._Plan.of(utterance, engine._Codes.of(discourse))
+    plain, _ = engine._survivors(discourse, state, plan, wide)
+    parent_cb = None if state.cb is None else plan.codes.index[state.cb]
+    candidates = plain + apply_zta(plain, parent_cb, plan, config)
+    return [engine._child(parent, engine._step(plan, c)) for c in candidates]
+
+
+def beam_failures(discourse, config):
+    """Prefixes whose beam is not the beam_width best siblings of the previous beam.
 
     The reference is the definition: every reading of the first utterance,
-    or every child step makes of the previous beam, sorted by
-    hypothesis_sort_key over the whole history, cut to the beam width.
+    or every uncut sibling of every reading in resolve's beam one utterance
+    earlier, sorted by hypothesis_sort_key over the whole history and cut
+    to the beam width.  resolve must raise UnresolvableError exactly where
+    there is no reading to cut.
     """
     entity_index = discourse.entity_index
     failures = []
@@ -613,23 +636,40 @@ def reference_beam_failures(discourse, config):
     for n in range(1, len(discourse.utterances) + 1):
         try:
             beam = resolve(prefix(discourse, n), config).hypotheses
-        except UnresolvableError:
+        except UnresolvableError as err:
+            if candidates or err.utterance_index != n:
+                failures.append((n, "unresolvable"))
             break
         candidates.sort(key=lambda h: hypothesis_sort_key(h, entity_index))
         if beam != tuple(candidates[: config.beam_width]):
             failures.append(n)
         if n < len(discourse.utterances):
             utterance = discourse.utterances[n]
-            plan = engine._Plan.of(utterance, engine._Codes.of(discourse))
-            candidates = [
-                child
-                for parent in beam
-                for child in step(parent, utterance, discourse, config, plan=plan).ranked
-            ]
+            candidates = [c for p in beam for c in full_siblings(p, utterance, discourse, config)]
     return failures
 
 
-def test_every_beam_is_the_reference_cut_at_narrow_widths(monkeypatch, workloads):
+def zero_topic_behind_a_plain_retain():
+    """Two RETAINs of the center t; only the later one by content has a variant.
+
+    u2 binds its zeros (SUBJ, OTHER) to (t, a) or (a, t), both with Cb t
+    and the wa-marked b as Cp.  a is declared first, so (a, b, t) sorts
+    first, but only t in the subject zero makes a zero topic: a cut of the
+    plain readings before the variants loses the CONTINUE at width 1.
+    """
+    subcat = (SUBJ, OBJ, OTHER)
+    return Discourse(
+        (entity("a"), entity("t"), entity("b")),
+        (
+            Utterance(1, VerbFrame("v1", (SUBJ, OBJ)),
+                      (overt(SUBJ, "t", Marking.WA), overt(OBJ, "a"))),
+            Utterance(2, VerbFrame("v2", subcat),
+                      (zero(SUBJ), overt(OBJ, "b", Marking.WA), zero(OTHER))),
+        ),
+    )
+
+
+def test_every_beam_is_the_best_of_all_siblings_of_the_previous_one(monkeypatch, workloads):
     # Every (parent, kept step) pair resolve keys reaches the one cut, and
     # its key carries the score of the child it would make, with no child
     # built or score re-summed; a reset counts 0 there, though it sorts as
@@ -647,17 +687,46 @@ def test_every_beam_is_the_reference_cut_at_narrow_widths(monkeypatch, workloads
         checked[beam_width] += len(pairs)
         return cut(pairs, utterance_index, beam_width)
 
-    monkeypatch.setattr(engine, "_cut", score_checking_cut)
+    def beams_hold(d, width, where):
+        config = EngineConfig(beam_width=width)
+        assert beam_failures(d, config) == [], (where, width)
+        # A prefix's cuts are the whole discourse's first ones, so one
+        # resolve of the whole checks every key's score.
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_cut", score_checking_cut)
+            with contextlib.suppress(UnresolvableError):
+                resolve(d, config)
+
     rng = random.Random(4)
     for trial in range(300):
         d = random_discourse(rng)
         for width in (1, 2, 3, 4):
-            config = EngineConfig(beam_width=width)
-            assert reference_beam_failures(d, config) == [], (trial, width)
+            beams_hold(d, width, trial)
     chain = workloads.long_chain(random.Random(60), 60)
     for width in (1, 3, 16, 64):
-        assert reference_beam_failures(chain, EngineConfig(beam_width=width)) == [], width
+        beams_hold(chain, width, "chain")
+    d = zero_topic_behind_a_plain_retain()
+    for width in (1, 2, 3, 4):
+        beams_hold(workloads.wide_pool(random.Random(5), 20, True), width, "wide pool")
+        beams_hold(d, width, "zero topic behind a retain")
     assert all(checked[width] > width for width in (1, 2, 3, 4, 16, 64)), checked
+
+
+def test_step_returns_the_beam_width_best_of_all_siblings():
+    # u1 has one reading, so each beam of u2 is that reading's beam_width
+    # best children; the zero topic is cut with the plain readings, not
+    # after them, so it leads even at width 1.
+    d = zero_topic_behind_a_plain_retain()
+    [parent] = resolve(prefix(d, 1), WIDE).hypotheses
+    siblings = sorted(
+        full_siblings(parent, d.utterances[1], d, WIDE),
+        key=lambda h: hypothesis_sort_key(h, d.entity_index),
+    )
+    assert len(siblings) == 3  # widths 1 and 2 cut, 3 and 4 keep them all
+    for width in (1, 2, 3, 4):
+        assert resolve(d, EngineConfig(beam_width=width)).hypotheses == tuple(siblings[:width])
+    best = resolve(d, EngineConfig(beam_width=1)).top.last
+    assert best.zta_applied and best.transition is Transition.CONTINUE
 
 
 def test_the_first_beam_is_sorted_before_it_is_cut(monkeypatch):
@@ -674,8 +743,7 @@ def test_the_first_beam_is_sorted_before_it_is_cut(monkeypatch):
     for trial in range(100):
         d = random_discourse(rng)
         for width in (1, 2, 3):
-            config = EngineConfig(beam_width=width)
-            assert reference_beam_failures(d, config) == [], (trial, width)
+            assert beam_failures(d, EngineConfig(beam_width=width)) == [], (trial, width)
 
 
 def three_zero_opener(pool):
@@ -722,204 +790,44 @@ def test_the_first_utterance_builds_only_what_its_beam_keeps(monkeypatch, worklo
 
 
 def test_survivors_run_once_per_distinct_parent_state(monkeypatch, workloads):
+    # Each utterance expands the distinct last states of the previous beam,
+    # once each, in beam order, and logs each one's records once, in that
+    # order: the rules' records for the pairings after that state.
     chain = workloads.long_chain(random.Random(30), 30)
+    config = EngineConfig()
     for d in (load("zta_ex_ga.json"), chain):
-        calls = Counter()
-        parents = {}
-        survivors, plain_step = engine._survivors, engine.step
+        expanded = {}
+        survivors = engine._survivors
 
-        def counting_survivors(discourse, prev, plan, config):
-            calls[plan.utterance.index] += 1
+        def recording_survivors(discourse, prev, plan, config):
+            expanded.setdefault(plan.utterance.index, []).append(prev)
             return survivors(discourse, prev, plan, config)
 
-        def recording_step(parent, utterance, discourse, config, **kwargs):
-            parents.setdefault(utterance.index, []).append(parent)
-            return plain_step(parent, utterance, discourse, config, **kwargs)
-
-        monkeypatch.setattr(engine, "_survivors", counting_survivors)
-        monkeypatch.setattr(engine, "step", recording_step)
-        result = resolve(d)
+        monkeypatch.setattr(engine, "_survivors", recording_survivors)
+        result = resolve(d, config)
         monkeypatch.undo()
 
-        assert calls.pop(1) == 1
-        expected = {u: len({p.last.state for p in ps}) for u, ps in parents.items()}
-        assert calls == expected
-        for u, ps in parents.items():
-            # Each distinct state's records once, in the order it was first expanded.
+        assert expanded.pop(1) == [None]
+        assert set(expanded) == {u.index for u in d.utterances[1:]}
+        parents = 0
+        for u, states in expanded.items():
+            beam = resolve(prefix(d, u - 1), config).hypotheses
+            assert states == list(dict.fromkeys(h.last.state for h in beam)), u
+            parents += len(beam)
             utterance = d.utterances[u - 1]
-            logged = tuple(
-                r
-                for p in {p.last.state: p for p in ps}.values()
-                for r in step(
-                    p, utterance, d, EngineConfig(),
-                    plan=engine._Plan.of(utterance, engine._Codes.of(d)),
-                ).rejections
-            )
-            assert result.rejections[u] == logged
+            want = [r for prev in states for r in reference_rejections(d, utterance, prev)]
+            assert list(result.rejections[u]) == want, u
     # Parents of the chain's utterances share states, so the count is a saving.
-    assert sum(calls.values()) < sum(len(ps) for ps in parents.values())
-
-
-def step_contract_failures(discourse, config):
-    """Where step, called on every beam parent with one shared plan, breaks its contract.
-
-    Per utterance: ranked and keys equal those of a call with a fresh
-    plan, keys are non-decreasing and each is its child's sibling key,
-    and each distinct parent state's records come once, from the call
-    that expands it, so that concatenated they are resolve's log for the
-    utterance.
-    """
-    failures = []
-    entity_index = discourse.entity_index
-    try:
-        beam = resolve(prefix(discourse, 1), config).hypotheses
-    except UnresolvableError:
-        return failures
-    for n in range(1, len(discourse.utterances)):
-        utterance = discourse.utterances[n]
-        plan, expanded, reported = engine._Plan.of(utterance, engine._Codes.of(discourse)), set(), []
-        for i, parent in enumerate(beam):
-            shared = step(parent, utterance, discourse, config, plan=plan)
-            fresh = engine._Plan.of(utterance, engine._Codes.of(discourse))
-            alone = step(parent, utterance, discourse, config, plan=fresh)
-            where = (n + 1, i)
-            if (shared.ranked, shared.keys) != (alone.ranked, alone.keys):
-                failures.append((*where, "differs from a call with a fresh plan"))
-            if list(shared.keys) != sorted(shared.keys):
-                failures.append((*where, "keys out of order"))
-            want_keys = tuple(
-                (
-                    -1 if child.last.transition is None else child.last.transition.ordinal,
-                    -1 if child.steps[-2] == parent.last
-                    else entity_index[child.last.state.cb],
-                    engine._step_content(child.last, entity_index),
-                )
-                for child in shared.ranked
-            )
-            if shared.keys != want_keys:
-                failures.append((*where, "keys are not the sibling keys"))
-            state = parent.last.state
-            want = () if state in expanded else alone.rejections
-            expanded.add(state)
-            if shared.rejections != want:
-                failures.append((*where, "rejections not reported once per state"))
-            reported.extend(shared.rejections)
-        try:
-            result = resolve(prefix(discourse, n + 1), config)
-        except UnresolvableError:
-            break
-        if result.rejections[n + 1] != tuple(reported):
-            failures.append((n + 1, "resolve logged other rejections"))
-        beam = result.hypotheses
-    return failures
-
-
-def test_step_returns_all_resolve_needs_with_a_shared_plan(workloads):
-    for name, d, _golds in corpus.iter_valid_corpus():
-        assert step_contract_failures(d, EngineConfig()) == [], name
-    rng = random.Random(9)
-    for trial in range(200):
-        d = random_discourse(rng)
-        for width in (1, 2, 3, 4):
-            config = EngineConfig(beam_width=width)
-            assert step_contract_failures(d, config) == [], (trial, width)
-    chain = workloads.long_chain(random.Random(30), 30)
-    assert step_contract_failures(chain, EngineConfig()) == []
-
-
-def test_children_add_one_ordinal_to_the_parent_score():
-    for name, d, _golds in corpus.iter_valid_corpus():
-        for n in range(1, len(d.utterances)):
-            plan = engine._Plan.of(d.utterances[n], engine._Codes.of(d))
-            for parent in resolve(prefix(d, n), WIDE).hypotheses:
-                for child in step(parent, d.utterances[n], d, WIDE, plan=plan).ranked:
-                    assert child.score == parent.score + child.last.transition_cost, name
-
-
-# --------------------------------------------------------------------------
-# The per-state cut in step
-
-
-def full_siblings(parent, utterance, discourse, config):
-    """Every child of parent, uncut, sorted by hypothesis_sort_key.
-
-    The plain survivors come from a wide, ZTA-free expansion, so no cut
-    inside it, before or after the variants, can hide a child.
-    """
-    state = parent.last.state
-    wide = EngineConfig(beam_width=10**9, zta_enabled=False)
-    plan = engine._Plan.of(utterance, engine._Codes.of(discourse))
-    plain, _ = engine._survivors(discourse, state, plan, wide)
-    parent_cb = None if state.cb is None else plan.codes.index[state.cb]
-    candidates = plain + apply_zta(plain, parent_cb, plan, config)
-    entity_index = discourse.entity_index
-    children = [engine._child(parent, engine._step(plan, c)) for c in candidates]
-    return sorted(children, key=lambda h: hypothesis_sort_key(h, entity_index))
-
-
-def cut_step_failures(discourse, config):
-    """(utterance, parent) pairs of every beam whose step is not the reference cut."""
-    failures = []
-    for n in range(1, len(discourse.utterances)):
-        try:
-            beam = resolve(prefix(discourse, n), config).hypotheses
-        except UnresolvableError:
-            break
-        utterance = discourse.utterances[n]
-        plan = engine._Plan.of(utterance, engine._Codes.of(discourse))
-        for i, parent in enumerate(beam):
-            want = full_siblings(parent, utterance, discourse, config)[: config.beam_width]
-            if step(parent, utterance, discourse, config, plan=plan).ranked != tuple(want):
-                failures.append((n + 1, i))
-    return failures
-
-
-def zero_topic_behind_a_plain_retain():
-    """Two RETAINs of the center t; only the later one by content has a variant.
-
-    u2 binds its zeros (SUBJ, OTHER) to (t, a) or (a, t), both with Cb t
-    and the wa-marked b as Cp.  a is declared first, so (a, b, t) sorts
-    first, but only t in the subject zero makes a zero topic: a cut of the
-    plain readings before the variants loses the CONTINUE at width 1.
-    """
-    subcat = (SUBJ, OBJ, OTHER)
-    return Discourse(
-        (entity("a"), entity("t"), entity("b")),
-        (
-            Utterance(1, VerbFrame("v1", (SUBJ, OBJ)),
-                      (overt(SUBJ, "t", Marking.WA), overt(OBJ, "a"))),
-            Utterance(2, VerbFrame("v2", subcat),
-                      (zero(SUBJ), overt(OBJ, "b", Marking.WA), zero(OTHER))),
-        ),
-    )
-
-
-def test_step_returns_the_beam_width_best_of_all_siblings(workloads):
-    rng = random.Random(8)
-    for trial in range(300):
-        d = random_discourse(rng)
-        for width in (1, 2, 3, 4):
-            config = EngineConfig(beam_width=width)
-            assert cut_step_failures(d, config) == [], (trial, width)
-    pool = workloads.wide_pool(random.Random(5), 20, True)
-    d = zero_topic_behind_a_plain_retain()
-    for width in (1, 2, 3, 4):
-        assert cut_step_failures(pool, EngineConfig(beam_width=width)) == [], width
-        assert cut_step_failures(d, EngineConfig(beam_width=width)) == [], width
-    parent = resolve(prefix(d, 1)).top
-    plan = engine._Plan.of(d.utterances[1], engine._Codes.of(d))
-    [best] = step(parent, d.utterances[1], d, EngineConfig(beam_width=1), plan=plan).ranked
-    assert best.last.zta_applied and best.last.transition is Transition.CONTINUE
+    assert sum(len(states) for states in expanded.values()) < parents
 
 
 def test_children_made_are_bounded_by_the_beam_on_a_wide_pool(monkeypatch, workloads):
     # Steps as well as children: a survivor the per-state cut drops is
-    # never built into a Step.  The first utterance has no parent state
-    # and builds a Step for every reading.
+    # never built into a Step.
     pool = workloads.wide_pool(random.Random(5), 20, True)
     config = EngineConfig()
     made, built, states = Counter(), Counter(), {}
-    child, plain_step = engine._child, engine.step
+    child, survivors = engine._child, engine._survivors
 
     def counting_child(parent, new_step):
         made[new_step.utterance_index] += 1
@@ -929,21 +837,22 @@ def test_children_made_are_bounded_by_the_beam_on_a_wide_pool(monkeypatch, workl
         built[utterance_index] += 1
         return Step(utterance_index, *args)
 
-    def recording_step(parent, utterance, discourse, config, **kwargs):
-        states.setdefault(utterance.index, set()).add(parent.last.state)
-        return plain_step(parent, utterance, discourse, config, **kwargs)
+    def recording_survivors(discourse, prev, plan, config):
+        states.setdefault(plan.utterance.index, set()).add(prev)
+        return survivors(discourse, prev, plan, config)
 
     monkeypatch.setattr(engine, "_child", counting_child)
     monkeypatch.setattr(engine, "Step", counting_step_type)
-    monkeypatch.setattr(engine, "step", recording_step)
+    monkeypatch.setattr(engine, "_survivors", recording_survivors)
     result = resolve(pool, config)
     monkeypatch.undo()
 
     # A child is built only for a pair the beam keeps, a Step per state.
+    assert states.pop(1) == {None} and 1 <= built.pop(1) <= config.beam_width
     assert made and set(made) == set(states)
     for u, n in made.items():
         assert n <= config.beam_width, (u, n)
-    assert built.pop(1) >= 1 and set(built) == set(states)
+    assert set(built) == set(states)
     for u, n in built.items():
         assert n <= len(states[u]) * config.beam_width, (u, n)
     entity_index = pool.entity_index
@@ -992,7 +901,7 @@ def test_each_utterance_is_compiled_once_per_resolve(monkeypatch, workloads):
         plans, orders, states, variant_calls = Counter(), Counter(), {}, Counter()
         received = {}  # (run, utterance index) -> {id(plan): plan} of its expansions
         plan_of, cf_order = engine._Plan.of, engine._cf_order
-        plain_step, plain_zta, survivors = engine.step, engine.apply_zta, engine._survivors
+        plain_zta, survivors = engine.apply_zta, engine._survivors
 
         def counting_plan(utterance, codes):
             plans[utterance.index] += 1
@@ -1002,13 +911,10 @@ def test_each_utterance_is_compiled_once_per_resolve(monkeypatch, workloads):
             orders[utterance.index, topic] += 1
             return cf_order(utterance, topic)
 
-        def recording_step(parent, utterance, discourse, config, **kwargs):
-            states.setdefault(utterance.index, set()).add(parent.last.state)
-            return plain_step(parent, utterance, discourse, config, **kwargs)
-
         def recording_survivors(discourse, prev, plan, config):
             # The plan is kept alive with its id, so no later plan reuses the id.
             received.setdefault((run, plan.utterance.index), {})[id(plan)] = plan
+            states.setdefault(plan.utterance.index, set()).add(prev)
             return survivors(discourse, prev, plan, config)
 
         def counting_zta(candidates, parent_cb, plan, config):
@@ -1019,7 +925,6 @@ def test_each_utterance_is_compiled_once_per_resolve(monkeypatch, workloads):
 
         monkeypatch.setattr(engine._Plan, "of", staticmethod(counting_plan))
         monkeypatch.setattr(engine, "_cf_order", counting_order)
-        monkeypatch.setattr(engine, "step", recording_step)
         monkeypatch.setattr(engine, "_survivors", recording_survivors)
         monkeypatch.setattr(engine, "apply_zta", counting_zta)
         for run in range(runs):
@@ -1099,7 +1004,8 @@ def sibling_key_failures(discourse, config, covered):
                     failures.append((n + 1, prev, binding, "key does not hold the binding"))
                 want = None
                 if prev is None:
-                    if cb != instantiate_initial_cb(utterance):
+                    wa = utterance.wa_argument
+                    if cb != (None if wa is None else wa.realization.entity_id):
                         failures.append((n + 1, binding, cb))
                 elif cb is not None:
                     assignment = dict(zip(utterance.frame.subcat, binding))
@@ -1317,14 +1223,11 @@ def test_overt_slots_that_doom_every_pairing_reject_each_with_its_code(frame, ar
     assert err.value.utterance_index == 2
 
     utterance = d.utterances[1]
-    parent = resolve(prefix(d, 1), config).top
-    prev = parent.last.state
+    prev = resolve(prefix(d, 1), config).top.last.state
     want = [
         Rejection(2, tuple(a.values()), cb, filter_assignment(utterance, a, prev, cb, d.entity_map))
         for a, cb in _pairings(d, utterance, prev)
     ]
     assert len(want) == 3 and {r.code for r in want} == {code}
     plan = engine._Plan.of(utterance, engine._Codes.of(d))
-    result = step(parent, utterance, d, config, plan=plan)
-    assert result.ranked == ()
-    assert list(result.rejections) == want
+    assert engine._survivors(d, prev, plan, config) == ([], want)

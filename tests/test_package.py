@@ -1,5 +1,6 @@
 """The package surface: re-exported names and the README's Library example."""
 
+import ast
 import contextlib
 import dataclasses
 import io
@@ -13,6 +14,7 @@ from centering import engine
 from centering.corpus import corpus_text, parse_discourse
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+TESTS = Path(__file__).resolve().parent
 
 
 def test_every_exported_name_resolves():
@@ -59,6 +61,53 @@ def test_resolve_is_the_engines_one_entry_point():
     parent = centering.resolve(discourse).top
     with pytest.raises(TypeError):
         engine.step(parent, discourse.utterances[1], discourse, engine.EngineConfig())
+
+
+def step_uses(tree):
+    """Where a module imports, calls, patches or reads engine.step, or reads `.ranked`.
+
+    Each is a (line, what) pair: `from centering.engine import step`, an
+    `engine.step` attribute, a setattr-style call naming engine and "step"
+    (monkeypatch.setattr included), the dotted "centering.engine.step",
+    and any `.ranked` or `._StepResult` attribute.
+    """
+    def is_engine(node):
+        return ast.unparse(node) in ("engine", "centering.engine")
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "centering.engine":
+            if any(alias.name in ("step", "_StepResult") for alias in node.names):
+                yield node.lineno, "imports step"
+        elif isinstance(node, ast.Attribute):
+            step = node.attr == "step" and is_engine(node.value)
+            if step or node.attr in ("ranked", "_StepResult"):
+                yield node.lineno, ast.unparse(node)
+        elif isinstance(node, ast.Call) and len(node.args) >= 2 and is_engine(node.args[0]):
+            if isinstance(node.args[1], ast.Constant) and node.args[1].value == "step":
+                yield node.lineno, "patches step"
+        elif isinstance(node, ast.Constant) and node.value == "centering.engine.step":
+            yield node.lineno, "names centering.engine.step"
+
+
+def test_no_test_but_the_tracers_holds_the_engine_to_step():
+    # The tests hold resolve's beams to the beam's properties, so step can
+    # go once the benchmark's tracer stops wrapping it.  Only the tracer's
+    # test and the not-an-API check above may reach it.
+    uses = {
+        path.name: list(step_uses(ast.parse(path.read_text(encoding="utf-8"))))
+        for path in sorted(TESTS.glob("*.py"))
+        if path.name not in ("test_bench.py", "test_package.py")
+    }
+    assert "test_engine.py" in uses and "helpers.py" in uses
+    assert {name: found for name, found in uses.items() if found} == {}
+    caught = step_uses(ast.parse(
+        "from centering.engine import step\n"
+        "engine.step(parent, utterance, discourse, config, plan=plan)\n"
+        "monkeypatch.setattr(engine, 'step', recording_step)\n"
+        "monkeypatch.setattr('centering.engine.step', recording_step)\n"
+        "children = result.ranked\n"
+    ))
+    assert sorted(line for line, _what in caught) == [1, 2, 3, 4, 5]
 
 
 def test_readme_engine_config_signature_lists_every_field():
