@@ -40,23 +40,33 @@ call, not an API of its own: `resolve` and the benchmark's tracer
 it keeps its name and call pattern only for the tracer.  The tests hold
 `resolve`'s beams, not `step`'s results, to the beam's properties.
 
-One expansion path builds every utterance's readings: `_survivors`
-turns a previous center state and an utterance's plan into candidates,
-and a candidate is its sibling key - (transition ordinal, write-back
+The full expansion of an utterance is `_survivors`: it turns a
+previous center state and the utterance's plan into candidates, and a
+candidate is its sibling key - (transition ordinal, write-back
 index, (binding, Cb, ZTA flag)) - made once it has passed the filters;
-its transition, Cb and Cf order all follow from the key.  A wide
-pool's last resort makes thousands of them for an expansion that keeps
-`beam_width`, so nothing more is built before the cut: `_kept_steps`,
-the one place a candidate becomes a `Step`, takes the smallest keys
-and only then has `_step` work out the transition, the assignment, the
-validated center state, the Cf and the `Step` of each one it keeps.
+its transition, Cb and Cf order all follow from the key.  Nothing more
+is built before the cut: `_kept_steps`, the one place a cut is made and
+a candidate becomes a `Step`, takes the smallest keys and only then has
+`_step` work out the transition, the assignment, the validated center
+state, the Cf and the `Step` of each one it keeps.  A wide pool's last
+resort would key thousands of pairings for an expansion that keeps
+`beam_width`, and all it keeps are resets, readings that link nothing
+back and sort ahead of every transition.  So `_kept_steps` first tries
+the reset cut (`_reset_keys`): when the plan can reject nothing, no
+binding stays inside the previous Cf and `beam_width` resets exist, the
+smallest keys are the first `beam_width` bindings generated outside the
+previous Cf, in code order, and nothing else is generated or keyed;
+otherwise `_survivors` enumerates the expansion.  Either way the kept
+keys, and every rejection logged, are the same.
 `step` calls it once per distinct state, and `_initial_hypotheses` once
 for the discourse-initial utterance, with no previous state
 (prev=None): its pool is the hearer-old entities, no Cb links back and
 no transition or zero-topic variant arises, and each reading takes the
-wa topic, if any, as its Cb.  Those candidates differ only in content, so their cut
-is the first beam.  A step's Cb is an entity id, or None while it is
-uninstantiated; the next utterance that pins it down writes it back.
+wa topic, if any, as its Cb.  Those candidates are all resets and
+differ only in content, so their cut is the first beam, and a wide
+first utterance takes the reset cut.  A step's Cb is an entity id, or
+None while it is uninstantiated; the next utterance that pins it down
+writes it back.
 
 Candidates are tuple work on integer entity codes against a plan of
 the utterance (`_Plan`).  An entity's code is its declaration index;
@@ -119,6 +129,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from operator import itemgetter
 from typing import AbstractSet, Hashable, Mapping, NamedTuple, Optional, Sequence
 
@@ -247,7 +258,9 @@ class DiscourseInvalidError(Exception):
         super().__init__(f"discourse fails validation: {lines}")
 
 
-def generate_assignments(plan: _Plan, context: Sequence[int]) -> list[Binding]:
+def generate_assignments(
+    plan: _Plan, context: Sequence[int], limit: Optional[int] = None
+) -> list[Binding]:
     """Every way of binding plan's utterance's zeros to context entities.
 
     context is the ordered antecedent pool as codes (previous-Cf order
@@ -264,18 +277,34 @@ def generate_assignments(plan: _Plan, context: Sequence[int]) -> list[Binding]:
     to run per candidate.  The result is a list in generation order, the
     order of the product of the zeros' pools; each binding is the tuple
     of the entity codes in the utterance's slots, in subcat order.
+
+    With a limit, the result is the first limit bindings of that list,
+    and each zero's level is cut to its first limit bindings as it grows,
+    so the work follows the limit, not the pools.  The children of a
+    level's first n bindings come first in the next level, so the cut is
+    exact as long as no binding dead-ends, which holds when each zero's
+    pool outnumbers the zeros before it; where it does not (a small
+    animate-only pool), no level is cut and the full list is sliced.
     """
     animate = plan.codes.animate
     free = [c for c in context if c not in plan.overt]
     animate_free = [c for c in free if animate[c]]
+    cap = limit
+    if limit is not None:
+        sizes = [len(animate_free if plan.animate_only[p] else free) for p in plan.zeros]
+        if any(size <= n for n, size in enumerate(sizes)):  # a binding may dead-end
+            cap = None
     bindings: list[Binding] = [()]
     for code, animate_only in zip(plan.slots, plan.animate_only):
         if code is not None:  # overt: unchecked, so CONTRA_INDEX logs a repeat
             bindings = [b + (code,) for b in bindings]
-        else:
-            pool = animate_free if animate_only else free
+            continue
+        pool = animate_free if animate_only else free
+        if cap is None:
             bindings = [b + (c,) for b in bindings for c in pool if c not in b]
-    return bindings
+        else:
+            bindings = list(islice((b + (c,) for b in bindings for c in pool if c not in b), cap))
+    return bindings if limit is None else bindings[:limit]
 
 
 #: Slot positions in Cf order, each with the salience tier it earns.
@@ -385,6 +414,12 @@ class _Plan:
             sortal_ok and len(set(named)) == len(named),
             _cf_order(utterance),
         )
+
+    @cached_property
+    def wa(self) -> int:
+        """The wa topic's code, -1 without one: a discourse-initial reading's Cb."""
+        wa = self.utterance.wa_argument  # always overt: Argument refuses a marked zero
+        return -1 if wa is None else self.codes.index[wa.realization.entity_id]
 
     def passes(
         self, binding: Binding, prev_cf: AbstractSet[int], cb: Optional[int]
@@ -521,8 +556,7 @@ def _survivors(
     if prev is None:
         prev_cf: list[int] = []
         prev_cb = None
-        wa = utterance.wa_argument  # always overt: Argument refuses a marked zero
-        first_cb = -1 if wa is None else code_of[wa.realization.entity_id]
+        first_cb = plan.wa
     else:
         prev_cf = [code_of[e] for e in prev.cf_ids]
         prev_cb = None if prev.cb is None else code_of[prev.cb]
@@ -588,16 +622,73 @@ def _kept_steps(
 ) -> tuple[tuple[Candidate, ...], tuple[Step, ...], tuple[Rejection, ...]]:
     """Cut one expansion's survivors to beam_width, then build only those.
 
-    The one place a candidate becomes a Step, for every utterance: the
-    survivors of _survivors are their sibling keys, cut in their natural
-    order (heapq.nsmallest), and the Steps are plan's utterance's.
-    Returns the kept keys and their Steps, best first, and the
-    expansion's rejections.  A Step is not yet a child: resolve builds
-    one only for a (parent, step) pair its own cut keeps.
+    The one place a cut is made and a candidate becomes a Step, for every
+    utterance.  When the beam_width smallest keys are all resets, the
+    reset cut (_reset_keys) generates just those, and the expansion
+    rejects nothing; otherwise the survivors of _survivors, their sibling
+    keys, are cut in their natural order (heapq.nsmallest).  The Steps
+    are plan's utterance's.  Returns the kept keys and their Steps, best
+    first, and the expansion's rejections.  A Step is not yet a child:
+    resolve builds one only for a (parent, step) pair its own cut keeps.
     """
-    survivors, rejections = _survivors(discourse, prev, plan, config)
-    keys = tuple(heapq.nsmallest(config.beam_width, survivors))
+    keys = _reset_keys(prev, plan, config.beam_width)
+    rejections: Sequence[Rejection] = ()
+    if keys is None:
+        survivors, rejections = _survivors(discourse, prev, plan, config)
+        keys = tuple(heapq.nsmallest(config.beam_width, survivors))
     return keys, tuple([_step(plan, k) for k in keys]), tuple(rejections)
+
+
+def _reset_keys(
+    prev: Optional[CenterState], plan: _Plan, k: int
+) -> Optional[tuple[Candidate, ...]]:
+    """The k smallest survivor keys after prev when all k are resets, else None.
+
+    A reset binds no previous-Cf entity, so nothing links it back: its
+    key is (-1, -1, (binding, Cb, 0)), with the wa topic's code as its Cb
+    after no previous state and -1 otherwise, and it sorts ahead of every
+    linked candidate and zero-topic variant (ordinal 0 or more), resets
+    among themselves by binding.  Four conditions, checked cheapest
+    first, make the k smallest keys of _survivors exactly the first k
+    bindings generated over the hearer-old entities outside the previous
+    Cf, which come in code order and so in key order:
+    - the plan rejects nothing: overt_ok, and no overt slot holds a
+      previous-Cf entity, so a Cb sits in a zero and Rule 1 holds, and
+      a binding whose zeros stay outside the previous Cf is a reset;
+    - the product of the reset pools' sizes, a bound on the number of
+      resets, reaches k (the number of hearer-old entities to the power
+      of the zeros, a looser bound, is checked first, before any list
+      is built);
+    - no inside binding exists (generation over the previous Cf, cut at
+      one), so no pairing is pruned and every one survives;
+    - k resets exist.
+    Then _survivors would reject nothing and key every pairing, so
+    generating the first k resets stands for enumerating them all.  None
+    sends the expansion down the full path.
+    """
+    codes = plan.codes
+    if not plan.overt_ok or len(codes.hearer_old) ** len(plan.zeros) < k:
+        return None
+    prev_cf = [] if prev is None else [codes.index[e] for e, _ in prev.cf]
+    overt = plan.overt
+    if not overt.isdisjoint(prev_cf):
+        return None
+    animate = codes.animate
+    free = animate_free = 0  # the reset pools' sizes, counted with no list built
+    for c in codes.hearer_old:
+        if c not in prev_cf and c not in overt:
+            free += 1
+            animate_free += animate[c]
+    size = 1
+    for p in plan.zeros:
+        size *= animate_free if plan.animate_only[p] else free
+    if size < k or generate_assignments(plan, prev_cf, limit=1):
+        return None
+    resets = generate_assignments(plan, [c for c in codes.hearer_old if c not in prev_cf], limit=k)
+    if len(resets) < k:
+        return None
+    cb = plan.wa if prev is None else -1
+    return tuple([(-1, -1, (b, cb, 0)) for b in resets])
 
 
 def _step(plan: _Plan, candidate: Candidate) -> Step:

@@ -79,7 +79,7 @@ def wide_pool(rng, pool, in_cf):
     opener names only one animate entity, so every reading binds a zero
     outside the previous Cf.
     """
-    animate = [True, not in_cf, False] + [rng.random() < 0.5 for _ in range(pool - 3)]
+    animate = [True, in_cf, False] + [rng.random() < 0.5 for _ in range(pool - 3)]
     entities = tuple(Entity(f"x{i}", animate[i], True, True) for i in range(pool))
     opener = [e.id for e in entities[:3]]
     rng.shuffle(opener)

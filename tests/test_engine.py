@@ -94,13 +94,18 @@ def generated(utterance, context, entities):
     """generate_assignments on entity codes, each binding read back as entity ids.
 
     The entities are declared in the mapping's order, and context lists
-    ids.  Every binding the engine generates is a tuple of int codes.
+    ids.  Every binding the engine generates is a tuple of int codes, and
+    a generation cut at any limit n gives the first n bindings of the
+    uncut one.
     """
     codes = engine._Codes.of(Discourse(tuple(entities.values()), (utterance,)))
     plan = engine._Plan.of(utterance, codes)
-    got = generate_assignments(plan, [codes.index[eid] for eid in context])
+    pool = [codes.index[eid] for eid in context]
+    got = generate_assignments(plan, pool)
     assert type(got) is list and all(type(b) is tuple for b in got)
     assert all(type(c) is int for b in got for c in b)
+    for n in range(1, len(got) + 2):
+        assert generate_assignments(plan, pool, limit=n) == got[:n], n
     return [tuple([codes.ids[c] for c in b]) for b in got]
 
 
@@ -130,6 +135,16 @@ def test_generation_with_empty_context_yields_nothing():
     frame = VerbFrame("v", (SUBJ,))
     utt = Utterance(1, frame, (zero(SUBJ),))
     assert generated(utt, [], {}) == []
+
+
+def test_a_cut_generation_keeps_the_bindings_behind_a_dead_end():
+    # The subject takes the one animate entity first, which leaves the
+    # animate-only object nothing: a generation cut to the first subject
+    # would find no binding, though (b, a) and (c, a) exist.
+    frame = VerbFrame("v", (SUBJ, OBJ), {OBJ: SortalConstraint.ANIMATE})
+    utt = Utterance(1, frame, (zero(SUBJ), zero(OBJ)))
+    ents = {"a": entity("a"), "b": entity("b", animate=False), "c": entity("c", animate=False)}
+    assert generated(utt, ["a", "b", "c"], ents) == [("b", "a"), ("c", "a")]
 
 
 def test_generation_keeps_overt_slots_fixed():
@@ -732,18 +747,28 @@ def test_step_returns_the_beam_width_best_of_all_siblings():
 def test_the_first_beam_is_sorted_before_it_is_cut(monkeypatch):
     # Generation lists the first utterance's candidates in key order
     # already, so only a shuffled list shows whether the cut sorts them.
+    # The reset cut takes the first utterance whenever it has beam_width
+    # readings, so the lists reversed here are those of narrower ones.
     survivors = engine._survivors
+    reversed_lists = Counter()
 
     def reversed_first(discourse, prev, plan, config):
         candidates, rejections = survivors(discourse, prev, plan, config)
-        return (candidates[::-1] if prev is None else candidates), rejections
+        if prev is not None:
+            return candidates, rejections
+        reversed_lists[config.beam_width] += len(candidates) > 1
+        return candidates[::-1], rejections
 
     monkeypatch.setattr(engine, "_survivors", reversed_first)
     rng = random.Random(5)
     for trial in range(100):
         d = random_discourse(rng)
-        for width in (1, 2, 3):
+        for width in (1, 2, 3, 4):
             assert beam_failures(d, EngineConfig(beam_width=width)) == [], (trial, width)
+    for pool in (3, 4):  # 6 and 24 readings
+        assert beam_failures(three_zero_opener(pool), EngineConfig(beam_width=64)) == [], pool
+    # At width 64 both the reference's draw and resolve's are reversed, per pool.
+    assert reversed_lists[4] >= 3 and reversed_lists[64] == 2 * 2, reversed_lists
 
 
 def three_zero_opener(pool):
@@ -827,7 +852,7 @@ def test_children_made_are_bounded_by_the_beam_on_a_wide_pool(monkeypatch, workl
     pool = workloads.wide_pool(random.Random(5), 20, True)
     config = EngineConfig()
     made, built, states = Counter(), Counter(), {}
-    child, survivors = engine._child, engine._survivors
+    child, kept_steps = engine._child, engine._kept_steps
 
     def counting_child(parent, new_step):
         made[new_step.utterance_index] += 1
@@ -837,13 +862,13 @@ def test_children_made_are_bounded_by_the_beam_on_a_wide_pool(monkeypatch, workl
         built[utterance_index] += 1
         return Step(utterance_index, *args)
 
-    def recording_survivors(discourse, prev, plan, config):
+    def recording_kept_steps(discourse, prev, plan, config):
         states.setdefault(plan.utterance.index, set()).add(prev)
-        return survivors(discourse, prev, plan, config)
+        return kept_steps(discourse, prev, plan, config)
 
     monkeypatch.setattr(engine, "_child", counting_child)
     monkeypatch.setattr(engine, "Step", counting_step_type)
-    monkeypatch.setattr(engine, "_survivors", recording_survivors)
+    monkeypatch.setattr(engine, "_kept_steps", recording_kept_steps)
     result = resolve(pool, config)
     monkeypatch.undo()
 
@@ -946,6 +971,164 @@ def test_each_utterance_is_compiled_once_per_resolve(monkeypatch, workloads):
     # variants from more than one of them, so a compile per state would show.
     assert sum(len(s) for s in states.values()) > len(states)
     assert max(variant_calls.values()) > 1
+
+
+# --------------------------------------------------------------------------
+# The reset cut
+
+
+def reset_cut_failures(discourse, fired):
+    """Expansions whose reset cut is not the k smallest of all their survivors.
+
+    resolve runs at widths 1, 4, 16 and 64, ZTA on and off, with
+    _reset_keys recorded.  Wherever it returned keys, they must be
+    heapq.nsmallest(k) of the keys _survivors makes for the same state,
+    and _survivors must reject nothing there.  fired counts the
+    expansions checked, by width.
+    """
+    cut, cuts = engine._reset_keys, []
+
+    def recording(prev, plan, k):
+        keys = cut(prev, plan, k)
+        if keys is not None:
+            cuts.append((prev, plan, k, keys))
+        return keys
+
+    failures, survivors = [], {}  # survivors depend on the config only through ZTA
+    for zta in (True, False):
+        for width in (1, 4, 16, 64):
+            config = EngineConfig(beam_width=width, zta_enabled=zta)
+            cuts.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(engine, "_reset_keys", recording)
+                with contextlib.suppress(UnresolvableError):
+                    resolve(discourse, config)
+            for prev, plan, k, keys in cuts:
+                where = (plan.utterance.index, prev, zta)
+                if where not in survivors:
+                    survivors[where] = engine._survivors(discourse, prev, plan, config)
+                candidates, rejections = survivors[where]
+                if rejections or keys != tuple(heapq.nsmallest(k, candidates)):
+                    failures.append((where, width))
+                fired[width] += 1
+    return failures
+
+
+def test_the_reset_cut_is_the_k_smallest_of_all_survivors(workloads):
+    from test_adversarial import wide_pool as adversarial_wide_pool
+
+    cases = [
+        (f"wide_pool/{pool}/{last_resort}", workloads.wide_pool(random.Random(5), pool, last_resort))
+        for pool in (10, 20, 40)
+        for last_resort in (False, True)
+    ]
+    cases += [(f"opener/{pool}", three_zero_opener(pool)) for pool in (12, 40)]
+    rng = random.Random(2024)
+    cases += [(f"adversarial/{pool}", adversarial_wide_pool(rng, pool, False)) for pool in (8, 12)]
+    rng = random.Random(31)
+    cases += [("sweep", random_discourse(rng)) for _ in range(150)]
+    fired = {name: Counter() for name, _ in cases}
+    for name, d in cases:
+        assert reset_cut_failures(d, fired[name]) == [], name
+    # An in-Cf reading always exists there, and the openers and the
+    # last-resort pools have more resets than any width but 64 on ten
+    # entities.
+    for pool in (10, 20, 40):
+        assert not fired[f"wide_pool/{pool}/False"], pool
+    assert fired["wide_pool/10/True"] == Counter({1: 2, 4: 2, 16: 2}), fired
+    for name in ("wide_pool/20/True", "wide_pool/40/True", "opener/12", "opener/40"):
+        assert all(fired[name][width] >= 2 for width in (1, 4, 16, 64)), (name, fired[name])
+    assert all(fired[f"adversarial/{pool}"][1] for pool in (8, 12)), fired
+    assert fired["sweep"][1] >= 20 and fired["sweep"][4] >= 1, fired["sweep"]
+
+
+def cut_case(slots, animate_only=(), opener=("r1", "r2"), animate=9):
+    """The state after an overt opener, and a second utterance's plan.
+
+    The opener's wa subject and object are named by opener; r1, r2 and
+    r3 are inanimate and h0, h1, ... (animate of them) animate, all
+    hearer-old.  slots maps each role of the second frame to an entity
+    id, or None for a zero, and animate_only names the roles that take
+    only animate entities.
+    """
+    ents = tuple(entity(f"r{i}", animate=False) for i in (1, 2, 3))
+    ents += tuple(entity(f"h{i}") for i in range(animate))
+    first = Utterance(
+        1, VerbFrame("v1", (SUBJ, OBJ)), (overt(SUBJ, opener[0], Marking.WA), overt(OBJ, opener[1]))
+    )
+    frame = VerbFrame("v2", tuple(slots), {r: SortalConstraint.ANIMATE for r in animate_only})
+    args = tuple(zero(r) if eid is None else overt(r, eid) for r, eid in slots.items())
+    d = Discourse(ents, (first, Utterance(2, frame, args)))
+    [reading] = resolve(prefix(d, 1)).hypotheses
+    return d, reading.last.state, engine._Plan.of(d.utterances[1], engine._Codes.of(d))
+
+
+def test_the_reset_cut_declines_unless_its_k_best_are_all_resets():
+    config = EngineConfig(beam_width=4)
+    # The animate-only subject finds nothing animate in the inanimate
+    # previous Cf, so its eight readings are resets, and the cut is theirs.
+    d, prev, plan = cut_case({SUBJ: None, OBJ: "h0"}, (SUBJ,))
+    survivors, rejections = engine._survivors(d, prev, plan, config)
+    assert len(survivors) == 8 and rejections == []
+    assert engine._reset_keys(prev, plan, 4) == tuple(heapq.nsmallest(4, survivors))
+    declines = {
+        # An overt slot holds a previous-Cf entity, which then links
+        # every binding back as its Cb.
+        "overt in Cf": cut_case({SUBJ: None, OBJ: "r1"}, (SUBJ,)),
+        # The overt slots fail CONTRA_INDEX or SORTAL, so every pairing is
+        # rejected.
+        "coindexed": cut_case({SUBJ: None, OBJ2: "h0", OBJ: "h0"}, (SUBJ,)),
+        "sortal": cut_case({SUBJ: None, OBJ: "r3"}, (SUBJ, OBJ)),
+        # The subject can take r1 or r2 inside the previous Cf.
+        "inside": cut_case({SUBJ: None, OBJ: "h0"}),
+        # (r1, h0) is inside, behind (h0, ?), whose animate-only object
+        # finds nothing left in the previous Cf.
+        "inside behind a dead end": cut_case(
+            {SUBJ: None, OBJ: None}, (OBJ,), opener=("h0", "r1")
+        ),
+        # 36 fillings of the reset pools, but only 12 are injective, so
+        # the 16 smallest keys hold links as well.
+        "fewer resets than k": cut_case(
+            {SUBJ: None, OBJ2: None, OBJ: None}, (SUBJ, OBJ2), animate=3
+        ),
+    }
+    width = {"fewer resets than k": 16}
+    for name, (d, prev, plan) in declines.items():
+        k = width.get(name, 4)
+        assert engine._reset_keys(prev, plan, k) is None, name
+        survivors, rejections = engine._survivors(d, prev, plan, config)
+        resets = [c for c in survivors if c[0] < 0]
+        if name == "fewer resets than k":
+            assert 0 < len(resets) < k < len(survivors), name
+        elif name in ("coindexed", "sortal"):
+            assert not survivors and rejections, name
+        else:
+            assert survivors and not resets, name
+
+
+def test_bindings_generated_per_expansion_follow_the_beam_not_the_pool(monkeypatch, workloads):
+    # A last resort's work does not grow with the entities it never binds:
+    # each expansion generates at most beam_width bindings, and the inside
+    # probe at most one more.
+    generate, kept_steps = engine.generate_assignments, engine._kept_steps
+    generated = []
+
+    def counting_generate(plan, context, limit=None):
+        bindings = generate(plan, context, limit)
+        generated[-1] += len(bindings)
+        return bindings
+
+    def counting_kept_steps(discourse, prev, plan, config):
+        generated.append(0)
+        return kept_steps(discourse, prev, plan, config)
+
+    monkeypatch.setattr(engine, "generate_assignments", counting_generate)
+    monkeypatch.setattr(engine, "_kept_steps", counting_kept_steps)
+    for d in (workloads.wide_pool(random.Random(5), 40, True), three_zero_opener(40)):
+        for width in (1, 4, 16, 64):
+            generated.clear()
+            resolve(d, EngineConfig(beam_width=width))
+            assert generated and max(generated) <= width + 1, (width, generated)
 
 
 # --------------------------------------------------------------------------
