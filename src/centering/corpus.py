@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib.resources import files
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .model import (
     Argument,
@@ -558,9 +558,3 @@ def corpus_text(name: str) -> str:
 def load_corpus(name: str) -> tuple[Discourse, tuple[GoldLabel, ...]]:
     """Parse a bundled corpus file by name."""
     return parse_discourse(corpus_text(name))
-
-
-def iter_valid_corpus() -> Iterable[tuple[str, Discourse, tuple[GoldLabel, ...]]]:
-    for name in VALID_FILES:
-        discourse, golds = load_corpus(name)
-        yield name, discourse, golds

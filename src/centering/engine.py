@@ -17,28 +17,33 @@ beam, and the content of the last two steps - then cuts it in one
 place.  That order equals the reference `hypothesis_sort_key`, which
 `resolve` never calls.  An utterance's readings depend only on the
 previous center state, so parents that share their last state share one
-expansion, memoised in the utterance's plan (below), which `step`, its
-per-parent call, fills.  Siblings share their parent's
-key score and rank, so they compare on their transition, the Cb their
-parent's last step takes after write-back and their own content - their
-sibling key, fixed by that state: each expansion keeps only its
-`beam_width` best survivors, cut after the zero-topic variants are
-added, and `step` returns the new steps of the parent's `beam_width`
-best children in beam order with their sibling keys.  A child past them
+expansion: `_beams`, the loop over the utterances, groups each beam's
+parents by last state and calls `step`, its per-state call, once per
+group.  Siblings share their parent's key score and rank, so they
+compare on their transition, the Cb their parent's last step takes
+after write-back and their own content - their sibling key, fixed by
+that state: each expansion keeps only its `beam_width` best survivors,
+cut after the zero-topic variants are added, and `step` returns the
+new steps of the state's `beam_width` best children in beam order with
+their sibling keys.  A child past them
 has `beam_width` siblings ahead of it and cannot reach the beam, so the
-cut is exact.  `resolve` needs nothing from a step but its return
+cut is exact.  `_beams` needs nothing from a step but its return
 value, and builds no child before its own cut: it keys every (parent,
-kept step) pair from the parent's key and the step's sibling key, cuts
-the pairs of all parents at once (`_cut`) and assembles a child
-(`_child`, which copies the parent's steps) only for each pair kept, so
-`beam_width` per utterance.  It logs the rejections each state's
-expanding call reports.
+kept step) pair from the parent's key and the step's sibling key, in
+parent order, cuts the pairs of all parents at once (`_cut`) and
+assembles a child (`_child`, which copies the parent's steps) only for
+each pair kept, so `beam_width` per utterance.  It logs each state's
+rejections once, in the order the states were expanded, and yields
+every utterance's beam as it goes, the beam `resolve` gives for the
+discourse up to that utterance.
 
-`resolve` is the engine's one entry point.  `step` is its per-parent
-call, not an API of its own: `resolve` and the benchmark's tracer
+`resolve` is the engine's one entry point: it validates the discourse
+and returns the last beam of `_beams`.  `step` is its per-state call,
+not an API of its own: `_beams` and the benchmark's tracer
 (bench/tracing.py), which wraps it by name, are its only callers, and
 it keeps its name and call pattern only for the tracer.  The tests hold
-`resolve`'s beams, not `step`'s results, to the beam's properties.
+the beams of `_beams` and `resolve`, not `step`'s results, to the
+beam's properties.
 
 The full expansion of an utterance is `_survivors`: it turns a
 previous center state and the utterance's plan into candidates, and a
@@ -70,12 +75,11 @@ writes it back.
 
 Candidates are tuple work on integer entity codes against a plan of
 the utterance (`_Plan`).  An entity's code is its declaration index;
-`resolve` builds the code tables once (`_Codes`: ids and animate flags
+`_beams` builds the code tables once (`_Codes`: ids and animate flags
 by code, the hearer-old codes in declaration order), compiles one plan
 per utterance over them and passes it to every expansion there, which
 reads the utterance, its zeros, its overt slots as codes and its Cf
-orders from it; `step` stores each state's kept steps in it.  No plan
-outlives its `resolve`.
+orders from it.  No plan outlives its `resolve`.
 `generate_assignments` grows each binding, a tuple of codes, slot by
 slot in subcat order: an overt slot appends its entity, and a zero
 each entity of its pool the binding does not hold yet, so it binds the
@@ -131,7 +135,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
 from operator import itemgetter
-from typing import AbstractSet, Hashable, Mapping, NamedTuple, Optional, Sequence
+from typing import AbstractSet, Hashable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .model import (
     CenterState,
@@ -200,21 +204,22 @@ class Rejection(NamedTuple):
 
 @dataclass(frozen=True)
 class _StepResult:
-    """One parent's kept steps for one utterance, plus the discards.
+    """One center state's kept steps for one utterance, plus the discards.
 
-    steps are the new steps of the parent's beam_width best children, in
-    beam order, and keys[i] is steps[i]'s sibling key, the candidate it
-    was built from (Candidate): (transition ordinal or -1, the Cb index
-    the parent's last step takes by write-back or -1, content of the new
-    step).  ranked builds those children on its first read; resolve never
-    reads it, since it builds a child only for a (parent, step) pair its
-    cut keeps, and the tracer is its one reader.  rejections is () when
-    the utterance's plan already held the state's expansion.
+    parent is a reading whose last state is the one expanded.  steps are
+    the new steps of its beam_width best children, in beam order, the
+    same for every parent with that last state, and keys[i] is steps[i]'s
+    sibling key, the candidate it was built from (Candidate): (transition
+    ordinal or -1, the Cb index the parent's last step takes by write-back
+    or -1, content of the new step).  ranked builds parent's children on
+    its first read; _beams never reads it, since it builds a child only
+    for a (parent, step) pair its cut keeps, and the tracer is its one
+    reader.  rejections are the expansion's records.
     """
 
     parent: Hypothesis
-    steps: tuple[Step, ...]
     keys: tuple[Candidate, ...]
+    steps: tuple[Step, ...]
     rejections: tuple[Rejection, ...]
 
     @cached_property
@@ -360,7 +365,7 @@ class _Codes:
 class _Plan:
     """One utterance compiled for one resolve call: all its expansions read it.
 
-    resolve compiles one plan per utterance, over the call's one _Codes,
+    _beams compiles one plan per utterance, over the call's one _Codes,
     and hands it to every expansion there, so a plan and its utterance
     never disagree and nothing about the utterance is worked out twice.
     A binding is the tuple of entity codes its slots hold, in subcat
@@ -371,9 +376,7 @@ class _Plan:
     hold, and the Cf of every binding is the one order cf of slot
     positions.  topic_orders maps each zero-topic slot, by position, to
     the Cf order with that slot as zero topic, as apply_zta compiles it
-    on first use; expansions maps each center state expanded here to its
-    kept keys, steps and rejections (_kept_steps), as step fills it.
-    Both die with the resolve call.
+    on first use, and dies with the resolve call.
     """
 
     utterance: Utterance
@@ -386,7 +389,6 @@ class _Plan:
     overt_ok: bool  # the overt slots pass CONTRA_INDEX and SORTAL
     cf: CfOrder
     topic_orders: dict[int, CfOrder] = field(default_factory=dict)
-    expansions: dict[CenterState, tuple] = field(default_factory=dict)
 
     @staticmethod
     def of(utterance: Utterance, codes: _Codes) -> "_Plan":
@@ -542,7 +544,7 @@ def _survivors(
 
     Only what is specific to a candidate is computed per candidate: the
     zeros, the overt entities and the Cf order come from the plan, which
-    resolve compiles once per utterance whatever the number of states
+    _beams compiles once per utterance whatever the number of states
     expanded there.  With prev's Cb fixed, the transition depends on the
     (Cb, Cp entity) pair alone, so a dict local to this call holds each
     pair's transition ordinal, filled through classify_transition on a
@@ -629,7 +631,7 @@ def _kept_steps(
     keys, are cut in their natural order (heapq.nsmallest).  The Steps
     are plan's utterance's.  Returns the kept keys and their Steps, best
     first, and the expansion's rejections.  A Step is not yet a child:
-    resolve builds one only for a (parent, step) pair its own cut keeps.
+    _beams builds one only for a (parent, step) pair its own cut keeps.
     """
     keys = _reset_keys(prev, plan, config.beam_width)
     rejections: Sequence[Rejection] = ()
@@ -745,39 +747,30 @@ def step(
     *,
     plan: _Plan,
 ) -> _StepResult:
-    """Extend one parent reading by one utterance: resolve's per-parent call.
+    """Expand parent's last center state by one utterance: _beams' per-state call.
 
-    Not an API of its own: resolve and the benchmark's tracer, which
+    Not an API of its own: _beams and the benchmark's tracer, which
     wraps it by name, are its only callers, and it keeps its name and
-    call pattern only for the tracer.
+    call pattern only for the tracer.  _beams calls it once per distinct
+    last state of its beam, with the first parent that reaches the state.
 
-    Returns the new steps of the parent's beam_width best children in
-    beam order: transition ordinal first (CONTINUE before RETAIN before
-    the shifts; an unclassified reset sorts with the initials), then the
-    Cb the parent's last step takes after write-back, then the new step's
-    content, as hypothesis_sort_key orders siblings.  No child past them
-    can reach the beam.  keys holds each step's sibling key (see
-    _survivors), in the same order.  No steps means this parent cannot
-    account for the utterance.  The survivors stay keyed candidates
-    through the cut (_kept_steps); only the kept ones become Steps, and
-    no child is built here: the result's ranked builds them on demand.
-
-    The survivors and their order depend only on the parent's last
-    center state.  plan is the utterance's _Plan, which resolve compiles
-    once and shares among the utterance's parents; its expansions map
-    each expanded state to its kept steps, so each distinct state expands
-    once.  Only the call that expands a state reports its rejections; a
-    call that finds the state in plan.expansions reports ().  The
-    expansion reads the utterance from plan; utterance stays an argument
-    because the tracer reads it.
+    Returns the new steps of the beam_width best children of any parent
+    with that last state, in beam order: transition ordinal first
+    (CONTINUE before RETAIN before the shifts; an unclassified reset
+    sorts with the initials), then the Cb the parent's last step takes
+    after write-back, then the new step's content, as hypothesis_sort_key
+    orders siblings.  No child past them can reach the beam.  keys holds
+    each step's sibling key (see _survivors), in the same order, and
+    rejections the expansion's records.  No steps means no parent with
+    that state can account for the utterance.  The survivors stay keyed
+    candidates through the cut (_kept_steps); only the kept ones become
+    Steps, and no child is built here: the result's ranked builds them
+    on demand.  plan is the utterance's _Plan, which _beams compiles once
+    and shares among the utterance's states; the expansion reads the
+    utterance from it, and utterance stays an argument because the
+    tracer reads it.
     """
-    state = parent.last.state
-    kept = plan.expansions.get(state)
-    expands = kept is None
-    if expands:
-        kept = plan.expansions[state] = _kept_steps(discourse, state, plan, config)
-    keys, steps, rejections = kept
-    return _StepResult(parent, steps, keys, rejections if expands else ())
+    return _StepResult(parent, *_kept_steps(discourse, parent.last.state, plan, config))
 
 
 def _step_content(s: Step, entity_index: Mapping[str, int]) -> tuple:
@@ -802,7 +795,7 @@ def hypothesis_sort_key(
     the ZTA flag.
 
     This is the reference order: every beam `resolve` keeps, and the one
-    it returns, is in it.  `resolve` never computes this key; it sorts by
+    it returns, is in it.  `_beams` never computes this key; it sorts by
     the fixed-size keys of `_initial_hypotheses` and `_keyed_pairs`, which
     order readings the same way (a pair's key is that of the child it
     would make), and the tests hold those keys to this one.
@@ -829,14 +822,16 @@ def _dense_ranks(values: Sequence[Hashable]) -> list[int]:
     return [rank[v] for v in values]
 
 
-def _keyed_pairs(keyed_parent: Keyed, result: _StepResult, rank: int) -> list[Pair]:
+def _keyed_pairs(key: tuple, parent: Hypothesis, result: _StepResult, rank: int) -> list[Pair]:
     """One parent's kept steps, each keyed as the child it would make.
 
-    The key has a fixed size, for the beam sort, and needs no child
-    built.  A child's hypothesis_sort_key is its score, its new step's
-    transition followed by the parent's recency, and the content of the
-    parent's steps up to the last, then of its own last two steps
-    (write-back may have rewritten the parent's last one).  The parents
+    key is the parent's beam key and result the expansion of its last
+    state, which every parent with that state shares.  The key has a
+    fixed size, for the beam sort, and needs no child built.  A child's
+    hypothesis_sort_key is its score, its new step's transition followed
+    by the parent's recency, and the content of the parent's steps up to
+    the last, then of its own last two steps (write-back may have
+    rewritten the parent's last one).  The parents
     of one utterance all have the same length, so their (recency, content
     prefix) pairs compare as one dense rank of the pair within the beam
     does, and (score, transition, rank, content of steps[-2], content of
@@ -849,7 +844,6 @@ def _keyed_pairs(keyed_parent: Keyed, result: _StepResult, rank: int) -> list[Pa
     score from the parent's key plus the transition floored at 0 (a reset
     costs 0).
     """
-    key, parent = keyed_parent
     bound, _cb, zta = last_content = key[4]
     return [
         (
@@ -896,6 +890,44 @@ def _initial_hypotheses(
     return [((0, -1, 0, (), key[2]), Hypothesis((s,))) for key, s in zip(keys, steps)], rejections
 
 
+def _beams(
+    discourse: Discourse, config: EngineConfig
+) -> Iterator[tuple[int, list[Keyed], tuple[Rejection, ...]]]:
+    """Each utterance's index, keyed beam and rejections, in discourse order.
+
+    The beam at utterance n is resolve's on the discourse's first n
+    utterances, and the rejections are that utterance's records, each
+    expanded state's once, in the order its states were expanded.  The
+    parents are grouped by last state in a dict that lives for one
+    utterance: step expands each distinct state once, and each parent's
+    pairs are keyed, in parent order, from its group's one result.
+    Raises UnresolvableError, after yielding every earlier beam, at the
+    first utterance no reading survives.  discourse must be valid.
+    """
+    codes = _Codes.of(discourse)
+    first = _Plan.of(discourse.utterances[0], codes)
+    keyed, rejections = _initial_hypotheses(discourse, config, plan=first)
+    if not keyed:
+        raise UnresolvableError(1)
+    yield 1, keyed, rejections
+
+    for utterance in discourse.utterances[1:]:
+        plan = _Plan.of(utterance, codes)
+        results: dict[CenterState, _StepResult] = {}
+        pairs: list[Pair] = []
+        logged: list[Rejection] = []
+        ranks = _dense_ranks([key[1:4] for key, _ in keyed])
+        for (key, parent), rank in zip(keyed, ranks):
+            state = parent.last.state
+            result = results.get(state)
+            if result is None:
+                result = results[state] = step(parent, utterance, discourse, config, plan=plan)
+                logged += result.rejections
+            pairs += _keyed_pairs(key, parent, result, rank)
+        keyed = _cut(pairs, utterance.index, config.beam_width)
+        yield utterance.index, keyed, tuple(logged)
+
+
 def resolve(discourse: Discourse, config: EngineConfig = EngineConfig()) -> ResolveResult:
     """Resolve a whole discourse into a ranked beam of readings.
 
@@ -904,29 +936,15 @@ def resolve(discourse: Discourse, config: EngineConfig = EngineConfig()) -> Reso
     UnresolvableError (carrying the utterance index) if at some utterance
     no reading survives.  The returned hypotheses are sorted best-first
     under hypothesis_sort_key and truncated to the beam width at every
-    utterance, so the result is deterministic for identical inputs.
+    utterance, so the result is deterministic for identical inputs.  They
+    are the last beam of _beams, and the rejections what it logged at
+    each utterance.
     """
     violations = validate_discourse(discourse)
     if violations:
         raise DiscourseInvalidError(violations)
 
-    codes = _Codes.of(discourse)
-    first = _Plan.of(discourse.utterances[0], codes)
-    keyed, rejections = _initial_hypotheses(discourse, config, plan=first)
-    if not keyed:
-        raise UnresolvableError(1)
-    rejection_log: dict[int, tuple[Rejection, ...]] = {1: rejections}
-
-    for utterance in discourse.utterances[1:]:
-        plan = _Plan.of(utterance, codes)
-        pairs: list[Pair] = []
-        logged: list[Rejection] = []
-        ranks = _dense_ranks([key[1:4] for key, _ in keyed])
-        for keyed_parent, rank in zip(keyed, ranks):
-            result = step(keyed_parent[1], utterance, discourse, config, plan=plan)
-            pairs.extend(_keyed_pairs(keyed_parent, result, rank))
-            logged.extend(result.rejections)
-        rejection_log[utterance.index] = tuple(logged)
-        keyed = _cut(pairs, utterance.index, config.beam_width)
-
+    rejection_log: dict[int, tuple[Rejection, ...]] = {}
+    for index, keyed, rejections in _beams(discourse, config):
+        rejection_log[index] = rejections
     return ResolveResult(tuple(h for _, h in keyed), rejection_log)

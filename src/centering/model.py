@@ -326,11 +326,6 @@ class CenterState:
     def cf_ids(self) -> tuple[str, ...]:
         return tuple(e for e, _ in self.cf)
 
-    @property
-    def cp(self) -> str:
-        """The preferred center: head of the Cf."""
-        return self.cf[0][0]
-
 
 @dataclass(frozen=True)
 class Step:

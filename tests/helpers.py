@@ -20,9 +20,9 @@ them:
   oracle's naive helpers, everything a finished hypothesis claims:
   center uniqueness, Cf composition and ordering, the backward-center
   constraint, the pronoun rule, zero-topic soundness and beam ordering,
-  and a check of how resolve's beam at one prefix extends its beam at
-  the one before.  Both return human-readable failure strings instead
-  of asserting so callers can aggregate across many discourses.
+  and a check of how the engine's beam at one utterance extends its
+  beam at the one before.  Both return human-readable failure strings
+  instead of asserting so callers can aggregate across many discourses.
 
 It also holds the antecedent pool over entity ids, the reference the
 pairing tests generate over, the plain-data form of the readings that
@@ -379,7 +379,7 @@ def sameness_digest() -> str:
     workloads = _bench_workloads()
     rng = random.Random(2029)
     discourses = [random_discourse(rng) for _ in range(600)]
-    discourses += [d for _name, d, _golds in corpus.iter_valid_corpus()]
+    discourses += [corpus.load_corpus(name)[0] for name in corpus.VALID_FILES]
     discourses += [
         workloads.wide_pool(random.Random(5), pool, last_resort)
         for pool in (10, 20, 40)
@@ -534,7 +534,7 @@ def _check_centers(
     # A previous step whose Cb was written back started uninstantiated,
     # but then its final Cb equals this step's, so the carried-over test
     # gives the same answer either way.
-    want = expected_transition(prev.state.cb, cb, step.state.cp)
+    want = expected_transition(prev.state.cb, cb, step.state.cf[0][0])
     if step.transition is not want:
         failures.append(
             f"{label}: transition {step.transition.name}, expected {want.name}"
@@ -663,10 +663,11 @@ def extends(parent: Hypothesis, child: Hypothesis) -> bool:
 
 
 def beam_extension_failures(discourse: Discourse, config: EngineConfig) -> List[str]:
-    """Where resolve's beams at two consecutive prefixes break the extension properties.
+    """Where two consecutive beams of engine._beams break the extension properties.
 
-    For each utterance after the first, against resolve's beam one
-    utterance earlier:
+    The beam at each utterance is resolve's on the discourse up to there,
+    and all of them come from one pass.  For each utterance after the
+    first, against the beam one utterance earlier:
     * every reading extends exactly one reading of the earlier beam: its
       older steps are identical, and that parent's last step changes only
       by write-back (an open Cb takes the new step's Cb);
@@ -679,16 +680,16 @@ def beam_extension_failures(discourse: Discourse, config: EngineConfig) -> List[
     failures: List[str] = []
     utterances = discourse.utterances
     beams = []
-    for k in range(1, len(utterances) + 1):
-        try:
-            beams.append(engine.resolve(Discourse(discourse.entities, utterances[:k]), config))
-        except UnresolvableError:
-            break
+    try:
+        for _index, keyed, _rejections in engine._beams(discourse, config):
+            beams.append([h for _, h in keyed])
+    except UnresolvableError:
+        pass
     for k, (beam, children) in enumerate(zip(beams, beams[1:]), start=2):
         zero_roles = [a.role for a in utterances[k - 1].args if a.realization.is_zero]
         families: dict[int, list[Hypothesis]] = {}  # parent's beam index -> its children
-        for c, child in enumerate(children.hypotheses):
-            parents = [i for i, p in enumerate(beam.hypotheses) if extends(p, child)]
+        for c, child in enumerate(children):
+            parents = [i for i, p in enumerate(beam) if extends(p, child)]
             if len(parents) != 1:
                 failures.append(f"u{k}: reading {c} extends {len(parents)} earlier readings")
             else:
@@ -698,7 +699,7 @@ def beam_extension_failures(discourse: Discourse, config: EngineConfig) -> List[
                         for h in family]
             if ordinals != sorted(ordinals):
                 failures.append(f"u{k}: children not ordered by transition ordinal")
-            prev_cf = set(beam.hypotheses[i].last.state.cf_ids)
+            prev_cf = set(beam[i].last.state.cf_ids)
             if len({all(h.last.assignment[r] in prev_cf for r in zero_roles) for h in family}) > 1:
                 failures.append(f"u{k}: in-Cf and out-of-Cf children mixed")
     return failures

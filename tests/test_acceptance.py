@@ -39,9 +39,10 @@ _cache = {}
 def corpus_results():
     """Default-config resolution of every valid corpus file, memoized."""
     if "corpus" not in _cache:
+        loaded = {name: corpus.load_corpus(name) for name in corpus.VALID_FILES}
         _cache["corpus"] = {
             name: (discourse, golds, engine.resolve(discourse, DEFAULT))
-            for name, discourse, golds in corpus.iter_valid_corpus()
+            for name, (discourse, golds) in loaded.items()
         }
     return _cache["corpus"]
 

@@ -45,7 +45,8 @@ from centering.rules import (
     rank_cf,
 )
 from helpers import (
-    INFELICITOUS, antecedent_pool, entity, extends, overt, random_discourse, zero,
+    INFELICITOUS, antecedent_pool, entity, extends, overt, random_discourse,
+    unresolvable_discourse, zero,
 )
 
 SUBJ = GrammaticalRole.SUBJ
@@ -322,8 +323,9 @@ def test_zta_requires_the_candidate_to_carry_the_center():
 
 
 def children_of(parent, d, n):
-    """The last steps of the readings in resolve's wide beam at n + 1 that extend parent."""
-    return [h.last for h in resolve(prefix(d, n + 1), WIDE).hypotheses if extends(parent, h)]
+    """The last steps of the readings in the wide beam at utterance n + 1 that extend parent."""
+    _index, keyed, _rejections = next(itertools.islice(engine._beams(d, WIDE), n, None))
+    return [h.last for _, h in keyed if extends(parent, h)]
 
 
 def test_step_ranks_continue_before_retain():
@@ -360,10 +362,10 @@ def test_step_prefers_the_empathic_continue():
 
 
 def test_children_add_one_ordinal_to_the_parent_score():
-    for name, d, _golds in corpus.iter_valid_corpus():
-        for n in range(1, len(d.utterances)):
-            beam = resolve(prefix(d, n), WIDE).hypotheses
-            for child in resolve(prefix(d, n + 1), WIDE).hypotheses:
+    for name in corpus.VALID_FILES:
+        beams = [[h for _, h in keyed] for _n, keyed, _ in engine._beams(load(name), WIDE)]
+        for beam, children in itertools.pairwise(beams):
+            for child in children:
                 [parent] = [p for p in beam if extends(p, child)]
                 assert child.score == parent.score + child.last.transition_cost, name
 
@@ -475,6 +477,61 @@ def test_unresolvable_discourse_reports_the_utterance():
     assert err.value.utterance_index == 1
 
 
+def one_pass(d, config):
+    """What engine._beams yields at each utterance, with the rejections so far.
+
+    Each value is (utterance index, readings, rejection log up to there);
+    an UnresolvableError ends the list as ("unresolvable", its index).
+    The beams are read only after the pass, so a beam the pass changes
+    after yielding it shows.
+    """
+    yielded, log, end = [], {}, []
+    try:
+        for u, keyed, rejections in engine._beams(d, config):
+            log[u] = rejections
+            yielded.append((u, keyed, dict(log)))
+    except UnresolvableError as err:
+        end = [("unresolvable", err.utterance_index)]
+    return [(u, tuple(h for _, h in keyed), so_far) for u, keyed, so_far in yielded] + end
+
+
+def per_prefix(d, config):
+    """What resolve gives on each prefix of d, in one_pass's shape."""
+    values = []
+    for n in range(1, len(d.utterances) + 1):
+        try:
+            result = resolve(prefix(d, n), config)
+        except UnresolvableError as err:
+            values.append(("unresolvable", err.utterance_index))
+            break
+        values.append((n, result.hypotheses, dict(result.rejections)))
+    return values
+
+
+def test_each_beam_of_the_one_pass_is_resolve_on_its_prefix(workloads):
+    # The n-th value of _beams is resolve on the first n utterances,
+    # readings and rejections alike, and where resolve raises on a prefix
+    # the pass raises the same index after yielding every earlier beam.
+    rng = random.Random(2024)
+    sweep = [random_discourse(rng) for _ in range(150)]
+    unresolved = 0
+    for width in (1, 4, 16):
+        for zta in (True, False):
+            config = EngineConfig(beam_width=width, zta_enabled=zta)
+            for trial, d in enumerate(sweep):
+                values = one_pass(d, config)
+                assert values == per_prefix(d, config), (trial, width, zta)
+                unresolved += values[-1][0] == "unresolvable"
+    assert unresolved >= 20, unresolved
+    chain = workloads.long_chain(random.Random(3), 40)
+    values = one_pass(chain, EngineConfig())
+    assert len(values) == len(chain.utterances) and values == per_prefix(chain, EngineConfig())
+    d = unresolvable_discourse()
+    values = one_pass(d, WIDE)
+    assert [v[0] for v in values] == [1, "unresolvable"] and values[-1][1] == 2
+    assert values == per_prefix(d, WIDE)
+
+
 @pytest.mark.parametrize("code, d", INFELICITOUS.values(), ids=list(INFELICITOUS))
 def test_resolve_refuses_infelicitous_discourses(code, d):
     with pytest.raises(DiscourseInvalidError) as err:
@@ -570,18 +627,16 @@ def test_the_rejection_log_equals_the_reference_records(workloads):
     inputs += [workloads.wide_pool(random.Random(5), 10, last) for last in (False, True)]
     for trial, d in enumerate(inputs):
         for width in (1, 4):
-            config = EngineConfig(beam_width=width)
-            for n, utterance in enumerate(d.utterances):
-                try:
-                    states = expanded_states(d, n, config)
-                    logged = resolve(prefix(d, n + 1), config).rejections[n + 1]
-                except UnresolvableError:
-                    break
-                want = [r for prev in states for r in reference_rejections(d, utterance, prev)]
-                assert list(logged) == want, (trial, width, n + 1)
-                assert id_level_failures(logged) == [], (trial, width, n + 1)
-                covered.update(r.code for r in logged)
-                covered["Cb set"] += sum(r.cb is not None for r in logged)
+            states = [None]
+            with contextlib.suppress(UnresolvableError):
+                for u, keyed, logged in engine._beams(d, EngineConfig(beam_width=width)):
+                    utterance = d.utterances[u - 1]
+                    want = [r for prev in states for r in reference_rejections(d, utterance, prev)]
+                    assert list(logged) == want, (trial, width, u)
+                    assert id_level_failures(logged) == [], (trial, width, u)
+                    covered.update(r.code for r in logged)
+                    covered["Cb set"] += sum(r.cb is not None for r in logged)
+                    states = last_states(keyed)
     for code in (RejectionCode.RULE_1, OUT_OF_CF_PRUNED, "Cb set"):
         assert covered[code] >= 20, covered
 
@@ -642,25 +697,32 @@ def beam_failures(discourse, config):
     The reference is the definition: every reading of the first utterance,
     or every uncut sibling of every reading in resolve's beam one utterance
     earlier, sorted by hypothesis_sort_key over the whole history and cut
-    to the beam width.  resolve must raise UnresolvableError exactly where
-    there is no reading to cut.
+    to the beam width.  The beams are those of engine._beams, one pass
+    over the discourse, whose beam at each utterance is resolve's up to
+    there; it must yield one per utterance and raise UnresolvableError
+    exactly where there is no reading to cut.
     """
     entity_index = discourse.entity_index
     failures = []
     candidates = list(first_readings(discourse, config))
-    for n in range(1, len(discourse.utterances) + 1):
-        try:
-            beam = resolve(prefix(discourse, n), config).hypotheses
-        except UnresolvableError as err:
-            if candidates or err.utterance_index != n:
-                failures.append((n, "unresolvable"))
-            break
-        candidates.sort(key=lambda h: hypothesis_sort_key(h, entity_index))
-        if beam != tuple(candidates[: config.beam_width]):
-            failures.append(n)
-        if n < len(discourse.utterances):
-            utterance = discourse.utterances[n]
-            candidates = [c for p in beam for c in full_siblings(p, utterance, discourse, config)]
+    n = 0
+    try:
+        for n, keyed, _rejections in engine._beams(discourse, config):
+            beam = [h for _, h in keyed]
+            candidates.sort(key=lambda h: hypothesis_sort_key(h, entity_index))
+            if beam != candidates[: config.beam_width]:
+                failures.append(n)
+            if n < len(discourse.utterances):
+                utterance = discourse.utterances[n]
+                candidates = [
+                    c for p in beam for c in full_siblings(p, utterance, discourse, config)
+                ]
+    except UnresolvableError as err:
+        if candidates or err.utterance_index != n + 1:
+            failures.append((n + 1, "unresolvable"))
+    else:
+        if n != len(discourse.utterances):
+            failures.append((n, "beams yielded"))
     return failures
 
 
@@ -818,32 +880,32 @@ def test_survivors_run_once_per_distinct_parent_state(monkeypatch, workloads):
     # Each utterance expands the distinct last states of the previous beam,
     # once each, in beam order, and logs each one's records once, in that
     # order: the rules' records for the pairings after that state.
+    # _kept_steps makes every expansion, the reset cut's included.
     chain = workloads.long_chain(random.Random(30), 30)
     config = EngineConfig()
+    kept_steps = engine._kept_steps
     for d in (load("zta_ex_ga.json"), chain):
         expanded = {}
-        survivors = engine._survivors
 
-        def recording_survivors(discourse, prev, plan, config):
+        def recording_kept_steps(discourse, prev, plan, config):
             expanded.setdefault(plan.utterance.index, []).append(prev)
-            return survivors(discourse, prev, plan, config)
+            return kept_steps(discourse, prev, plan, config)
 
-        monkeypatch.setattr(engine, "_survivors", recording_survivors)
-        result = resolve(d, config)
-        monkeypatch.undo()
-
-        assert expanded.pop(1) == [None]
-        assert set(expanded) == {u.index for u in d.utterances[1:]}
-        parents = 0
-        for u, states in expanded.items():
-            beam = resolve(prefix(d, u - 1), config).hypotheses
-            assert states == list(dict.fromkeys(h.last.state for h in beam)), u
-            parents += len(beam)
+        monkeypatch.setattr(engine, "_kept_steps", recording_kept_steps)
+        states, parents, distinct = [None], 0, 0
+        for u, keyed, logged in engine._beams(d, config):
+            assert expanded.pop(u) == states, u
             utterance = d.utterances[u - 1]
             want = [r for prev in states for r in reference_rejections(d, utterance, prev)]
-            assert list(result.rejections[u]) == want, u
+            assert list(logged) == want, u
+            states = last_states(keyed)
+            if u < len(d.utterances):  # the next utterance's parents and their states
+                parents += len(keyed)
+                distinct += len(states)
+        monkeypatch.undo()
+        assert u == len(d.utterances) and expanded == {}
     # Parents of the chain's utterances share states, so the count is a saving.
-    assert sum(len(states) for states in expanded.values()) < parents
+    assert distinct < parents
 
 
 def test_children_made_are_bounded_by_the_beam_on_a_wide_pool(monkeypatch, workloads):
@@ -1135,12 +1197,27 @@ def test_bindings_generated_per_expansion_follow_the_beam_not_the_pool(monkeypat
 # Sibling keys against keys built from scratch
 
 
-def expanded_states(discourse, n, config):
-    """The states expanded at utterance n (0-based): None first, else the beam's last ones."""
-    if n == 0:
-        return [None]
-    beam = resolve(prefix(discourse, n), config).hypotheses
-    return list(dict.fromkeys(h.last.state for h in beam))
+def last_states(keyed):
+    """The distinct last states of a keyed beam, in beam order: what the next utterance expands."""
+    return list(dict.fromkeys(h.last.state for _, h in keyed))
+
+
+def expanded_states(discourse, config):
+    """Each utterance's 0-based index and the states expanded there, from one pass.
+
+    None at the first utterance, else the last states of the beam one
+    utterance earlier.  The walk ends after the first utterance that no
+    reading survives.
+    """
+    beams = engine._beams(discourse, config)
+    states = [None]
+    for n in range(len(discourse.utterances)):
+        yield n, states
+        try:
+            _index, keyed, _rejections = next(beams)
+        except UnresolvableError:
+            return
+        states = last_states(keyed)
 
 
 def sibling_key_failures(discourse, config, covered):
@@ -1167,11 +1244,8 @@ def sibling_key_failures(discourse, config, covered):
         bindings = generate(plan, context)
         generated.extend(bindings)
         return bindings
-    for n, utterance in enumerate(discourse.utterances):
-        try:
-            states = expanded_states(discourse, n, config)
-        except UnresolvableError:
-            break
+    for n, states in expanded_states(discourse, config):
+        utterance = discourse.utterances[n]
         plan = engine._Plan.of(utterance, engine._Codes.of(discourse))
         for prev in states:
             generated.clear()

@@ -160,7 +160,6 @@ def test_center_state_invariants():
             (("a", SalienceRole.SUBJ), ("a", SalienceRole.OBJ)),
         )
     state = CenterState("a", cf)
-    assert state.cp == "a"
     assert state.cf_ids == ("a", "b")
 
 

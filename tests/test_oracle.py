@@ -159,7 +159,8 @@ def test_oracle_expands_each_distinct_center_state_once(monkeypatch, discourse, 
 
 
 def test_corpus_equivalence():
-    for name, discourse, _golds in corpus.iter_valid_corpus():
+    for name in corpus.VALID_FILES:
+        discourse, _golds = corpus.load_corpus(name)
         report = oracle.check_equivalence(discourse, WIDE)
         assert report.equivalent, (name, report.detail)
         assert report.engine_count == report.oracle_count > 0
@@ -167,7 +168,8 @@ def test_corpus_equivalence():
 
 def test_corpus_equivalence_without_zta():
     config = EngineConfig(beam_width=64, zta_enabled=False)
-    for name, discourse, _golds in corpus.iter_valid_corpus():
+    for name in corpus.VALID_FILES:
+        discourse, _golds = corpus.load_corpus(name)
         report = oracle.check_equivalence(discourse, config)
         assert report.equivalent, (name, report.detail)
 
@@ -189,7 +191,8 @@ def test_randomized_equivalence():
 
 def test_narrow_beam_head_matches_oracle_top():
     config = EngineConfig(beam_width=1)
-    for name, discourse, _golds in corpus.iter_valid_corpus():
+    for name in corpus.VALID_FILES:
+        discourse, _golds = corpus.load_corpus(name)
         top = resolve(discourse, config).top
         best = oracle.enumerate_all(discourse, WIDE)[0]
         assert oracle._readings_of([top]) == [best], name
@@ -289,7 +292,7 @@ def mutant_inputs():
     The real engine agrees with the oracle on every one of them.
     """
     rng = random.Random(7)
-    files = [d for _name, d, _golds in corpus.iter_valid_corpus()]
+    files = [corpus.load_corpus(name)[0] for name in corpus.VALID_FILES]
     inputs = files + [random_discourse(rng) for _ in range(300)]
     assert all(oracle.check_equivalence(d, MUTANT_CONFIG).equivalent for d in inputs)
     return inputs
