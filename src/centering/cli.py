@@ -35,6 +35,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from functools import lru_cache
 from typing import Callable, NoReturn, Optional, Sequence, TypeVar
 
 from .corpus import (
@@ -159,18 +160,27 @@ def _by_identity(fn: Callable[[Step], _T]) -> Callable[[Step], _T]:
     return once
 
 
+#: json.dumps over the string scalars of a step, and None: entity ids and
+#: role, tier and transition names, which a step's text repeats and each
+#: render meets again, so each is encoded once.  typed, so that no value
+#: of another type could be answered from a string's or None's entry.
+_dumps = lru_cache(maxsize=1024, typed=True)(json.dumps)
+
+
 def _step_json(step: Step) -> str:
     """One step as JSON, indented to its depth in the readings document.
 
     The text json.dumps(..., indent=2) writes for the step's object, each
     line after the first indented by 8 more spaces, laid out by hand at
     the step's fixed nesting: only the scalars go through json.dumps,
-    whose compact encoder escapes non-ASCII ids the same way.  An
-    indenting encoder would be built anew, in pure Python, for every
-    step.  A step's assignment and Cf are never empty (a frame
-    subcategorizes at least one role), so no {} or [] arises.
+    whose compact encoder escapes non-ASCII ids the same way, the string
+    ones and None through its memo (_dumps); the utterance index, an
+    int, and the ZTA flag are written directly.  An indenting encoder
+    would be built anew, in pure Python, for every step.  A step's
+    assignment and Cf are never empty (a frame subcategorizes at least
+    one role), so no {} or [] arises.
     """
-    dumps = json.dumps
+    dumps = _dumps
     assignment = ",\n            ".join([
         f"{dumps(r.name.lower())}: {dumps(e)}" for r, e in step.assignment.items()
     ])
@@ -180,12 +190,12 @@ def _step_json(step: Step) -> str:
     ])
     transition = step.transition.name.lower() if step.transition is not None else None
     return (
-        f'{{\n          "utterance_index": {dumps(step.utterance_index)},'
+        f'{{\n          "utterance_index": {step.utterance_index},'
         f'\n          "assignment": {{\n            {assignment}\n          }},'
         f'\n          "cb": {dumps(step.state.cb)},'
         f'\n          "cf": [\n            {cf}\n          ],'
         f'\n          "transition": {dumps(transition)},'
-        f'\n          "zta": {dumps(step.zta_applied)}\n        }}'
+        f'\n          "zta": {"true" if step.zta_applied else "false"}\n        }}'
     )
 
 

@@ -37,6 +37,15 @@ rejections once, in the order the states were expanded, and yields
 every utterance's beam as it goes, the beam `resolve` gives for the
 discourse up to that utterance.
 
+A rejection log is built only when it is read.  Each expansion keeps
+the pairings it discarded as the (binding, Cb) code pairs it already
+holds and hands them on as a `Log`, a zero-argument call that turns
+them into `Rejection` records on its first call and returns the same
+tuple on every call; `_beams` joins an utterance's logs unread, and
+`resolve`'s `rejections` (`_Rejections`) calls an utterance's log when
+it is first read.  So a caller that never reads the log, the CLI among
+them, never builds a record nor calls `filter_assignment`.
+
 `resolve` is the engine's one entry point: it validates the discourse
 and returns the last beam of `_beams`.  `step` is its per-state call,
 not an API of its own: `_beams` and the benchmark's tracer
@@ -97,12 +106,13 @@ takes that slot, into the plan.  Per pairing what remains is integer
 work: its Cb candidates from the previous Cf, the Rule 1 test and the
 inside test.  A passing pairing is held as its (binding, Cb) pair, and
 only the pairings that survive are keyed: the in-Cf ones, or the
-out-of-Cf ones when none is in-Cf, which otherwise become prune records
-unkeyed.  A sibling key's content is the binding itself and its Cb's
-code, and the Cf is read off the order only for a candidate the cut
-keeps.  Codes turn back into entity ids only where something outside
-the expansion reads them: in `_step` for the kept candidates, and in
-each `Rejection` with the `filter_assignment` call that names its rule.
+out-of-Cf ones when none is in-Cf, which otherwise stay unkeyed pairs
+in the log, read as prune records.  A sibling key's content is the
+binding itself and its Cb's code, and the Cf is read off the order only
+for a candidate the cut keeps.  Codes turn back into entity ids only where something outside
+the expansion reads them: in `_step` for the kept candidates, and, when
+a log is read, in each `Rejection` with the `filter_assignment` call
+that names its rule.
 The previous Cb is fixed within an expansion, so a transition depends
 only on the (Cb, Cp entity) pair: each expansion classifies a pair
 once, through `classify_transition`, which compares entities only for
@@ -131,11 +141,12 @@ unordered data, so identical inputs give byte-identical outputs.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
 from operator import itemgetter
-from typing import AbstractSet, Hashable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import AbstractSet, Hashable, Iterator, NamedTuple, Optional, Sequence
 
 from .model import (
     CenterState,
@@ -202,6 +213,41 @@ class Rejection(NamedTuple):
     code: str
 
 
+#: An expansion's or an utterance's rejections, as a zero-argument call
+#: that builds the records on its first call and returns the same tuple
+#: on every call: expansion keeps only the rejected pairings' codes, and
+#: a caller that never reads the log never pays for its records.
+Log = Callable[[], tuple[Rejection, ...]]
+
+
+def _no_rejections() -> tuple[Rejection, ...]:
+    """The log of every expansion that rejects nothing: one shared empty log."""
+    return ()
+
+
+class _Log:
+    """A Log that builds its records with build(*args) on its first call and keeps them.
+
+    Once the records exist the build and its arguments, the code pairs
+    among them, are let go.  A slotted object rather than a memoised
+    closure, since a long discourse's result holds one per state that
+    rejected something.
+    """
+
+    __slots__ = ("_build", "_args", "_records")
+
+    def __init__(self, build: Callable[..., tuple[Rejection, ...]], *args: object) -> None:
+        self._build: Optional[Callable[..., tuple[Rejection, ...]]] = build
+        self._args: tuple = args
+        self._records: Optional[tuple[Rejection, ...]] = None
+
+    def __call__(self) -> tuple[Rejection, ...]:
+        if self._build is not None:
+            self._records = self._build(*self._args)
+            self._build, self._args = None, ()
+        return self._records
+
+
 @dataclass(frozen=True)
 class _StepResult:
     """One center state's kept steps for one utterance, plus the discards.
@@ -214,18 +260,24 @@ class _StepResult:
     or -1, content of the new step).  ranked builds parent's children on
     its first read; _beams never reads it, since it builds a child only
     for a (parent, step) pair its cut keeps, and the tracer is its one
-    reader.  rejections are the expansion's records.
+    reader.  log is the expansion's Log; _beams passes it on unread, and
+    rejections, which the tracer reads, calls it.
     """
 
     parent: Hypothesis
     keys: tuple[Candidate, ...]
     steps: tuple[Step, ...]
-    rejections: tuple[Rejection, ...]
+    log: Log
 
     @cached_property
     def ranked(self) -> tuple[Hypothesis, ...]:
         """The children, in the order of steps."""
         return tuple([_child(self.parent, s) for s in self.steps])
+
+    @property
+    def rejections(self) -> tuple[Rejection, ...]:
+        """The expansion's records, built on the log's first call."""
+        return self.log()
 
 
 @dataclass(frozen=True)
@@ -235,7 +287,8 @@ class ResolveResult:
     rejections maps each utterance to the records of every center state
     expanded there, once per state, in the order the states were expanded;
     each Rejection names a discarded pairing by its binding (entity ids in
-    subcat order) and Cb.
+    subcat order) and Cb.  An utterance's records are built on its first
+    read (_Rejections), so a caller that reads none pays for none.
     """
 
     hypotheses: tuple[Hypothesis, ...]
@@ -244,6 +297,27 @@ class ResolveResult:
     @property
     def top(self) -> Hypothesis:
         return self.hypotheses[0]
+
+
+class _Rejections(Mapping[int, tuple[Rejection, ...]]):
+    """resolve's rejections by utterance index, over each utterance's Log.
+
+    Reading an utterance calls its log, which builds the records once and
+    returns the same tuple on every later read.  It compares equal to a
+    dict holding the same tuples under the same keys.
+    """
+
+    def __init__(self, logs: dict[int, Log]) -> None:
+        self._logs = logs
+
+    def __getitem__(self, index: int) -> tuple[Rejection, ...]:
+        return self._logs[index]()
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._logs)
+
+    def __len__(self) -> int:
+        return len(self._logs)
 
 
 class UnresolvableError(Exception):
@@ -499,7 +573,7 @@ def _ids(
 
 def _survivors(
     discourse: Discourse, prev: Optional[CenterState], plan: _Plan, config: EngineConfig
-) -> tuple[list[Candidate], list[Rejection]]:
+) -> tuple[list[Candidate], Log]:
     """Filtered, ZTA-extended candidates of plan's utterance after state prev.
 
     prev is None for the discourse-initial utterance, whose candidates
@@ -511,21 +585,25 @@ def _survivors(
     (a segment reset).  A pairing is inside when every zero binds a
     previous-Cf entity; the outside ones reach out to hearer-old entities
     and survive only as a last resort, when no inside pairing passes.
-    Every pairing goes through the utterance's plan; filter_assignment
-    names the rule of each one the plan rejects, and that call is the
-    only place a rejected pairing's role -> entity dict is built.  The
-    Rejections come in generation order, each naming its pairing by
-    entity ids, and the pruned outside pairings' last.
+    Every pairing goes through the utterance's plan, and the ones it
+    rejects are kept as (binding, Cb) code pairs, as are the pruned
+    outside ones, for the expansion's Log (a _Log over
+    _rejection_records), which turns them into Rejections only when it
+    is read: filter_assignment names the rule of each rejected one then,
+    and that call is the only place a rejected pairing's role -> entity
+    dict is built.  The Rejections come in generation order, each naming
+    its pairing by entity ids, and the pruned outside pairings' last.
+    An expansion that discards nothing gets the shared _no_rejections.
 
     Expansion runs on entity codes (_Codes): prev's Cf and Cb become codes
     once per call, and the bindings, their Cb candidates, the Rule 1 test
     (plan.passes), the inside test and the transition dict below all work
     on codes.  Ids come back only where something outside reads them: in
-    a rejected pairing's filter_assignment call and Rejection, and in
-    _step, for the candidates the cut keeps.  A passing pairing is kept
-    as its (binding, Cb) pair; only the side that survives, the inside
-    pairings or else the outside ones, is keyed, and each outside pair
-    becomes its OUT_OF_CF_PRUNED record when an inside one passed.
+    a read log's filter_assignment calls and Rejections, and in _step,
+    for the candidates the cut keeps.  A passing pairing is kept as its
+    (binding, Cb) pair; only the side that survives, the inside pairings
+    or else the outside ones, is keyed, and the outside pairs go to the
+    log, as OUT_OF_CF_PRUNED, when an inside one passed.
 
     A candidate is its key, its key among the children of any parent
     whose last state is prev, and nothing else is built per candidate.
@@ -551,10 +629,8 @@ def _survivors(
     miss.  Where prev's Cb is set, a binding's one Cb candidate is the
     first previous-Cf entity it holds.
     """
-    utterance = plan.utterance
     codes = plan.codes
-    ids, code_of = codes.ids, codes.index
-    index = utterance.index
+    code_of = codes.index
     if prev is None:
         prev_cf: list[int] = []
         prev_cb = None
@@ -572,7 +648,7 @@ def _survivors(
 
     inside: list[tuple[Binding, Optional[int]]] = []
     outside: list[tuple[Binding, Optional[int]]] = []
-    rejections: list[Rejection] = []
+    rejected: list[tuple[Binding, Optional[int]]] = []
     passes = plan.passes
     for binding in generate_assignments(plan, context):
         # compute_cb_candidates: the realized previous-Cf entities in
@@ -588,22 +664,17 @@ def _survivors(
         side = None
         for cb in cbs:
             if not passes(binding, prev_cf_set, cb):
-                bound, cb_id = _ids(ids, binding, cb)
-                assignment = dict(zip(utterance.frame.subcat, bound))
-                code = filter_assignment(utterance, assignment, prev, cb_id, discourse.entity_map)
-                rejections.append(Rejection(index, bound, cb_id, code))
+                rejected.append((binding, cb))
                 continue
             if side is None:
                 side = inside if inside_codes.issuperset(binding) else outside
             side.append((binding, cb))
 
-    if inside:  # an in-Cf pool can prune thousands of pairings
-        id_of = ids.__getitem__
-        rejections += [
-            Rejection(index, tuple(map(id_of, binding)), None if cb is None else ids[cb],
-                      OUT_OF_CF_PRUNED)
-            for binding, cb in outside
-        ]
+    # An in-Cf pool can prune thousands of pairings, which stay code pairs.
+    log: Log = _no_rejections
+    if rejected or (inside and outside):
+        pruned = outside if inside else ()
+        log = _Log(_rejection_records, discourse, prev, plan.utterance, codes.ids, rejected, pruned)
     survivors: list[Candidate] = []
     ordinals: dict[tuple[int, int], int] = {}  # (Cb, Cp entity) -> transition ordinal
     cp = plan.cf[0][0]
@@ -616,12 +687,44 @@ def _survivors(
         if ordinal is None:
             ordinal = ordinals[pair] = classify_transition(prev_cb, *pair).ordinal
         survivors.append((ordinal, cb if open_cb else -1, (binding, cb, 0)))
-    return survivors + apply_zta(survivors, prev_cb, plan, config), rejections
+    return survivors + apply_zta(survivors, prev_cb, plan, config), log
+
+
+def _rejection_records(
+    discourse: Discourse,
+    prev: Optional[CenterState],
+    utterance: Utterance,
+    ids: Sequence[str],
+    rejected: list[tuple[Binding, Optional[int]]],
+    pruned: Sequence[tuple[Binding, Optional[int]]],
+) -> tuple[Rejection, ...]:
+    """One expansion's records, from the (binding, Cb) code pairs it discarded.
+
+    rejected holds the pairings the plan rejected and pruned the outside
+    pairings an inside one made unnecessary, both in generation order,
+    and ids each entity's id by code.  Each rejected pair becomes a
+    Rejection with the code filter_assignment names for it, looked up as
+    a module global at this call, then each pruned pair an
+    OUT_OF_CF_PRUNED one.  Runs when the expansion's log is first read.
+    """
+    index, subcat, entity_map = utterance.index, utterance.frame.subcat, discourse.entity_map
+    records = []
+    for binding, cb in rejected:
+        bound, cb_id = _ids(ids, binding, cb)
+        code = filter_assignment(utterance, dict(zip(subcat, bound)), prev, cb_id, entity_map)
+        records.append(Rejection(index, bound, cb_id, code))
+    id_of = ids.__getitem__
+    records += [
+        Rejection(index, tuple(map(id_of, binding)), None if cb is None else ids[cb],
+                  OUT_OF_CF_PRUNED)
+        for binding, cb in pruned
+    ]
+    return tuple(records)
 
 
 def _kept_steps(
     discourse: Discourse, prev: Optional[CenterState], plan: _Plan, config: EngineConfig
-) -> tuple[tuple[Candidate, ...], tuple[Step, ...], tuple[Rejection, ...]]:
+) -> tuple[tuple[Candidate, ...], tuple[Step, ...], Log]:
     """Cut one expansion's survivors to beam_width, then build only those.
 
     The one place a cut is made and a candidate becomes a Step, for every
@@ -630,15 +733,16 @@ def _kept_steps(
     rejects nothing; otherwise the survivors of _survivors, their sibling
     keys, are cut in their natural order (heapq.nsmallest).  The Steps
     are plan's utterance's.  Returns the kept keys and their Steps, best
-    first, and the expansion's rejections.  A Step is not yet a child:
-    _beams builds one only for a (parent, step) pair its own cut keeps.
+    first, and the expansion's Log, unread (the reset cut's is the shared
+    _no_rejections).  A Step is not yet a child: _beams builds one only
+    for a (parent, step) pair its own cut keeps.
     """
     keys = _reset_keys(prev, plan, config.beam_width)
-    rejections: Sequence[Rejection] = ()
+    log = _no_rejections
     if keys is None:
-        survivors, rejections = _survivors(discourse, prev, plan, config)
+        survivors, log = _survivors(discourse, prev, plan, config)
         keys = tuple(heapq.nsmallest(config.beam_width, survivors))
-    return keys, tuple([_step(plan, k) for k in keys]), tuple(rejections)
+    return keys, tuple([_step(plan, k) for k in keys]), log
 
 
 def _reset_keys(
@@ -760,15 +864,15 @@ def step(
     sorts with the initials), then the Cb the parent's last step takes
     after write-back, then the new step's content, as hypothesis_sort_key
     orders siblings.  No child past them can reach the beam.  keys holds
-    each step's sibling key (see _survivors), in the same order, and
-    rejections the expansion's records.  No steps means no parent with
-    that state can account for the utterance.  The survivors stay keyed
-    candidates through the cut (_kept_steps); only the kept ones become
-    Steps, and no child is built here: the result's ranked builds them
-    on demand.  plan is the utterance's _Plan, which _beams compiles once
-    and shares among the utterance's states; the expansion reads the
-    utterance from it, and utterance stays an argument because the
-    tracer reads it.
+    each step's sibling key (see _survivors), in the same order, and log
+    the expansion's Log, which its rejections read.  No steps means no
+    parent with that state can account for the utterance.  The survivors
+    stay keyed candidates through the cut (_kept_steps); only the kept
+    ones become Steps, and no child is built here: the result's ranked
+    builds them on demand.  plan is the utterance's _Plan, which _beams
+    compiles once and shares among the utterance's states; the expansion
+    reads the utterance from it, and utterance stays an argument because
+    the tracer reads it.
     """
     return _StepResult(parent, *_kept_steps(discourse, parent.last.state, plan, config))
 
@@ -875,8 +979,8 @@ def _cut(pairs: list[Pair], utterance_index: int, beam_width: int) -> list[Keyed
 
 def _initial_hypotheses(
     discourse: Discourse, config: EngineConfig, *, plan: _Plan
-) -> tuple[list[Keyed], tuple[Rejection, ...]]:
-    """The first beam, keyed as children are, and the first utterance's rejections.
+) -> tuple[list[Keyed], Log]:
+    """The first beam, keyed as children are, and the first utterance's Log.
 
     plan is the first utterance's, which goes through _kept_steps with no
     previous state, so only its beam_width best readings (score 0, no
@@ -886,46 +990,57 @@ def _initial_hypotheses(
     children's shape: score 0, no transition, rank 0, no earlier step,
     then its own content.
     """
-    keys, steps, rejections = _kept_steps(discourse, None, plan, config)
-    return [((0, -1, 0, (), key[2]), Hypothesis((s,))) for key, s in zip(keys, steps)], rejections
+    keys, steps, log = _kept_steps(discourse, None, plan, config)
+    return [((0, -1, 0, (), key[2]), Hypothesis((s,))) for key, s in zip(keys, steps)], log
 
 
 def _beams(
     discourse: Discourse, config: EngineConfig
-) -> Iterator[tuple[int, list[Keyed], tuple[Rejection, ...]]]:
-    """Each utterance's index, keyed beam and rejections, in discourse order.
+) -> Iterator[tuple[int, list[Keyed], Log]]:
+    """Each utterance's index, keyed beam and Log, in discourse order.
 
     The beam at utterance n is resolve's on the discourse's first n
-    utterances, and the rejections are that utterance's records, each
-    expanded state's once, in the order its states were expanded.  The
-    parents are grouped by last state in a dict that lives for one
-    utterance: step expands each distinct state once, and each parent's
-    pairs are keyed, in parent order, from its group's one result.
+    utterances, and the log holds that utterance's records, each
+    expanded state's once, in the order its states were expanded, and
+    builds them only when it is called (_joined).  The parents are
+    grouped by last state in a dict that lives for one utterance: step
+    expands each distinct state once, and each parent's pairs are keyed,
+    in parent order, from its group's one result.
     Raises UnresolvableError, after yielding every earlier beam, at the
     first utterance no reading survives.  discourse must be valid.
     """
     codes = _Codes.of(discourse)
     first = _Plan.of(discourse.utterances[0], codes)
-    keyed, rejections = _initial_hypotheses(discourse, config, plan=first)
+    keyed, log = _initial_hypotheses(discourse, config, plan=first)
     if not keyed:
         raise UnresolvableError(1)
-    yield 1, keyed, rejections
+    yield 1, keyed, log
 
     for utterance in discourse.utterances[1:]:
         plan = _Plan.of(utterance, codes)
         results: dict[CenterState, _StepResult] = {}
         pairs: list[Pair] = []
-        logged: list[Rejection] = []
+        logs: list[Log] = []
         ranks = _dense_ranks([key[1:4] for key, _ in keyed])
         for (key, parent), rank in zip(keyed, ranks):
             state = parent.last.state
             result = results.get(state)
             if result is None:
                 result = results[state] = step(parent, utterance, discourse, config, plan=plan)
-                logged += result.rejections
+                if result.log is not _no_rejections:
+                    logs.append(result.log)
             pairs += _keyed_pairs(key, parent, result, rank)
         keyed = _cut(pairs, utterance.index, config.beam_width)
-        yield utterance.index, keyed, tuple(logged)
+        yield utterance.index, keyed, _joined(logs)
+
+
+def _joined(logs: list[Log]) -> Log:
+    """One utterance's Log: its expansions' logs read in turn, their records concatenated."""
+    if len(logs) == 1:
+        return logs[0]
+    if not logs:
+        return _no_rejections
+    return _Log(lambda: tuple([r for log in logs for r in log()]))
 
 
 def resolve(discourse: Discourse, config: EngineConfig = EngineConfig()) -> ResolveResult:
@@ -938,13 +1053,13 @@ def resolve(discourse: Discourse, config: EngineConfig = EngineConfig()) -> Reso
     under hypothesis_sort_key and truncated to the beam width at every
     utterance, so the result is deterministic for identical inputs.  They
     are the last beam of _beams, and the rejections what it logged at
-    each utterance.
+    each utterance, each utterance's records built on its first read.
     """
     violations = validate_discourse(discourse)
     if violations:
         raise DiscourseInvalidError(violations)
 
-    rejection_log: dict[int, tuple[Rejection, ...]] = {}
-    for index, keyed, rejections in _beams(discourse, config):
-        rejection_log[index] = rejections
-    return ResolveResult(tuple(h for _, h in keyed), rejection_log)
+    logs: dict[int, Log] = {}
+    for index, keyed, log in _beams(discourse, config):
+        logs[index] = log
+    return ResolveResult(tuple(h for _, h in keyed), _Rejections(logs))

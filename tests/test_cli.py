@@ -5,12 +5,13 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from centering import cli, corpus, oracle
+from centering import cli, corpus, engine, oracle
 from centering.cli import (
     EXIT_FORMAT,
     EXIT_IO,
@@ -262,6 +263,48 @@ def test_resolve_json_encodes_each_distinct_step_once(tmp_path, capsys, workload
     distinct = {id(s) for s in references}
     assert len(references) == 3200 and len(distinct) < 400
     assert len(encoded) == len(distinct)
+
+
+def test_resolve_json_builds_no_rejection_record(tmp_path, capsys, workloads, monkeypatch):
+    """The CLI never reads the rejection log, so no record is built and no pairing filtered.
+
+    The 40-entity in-Cf pool prunes thousands of out-of-Cf pairings at
+    utterance 2.  Read through resolve, the log holds the reference's
+    records, built once: a second read returns the same tuple.
+    """
+    from test_engine import prefix, reference_rejections
+
+    d = workloads.wide_pool(random.Random(5), 40, False)
+    path = tmp_path / "pool.json"
+    path.write_text(serialize_discourse(d), encoding="utf-8")
+    made = Counter()
+    record, verdict = engine.Rejection, engine.filter_assignment
+
+    def counting_record(*args):
+        made["records"] += 1
+        return record(*args)
+
+    def counting_filter(*args):
+        made["filter calls"] += 1
+        return verdict(*args)
+
+    monkeypatch.setattr(engine, "Rejection", counting_record)
+    monkeypatch.setattr(engine, "filter_assignment", counting_filter)
+    assert run_cli(["resolve", str(path), "--format", "json"]) == EXIT_OK
+    capsys.readouterr()
+    assert made == Counter()
+
+    result = resolve(d)
+    assert made == Counter()
+    [prev] = {h.last.state for h in resolve(prefix(d, 1)).hypotheses}
+    logged = result.rejections[2]
+    assert logged == tuple(reference_rejections(d, d.utterances[1], prev))
+    assert made["records"] == len(logged) > 1000
+    assert result.rejections[2] is logged and made["records"] == len(logged)
+    utterances = range(1, len(d.utterances) + 1)
+    assert list(result.rejections) == list(utterances)
+    plain = {u: result.rejections[u] for u in utterances}
+    assert result.rejections == plain and plain == result.rejections
 
 
 # --------------------------------------------------------------------------

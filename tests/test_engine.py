@@ -480,15 +480,15 @@ def test_unresolvable_discourse_reports_the_utterance():
 def one_pass(d, config):
     """What engine._beams yields at each utterance, with the rejections so far.
 
-    Each value is (utterance index, readings, rejection log up to there);
-    an UnresolvableError ends the list as ("unresolvable", its index).
-    The beams are read only after the pass, so a beam the pass changes
-    after yielding it shows.
+    Each value is (utterance index, readings, rejection log up to there),
+    each utterance's log read as it is yielded; an UnresolvableError ends
+    the list as ("unresolvable", its index).  The beams are read only
+    after the pass, so a beam the pass changes after yielding it shows.
     """
     yielded, log, end = [], {}, []
     try:
         for u, keyed, rejections in engine._beams(d, config):
-            log[u] = rejections
+            log[u] = rejections()
             yielded.append((u, keyed, dict(log)))
     except UnresolvableError as err:
         end = [("unresolvable", err.utterance_index)]
@@ -550,6 +550,38 @@ def test_random_discourses_are_felicitous():
             assert validate_discourse(random_discourse(rng)) == [], (seed, trial)
     for seed in range(40):
         assert validate_discourse(random_discourse(random.Random(seed))) == [], seed
+
+
+def outcome(d, config):
+    """resolve's readings and its full rejection log on d, or the index it cannot resolve."""
+    try:
+        result = resolve(d, config)
+    except UnresolvableError as err:
+        return ("unresolvable", err.utterance_index)
+    return result.hypotheses, dict(result.rejections)
+
+
+def test_entities_neither_mentioned_nor_hearer_old_are_inert():
+    # A zero's antecedent is a previous-Cf or a hearer-old entity, so an
+    # entity that is neither, and that no overt slot names, can never be
+    # bound: appending five leaves the readings, their order and every
+    # record as they were, last resorts and unresolvable draws included.
+    inert = tuple(
+        entity(f"inert{i}", animate=i % 2 == 0, hearer_old=False, definite=i % 3 == 0)
+        for i in range(5)
+    )
+    rng = random.Random(2024)
+    compared = Counter()
+    for trial in range(300):
+        d = random_discourse(rng)
+        widened = Discourse(d.entities + inert, d.utterances)
+        for width in (1, 4):
+            for zta in (True, False):
+                config = EngineConfig(beam_width=width, zta_enabled=zta)
+                want = outcome(d, config)
+                assert outcome(widened, config) == want, (trial, width, zta)
+                compared[want[0] == "unresolvable"] += 1
+    assert compared[False] >= 600 and compared[True] >= 100, compared
 
 
 def test_out_of_cf_bindings_are_last_resort(workloads):
@@ -629,9 +661,10 @@ def test_the_rejection_log_equals_the_reference_records(workloads):
         for width in (1, 4):
             states = [None]
             with contextlib.suppress(UnresolvableError):
-                for u, keyed, logged in engine._beams(d, EngineConfig(beam_width=width)):
+                for u, keyed, log in engine._beams(d, EngineConfig(beam_width=width)):
                     utterance = d.utterances[u - 1]
                     want = [r for prev in states for r in reference_rejections(d, utterance, prev)]
+                    logged = log()
                     assert list(logged) == want, (trial, width, u)
                     assert id_level_failures(logged) == [], (trial, width, u)
                     covered.update(r.code for r in logged)
@@ -893,11 +926,11 @@ def test_survivors_run_once_per_distinct_parent_state(monkeypatch, workloads):
 
         monkeypatch.setattr(engine, "_kept_steps", recording_kept_steps)
         states, parents, distinct = [None], 0, 0
-        for u, keyed, logged in engine._beams(d, config):
+        for u, keyed, log in engine._beams(d, config):
             assert expanded.pop(u) == states, u
             utterance = d.utterances[u - 1]
             want = [r for prev in states for r in reference_rejections(d, utterance, prev)]
-            assert list(logged) == want, u
+            assert list(log()) == want, u
             states = last_states(keyed)
             if u < len(d.utterances):  # the next utterance's parents and their states
                 parents += len(keyed)
@@ -1069,8 +1102,8 @@ def reset_cut_failures(discourse, fired):
                 where = (plan.utterance.index, prev, zta)
                 if where not in survivors:
                     survivors[where] = engine._survivors(discourse, prev, plan, config)
-                candidates, rejections = survivors[where]
-                if rejections or keys != tuple(heapq.nsmallest(k, candidates)):
+                candidates, log = survivors[where]
+                if log() or keys != tuple(heapq.nsmallest(k, candidates)):
                     failures.append((where, width))
                 fired[width] += 1
     return failures
@@ -1130,8 +1163,8 @@ def test_the_reset_cut_declines_unless_its_k_best_are_all_resets():
     # The animate-only subject finds nothing animate in the inanimate
     # previous Cf, so its eight readings are resets, and the cut is theirs.
     d, prev, plan = cut_case({SUBJ: None, OBJ: "h0"}, (SUBJ,))
-    survivors, rejections = engine._survivors(d, prev, plan, config)
-    assert len(survivors) == 8 and rejections == []
+    survivors, log = engine._survivors(d, prev, plan, config)
+    assert len(survivors) == 8 and log() == ()
     assert engine._reset_keys(prev, plan, 4) == tuple(heapq.nsmallest(4, survivors))
     declines = {
         # An overt slot holds a previous-Cf entity, which then links
@@ -1158,12 +1191,12 @@ def test_the_reset_cut_declines_unless_its_k_best_are_all_resets():
     for name, (d, prev, plan) in declines.items():
         k = width.get(name, 4)
         assert engine._reset_keys(prev, plan, k) is None, name
-        survivors, rejections = engine._survivors(d, prev, plan, config)
+        survivors, log = engine._survivors(d, prev, plan, config)
         resets = [c for c in survivors if c[0] < 0]
         if name == "fewer resets than k":
             assert 0 < len(resets) < k < len(survivors), name
         elif name in ("coindexed", "sortal"):
-            assert not survivors and rejections, name
+            assert not survivors and log(), name
         else:
             assert survivors and not resets, name
 
@@ -1487,4 +1520,5 @@ def test_overt_slots_that_doom_every_pairing_reject_each_with_its_code(frame, ar
     ]
     assert len(want) == 3 and {r.code for r in want} == {code}
     plan = engine._Plan.of(utterance, engine._Codes.of(d))
-    assert engine._survivors(d, prev, plan, config) == ([], want)
+    survivors, log = engine._survivors(d, prev, plan, config)
+    assert survivors == [] and log() == tuple(want)
