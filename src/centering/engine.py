@@ -20,14 +20,12 @@ previous center state, so parents that share their last state share one
 expansion: `_beams`, the loop over the utterances, groups each beam's
 parents by last state and calls `step`, its per-state call, once per
 group.  Siblings share their parent's key score and rank, so they
-compare on their transition, the Cb their parent's last step takes
-after write-back and their own content - their sibling key, fixed by
-that state: each expansion keeps only its `beam_width` best survivors,
-cut after the zero-topic variants are added, and `step` returns the
-new steps of the state's `beam_width` best children in beam order with
-their sibling keys.  A child past them
-has `beam_width` siblings ahead of it and cannot reach the beam, so the
-cut is exact.  `_beams` needs nothing from a step but its return
+compare on their sibling key (`Candidate`), which that state fixes:
+each expansion keeps only its `beam_width` best survivors, cut after
+the zero-topic variants are added, and `step` returns the new steps of
+the state's `beam_width` best children in beam order with their sibling
+keys.  A child past them has `beam_width` siblings ahead of it and
+cannot reach the beam, so the cut is exact.  `_beams` needs nothing from a step but its return
 value, and builds no child before its own cut: it keys every (parent,
 kept step) pair from the parent's key and the step's sibling key, in
 parent order, cuts the pairs of all parents at once (`_cut`) and
@@ -56,13 +54,12 @@ beam's properties.
 
 The full expansion of an utterance is `_survivors`: it turns a
 previous center state and the utterance's plan into candidates, and a
-candidate is its sibling key - (transition ordinal, write-back
-index, (binding, Cb, ZTA flag)) - made once it has passed the filters;
-its transition, Cb and Cf order all follow from the key.  Nothing more
-is built before the cut: `_kept_steps`, the one place a cut is made and
-a candidate becomes a `Step`, takes the smallest keys and only then has
-`_step` work out the transition, the assignment, the validated center
-state, the Cf and the `Step` of each one it keeps.  A wide pool's last
+candidate is its sibling key (`Candidate`), made once it has passed the
+filters.  Nothing more is built before the cut: `_kept_steps`, the one
+place a cut is made and a candidate becomes a `Step`, takes the
+smallest keys and only then has `_step` work out the transition, the
+assignment, the validated center state, the Cf and the `Step` of each
+one it keeps.  A wide pool's last
 resort would key thousands of pairings for an expansion that keeps
 `beam_width`, and all it keeps are resets, readings that link nothing
 back and sort ahead of every transition.  So `_kept_steps` first tries
@@ -107,21 +104,17 @@ work: its Cb candidates from the previous Cf, the Rule 1 test and the
 inside test.  A passing pairing is held as its (binding, Cb) pair, and
 only the pairings that survive are keyed: the in-Cf ones, or the
 out-of-Cf ones when none is in-Cf, which otherwise stay unkeyed pairs
-in the log, read as prune records.  A sibling key's content is the
-binding itself and its Cb's code, and the Cf is read off the order only
-for a candidate the cut keeps.  Codes turn back into entity ids only where something outside
-the expansion reads them: in `_step` for the kept candidates, and, when
-a log is read, in each `Rejection` with the `filter_assignment` call
-that names its rule.
-The previous Cb is fixed within an expansion, so a transition depends
-only on the (Cb, Cp entity) pair: each expansion classifies a pair
-once, through `classify_transition`, which compares entities only for
-equality and so takes codes, and reads every other candidate's
-transition ordinal from a dict that dies with the expansion.  The
-rules stay the specification: `filter_assignment` names
-the code of each pairing the plan rejects, and the tests hold the plan
-to `filter_assignment` on every generated pairing, and to
-`assign_salience_roles` and `rank_cf` on every injective one.
+in the log, read as prune records.  The Cf is read off the order only
+for a candidate the cut keeps.  Codes turn back into entity ids only
+where something outside the expansion reads them: in `_step` for the
+kept candidates, and, when a log is read, in each `Rejection` with the
+`filter_assignment` call that names its rule.  A keyed candidate's
+transition comes from `classify_transition`, which compares entities
+only for equality and so takes codes.  The rules stay the
+specification: `filter_assignment` names the code of each pairing the
+plan rejects, and the tests hold the plan to `filter_assignment` on
+every generated pairing, and to `assign_salience_roles` and `rank_cf`
+on every injective one.
 
 Zero topic assignment (ZTA) is the salience-promoting reading of a zero
 that picks up the current center: when a parent's candidates include no
@@ -222,6 +215,7 @@ Log = Callable[[], tuple[Rejection, ...]]
 
 def _no_rejections() -> tuple[Rejection, ...]:
     """The log of every expansion that rejects nothing: one shared empty log."""
+    # A _Log per such expansion raised long_chain's peak allocation by 1 %.
     return ()
 
 
@@ -255,13 +249,11 @@ class _StepResult:
     parent is a reading whose last state is the one expanded.  steps are
     the new steps of its beam_width best children, in beam order, the
     same for every parent with that last state, and keys[i] is steps[i]'s
-    sibling key, the candidate it was built from (Candidate): (transition
-    ordinal or -1, the Cb index the parent's last step takes by write-back
-    or -1, content of the new step).  ranked builds parent's children on
-    its first read; _beams never reads it, since it builds a child only
-    for a (parent, step) pair its cut keeps, and the tracer is its one
-    reader.  log is the expansion's Log; _beams passes it on unread, and
-    rejections, which the tracer reads, calls it.
+    sibling key, the candidate it was built from (Candidate).  ranked
+    builds parent's children on its first read; _beams never reads it,
+    since it builds a child only for a (parent, step) pair its cut keeps,
+    and the tracer is its one reader.  log is the expansion's Log; _beams
+    passes it on unread, and rejections, which the tracer reads, calls it.
     """
 
     parent: Hypothesis
@@ -379,7 +371,7 @@ def generate_assignments(
             bindings = [b + (code,) for b in bindings]
             continue
         pool = animate_free if animate_only else free
-        if cap is None:
+        if cap is None:  # a generator in its place cost wide_pool's in-Cf pools 2-3 % utt/s
             bindings = [b + (c,) for b in bindings for c in pool if c not in b]
         else:
             bindings = list(islice((b + (c,) for b in bindings for c in pool if c not in b), cap))
@@ -389,11 +381,22 @@ def generate_assignments(
 #: Slot positions in Cf order, each with the salience tier it earns.
 CfOrder = tuple[tuple[int, SalienceRole], ...]
 
-#: A surviving candidate before the cut is its sibling key: (transition
-#: ordinal, -1 without one; the code of the Cb the parent's last step takes
-#: by write-back, else -1; (binding, Cb code or -1, ZTA flag 0 or 1)).
-#: _step works out the rest for the candidates the cut keeps; see
-#: _survivors for the key.
+#: A surviving candidate before the cut is its sibling key, its key among
+#: the children of any parent whose last state is the one expanded:
+#: (transition ordinal, -1 without one; the code of the Cb the parent's
+#: last step takes by write-back, else -1; (binding, Cb code or -1, ZTA
+#: flag 0 or 1)).  Siblings share their parent's score and rank, so in the
+#: beam they compare on this key alone.  A step costs its ordinal floored
+#: at 0, so the ordinal orders both cost and recency (CONTINUE before
+#: RETAIN before the shifts; a reset, with no transition, sorts with the
+#: initials).  Write-back fires exactly when the
+#: previous Cb is open and the candidate links to it, since its Cb then
+#: comes from the previous Cf; otherwise the parent's own Cb, the same for
+#: every sibling, stands as -1.  The content is the binding (the bound
+#: entity codes in subcat order), the Cb (a first-utterance key holds the
+#: wa topic's) and the ZTA flag.  Everything else about a candidate - its
+#: transition, Cb and Cf order - follows from its key, so _kept_steps cuts
+#: the keys and _step works out the Step of each key the cut keeps.
 Candidate = tuple[int, int, tuple[Binding, int, int]]
 
 
@@ -538,11 +541,8 @@ def apply_zta(
     is compiled once per utterance and _step finds it there.  Its
     transition is CONTINUE: the zero topic heads the Cf, so Cb and Cp
     coincide on the carried-over center.  So the variant is the base key
-    with CONTINUE's ordinal (0) and the ZTA flag set:
-    (0, write-back index, (binding, Cb, 1)).  Variants are additional
-    candidates; the originals stay.  A wide pool's last resort hands over
-    thousands of candidates, so both passes over them are plain loops
-    that read a key's ordinal (or Cb) before anything else.
+    with CONTINUE's ordinal (0) and the ZTA flag set.  Variants are
+    additional candidates; the originals stay.
     """
     if not config.zta_enabled or parent_cb is None:
         return []
@@ -597,37 +597,19 @@ def _survivors(
 
     Expansion runs on entity codes (_Codes): prev's Cf and Cb become codes
     once per call, and the bindings, their Cb candidates, the Rule 1 test
-    (plan.passes), the inside test and the transition dict below all work
-    on codes.  Ids come back only where something outside reads them: in
+    (plan.passes), the inside test and the transitions all work on
+    codes.  Ids come back only where something outside reads them: in
     a read log's filter_assignment calls and Rejections, and in _step,
     for the candidates the cut keeps.  A passing pairing is kept as its
     (binding, Cb) pair; only the side that survives, the inside pairings
     or else the outside ones, is keyed, and the outside pairs go to the
     log, as OUT_OF_CF_PRUNED, when an inside one passed.
 
-    A candidate is its key, its key among the children of any parent
-    whose last state is prev, and nothing else is built per candidate.
-    Siblings share their parent's score and rank, so in the beam they
-    compare on their transition ordinal (-1 without one; the cost is the
-    ordinal floored at 0, so the ordinal alone orders both), the Cb code
-    the parent's last step takes after write-back and the content of the
-    new step: the binding itself (the bound entity codes in subcat
-    order), the Cb's code (-1 while open) and the ZTA flag.  Write-back
-    fires exactly when prev's Cb is open and the candidate links to it,
-    since its Cb then comes from prev's Cf; otherwise the parent's own
-    Cb, the same for every sibling, stands as -1.  Everything else about
-    a candidate follows from its key, so _kept_steps cuts the keys and
-    _step works out the Step of each key the beam can keep, for step and
-    _initial_hypotheses alike.
-
-    Only what is specific to a candidate is computed per candidate: the
-    zeros, the overt entities and the Cf order come from the plan, which
-    _beams compiles once per utterance whatever the number of states
-    expanded there.  With prev's Cb fixed, the transition depends on the
-    (Cb, Cp entity) pair alone, so a dict local to this call holds each
-    pair's transition ordinal, filled through classify_transition on a
-    miss.  Where prev's Cb is set, a binding's one Cb candidate is the
-    first previous-Cf entity it holds.
+    A candidate is its sibling key (Candidate), and nothing else is built
+    per candidate: the zeros, the overt entities and the Cf order come
+    from the plan, which _beams compiles once per utterance whatever the
+    number of states expanded there.  Where prev's Cb is set, a binding's
+    one Cb candidate is the first previous-Cf entity it holds.
     """
     codes = plan.codes
     code_of = codes.index
@@ -657,6 +639,7 @@ def _survivors(
             cbs = [c for c in prev_cf if c in binding] or (None,)
         else:
             cbs = (None,)
+            # Stops at the first hit: the full list, cut to one, cost wide frames 45-50 %.
             for c in prev_cf:
                 if c in binding:
                     cbs = (c,)
@@ -676,16 +659,12 @@ def _survivors(
         pruned = outside if inside else ()
         log = _Log(_rejection_records, discourse, prev, plan.utterance, codes.ids, rejected, pruned)
     survivors: list[Candidate] = []
-    ordinals: dict[tuple[int, int], int] = {}  # (Cb, Cp entity) -> transition ordinal
     cp = plan.cf[0][0]
     for binding, cb in inside or outside:
         if cb is None:
             survivors.append((-1, -1, (binding, first_cb, 0)))
             continue
-        pair = (cb, binding[cp])
-        ordinal = ordinals.get(pair)
-        if ordinal is None:
-            ordinal = ordinals[pair] = classify_transition(prev_cb, *pair).ordinal
+        ordinal = classify_transition(prev_cb, cb, binding[cp]).ordinal
         survivors.append((ordinal, cb if open_cb else -1, (binding, cb, 0)))
     return survivors + apply_zta(survivors, prev_cb, plan, config), log
 
@@ -714,6 +693,7 @@ def _rejection_records(
         code = filter_assignment(utterance, dict(zip(subcat, bound)), prev, cb_id, entity_map)
         records.append(Rejection(index, bound, cb_id, code))
     id_of = ids.__getitem__
+    # map, not _ids: the 14,438 records of the 40-entity in-Cf pool read 12 % faster.
     records += [
         Rejection(index, tuple(map(id_of, binding)), None if cb is None else ids[cb],
                   OUT_OF_CF_PRUNED)
@@ -751,44 +731,31 @@ def _reset_keys(
     """The k smallest survivor keys after prev when all k are resets, else None.
 
     A reset binds no previous-Cf entity, so nothing links it back: its
-    key is (-1, -1, (binding, Cb, 0)), with the wa topic's code as its Cb
-    after no previous state and -1 otherwise, and it sorts ahead of every
-    linked candidate and zero-topic variant (ordinal 0 or more), resets
-    among themselves by binding.  Four conditions, checked cheapest
-    first, make the k smallest keys of _survivors exactly the first k
-    bindings generated over the hearer-old entities outside the previous
-    Cf, which come in code order and so in key order:
+    key (Candidate) has no transition, no write-back and no ZTA flag, and
+    it sorts ahead of every linked candidate and zero-topic variant,
+    resets among themselves by binding.  Three conditions, checked
+    cheapest first, make the k smallest keys of _survivors exactly the
+    first k bindings generated over the hearer-old entities outside the
+    previous Cf, which come in code order and so in key order:
     - the plan rejects nothing: overt_ok, and no overt slot holds a
       previous-Cf entity, so a Cb sits in a zero and Rule 1 holds, and
       a binding whose zeros stay outside the previous Cf is a reset;
-    - the product of the reset pools' sizes, a bound on the number of
-      resets, reaches k (the number of hearer-old entities to the power
-      of the zeros, a looser bound, is checked first, before any list
-      is built);
     - no inside binding exists (generation over the previous Cf, cut at
       one), so no pairing is pruned and every one survives;
-    - k resets exist.
+    - k resets exist: generation outside the previous Cf, cut at k,
+      gives k.  The number of hearer-old entities to the power of the
+      zeros bounds the number of resets, so a plan below k is declined
+      before anything is generated.
     Then _survivors would reject nothing and key every pairing, so
     generating the first k resets stands for enumerating them all.  None
     sends the expansion down the full path.
     """
     codes = plan.codes
+    # Declines most long_chain frames; the inside probe in its place cost 3-6 % utt/s there.
     if not plan.overt_ok or len(codes.hearer_old) ** len(plan.zeros) < k:
         return None
     prev_cf = [] if prev is None else [codes.index[e] for e, _ in prev.cf]
-    overt = plan.overt
-    if not overt.isdisjoint(prev_cf):
-        return None
-    animate = codes.animate
-    free = animate_free = 0  # the reset pools' sizes, counted with no list built
-    for c in codes.hearer_old:
-        if c not in prev_cf and c not in overt:
-            free += 1
-            animate_free += animate[c]
-    size = 1
-    for p in plan.zeros:
-        size *= animate_free if plan.animate_only[p] else free
-    if size < k or generate_assignments(plan, prev_cf, limit=1):
+    if not plan.overt.isdisjoint(prev_cf) or generate_assignments(plan, prev_cf, limit=1):
         return None
     resets = generate_assignments(plan, [c for c in codes.hearer_old if c not in prev_cf], limit=k)
     if len(resets) < k:
@@ -859,20 +826,17 @@ def step(
     last state of its beam, with the first parent that reaches the state.
 
     Returns the new steps of the beam_width best children of any parent
-    with that last state, in beam order: transition ordinal first
-    (CONTINUE before RETAIN before the shifts; an unclassified reset
-    sorts with the initials), then the Cb the parent's last step takes
-    after write-back, then the new step's content, as hypothesis_sort_key
-    orders siblings.  No child past them can reach the beam.  keys holds
-    each step's sibling key (see _survivors), in the same order, and log
-    the expansion's Log, which its rejections read.  No steps means no
-    parent with that state can account for the utterance.  The survivors
-    stay keyed candidates through the cut (_kept_steps); only the kept
-    ones become Steps, and no child is built here: the result's ranked
-    builds them on demand.  plan is the utterance's _Plan, which _beams
-    compiles once and shares among the utterance's states; the expansion
-    reads the utterance from it, and utterance stays an argument because
-    the tracer reads it.
+    with that last state, in beam order, which is the order of their
+    sibling keys (Candidate) and hypothesis_sort_key's among siblings.
+    No child past them can reach the beam.  keys holds each step's
+    sibling key, in the same order, and log the expansion's Log, which
+    its rejections read.  No steps means no parent with that state can
+    account for the utterance.  The survivors stay keyed candidates
+    through the cut (_kept_steps); only the kept ones become Steps, and
+    no child is built here: the result's ranked builds them on demand.
+    plan is the utterance's _Plan, which _beams compiles once and shares
+    among the utterance's states; the expansion reads the utterance from
+    it, and utterance stays an argument because the tracer reads it.
     """
     return _StepResult(parent, *_kept_steps(discourse, parent.last.state, plan, config))
 
@@ -942,11 +906,11 @@ def _keyed_pairs(key: tuple, parent: Hypothesis, result: _StepResult, rank: int)
     steps[-1]) orders the children the same way, ties included.
     key[1:4] is then the child's own pair, so its dense rank serves the
     next utterance.  The transition, the write-back Cb and the last
-    step's content come from each step's sibling key in result.keys, and
-    the content of the parent's last step from the parent's own key, with
-    its Cb replaced when the write-back index is set (>= 0), and the
-    score from the parent's key plus the transition floored at 0 (a reset
-    costs 0).
+    step's content come from each step's sibling key (Candidate) in
+    result.keys, the content of the parent's last step from the parent's
+    own key, with its Cb replaced when the write-back index is set
+    (>= 0), and the score from the parent's key plus the transition
+    floored at 0 (a reset costs 0).
     """
     bound, _cb, zta = last_content = key[4]
     return [
@@ -1036,8 +1000,6 @@ def _beams(
 
 def _joined(logs: list[Log]) -> Log:
     """One utterance's Log: its expansions' logs read in turn, their records concatenated."""
-    if len(logs) == 1:
-        return logs[0]
     if not logs:
         return _no_rejections
     return _Log(lambda: tuple([r for log in logs for r in log()]))

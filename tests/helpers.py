@@ -26,9 +26,12 @@ them:
 
 It also holds the antecedent pool over entity ids, the reference the
 pairing tests generate over, the plain-data form of the readings that
-`resolve --format json` prints, the reference for the CLI's renderer, and
-`sameness_digest`, one hash over the engine's output on a fixed sweep, so
-that a change meant to leave the output alone can show it did:
+`resolve --format json` prints, the reference for the CLI's renderer,
+the table of metamorphic relations (`RELATIONS`: entities appended to a
+discourse that must leave its readings alone) with the sweep they run
+on, and `sameness_digest`, one hash over the engine's output on a fixed
+sweep, which test_engine.py holds to its recorded value so that a change
+meant to leave the output alone shows it did:
 
     PYTHONPATH=src:tests python -c "import helpers; print(helpers.sameness_digest())"
 """
@@ -40,8 +43,9 @@ import hashlib
 import json
 import random
 import sys
+from collections import Counter
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from centering import corpus, engine, oracle
 from centering.engine import EngineConfig, ResolveResult, UnresolvableError
@@ -703,3 +707,120 @@ def beam_extension_failures(discourse: Discourse, config: EngineConfig) -> List[
             if len({all(h.last.assignment[r] in prev_cf for r in zero_roles) for h in family}) > 1:
                 failures.append(f"u{k}: in-Cf and out-of-Cf children mixed")
     return failures
+
+
+# --------------------------------------------------------------------------
+# Metamorphic relations
+
+
+def outcome(discourse: Discourse, config: EngineConfig) -> tuple:
+    """("resolved", readings, full rejection log) of resolve, or ("unresolvable", index)."""
+    try:
+        result = engine.resolve(discourse, config)
+    except UnresolvableError as err:
+        return ("unresolvable", err.utterance_index)
+    return ("resolved", result.hypotheses, dict(result.rejections))
+
+
+def readings(discourse: Discourse, config: EngineConfig) -> tuple:
+    """outcome without the log: ("resolved", readings) or ("unresolvable", index)."""
+    return outcome(discourse, config)[:2]
+
+
+def last_resort_never_fired(discourse: Discourse, config: EngineConfig) -> bool:
+    """Whether no reading of discourse under config reaches past the previous Cf.
+
+    True when the first utterance has no zero and every center state that
+    resolve expands has an in-Cf survivor: one whose slots hold only
+    previous-Cf and overt entities, read off engine._survivors for each
+    distinct last state of each beam of engine._beams.  An unresolvable
+    discourse had a state with no survivor at all.
+    """
+    if any(a.realization.is_zero for a in discourse.utterances[0].args):
+        return False
+    try:
+        beams = [keyed for _index, keyed, _log in engine._beams(discourse, config)]
+    except UnresolvableError:
+        return False
+    codes = engine._Codes.of(discourse)
+    for keyed, utterance in zip(beams, discourse.utterances[1:]):
+        plan = engine._Plan.of(utterance, codes)
+        for state in dict.fromkeys(h.last.state for _, h in keyed):
+            survivors, _log = engine._survivors(discourse, state, plan, config)
+            inside = {codes.index[e] for e in state.cf_ids} | plan.overt
+            if not any(inside.issuperset(binding) for _, _, (binding, _, _) in survivors):
+                return False
+    return True
+
+
+@dataclasses.dataclass(frozen=True)
+class Relation:
+    """Entities appended to a discourse, and what that must leave unchanged.
+
+    No utterance names an appended entity.  covers(discourse, config) says
+    whether the relation speaks about that resolve at all, and
+    observe(discourse, config) gives what must come out equal on the
+    discourse and on its copy with the entities appended, as a tuple whose
+    first item says whether resolve resolved it.
+    """
+
+    appended: tuple[Entity, ...]
+    covers: Callable[[Discourse, EngineConfig], bool]
+    observe: Callable[[Discourse, EngineConfig], object]
+
+
+#: The relations that follow from the paper's definitions, by name.
+#: inert: a zero's antecedent is a previous-Cf or a hearer-old entity, so
+#: an entity that is neither can never be bound, and readings, their order
+#: and every record stay as they were, last resorts and unresolvable
+#: discourses included.  last_resort: hearer-old entities outside the
+#: previous Cf are reached only as a last resort, so where none fired and
+#: the first utterance binds nothing by a zero, more of them change no
+#: reading and no order (the log does grow: the new pairings are pruned).
+RELATIONS = {
+    "inert": Relation(
+        tuple(
+            entity(f"inert{i}", animate=i % 2 == 0, hearer_old=False, definite=i % 3 == 0)
+            for i in range(5)
+        ),
+        lambda discourse, config: True,
+        outcome,
+    ),
+    "last_resort": Relation(
+        tuple(entity(f"old{i}", animate=i % 2 == 0, definite=i % 3 == 0) for i in range(5)),
+        last_resort_never_fired,
+        readings,
+    ),
+}
+
+
+def relation_failures(
+    relation: Relation, discourses: Sequence[Discourse], widths: Sequence[int] = (1, 4, 16)
+) -> tuple[List[tuple], Counter]:
+    """Where appending relation's entities changes what it observes, and what it covered.
+
+    Each discourse is resolved at each width, ZTA on and off; a failure is
+    (discourse index, width, ZTA flag), and the counter counts the covered
+    cases by the first item of what was observed ("resolved" or
+    "unresolvable").
+    """
+    failures, covered = [], Counter()
+    for i, discourse in enumerate(discourses):
+        widened = Discourse(discourse.entities + relation.appended, discourse.utterances)
+        for width in widths:
+            for zta in (True, False):
+                config = EngineConfig(beam_width=width, zta_enabled=zta)
+                if not relation.covers(discourse, config):
+                    continue
+                want = relation.observe(discourse, config)
+                covered[want[0]] += 1
+                if relation.observe(widened, config) != want:
+                    failures.append((i, width, zta))
+    return failures, covered
+
+
+def relation_sweep() -> List[Discourse]:
+    """The relations' inputs: 300 random_discourse(Random(2024)) draws and the bundled files."""
+    rng = random.Random(2024)
+    discourses = [random_discourse(rng) for _ in range(300)]
+    return discourses + [corpus.load_corpus(name)[0] for name in corpus.VALID_FILES]

@@ -45,8 +45,8 @@ from centering.rules import (
     rank_cf,
 )
 from helpers import (
-    INFELICITOUS, antecedent_pool, entity, extends, overt, random_discourse,
-    unresolvable_discourse, zero,
+    INFELICITOUS, RELATIONS, antecedent_pool, entity, extends, overt, random_discourse,
+    relation_failures, relation_sweep, sameness_digest, unresolvable_discourse, zero,
 )
 
 SUBJ = GrammaticalRole.SUBJ
@@ -552,36 +552,24 @@ def test_random_discourses_are_felicitous():
         assert validate_discourse(random_discourse(random.Random(seed))) == [], seed
 
 
-def outcome(d, config):
-    """resolve's readings and its full rejection log on d, or the index it cannot resolve."""
-    try:
-        result = resolve(d, config)
-    except UnresolvableError as err:
-        return ("unresolvable", err.utterance_index)
-    return result.hypotheses, dict(result.rejections)
-
-
 def test_entities_neither_mentioned_nor_hearer_old_are_inert():
-    # A zero's antecedent is a previous-Cf or a hearer-old entity, so an
-    # entity that is neither, and that no overt slot names, can never be
-    # bound: appending five leaves the readings, their order and every
+    # helpers.RELATIONS["inert"]: five appended entities that are neither
+    # mentioned nor hearer-old leave the readings, their order and every
     # record as they were, last resorts and unresolvable draws included.
-    inert = tuple(
-        entity(f"inert{i}", animate=i % 2 == 0, hearer_old=False, definite=i % 3 == 0)
-        for i in range(5)
-    )
-    rng = random.Random(2024)
-    compared = Counter()
-    for trial in range(300):
-        d = random_discourse(rng)
-        widened = Discourse(d.entities + inert, d.utterances)
-        for width in (1, 4):
-            for zta in (True, False):
-                config = EngineConfig(beam_width=width, zta_enabled=zta)
-                want = outcome(d, config)
-                assert outcome(widened, config) == want, (trial, width, zta)
-                compared[want[0] == "unresolvable"] += 1
-    assert compared[False] >= 600 and compared[True] >= 100, compared
+    failures, covered = relation_failures(RELATIONS["inert"], relation_sweep())
+    assert failures == []
+    assert covered["resolved"] >= 1200 and covered["unresolvable"] >= 400, covered
+
+
+def test_the_last_resort_is_a_last_resort():
+    # helpers.RELATIONS["last_resort"]: where the first utterance has no
+    # zero and every expanded state had an in-Cf survivor, five appended
+    # unmentioned hearer-old entities leave the readings and their order
+    # as they were.  Keying the out-of-Cf survivors beside the in-Cf ones
+    # changes most of these cases.
+    failures, covered = relation_failures(RELATIONS["last_resort"], relation_sweep())
+    assert failures == []
+    assert covered["resolved"] >= 600, covered
 
 
 def test_out_of_cf_bindings_are_last_resort(workloads):
@@ -1522,3 +1510,22 @@ def test_overt_slots_that_doom_every_pairing_reject_each_with_its_code(frame, ar
     plan = engine._Plan.of(utterance, engine._Codes.of(d))
     survivors, log = engine._survivors(d, prev, plan, config)
     assert survivors == [] and log() == tuple(want)
+
+
+# --------------------------------------------------------------------------
+# Output digest
+
+#: helpers.sameness_digest() of the engine's output; the same on Python
+#: 3.10, 3.12 and 3.13.
+SAMENESS_DIGEST = "ff807ad0e0e4e810ed342c1ba6e919eabc0800e570a989cde3997e67d66cbf3a"
+
+
+def test_the_output_matches_the_recorded_sameness_digest():
+    """The readings and full logs of the fixed sweep hash to the recorded value.
+
+    A change meant to leave the engine's output alone must leave this
+    digest alone.  A change that alters the output on purpose re-records
+    SAMENESS_DIGEST here and says so in CHANGES.md, as it re-records
+    bench/digests.json with bench/record_digests.py.
+    """
+    assert sameness_digest() == SAMENESS_DIGEST
