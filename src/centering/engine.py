@@ -35,14 +35,16 @@ rejections once, in the order the states were expanded, and yields
 every utterance's beam as it goes, the beam `resolve` gives for the
 discourse up to that utterance.
 
-A rejection log is built only when it is read.  Each expansion keeps
-the pairings it discarded as the (binding, Cb) code pairs it already
-holds and hands them on as a `Log`, a zero-argument call that turns
-them into `Rejection` records on its first call and returns the same
-tuple on every call; `_beams` joins an utterance's logs unread, and
-`resolve`'s `rejections` (`_Rejections`) calls an utterance's log when
-it is first read.  So a caller that never reads the log, the CLI among
-them, never builds a record nor calls `filter_assignment`.
+A rejection log is built only when it is read.  An expansion keeps
+nothing of the pairings it discarded.  It hands on a `Log`, a
+zero-argument call that enumerates the expansion again, over the whole
+antecedent pool, on its first call, turns what that discards into
+`Rejection` records and returns the same tuple on every call; `_beams`
+joins an utterance's logs unread, and `resolve`'s `rejections`
+(`_Rejections`) calls an utterance's log when it is first read.  So a
+caller that never reads the log, the CLI among them, never builds a
+record nor calls `filter_assignment`, and generates no out-of-Cf
+binding where an in-Cf reading exists.
 
 `resolve` is the engine's one entry point: it validates the discourse
 and returns the last beam of `_beams`.  `step` is its per-state call,
@@ -100,21 +102,22 @@ the zero topic, never on the entity in it, so the Cf of every binding is one
 fixed order of slot positions; the rules rank a probe binding once to
 find it, and once more per zero-topic slot, the first time a variant
 takes that slot, into the plan.  Per pairing what remains is integer
-work: its Cb candidates from the previous Cf, the Rule 1 test and the
-inside test.  A passing pairing is held as its (binding, Cb) pair, and
-only the pairings that survive are keyed: the in-Cf ones, or the
-out-of-Cf ones when none is in-Cf, which otherwise stay unkeyed pairs
-in the log, read as prune records.  The Cf is read off the order only
-for a candidate the cut keeps.  Codes turn back into entity ids only
-where something outside the expansion reads them: in `_step` for the
-kept candidates, and, when a log is read, in each `Rejection` with the
-`filter_assignment` call that names its rule.  A keyed candidate's
-transition comes from `classify_transition`, which compares entities
-only for equality and so takes codes.  The rules stay the
-specification: `filter_assignment` names the code of each pairing the
-plan rejects, and the tests hold the plan to `filter_assignment` on
-every generated pairing, and to `assign_salience_roles` and `rank_cf`
-on every injective one.
+work: its Cb candidates from the previous Cf and the Rule 1 test.
+Expansion generates in two phases: over the previous Cf first, which
+gives exactly the in-Cf bindings, and over the whole pool only when no
+in-Cf pairing passes.  So every pairing that passes survives and is
+keyed, and the out-of-Cf pairings an in-Cf one makes unnecessary are
+generated only when a log is read, as prune records.  The Cf is read
+off the order only for a candidate the cut keeps.  Codes turn back
+into entity ids only where something outside the expansion reads them:
+in `_step` for the kept candidates, and, when a log is read, in each
+`Rejection` with the `filter_assignment` call that names its rule.  A
+keyed candidate's transition comes from `classify_transition`, which
+compares entities only for equality and so takes codes.  The rules
+stay the specification: `filter_assignment` names the code of each
+pairing the plan rejects, and the tests hold the plan to
+`filter_assignment` on every generated pairing, and to
+`assign_salience_roles` and `rank_cf` on every injective one.
 
 Zero topic assignment (ZTA) is the salience-promoting reading of a zero
 that picks up the current center: when a parent's candidates include no
@@ -208,8 +211,8 @@ class Rejection(NamedTuple):
 
 #: An expansion's or an utterance's rejections, as a zero-argument call
 #: that builds the records on its first call and returns the same tuple
-#: on every call: expansion keeps only the rejected pairings' codes, and
-#: a caller that never reads the log never pays for its records.
+#: on every call: expansion keeps nothing it discarded, and a caller that
+#: never reads the log never pays for the enumeration its records need.
 Log = Callable[[], tuple[Rejection, ...]]
 
 
@@ -222,10 +225,12 @@ def _no_rejections() -> tuple[Rejection, ...]:
 class _Log:
     """A Log that builds its records with build(*args) on its first call and keeps them.
 
-    Once the records exist the build and its arguments, the code pairs
-    among them, are let go.  A slotted object rather than a memoised
-    closure, since a long discourse's result holds one per state that
-    rejected something.
+    An expansion's log holds what enumerating the expansion again needs
+    (_rejection_records' arguments): the discourse, the previous state,
+    the utterance and the resolve call's one _Codes, but no plan.  Once
+    the records exist the build and its arguments are let go.  A slotted
+    object rather than a memoised closure, since a long discourse's
+    result holds one per state that discarded something.
     """
 
     __slots__ = ("_build", "_args", "_records")
@@ -453,7 +458,8 @@ class _Plan:
     hold, and the Cf of every binding is the one order cf of slot
     positions.  topic_orders maps each zero-topic slot, by position, to
     the Cf order with that slot as zero topic, as apply_zta compiles it
-    on first use, and dies with the resolve call.
+    on first use, and dies with the resolve call.  No log keeps a plan:
+    one that is read compiles its own (_rejection_records).
     """
 
     utterance: Utterance
@@ -571,6 +577,65 @@ def _ids(
     return tuple([ids[c] for c in binding]), None if cb is None else ids[cb]
 
 
+#: A pairing as expansion holds it: a binding and its Cb's code, None for no Cb.
+Pairing = tuple[Binding, Optional[int]]
+
+
+def _prev_codes(prev: Optional[CenterState], codes: _Codes) -> tuple[list[int], Optional[int]]:
+    """prev's Cf, in order, and Cb as codes; ([], None) before the first utterance."""
+    if prev is None:
+        return [], None
+    index = codes.index
+    return [index[e] for e in prev.cf_ids], None if prev.cb is None else index[prev.cb]
+
+
+def _pool(prev_cf: Sequence[int], codes: _Codes) -> list[int]:
+    """The antecedent pool: the previous Cf in order, then the other hearer-old codes."""
+    prev_cf_set = frozenset(prev_cf)
+    return list(prev_cf) + [c for c in codes.hearer_old if c not in prev_cf_set]
+
+
+def _passing(
+    plan: _Plan,
+    bindings: Sequence[Binding],
+    prev_cf: Sequence[int],
+    open_cb: bool,
+    rejected: Optional[list[Pairing]] = None,
+) -> tuple[list[Pairing], bool]:
+    """The pairings of bindings that plan passes, and whether it rejected none.
+
+    Each binding is paired with each of its Cb candidates
+    (compute_cb_candidates): the previous-Cf entities it holds, in
+    previous-Cf order, only the first unless the previous Cb is open
+    (open_cb), or no Cb when it holds none (a segment reset).  prev_cf is
+    the previous Cf as codes, in order.  The passing pairings come in
+    generation order, and so do the rejected ones, appended to rejected
+    when it is given.
+    """
+    prev_cf_set = frozenset(prev_cf)
+    passes = plan.passes
+    passed: list[Pairing] = []
+    clean = True
+    for binding in bindings:
+        if open_cb:
+            cbs = [c for c in prev_cf if c in binding] or (None,)
+        else:
+            cbs = (None,)
+            # Stops at the first hit: the full list, cut to one, cost wide frames 45-50 %.
+            for c in prev_cf:
+                if c in binding:
+                    cbs = (c,)
+                    break
+        for cb in cbs:
+            if passes(binding, prev_cf_set, cb):
+                passed.append((binding, cb))
+            else:
+                clean = False
+                if rejected is not None:
+                    rejected.append((binding, cb))
+    return passed, clean
+
+
 def _survivors(
     discourse: Discourse, prev: Optional[CenterState], plan: _Plan, config: EngineConfig
 ) -> tuple[list[Candidate], Log]:
@@ -581,29 +646,31 @@ def _survivors(
     if any, as their Cb (utterance.wa_argument): the utterance is about
     it; without one the center starts open, for the next utterance to
     write back.  Each binding is paired with each of its Cb candidates
-    (compute_cb_candidates), or with no Cb when nothing links it to prev
-    (a segment reset).  A pairing is inside when every zero binds a
-    previous-Cf entity; the outside ones reach out to hearer-old entities
-    and survive only as a last resort, when no inside pairing passes.
-    Every pairing goes through the utterance's plan, and the ones it
-    rejects are kept as (binding, Cb) code pairs, as are the pruned
-    outside ones, for the expansion's Log (a _Log over
-    _rejection_records), which turns them into Rejections only when it
-    is read: filter_assignment names the rule of each rejected one then,
-    and that call is the only place a rejected pairing's role -> entity
-    dict is built.  The Rejections come in generation order, each naming
-    its pairing by entity ids, and the pruned outside pairings' last.
-    An expansion that discards nothing gets the shared _no_rejections.
+    (_passing).  A pairing is inside when every zero binds a previous-Cf
+    entity; the outside ones reach out to hearer-old entities and
+    survive only as a last resort, when no inside pairing passes.
+
+    So expansion runs in two phases.  The first generates over the
+    previous Cf alone, which gives exactly the inside bindings, in the
+    order the whole pool gives them, since every zero's pool lists the
+    previous Cf first.  If an inside pairing passes, the passing inside
+    pairings are the survivors and nothing more is generated, however
+    many hearer-old entities lie outside.  Only when none passes does
+    the second phase generate over the whole pool; the inside bindings
+    in it fail again, so every pairing that passes there is outside.
+    Neither phase keeps what it discards: the expansion's Log (a _Log
+    over _rejection_records) enumerates the whole pool again when it is
+    read, and an expansion that provably discards nothing gets the
+    shared _no_rejections: one whose plan rejected no pairing it made
+    and that has no outside binding to prune, since the utterance has no
+    zero or no hearer-old entity lies outside the previous Cf.
 
     Expansion runs on entity codes (_Codes): prev's Cf and Cb become codes
     once per call, and the bindings, their Cb candidates, the Rule 1 test
-    (plan.passes), the inside test and the transitions all work on
-    codes.  Ids come back only where something outside reads them: in
-    a read log's filter_assignment calls and Rejections, and in _step,
-    for the candidates the cut keeps.  A passing pairing is kept as its
-    (binding, Cb) pair; only the side that survives, the inside pairings
-    or else the outside ones, is keyed, and the outside pairs go to the
-    log, as OUT_OF_CF_PRUNED, when an inside one passed.
+    (plan.passes) and the transitions all work on codes.  Ids come back
+    only where something outside reads them: in a read log's
+    filter_assignment calls and Rejections, and in _step, for the
+    candidates the cut keeps.
 
     A candidate is its sibling key (Candidate), and nothing else is built
     per candidate: the zeros, the overt entities and the Cf order come
@@ -612,55 +679,24 @@ def _survivors(
     one Cb candidate is the first previous-Cf entity it holds.
     """
     codes = plan.codes
-    code_of = codes.index
-    if prev is None:
-        prev_cf: list[int] = []
-        prev_cb = None
-        first_cb = plan.wa
-    else:
-        prev_cf = [code_of[e] for e in prev.cf_ids]
-        prev_cb = None if prev.cb is None else code_of[prev.cb]
-        first_cb = -1
-    prev_cf_set = frozenset(prev_cf)
-    # No zero binds an entity an overt slot names, so a binding is inside
-    # exactly when its slots hold only previous-Cf and overt entities.
-    inside_codes = prev_cf_set | plan.overt
+    prev_cf, prev_cb = _prev_codes(prev, codes)
     open_cb = prev is not None and prev_cb is None  # a linked Cb is written back
-    context = prev_cf + [c for c in codes.hearer_old if c not in prev_cf_set]
-
-    inside: list[tuple[Binding, Optional[int]]] = []
-    outside: list[tuple[Binding, Optional[int]]] = []
-    rejected: list[tuple[Binding, Optional[int]]] = []
-    passes = plan.passes
-    for binding in generate_assignments(plan, context):
-        # compute_cb_candidates: the realized previous-Cf entities in
-        # previous-Cf order, only the first if the previous Cb is set.
-        if open_cb:
-            cbs = [c for c in prev_cf if c in binding] or (None,)
-        else:
-            cbs = (None,)
-            # Stops at the first hit: the full list, cut to one, cost wide frames 45-50 %.
-            for c in prev_cf:
-                if c in binding:
-                    cbs = (c,)
-                    break
-        side = None
-        for cb in cbs:
-            if not passes(binding, prev_cf_set, cb):
-                rejected.append((binding, cb))
-                continue
-            if side is None:
-                side = inside if inside_codes.issuperset(binding) else outside
-            side.append((binding, cb))
-
-    # An in-Cf pool can prune thousands of pairings, which stay code pairs.
+    pairs, clean = _passing(plan, generate_assignments(plan, prev_cf), prev_cf, open_cb)
+    if pairs:  # the outside bindings, never generated here, are pruned
+        prunes = bool(plan.zeros) and not frozenset(prev_cf).issuperset(codes.hearer_old)
+    else:  # the last resort
+        # Re-tests the failed inside bindings: skipping them was no faster on long_chain.
+        pool = generate_assignments(plan, _pool(prev_cf, codes))
+        pairs, clean_outside = _passing(plan, pool, prev_cf, open_cb)
+        clean, prunes = clean and clean_outside, False
     log: Log = _no_rejections
-    if rejected or (inside and outside):
-        pruned = outside if inside else ()
-        log = _Log(_rejection_records, discourse, prev, plan.utterance, codes.ids, rejected, pruned)
+    if not clean or prunes:
+        log = _Log(_rejection_records, discourse, prev, plan.utterance, codes)
+
     survivors: list[Candidate] = []
+    first_cb = plan.wa if prev is None else -1
     cp = plan.cf[0][0]
-    for binding, cb in inside or outside:
+    for binding, cb in pairs:
         if cb is None:
             survivors.append((-1, -1, (binding, first_cb, 0)))
             continue
@@ -670,23 +706,33 @@ def _survivors(
 
 
 def _rejection_records(
-    discourse: Discourse,
-    prev: Optional[CenterState],
-    utterance: Utterance,
-    ids: Sequence[str],
-    rejected: list[tuple[Binding, Optional[int]]],
-    pruned: Sequence[tuple[Binding, Optional[int]]],
+    discourse: Discourse, prev: Optional[CenterState], utterance: Utterance, codes: _Codes
 ) -> tuple[Rejection, ...]:
-    """One expansion's records, from the (binding, Cb) code pairs it discarded.
+    """The records of the expansion of utterance after state prev, by enumerating it again.
 
-    rejected holds the pairings the plan rejected and pruned the outside
-    pairings an inside one made unnecessary, both in generation order,
-    and ids each entity's id by code.  Each rejected pair becomes a
-    Rejection with the code filter_assignment names for it, looked up as
-    a module global at this call, then each pruned pair an
-    OUT_OF_CF_PRUNED one.  Runs when the expansion's log is first read.
+    Runs when the expansion's log is first read, on the resolve call's
+    codes and a plan compiled for the read, so a log keeps no plan.  It
+    generates over the whole pool, as no expansion does unless it is a
+    last resort, and pairs and tests each binding as _survivors does.
+    Each rejected pairing becomes a Rejection, in generation order, with
+    the code filter_assignment names for it, looked up as a module global
+    at this call; then, if an inside pairing passed, each passing outside
+    pairing becomes an OUT_OF_CF_PRUNED one, in generation order too.
     """
-    index, subcat, entity_map = utterance.index, utterance.frame.subcat, discourse.entity_map
+    plan = _Plan.of(utterance, codes)
+    prev_cf, _ = _prev_codes(prev, codes)
+    open_cb = prev is not None and prev.cb is None
+    rejected: list[Pairing] = []
+    passed, _ = _passing(
+        plan, generate_assignments(plan, _pool(prev_cf, codes)), prev_cf, open_cb, rejected
+    )
+    inside_codes = frozenset(prev_cf) | plan.overt
+    pruned = [p for p in passed if not inside_codes.issuperset(p[0])]
+    if len(pruned) == len(passed):  # no inside pairing passed, so none was pruned
+        pruned = []
+
+    ids, index = codes.ids, utterance.index
+    subcat, entity_map = utterance.frame.subcat, discourse.entity_map
     records = []
     for binding, cb in rejected:
         bound, cb_id = _ids(ids, binding, cb)
@@ -754,7 +800,7 @@ def _reset_keys(
     # Declines most long_chain frames; the inside probe in its place cost 3-6 % utt/s there.
     if not plan.overt_ok or len(codes.hearer_old) ** len(plan.zeros) < k:
         return None
-    prev_cf = [] if prev is None else [codes.index[e] for e, _ in prev.cf]
+    prev_cf, _ = _prev_codes(prev, codes)
     if not plan.overt.isdisjoint(prev_cf) or generate_assignments(plan, prev_cf, limit=1):
         return None
     resets = generate_assignments(plan, [c for c in codes.hearer_old if c not in prev_cf], limit=k)

@@ -25,7 +25,8 @@ them:
   instead of asserting so callers can aggregate across many discourses.
 
 It also holds the antecedent pool over entity ids, the reference the
-pairing tests generate over, the plain-data form of the readings that
+pairing tests generate over, the one-pass enumeration that the engine's
+two-phase expansion is held to, the plain-data form of the readings that
 `resolve --format json` prints, the reference for the CLI's renderer,
 the table of metamorphic relations (`RELATIONS`: entities appended to a
 discourse that must leave its readings alone) with the sweep they run
@@ -47,6 +48,8 @@ from collections import Counter
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence
 
+import pytest
+
 from centering import corpus, engine, oracle
 from centering.engine import EngineConfig, ResolveResult, UnresolvableError
 from centering.model import (
@@ -65,6 +68,7 @@ from centering.model import (
     VerbFrame,
     ViolationCode,
 )
+from centering.rules import classify_transition
 
 ROLE_ORDER = [
     GrammaticalRole.SUBJ,
@@ -308,7 +312,7 @@ def ambiguous_chain(rng: random.Random, length: int) -> Discourse:
 
 
 # --------------------------------------------------------------------------
-# Antecedent pool
+# Antecedent pool and the one-pass expansion
 
 
 def antecedent_pool(discourse: Discourse, prev_cf: Sequence[str]) -> list[str]:
@@ -319,6 +323,42 @@ def antecedent_pool(discourse: Discourse, prev_cf: Sequence[str]) -> list[str]:
     entity codes, the reference the pairing tests generate over.
     """
     return list(prev_cf) + [e for e in discourse.hearer_old_ids if e not in prev_cf]
+
+
+def one_pass_survivors(
+    discourse: Discourse, prev: Optional[CenterState], plan, config: EngineConfig
+) -> list[tuple]:
+    """engine._survivors' keys from one pass over the whole pool: its reference.
+
+    Every binding of the whole antecedent pool is generated and paired
+    with its Cb candidates, and each pairing the plan passes is sorted
+    inside (its slots hold only previous-Cf and overt entities, so every
+    zero binds a previous-Cf entity) or outside.  The inside ones are
+    keyed, or the outside ones when no inside one passed, and the
+    zero-topic variants follow: what _survivors did before it generated
+    over the previous Cf first and over the pool only as a last resort.
+    """
+    codes = plan.codes
+    prev_cf = [codes.index[e] for e in prev.cf_ids] if prev is not None else []
+    prev_cb = codes.index[prev.cb] if prev is not None and prev.cb is not None else None
+    open_cb = prev is not None and prev.cb is None
+    inside_codes = set(prev_cf) | plan.overt
+    pool = antecedent_pool(discourse, prev.cf_ids if prev is not None else ())
+    inside, outside = [], []
+    for binding in engine.generate_assignments(plan, [codes.index[e] for e in pool]):
+        linked = [c for c in prev_cf if c in binding]
+        for cb in (linked if open_cb else linked[:1]) or [None]:
+            if plan.passes(binding, set(prev_cf), cb):
+                side = inside if inside_codes.issuperset(binding) else outside
+                side.append((binding, cb))
+    keys = []
+    for binding, cb in inside or outside:
+        if cb is None:
+            keys.append((-1, -1, (binding, plan.wa if prev is None else -1, 0)))
+        else:
+            ordinal = classify_transition(prev_cb, cb, binding[plan.cf[0][0]]).ordinal
+            keys.append((ordinal, cb if open_cb else -1, (binding, cb, 0)))
+    return keys + engine.apply_zta(keys, prev_cb, plan, config)
 
 
 # --------------------------------------------------------------------------
@@ -753,6 +793,32 @@ def last_resort_never_fired(discourse: Discourse, config: EngineConfig) -> bool:
     return True
 
 
+def readings_and_survivor_bindings(discourse: Discourse, config: EngineConfig) -> tuple:
+    """readings, plus every binding engine._survivors generates while resolve runs.
+
+    The bindings are entity ids, one tuple per generation call, in call
+    order, and no log is read (reading one would enumerate the whole
+    pool again).  Bindings that _reset_keys generates are left out.
+    """
+    generated = []
+    survivors, generate = engine._survivors, engine.generate_assignments
+
+    def recording(plan, context, limit=None):
+        bindings = generate(plan, context, limit)
+        generated.append(tuple(tuple(plan.codes.ids[c] for c in b) for b in bindings))
+        return bindings
+
+    def expanding(discourse, prev, plan, config):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "generate_assignments", recording)
+            return survivors(discourse, prev, plan, config)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_survivors", expanding)
+        seen = readings(discourse, config)
+    return seen + (generated,)
+
+
 @dataclasses.dataclass(frozen=True)
 class Relation:
     """Entities appended to a discourse, and what that must leave unchanged.
@@ -776,7 +842,8 @@ class Relation:
 #: discourses included.  last_resort: hearer-old entities outside the
 #: previous Cf are reached only as a last resort, so where none fired and
 #: the first utterance binds nothing by a zero, more of them change no
-#: reading and no order (the log does grow: the new pairings are pruned).
+#: reading, no order and no binding that expansion generates (the log
+#: does grow: the new pairings are pruned, and generated when it is read).
 RELATIONS = {
     "inert": Relation(
         tuple(
@@ -789,7 +856,7 @@ RELATIONS = {
     "last_resort": Relation(
         tuple(entity(f"old{i}", animate=i % 2 == 0, definite=i % 3 == 0) for i in range(5)),
         last_resort_never_fired,
-        readings,
+        readings_and_survivor_bindings,
     ),
 }
 

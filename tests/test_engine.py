@@ -45,8 +45,9 @@ from centering.rules import (
     rank_cf,
 )
 from helpers import (
-    INFELICITOUS, RELATIONS, antecedent_pool, entity, extends, overt, random_discourse,
-    relation_failures, relation_sweep, sameness_digest, unresolvable_discourse, zero,
+    INFELICITOUS, RELATIONS, antecedent_pool, entity, extends, one_pass_survivors, overt,
+    random_discourse, relation_failures, relation_sweep, sameness_digest,
+    unresolvable_discourse, zero,
 )
 
 SUBJ = GrammaticalRole.SUBJ
@@ -564,9 +565,10 @@ def test_entities_neither_mentioned_nor_hearer_old_are_inert():
 def test_the_last_resort_is_a_last_resort():
     # helpers.RELATIONS["last_resort"]: where the first utterance has no
     # zero and every expanded state had an in-Cf survivor, five appended
-    # unmentioned hearer-old entities leave the readings and their order
-    # as they were.  Keying the out-of-Cf survivors beside the in-Cf ones
-    # changes most of these cases.
+    # unmentioned hearer-old entities leave the readings, their order and
+    # the bindings _survivors generates as they were.  Keying the
+    # out-of-Cf survivors beside the in-Cf ones changes most of these
+    # cases, and generating them at all changes every one.
     failures, covered = relation_failures(RELATIONS["last_resort"], relation_sweep())
     assert failures == []
     assert covered["resolved"] >= 600, covered
@@ -1212,6 +1214,92 @@ def test_bindings_generated_per_expansion_follow_the_beam_not_the_pool(monkeypat
             generated.clear()
             resolve(d, EngineConfig(beam_width=width))
             assert generated and max(generated) <= width + 1, (width, generated)
+
+
+def test_an_in_cf_expansion_generates_only_its_in_cf_bindings(monkeypatch, workloads):
+    # Where an in-Cf reading exists, the hearer-old entities outside the
+    # previous Cf cost nothing unless the log is read: each expansion
+    # generates its in-Cf bindings and at most one more, _reset_keys'
+    # inside probe, where one pass over the 40-entity pool generated
+    # 14,440.  Reading the log generates the pool after all.
+    d = workloads.wide_pool(random.Random(5), 40, False)
+    generate, kept_steps = engine.generate_assignments, engine._kept_steps
+    expansions = []  # [prev, plan, bindings generated]
+
+    def counting_generate(plan, context, limit=None):
+        bindings = generate(plan, context, limit)
+        expansions[-1][2] += len(bindings)
+        return bindings
+
+    def recording_kept_steps(discourse, prev, plan, config):
+        expansions.append([prev, plan, 0])
+        return kept_steps(discourse, prev, plan, config)
+
+    for width in (1, 4, 16, 64):
+        expansions.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "generate_assignments", counting_generate)
+            patch.setattr(engine, "_kept_steps", recording_kept_steps)
+            result = resolve(d, EngineConfig(beam_width=width))
+        assert [plan.utterance.index for _, plan, _ in expansions] == [1, 2], width
+        for prev, plan, count in expansions:
+            codes = plan.codes
+            prev_cf = [codes.index[e] for e in prev.cf_ids] if prev is not None else []
+            pool = [codes.index[e] for e in antecedent_pool(d, prev.cf_ids if prev else ())]
+            inside = set(prev_cf) | plan.overt
+            in_cf = [b for b in generate(plan, pool) if inside.issuperset(b)]
+            assert count <= len(in_cf) + 1, (width, plan.utterance.index, count, len(in_cf))
+        assert sum(count for _, _, count in expansions) <= 6, (width, expansions)
+        expansions.append(["log read", None, 0])
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "generate_assignments", counting_generate)
+            pruned = [r for r in result.rejections[2] if r.code == OUT_OF_CF_PRUNED]
+        assert expansions[-1][2] == 14_440 and len(pruned) > 14_000, (width, len(pruned))
+
+
+def test_the_two_phases_key_what_one_pass_over_the_pool_keys(workloads):
+    # _survivors generates over the previous Cf first and over the whole
+    # pool only when no in-Cf pairing passes; helpers.one_pass_survivors
+    # enumerates the whole pool once and keys the in-Cf survivors, or the
+    # out-of-Cf ones when there are none.  Their keys must agree, in
+    # content and order, on every state resolve expands.
+    from test_adversarial import four_zeros
+
+    cases = []
+    rng = random.Random(35)
+    for trial in range(300):
+        d = random_discourse(rng)
+        cases += [(f"sweep/{trial}", d, EngineConfig(beam_width=4, zta_enabled=zta))
+                  for zta in (True, False)]
+    for pool in (10, 20, 40):
+        for last_resort in (False, True):
+            d = workloads.wide_pool(random.Random(5), pool, last_resort)
+            cases.append((f"wide_pool/{pool}/{last_resort}", d, EngineConfig()))
+    rng = random.Random(2024)
+    for pool, repeats in ((4, 2), (6, 1), (4, 3), (8, 2)):
+        cases.append((f"four_zeros/{pool}x{repeats}", four_zeros(rng, pool, repeats), EngineConfig()))
+
+    covered = Counter()
+    for name, d, config in cases:
+        codes = engine._Codes.of(d)
+        for n, states in expanded_states(d, config):
+            plan = engine._Plan.of(d.utterances[n], codes)
+            for prev in states:
+                keys, _log = engine._survivors(d, prev, plan, config)
+                assert keys == one_pass_survivors(d, prev, plan, config), (name, n + 1, prev)
+                prev_cf = [codes.index[e] for e in prev.cf_ids] if prev is not None else []
+                inside = set(prev_cf) | plan.overt
+                if not keys:
+                    covered["no survivor"] += 1
+                elif inside.issuperset(keys[0][2][0]):
+                    covered["in-Cf"] += 1
+                elif generate_assignments(plan, prev_cf):
+                    covered["last resort past failed in-Cf bindings"] += 1
+                else:
+                    covered["last resort"] += 1
+    for kind in ("in-Cf", "last resort", "no survivor"):
+        assert covered[kind] >= 50, covered
+    assert covered["last resort past failed in-Cf bindings"] >= 10, covered
 
 
 # --------------------------------------------------------------------------
