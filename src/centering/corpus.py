@@ -554,7 +554,3 @@ def corpus_text(name: str) -> str:
         raise KeyError(name)
     return (files("centering") / "data" / name).read_text(encoding="utf-8")
 
-
-def load_corpus(name: str) -> tuple[Discourse, tuple[GoldLabel, ...]]:
-    """Parse a bundled corpus file by name."""
-    return parse_discourse(corpus_text(name))

@@ -30,21 +30,23 @@ value, and builds no child before its own cut: it keys every (parent,
 kept step) pair from the parent's key and the step's sibling key, in
 parent order, cuts the pairs of all parents at once (`_cut`) and
 assembles a child (`_child`, which copies the parent's steps) only for
-each pair kept, so `beam_width` per utterance.  It logs each state's
-rejections once, in the order the states were expanded, and yields
-every utterance's beam as it goes, the beam `resolve` gives for the
-discourse up to that utterance.
+each pair kept, so `beam_width` per utterance.  It yields every
+utterance's beam as it goes, the beam `resolve` gives for the discourse
+up to that utterance, with the states it expanded there, in expansion
+order.
 
-A rejection log is built only when it is read.  An expansion keeps
-nothing of the pairings it discarded.  It hands on a `Log`, a
-zero-argument call that enumerates the expansion again, over the whole
-antecedent pool, on its first call, turns what that discards into
-`Rejection` records and returns the same tuple on every call; `_beams`
-joins an utterance's logs unread, and `resolve`'s `rejections`
-(`_Rejections`) calls an utterance's log when it is first read.  So a
-caller that never reads the log, the CLI among them, never builds a
-record nor calls `filter_assignment`, and generates no out-of-Cf
-binding where an in-Cf reading exists.
+A rejection log is a function of those states, built only when it is
+read.  No expansion keeps or reports the pairings it discarded, so the
+expansion path carries no log.  `resolve`'s `rejections`
+(`_Rejections`) holds each utterance's expanded states and, on an
+utterance's first read, enumerates each state's expansion again over
+the whole antecedent pool (`_rejection_records`), turns what that
+discards into `Rejection` records and keeps the tuple.  An expansion
+whose plan links nothing back (`_Plan.links_nothing`) rejects and
+prunes nothing, so its records are read as `()` with nothing
+generated.  A caller that never reads the log, the CLI among them,
+never builds a record nor calls `filter_assignment`, and generates no
+out-of-Cf binding where an in-Cf reading exists.
 
 `resolve` is the engine's one entry point: it validates the discourse
 and returns the last beam of `_beams`.  `step` is its per-state call,
@@ -65,12 +67,13 @@ one it keeps.  A wide pool's last
 resort would key thousands of pairings for an expansion that keeps
 `beam_width`, and all it keeps are resets, readings that link nothing
 back and sort ahead of every transition.  So `_kept_steps` first tries
-the reset cut (`_reset_keys`): when the plan can reject nothing, no
-binding stays inside the previous Cf and `beam_width` resets exist, the
+the reset cut (`_reset_keys`): when the plan links nothing back (it
+can reject nothing and no binding stays inside the previous Cf) and
+`beam_width` resets exist, the
 smallest keys are the first `beam_width` bindings generated outside the
 previous Cf, in code order, and nothing else is generated or keyed;
 otherwise `_survivors` enumerates the expansion.  Either way the kept
-keys, and every rejection logged, are the same.
+keys are the same.
 `step` calls it once per distinct state, and `_initial_hypotheses` once
 for the discourse-initial utterance, with no previous state
 (prev=None): its pool is the hearer-old entities, no Cb links back and
@@ -137,7 +140,7 @@ unordered data, so identical inputs give byte-identical outputs.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
@@ -209,47 +212,9 @@ class Rejection(NamedTuple):
     code: str
 
 
-#: An expansion's or an utterance's rejections, as a zero-argument call
-#: that builds the records on its first call and returns the same tuple
-#: on every call: expansion keeps nothing it discarded, and a caller that
-#: never reads the log never pays for the enumeration its records need.
-Log = Callable[[], tuple[Rejection, ...]]
-
-
-def _no_rejections() -> tuple[Rejection, ...]:
-    """The log of every expansion that rejects nothing: one shared empty log."""
-    # A _Log per such expansion raised long_chain's peak allocation by 1 %.
-    return ()
-
-
-class _Log:
-    """A Log that builds its records with build(*args) on its first call and keeps them.
-
-    An expansion's log holds what enumerating the expansion again needs
-    (_rejection_records' arguments): the discourse, the previous state,
-    the utterance and the resolve call's one _Codes, but no plan.  Once
-    the records exist the build and its arguments are let go.  A slotted
-    object rather than a memoised closure, since a long discourse's
-    result holds one per state that discarded something.
-    """
-
-    __slots__ = ("_build", "_args", "_records")
-
-    def __init__(self, build: Callable[..., tuple[Rejection, ...]], *args: object) -> None:
-        self._build: Optional[Callable[..., tuple[Rejection, ...]]] = build
-        self._args: tuple = args
-        self._records: Optional[tuple[Rejection, ...]] = None
-
-    def __call__(self) -> tuple[Rejection, ...]:
-        if self._build is not None:
-            self._records = self._build(*self._args)
-            self._build, self._args = None, ()
-        return self._records
-
-
 @dataclass(frozen=True)
 class _StepResult:
-    """One center state's kept steps for one utterance, plus the discards.
+    """One center state's kept steps for one utterance.
 
     parent is a reading whose last state is the one expanded.  steps are
     the new steps of its beam_width best children, in beam order, the
@@ -257,14 +222,16 @@ class _StepResult:
     sibling key, the candidate it was built from (Candidate).  ranked
     builds parent's children on its first read; _beams never reads it,
     since it builds a child only for a (parent, step) pair its cut keeps,
-    and the tracer is its one reader.  log is the expansion's Log; _beams
-    passes it on unread, and rejections, which the tracer reads, calls it.
+    and the tracer is its one reader.  discourse and plan are what the
+    expansion ran on; _beams reads neither, and rejections, which the
+    tracer reads, rebuilds the expansion's records from them on every read.
     """
 
     parent: Hypothesis
     keys: tuple[Candidate, ...]
     steps: tuple[Step, ...]
-    log: Log
+    discourse: Discourse
+    plan: _Plan
 
     @cached_property
     def ranked(self) -> tuple[Hypothesis, ...]:
@@ -273,8 +240,9 @@ class _StepResult:
 
     @property
     def rejections(self) -> tuple[Rejection, ...]:
-        """The expansion's records, built on the log's first call."""
-        return self.log()
+        """The expansion's records (_rejection_records), built anew on each read."""
+        plan, prev = self.plan, self.parent.last.state
+        return _rejection_records(self.discourse, prev, plan.utterance, plan.codes)
 
 
 @dataclass(frozen=True)
@@ -284,8 +252,9 @@ class ResolveResult:
     rejections maps each utterance to the records of every center state
     expanded there, once per state, in the order the states were expanded;
     each Rejection names a discarded pairing by its binding (entity ids in
-    subcat order) and Cb.  An utterance's records are built on its first
-    read (_Rejections), so a caller that reads none pays for none.
+    subcat order) and Cb.  It holds only those states: an utterance's
+    records are rebuilt from them on its first read (_Rejections), so a
+    caller that reads none pays for none.
     """
 
     hypotheses: tuple[Hypothesis, ...]
@@ -297,24 +266,36 @@ class ResolveResult:
 
 
 class _Rejections(Mapping[int, tuple[Rejection, ...]]):
-    """resolve's rejections by utterance index, over each utterance's Log.
+    """resolve's rejections by utterance index, rebuilt from the states expanded.
 
-    Reading an utterance calls its log, which builds the records once and
-    returns the same tuple on every later read.  It compares equal to a
-    dict holding the same tuples under the same keys.
+    states maps each utterance's index to the last center states _beams
+    expanded there, in expansion order (None for the first utterance).
+    The first read of an utterance concatenates _rejection_records over
+    its states, on the discourse's codes, and keeps the tuple, which
+    every later read returns.  It compares equal to a dict holding the
+    same tuples under the same keys.
     """
 
-    def __init__(self, logs: dict[int, Log]) -> None:
-        self._logs = logs
+    def __init__(
+        self, discourse: Discourse, states: dict[int, tuple[Optional[CenterState], ...]]
+    ) -> None:
+        self._discourse = discourse
+        self._states = states
+        self._records: dict[int, tuple[Rejection, ...]] = {}
 
     def __getitem__(self, index: int) -> tuple[Rejection, ...]:
-        return self._logs[index]()
+        if index not in self._records:
+            states, discourse = self._states[index], self._discourse
+            utterance, codes = discourse.utterances[index - 1], _Codes.of(discourse)
+            built = [r for s in states for r in _rejection_records(discourse, s, utterance, codes)]
+            self._records[index] = tuple(built)
+        return self._records[index]
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._logs)
+        return iter(self._states)
 
     def __len__(self) -> int:
-        return len(self._logs)
+        return len(self._states)
 
 
 class UnresolvableError(Exception):
@@ -458,8 +439,8 @@ class _Plan:
     hold, and the Cf of every binding is the one order cf of slot
     positions.  topic_orders maps each zero-topic slot, by position, to
     the Cf order with that slot as zero topic, as apply_zta compiles it
-    on first use, and dies with the resolve call.  No log keeps a plan:
-    one that is read compiles its own (_rejection_records).
+    on first use, and dies with the resolve call.  No rejection log keeps
+    a plan: one that is read compiles its own (_rejection_records).
     """
 
     utterance: Utterance
@@ -505,6 +486,21 @@ class _Plan:
         """The wa topic's code, -1 without one: a discourse-initial reading's Cb."""
         wa = self.utterance.wa_argument  # always overt: Argument refuses a marked zero
         return -1 if wa is None else self.codes.index[wa.realization.entity_id]
+
+    def links_nothing(self, prev_cf: Sequence[int]) -> bool:
+        """Whether no binding links back to previous Cf prev_cf as a whole.
+
+        prev_cf is the previous Cf as codes.  It holds when the overt
+        slots pass (overt_ok) and name no previous-Cf entity, so a Cb
+        sits in a zero and Rule 1 holds, and no binding generated over
+        the previous Cf alone exists (generation cut at one), so no
+        binding is inside.  Then every pairing passes and is outside,
+        so the expansion rejects nothing and prunes nothing, and the
+        bindings whose zeros all stay outside the previous Cf are resets.
+        """
+        if not self.overt_ok or not self.overt.isdisjoint(prev_cf):
+            return False
+        return not generate_assignments(self, prev_cf, limit=1)
 
     def passes(
         self, binding: Binding, prev_cf: AbstractSet[int], cb: Optional[int]
@@ -601,8 +597,8 @@ def _passing(
     prev_cf: Sequence[int],
     open_cb: bool,
     rejected: Optional[list[Pairing]] = None,
-) -> tuple[list[Pairing], bool]:
-    """The pairings of bindings that plan passes, and whether it rejected none.
+) -> list[Pairing]:
+    """The pairings of bindings that plan passes.
 
     Each binding is paired with each of its Cb candidates
     (compute_cb_candidates): the previous-Cf entities it holds, in
@@ -615,7 +611,6 @@ def _passing(
     prev_cf_set = frozenset(prev_cf)
     passes = plan.passes
     passed: list[Pairing] = []
-    clean = True
     for binding in bindings:
         if open_cb:
             cbs = [c for c in prev_cf if c in binding] or (None,)
@@ -629,16 +624,14 @@ def _passing(
         for cb in cbs:
             if passes(binding, prev_cf_set, cb):
                 passed.append((binding, cb))
-            else:
-                clean = False
-                if rejected is not None:
-                    rejected.append((binding, cb))
-    return passed, clean
+            elif rejected is not None:
+                rejected.append((binding, cb))
+    return passed
 
 
 def _survivors(
-    discourse: Discourse, prev: Optional[CenterState], plan: _Plan, config: EngineConfig
-) -> tuple[list[Candidate], Log]:
+    prev: Optional[CenterState], plan: _Plan, config: EngineConfig
+) -> list[Candidate]:
     """Filtered, ZTA-extended candidates of plan's utterance after state prev.
 
     prev is None for the discourse-initial utterance, whose candidates
@@ -658,19 +651,15 @@ def _survivors(
     many hearer-old entities lie outside.  Only when none passes does
     the second phase generate over the whole pool; the inside bindings
     in it fail again, so every pairing that passes there is outside.
-    Neither phase keeps what it discards: the expansion's Log (a _Log
-    over _rejection_records) enumerates the whole pool again when it is
-    read, and an expansion that provably discards nothing gets the
-    shared _no_rejections: one whose plan rejected no pairing it made
-    and that has no outside binding to prune, since the utterance has no
-    zero or no hearer-old entity lies outside the previous Cf.
+    Neither phase keeps or reports what it discards: the records are
+    rebuilt from prev and the utterance when they are read
+    (_rejection_records).
 
     Expansion runs on entity codes (_Codes): prev's Cf and Cb become codes
     once per call, and the bindings, their Cb candidates, the Rule 1 test
     (plan.passes) and the transitions all work on codes.  Ids come back
-    only where something outside reads them: in a read log's
-    filter_assignment calls and Rejections, and in _step, for the
-    candidates the cut keeps.
+    only where something outside reads them: in _step, for the candidates
+    the cut keeps, and in the records of a log that is read.
 
     A candidate is its sibling key (Candidate), and nothing else is built
     per candidate: the zeros, the overt entities and the Cf order come
@@ -681,17 +670,11 @@ def _survivors(
     codes = plan.codes
     prev_cf, prev_cb = _prev_codes(prev, codes)
     open_cb = prev is not None and prev_cb is None  # a linked Cb is written back
-    pairs, clean = _passing(plan, generate_assignments(plan, prev_cf), prev_cf, open_cb)
-    if pairs:  # the outside bindings, never generated here, are pruned
-        prunes = bool(plan.zeros) and not frozenset(prev_cf).issuperset(codes.hearer_old)
-    else:  # the last resort
+    pairs = _passing(plan, generate_assignments(plan, prev_cf), prev_cf, open_cb)
+    if not pairs:  # the last resort
         # Re-tests the failed inside bindings: skipping them was no faster on long_chain.
         pool = generate_assignments(plan, _pool(prev_cf, codes))
-        pairs, clean_outside = _passing(plan, pool, prev_cf, open_cb)
-        clean, prunes = clean and clean_outside, False
-    log: Log = _no_rejections
-    if not clean or prunes:
-        log = _Log(_rejection_records, discourse, prev, plan.utterance, codes)
+        pairs = _passing(plan, pool, prev_cf, open_cb)
 
     survivors: list[Candidate] = []
     first_cb = plan.wa if prev is None else -1
@@ -702,7 +685,7 @@ def _survivors(
             continue
         ordinal = classify_transition(prev_cb, cb, binding[cp]).ordinal
         survivors.append((ordinal, cb if open_cb else -1, (binding, cb, 0)))
-    return survivors + apply_zta(survivors, prev_cb, plan, config), log
+    return survivors + apply_zta(survivors, prev_cb, plan, config)
 
 
 def _rejection_records(
@@ -710,20 +693,25 @@ def _rejection_records(
 ) -> tuple[Rejection, ...]:
     """The records of the expansion of utterance after state prev, by enumerating it again.
 
-    Runs when the expansion's log is first read, on the resolve call's
-    codes and a plan compiled for the read, so a log keeps no plan.  It
-    generates over the whole pool, as no expansion does unless it is a
-    last resort, and pairs and tests each binding as _survivors does.
-    Each rejected pairing becomes a Rejection, in generation order, with
-    the code filter_assignment names for it, looked up as a module global
-    at this call; then, if an inside pairing passed, each passing outside
-    pairing becomes an OUT_OF_CF_PRUNED one, in generation order too.
+    Runs when a log is read, on codes and a plan compiled for the read,
+    so no log keeps a plan.  Where the plan links nothing back
+    (_Plan.links_nothing) every pairing passes and none is inside, so
+    there is nothing to record and nothing more is generated.
+    Otherwise it generates over the whole pool, as no expansion does
+    unless it is a last resort, and pairs and tests each binding as
+    _survivors does.  Each rejected pairing becomes a Rejection, in
+    generation order, with the code filter_assignment names for it,
+    looked up as a module global at this call; then, if an inside
+    pairing passed, each passing outside pairing becomes an
+    OUT_OF_CF_PRUNED one, in generation order too.
     """
     plan = _Plan.of(utterance, codes)
     prev_cf, _ = _prev_codes(prev, codes)
+    if plan.links_nothing(prev_cf):
+        return ()
     open_cb = prev is not None and prev.cb is None
     rejected: list[Pairing] = []
-    passed, _ = _passing(
+    passed = _passing(
         plan, generate_assignments(plan, _pool(prev_cf, codes)), prev_cf, open_cb, rejected
     )
     inside_codes = frozenset(prev_cf) | plan.overt
@@ -749,26 +737,22 @@ def _rejection_records(
 
 
 def _kept_steps(
-    discourse: Discourse, prev: Optional[CenterState], plan: _Plan, config: EngineConfig
-) -> tuple[tuple[Candidate, ...], tuple[Step, ...], Log]:
+    prev: Optional[CenterState], plan: _Plan, config: EngineConfig
+) -> tuple[tuple[Candidate, ...], tuple[Step, ...]]:
     """Cut one expansion's survivors to beam_width, then build only those.
 
     The one place a cut is made and a candidate becomes a Step, for every
     utterance.  When the beam_width smallest keys are all resets, the
-    reset cut (_reset_keys) generates just those, and the expansion
-    rejects nothing; otherwise the survivors of _survivors, their sibling
-    keys, are cut in their natural order (heapq.nsmallest).  The Steps
-    are plan's utterance's.  Returns the kept keys and their Steps, best
-    first, and the expansion's Log, unread (the reset cut's is the shared
-    _no_rejections).  A Step is not yet a child: _beams builds one only
-    for a (parent, step) pair its own cut keeps.
+    reset cut (_reset_keys) generates just those; otherwise the survivors
+    of _survivors, their sibling keys, are cut in their natural order
+    (heapq.nsmallest).  The Steps are plan's utterance's.  Returns the
+    kept keys and their Steps, best first.  A Step is not yet a child:
+    _beams builds one only for a (parent, step) pair its own cut keeps.
     """
     keys = _reset_keys(prev, plan, config.beam_width)
-    log = _no_rejections
     if keys is None:
-        survivors, log = _survivors(discourse, prev, plan, config)
-        keys = tuple(heapq.nsmallest(config.beam_width, survivors))
-    return keys, tuple([_step(plan, k) for k in keys]), log
+        keys = tuple(heapq.nsmallest(config.beam_width, _survivors(prev, plan, config)))
+    return keys, tuple([_step(plan, k) for k in keys])
 
 
 def _reset_keys(
@@ -779,15 +763,13 @@ def _reset_keys(
     A reset binds no previous-Cf entity, so nothing links it back: its
     key (Candidate) has no transition, no write-back and no ZTA flag, and
     it sorts ahead of every linked candidate and zero-topic variant,
-    resets among themselves by binding.  Three conditions, checked
-    cheapest first, make the k smallest keys of _survivors exactly the
-    first k bindings generated over the hearer-old entities outside the
-    previous Cf, which come in code order and so in key order:
-    - the plan rejects nothing: overt_ok, and no overt slot holds a
-      previous-Cf entity, so a Cb sits in a zero and Rule 1 holds, and
+    resets among themselves by binding.  Two conditions make the k
+    smallest keys of _survivors exactly the first k bindings generated
+    over the hearer-old entities outside the previous Cf, which come in
+    code order and so in key order:
+    - the plan links nothing back (_Plan.links_nothing): it rejects no
+      pairing and no binding is inside, so every pairing survives, and
       a binding whose zeros stay outside the previous Cf is a reset;
-    - no inside binding exists (generation over the previous Cf, cut at
-      one), so no pairing is pruned and every one survives;
     - k resets exist: generation outside the previous Cf, cut at k,
       gives k.  The number of hearer-old entities to the power of the
       zeros bounds the number of resets, so a plan below k is declined
@@ -798,10 +780,10 @@ def _reset_keys(
     """
     codes = plan.codes
     # Declines most long_chain frames; the inside probe in its place cost 3-6 % utt/s there.
-    if not plan.overt_ok or len(codes.hearer_old) ** len(plan.zeros) < k:
+    if len(codes.hearer_old) ** len(plan.zeros) < k:
         return None
     prev_cf, _ = _prev_codes(prev, codes)
-    if not plan.overt.isdisjoint(prev_cf) or generate_assignments(plan, prev_cf, limit=1):
+    if not plan.links_nothing(prev_cf):
         return None
     resets = generate_assignments(plan, [c for c in codes.hearer_old if c not in prev_cf], limit=k)
     if len(resets) < k:
@@ -875,16 +857,17 @@ def step(
     with that last state, in beam order, which is the order of their
     sibling keys (Candidate) and hypothesis_sort_key's among siblings.
     No child past them can reach the beam.  keys holds each step's
-    sibling key, in the same order, and log the expansion's Log, which
-    its rejections read.  No steps means no parent with that state can
-    account for the utterance.  The survivors stay keyed candidates
+    sibling key, in the same order, and discourse and plan are kept for
+    the result's rejections, which rebuild the expansion's records on
+    each read.  No steps means no parent with that state can account
+    for the utterance.  The survivors stay keyed candidates
     through the cut (_kept_steps); only the kept ones become Steps, and
     no child is built here: the result's ranked builds them on demand.
     plan is the utterance's _Plan, which _beams compiles once and shares
     among the utterance's states; the expansion reads the utterance from
     it, and utterance stays an argument because the tracer reads it.
     """
-    return _StepResult(parent, *_kept_steps(discourse, parent.last.state, plan, config))
+    return _StepResult(parent, *_kept_steps(parent.last.state, plan, config), discourse, plan)
 
 
 def _step_content(s: Step, entity_index: Mapping[str, int]) -> tuple:
@@ -989,8 +972,8 @@ def _cut(pairs: list[Pair], utterance_index: int, beam_width: int) -> list[Keyed
 
 def _initial_hypotheses(
     discourse: Discourse, config: EngineConfig, *, plan: _Plan
-) -> tuple[list[Keyed], Log]:
-    """The first beam, keyed as children are, and the first utterance's Log.
+) -> tuple[list[Keyed], tuple[None]]:
+    """The first beam, keyed as children are, and the states expanded for it: (None,).
 
     plan is the first utterance's, which goes through _kept_steps with no
     previous state, so only its beam_width best readings (score 0, no
@@ -1000,55 +983,46 @@ def _initial_hypotheses(
     children's shape: score 0, no transition, rank 0, no earlier step,
     then its own content.
     """
-    keys, steps, log = _kept_steps(discourse, None, plan, config)
-    return [((0, -1, 0, (), key[2]), Hypothesis((s,))) for key, s in zip(keys, steps)], log
+    keys, steps = _kept_steps(None, plan, config)
+    return [((0, -1, 0, (), key[2]), Hypothesis((s,))) for key, s in zip(keys, steps)], (None,)
 
 
 def _beams(
     discourse: Discourse, config: EngineConfig
-) -> Iterator[tuple[int, list[Keyed], Log]]:
-    """Each utterance's index, keyed beam and Log, in discourse order.
+) -> Iterator[tuple[int, list[Keyed], tuple[Optional[CenterState], ...]]]:
+    """Each utterance's index, keyed beam and expanded states, in discourse order.
 
     The beam at utterance n is resolve's on the discourse's first n
-    utterances, and the log holds that utterance's records, each
-    expanded state's once, in the order its states were expanded, and
-    builds them only when it is called (_joined).  The parents are
-    grouped by last state in a dict that lives for one utterance: step
-    expands each distinct state once, and each parent's pairs are keyed,
-    in parent order, from its group's one result.
+    utterances.  The states are the last center states expanded there,
+    each once, in expansion order ((None,) for the first utterance): all
+    that the utterance's rejection records are rebuilt from
+    (_Rejections).  The parents are grouped by last state in a dict
+    that lives for one utterance: step expands each distinct state once,
+    and each parent's pairs are keyed, in parent order, from its group's
+    one result.
     Raises UnresolvableError, after yielding every earlier beam, at the
     first utterance no reading survives.  discourse must be valid.
     """
     codes = _Codes.of(discourse)
     first = _Plan.of(discourse.utterances[0], codes)
-    keyed, log = _initial_hypotheses(discourse, config, plan=first)
+    keyed, states = _initial_hypotheses(discourse, config, plan=first)
     if not keyed:
         raise UnresolvableError(1)
-    yield 1, keyed, log
+    yield 1, keyed, states
 
     for utterance in discourse.utterances[1:]:
         plan = _Plan.of(utterance, codes)
         results: dict[CenterState, _StepResult] = {}
         pairs: list[Pair] = []
-        logs: list[Log] = []
         ranks = _dense_ranks([key[1:4] for key, _ in keyed])
         for (key, parent), rank in zip(keyed, ranks):
             state = parent.last.state
             result = results.get(state)
             if result is None:
                 result = results[state] = step(parent, utterance, discourse, config, plan=plan)
-                if result.log is not _no_rejections:
-                    logs.append(result.log)
             pairs += _keyed_pairs(key, parent, result, rank)
         keyed = _cut(pairs, utterance.index, config.beam_width)
-        yield utterance.index, keyed, _joined(logs)
-
-
-def _joined(logs: list[Log]) -> Log:
-    """One utterance's Log: its expansions' logs read in turn, their records concatenated."""
-    if not logs:
-        return _no_rejections
-    return _Log(lambda: tuple([r for log in logs for r in log()]))
+        yield utterance.index, keyed, tuple(results)
 
 
 def resolve(discourse: Discourse, config: EngineConfig = EngineConfig()) -> ResolveResult:
@@ -1060,14 +1034,15 @@ def resolve(discourse: Discourse, config: EngineConfig = EngineConfig()) -> Reso
     no reading survives.  The returned hypotheses are sorted best-first
     under hypothesis_sort_key and truncated to the beam width at every
     utterance, so the result is deterministic for identical inputs.  They
-    are the last beam of _beams, and the rejections what it logged at
-    each utterance, each utterance's records built on its first read.
+    are the last beam of _beams, and the rejections are rebuilt from the
+    states it expanded at each utterance, each utterance's records on
+    its first read.
     """
     violations = validate_discourse(discourse)
     if violations:
         raise DiscourseInvalidError(violations)
 
-    logs: dict[int, Log] = {}
-    for index, keyed, log in _beams(discourse, config):
-        logs[index] = log
-    return ResolveResult(tuple(h for _, h in keyed), _Rejections(logs))
+    expanded: dict[int, tuple[Optional[CenterState], ...]] = {}
+    for index, keyed, states in _beams(discourse, config):
+        expanded[index] = states
+    return ResolveResult(tuple(h for _, h in keyed), _Rejections(discourse, expanded))

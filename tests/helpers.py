@@ -94,6 +94,11 @@ def zero(role):
     return Argument(role, Marking.NONE, Realization.zero())
 
 
+def load_corpus(name: str) -> tuple[Discourse, tuple[corpus.GoldLabel, ...]]:
+    """Parse a bundled corpus file by name."""
+    return corpus.parse_discourse(corpus.corpus_text(name))
+
+
 # --------------------------------------------------------------------------
 # Random discourse generation
 
@@ -423,7 +428,7 @@ def sameness_digest() -> str:
     workloads = _bench_workloads()
     rng = random.Random(2029)
     discourses = [random_discourse(rng) for _ in range(600)]
-    discourses += [corpus.load_corpus(name)[0] for name in corpus.VALID_FILES]
+    discourses += [load_corpus(name)[0] for name in corpus.VALID_FILES]
     discourses += [
         workloads.wide_pool(random.Random(5), pool, last_resort)
         for pool in (10, 20, 40)
@@ -725,7 +730,7 @@ def beam_extension_failures(discourse: Discourse, config: EngineConfig) -> List[
     utterances = discourse.utterances
     beams = []
     try:
-        for _index, keyed, _rejections in engine._beams(discourse, config):
+        for _index, keyed, _states in engine._beams(discourse, config):
             beams.append([h for _, h in keyed])
     except UnresolvableError:
         pass
@@ -779,14 +784,14 @@ def last_resort_never_fired(discourse: Discourse, config: EngineConfig) -> bool:
     if any(a.realization.is_zero for a in discourse.utterances[0].args):
         return False
     try:
-        beams = [keyed for _index, keyed, _log in engine._beams(discourse, config)]
+        beams = [keyed for _index, keyed, _states in engine._beams(discourse, config)]
     except UnresolvableError:
         return False
     codes = engine._Codes.of(discourse)
     for keyed, utterance in zip(beams, discourse.utterances[1:]):
         plan = engine._Plan.of(utterance, codes)
         for state in dict.fromkeys(h.last.state for _, h in keyed):
-            survivors, _log = engine._survivors(discourse, state, plan, config)
+            survivors = engine._survivors(state, plan, config)
             inside = {codes.index[e] for e in state.cf_ids} | plan.overt
             if not any(inside.issuperset(binding) for _, _, (binding, _, _) in survivors):
                 return False
@@ -808,10 +813,10 @@ def readings_and_survivor_bindings(discourse: Discourse, config: EngineConfig) -
         generated.append(tuple(tuple(plan.codes.ids[c] for c in b) for b in bindings))
         return bindings
 
-    def expanding(discourse, prev, plan, config):
+    def expanding(prev, plan, config):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(engine, "generate_assignments", recording)
-            return survivors(discourse, prev, plan, config)
+            return survivors(prev, plan, config)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "_survivors", expanding)
@@ -890,4 +895,4 @@ def relation_sweep() -> List[Discourse]:
     """The relations' inputs: 300 random_discourse(Random(2024)) draws and the bundled files."""
     rng = random.Random(2024)
     discourses = [random_discourse(rng) for _ in range(300)]
-    return discourses + [corpus.load_corpus(name)[0] for name in corpus.VALID_FILES]
+    return discourses + [load_corpus(name)[0] for name in corpus.VALID_FILES]

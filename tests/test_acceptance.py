@@ -16,6 +16,7 @@ from conftest import record_criterion
 from helpers import (
     beam_extension_failures,
     hypothesis_invariant_failures,
+    load_corpus,
     random_discourse,
 )
 
@@ -39,7 +40,7 @@ _cache = {}
 def corpus_results():
     """Default-config resolution of every valid corpus file, memoized."""
     if "corpus" not in _cache:
-        loaded = {name: corpus.load_corpus(name) for name in corpus.VALID_FILES}
+        loaded = {name: load_corpus(name) for name in corpus.VALID_FILES}
         _cache["corpus"] = {
             name: (discourse, golds, engine.resolve(discourse, DEFAULT))
             for name, (discourse, golds) in loaded.items()
@@ -213,7 +214,7 @@ def test_criterion_8_starred_examples_flag_their_violations():
     problems = []
     for name, code in expected.items():
         try:
-            corpus.load_corpus(name)
+            load_corpus(name)
             problems.append(f"{name}: accepted")
             continue
         except corpus.DiscourseFormatError as err:

@@ -27,6 +27,7 @@ from centering.cli import (
 from centering.corpus import serialize_discourse
 from centering.engine import EngineConfig, resolve
 from helpers import (
+    load_corpus,
     oversized_discourse,
     random_discourse,
     readings_json,
@@ -318,7 +319,7 @@ def test_check_passes_on_gold_corpus(corpus_file, capsys):
 
 
 def test_check_fails_on_flipped_gold(tmp_path, capsys):
-    discourse, golds = corpus.load_corpus("zta_ex_ga.json")
+    discourse, golds = load_corpus("zta_ex_ga.json")
     flipped = tuple(
         corpus.GoldLabel(
             g.utterance_index, g.assignment,

@@ -14,11 +14,11 @@ from centering.corpus import (
     SCHEMA,
     VALIDATION,
     check_gold,
-    load_corpus,
     parse_discourse,
     serialize_discourse,
 )
 from centering.model import Significance
+from helpers import load_corpus
 
 
 def valid_text():

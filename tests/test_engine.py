@@ -45,8 +45,8 @@ from centering.rules import (
     rank_cf,
 )
 from helpers import (
-    INFELICITOUS, RELATIONS, antecedent_pool, entity, extends, one_pass_survivors, overt,
-    random_discourse, relation_failures, relation_sweep, sameness_digest,
+    INFELICITOUS, RELATIONS, antecedent_pool, entity, extends, load_corpus, one_pass_survivors,
+    overt, random_discourse, relation_failures, relation_sweep, sameness_digest,
     unresolvable_discourse, zero,
 )
 
@@ -59,7 +59,7 @@ WIDE = EngineConfig(beam_width=64)
 
 
 def load(name):
-    return corpus.load_corpus(name)[0]
+    return load_corpus(name)[0]
 
 
 def prefix(discourse, n):
@@ -325,7 +325,7 @@ def test_zta_requires_the_candidate_to_carry_the_center():
 
 def children_of(parent, d, n):
     """The last steps of the readings in the wide beam at utterance n + 1 that extend parent."""
-    _index, keyed, _rejections = next(itertools.islice(engine._beams(d, WIDE), n, None))
+    _index, keyed, _states = next(itertools.islice(engine._beams(d, WIDE), n, None))
     return [h.last for _, h in keyed if extends(parent, h)]
 
 
@@ -482,18 +482,36 @@ def one_pass(d, config):
     """What engine._beams yields at each utterance, with the rejections so far.
 
     Each value is (utterance index, readings, rejection log up to there),
-    each utterance's log read as it is yielded; an UnresolvableError ends
-    the list as ("unresolvable", its index).  The beams are read only
-    after the pass, so a beam the pass changes after yielding it shows.
+    each utterance's records read from its states as they are yielded; an
+    UnresolvableError ends the list as ("unresolvable", its index).  The
+    beams are read only after the pass, so a beam the pass changes after
+    yielding it shows.
     """
     yielded, log, end = [], {}, []
     try:
-        for u, keyed, rejections in engine._beams(d, config):
-            log[u] = rejections()
+        for u, keyed, states in engine._beams(d, config):
+            log[u] = utterance_records(d, u, states)
             yielded.append((u, keyed, dict(log)))
     except UnresolvableError as err:
         end = [("unresolvable", err.utterance_index)]
     return [(u, tuple(h for _, h in keyed), so_far) for u, keyed, so_far in yielded] + end
+
+
+def utterance_records(d, u, states):
+    """The records of the states _beams expanded at utterance u, read as resolve reads them."""
+    return engine._Rejections(d, {u: states})[u]
+
+
+def enumerated_records(d, prev, plan):
+    """One expansion's records from enumerating the whole pool, without the early ().
+
+    _rejection_records returns () at once where the plan links nothing
+    back; with that test off it enumerates every pairing, so its result
+    shows whether the expansion really rejects and prunes nothing.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine._Plan, "links_nothing", lambda plan, prev_cf: False)
+        return engine._rejection_records(d, prev, plan.utterance, plan.codes)
 
 
 def per_prefix(d, config):
@@ -651,10 +669,10 @@ def test_the_rejection_log_equals_the_reference_records(workloads):
         for width in (1, 4):
             states = [None]
             with contextlib.suppress(UnresolvableError):
-                for u, keyed, log in engine._beams(d, EngineConfig(beam_width=width)):
+                for u, keyed, expanded in engine._beams(d, EngineConfig(beam_width=width)):
                     utterance = d.utterances[u - 1]
                     want = [r for prev in states for r in reference_rejections(d, utterance, prev)]
-                    logged = log()
+                    logged = utterance_records(d, u, expanded)
                     assert list(logged) == want, (trial, width, u)
                     assert id_level_failures(logged) == [], (trial, width, u)
                     covered.update(r.code for r in logged)
@@ -695,7 +713,7 @@ def first_readings(discourse, config):
     """Every reading of the first utterance, each built as it is drawn, with no cut."""
     first = discourse.utterances[0]
     plan = engine._Plan.of(first, engine._Codes.of(discourse))
-    survivors, _ = engine._survivors(discourse, None, plan, config)
+    survivors = engine._survivors(None, plan, config)
     return (Hypothesis((engine._step(plan, c),)) for c in survivors)
 
 
@@ -708,7 +726,7 @@ def full_siblings(parent, utterance, discourse, config):
     state = parent.last.state
     wide = EngineConfig(beam_width=10**9, zta_enabled=False)
     plan = engine._Plan.of(utterance, engine._Codes.of(discourse))
-    plain, _ = engine._survivors(discourse, state, plan, wide)
+    plain = engine._survivors(state, plan, wide)
     parent_cb = None if state.cb is None else plan.codes.index[state.cb]
     candidates = plain + apply_zta(plain, parent_cb, plan, config)
     return [engine._child(parent, engine._step(plan, c)) for c in candidates]
@@ -837,12 +855,12 @@ def test_the_first_beam_is_sorted_before_it_is_cut(monkeypatch):
     survivors = engine._survivors
     reversed_lists = Counter()
 
-    def reversed_first(discourse, prev, plan, config):
-        candidates, rejections = survivors(discourse, prev, plan, config)
+    def reversed_first(prev, plan, config):
+        candidates = survivors(prev, plan, config)
         if prev is not None:
-            return candidates, rejections
+            return candidates
         reversed_lists[config.beam_width] += len(candidates) > 1
-        return candidates[::-1], rejections
+        return candidates[::-1]
 
     monkeypatch.setattr(engine, "_survivors", reversed_first)
     rng = random.Random(5)
@@ -901,8 +919,9 @@ def test_the_first_utterance_builds_only_what_its_beam_keeps(monkeypatch, worklo
 
 def test_survivors_run_once_per_distinct_parent_state(monkeypatch, workloads):
     # Each utterance expands the distinct last states of the previous beam,
-    # once each, in beam order, and logs each one's records once, in that
-    # order: the rules' records for the pairings after that state.
+    # once each, in beam order, yields them in that order, and its records
+    # are each one's once, in that order: the rules' records for the
+    # pairings after that state.
     # _kept_steps makes every expansion, the reset cut's included.
     chain = workloads.long_chain(random.Random(30), 30)
     config = EngineConfig()
@@ -910,17 +929,17 @@ def test_survivors_run_once_per_distinct_parent_state(monkeypatch, workloads):
     for d in (load("zta_ex_ga.json"), chain):
         expanded = {}
 
-        def recording_kept_steps(discourse, prev, plan, config):
+        def recording_kept_steps(prev, plan, config):
             expanded.setdefault(plan.utterance.index, []).append(prev)
-            return kept_steps(discourse, prev, plan, config)
+            return kept_steps(prev, plan, config)
 
         monkeypatch.setattr(engine, "_kept_steps", recording_kept_steps)
         states, parents, distinct = [None], 0, 0
-        for u, keyed, log in engine._beams(d, config):
-            assert expanded.pop(u) == states, u
+        for u, keyed, yielded in engine._beams(d, config):
+            assert expanded.pop(u) == states == list(yielded), u
             utterance = d.utterances[u - 1]
             want = [r for prev in states for r in reference_rejections(d, utterance, prev)]
-            assert list(log()) == want, u
+            assert list(utterance_records(d, u, yielded)) == want, u
             states = last_states(keyed)
             if u < len(d.utterances):  # the next utterance's parents and their states
                 parents += len(keyed)
@@ -947,9 +966,9 @@ def test_children_made_are_bounded_by_the_beam_on_a_wide_pool(monkeypatch, workl
         built[utterance_index] += 1
         return Step(utterance_index, *args)
 
-    def recording_kept_steps(discourse, prev, plan, config):
+    def recording_kept_steps(prev, plan, config):
         states.setdefault(plan.utterance.index, set()).add(prev)
-        return kept_steps(discourse, prev, plan, config)
+        return kept_steps(prev, plan, config)
 
     monkeypatch.setattr(engine, "_child", counting_child)
     monkeypatch.setattr(engine, "Step", counting_step_type)
@@ -1021,11 +1040,11 @@ def test_each_utterance_is_compiled_once_per_resolve(monkeypatch, workloads):
             orders[utterance.index, topic] += 1
             return cf_order(utterance, topic)
 
-        def recording_survivors(discourse, prev, plan, config):
+        def recording_survivors(prev, plan, config):
             # The plan is kept alive with its id, so no later plan reuses the id.
             received.setdefault((run, plan.utterance.index), {})[id(plan)] = plan
             states.setdefault(plan.utterance.index, set()).add(prev)
-            return survivors(discourse, prev, plan, config)
+            return survivors(prev, plan, config)
 
         def counting_zta(candidates, parent_cb, plan, config):
             variants = plain_zta(candidates, parent_cb, plan, config)
@@ -1091,9 +1110,12 @@ def reset_cut_failures(discourse, fired):
             for prev, plan, k, keys in cuts:
                 where = (plan.utterance.index, prev, zta)
                 if where not in survivors:
-                    survivors[where] = engine._survivors(discourse, prev, plan, config)
-                candidates, log = survivors[where]
-                if log() or keys != tuple(heapq.nsmallest(k, candidates)):
+                    survivors[where] = (
+                        engine._survivors(prev, plan, config),
+                        enumerated_records(discourse, prev, plan),
+                    )
+                candidates, records = survivors[where]
+                if records or keys != tuple(heapq.nsmallest(k, candidates)):
                     failures.append((where, width))
                 fired[width] += 1
     return failures
@@ -1153,8 +1175,8 @@ def test_the_reset_cut_declines_unless_its_k_best_are_all_resets():
     # The animate-only subject finds nothing animate in the inanimate
     # previous Cf, so its eight readings are resets, and the cut is theirs.
     d, prev, plan = cut_case({SUBJ: None, OBJ: "h0"}, (SUBJ,))
-    survivors, log = engine._survivors(d, prev, plan, config)
-    assert len(survivors) == 8 and log() == ()
+    survivors = engine._survivors(prev, plan, config)
+    assert len(survivors) == 8 and enumerated_records(d, prev, plan) == ()
     assert engine._reset_keys(prev, plan, 4) == tuple(heapq.nsmallest(4, survivors))
     declines = {
         # An overt slot holds a previous-Cf entity, which then links
@@ -1181,12 +1203,12 @@ def test_the_reset_cut_declines_unless_its_k_best_are_all_resets():
     for name, (d, prev, plan) in declines.items():
         k = width.get(name, 4)
         assert engine._reset_keys(prev, plan, k) is None, name
-        survivors, log = engine._survivors(d, prev, plan, config)
+        survivors = engine._survivors(prev, plan, config)
         resets = [c for c in survivors if c[0] < 0]
         if name == "fewer resets than k":
             assert 0 < len(resets) < k < len(survivors), name
         elif name in ("coindexed", "sortal"):
-            assert not survivors and log(), name
+            assert not survivors and enumerated_records(d, prev, plan), name
         else:
             assert survivors and not resets, name
 
@@ -1203,9 +1225,9 @@ def test_bindings_generated_per_expansion_follow_the_beam_not_the_pool(monkeypat
         generated[-1] += len(bindings)
         return bindings
 
-    def counting_kept_steps(discourse, prev, plan, config):
+    def counting_kept_steps(prev, plan, config):
         generated.append(0)
-        return kept_steps(discourse, prev, plan, config)
+        return kept_steps(prev, plan, config)
 
     monkeypatch.setattr(engine, "generate_assignments", counting_generate)
     monkeypatch.setattr(engine, "_kept_steps", counting_kept_steps)
@@ -1231,9 +1253,9 @@ def test_an_in_cf_expansion_generates_only_its_in_cf_bindings(monkeypatch, workl
         expansions[-1][2] += len(bindings)
         return bindings
 
-    def recording_kept_steps(discourse, prev, plan, config):
+    def recording_kept_steps(prev, plan, config):
         expansions.append([prev, plan, 0])
-        return kept_steps(discourse, prev, plan, config)
+        return kept_steps(prev, plan, config)
 
     for width in (1, 4, 16, 64):
         expansions.clear()
@@ -1254,7 +1276,28 @@ def test_an_in_cf_expansion_generates_only_its_in_cf_bindings(monkeypatch, workl
         with monkeypatch.context() as patch:
             patch.setattr(engine, "generate_assignments", counting_generate)
             pruned = [r for r in result.rejections[2] if r.code == OUT_OF_CF_PRUNED]
-        assert expansions[-1][2] == 14_440 and len(pruned) > 14_000, (width, len(pruned))
+        # The pool's 14,440 bindings, and one from _Plan.links_nothing's inside probe.
+        assert expansions[-1][2] == 14_440 + 1 and len(pruned) > 14_000, (width, len(pruned))
+
+
+def test_reading_an_expansion_that_links_nothing_back_generates_nothing(monkeypatch, workloads):
+    # The 40-entity last-resort pool's three zeros find no inside binding
+    # in the opener's Cf, and no overt slot names one of its entities, so
+    # the expansion at utterance 2 rejects and prunes nothing: its records
+    # are () and reading them generates no binding, where enumerating the
+    # pool again generates 14,440.  reset_cut_failures holds the () to
+    # that enumeration.
+    d = workloads.wide_pool(random.Random(5), 40, True)
+    result = resolve(d)
+    generate, generated = engine.generate_assignments, []
+
+    def counting_generate(plan, context, limit=None):
+        bindings = generate(plan, context, limit)
+        generated.append(len(bindings))
+        return bindings
+
+    monkeypatch.setattr(engine, "generate_assignments", counting_generate)
+    assert result.rejections[2] == () and sum(generated) == 0, generated
 
 
 def test_the_two_phases_key_what_one_pass_over_the_pool_keys(workloads):
@@ -1285,7 +1328,7 @@ def test_the_two_phases_key_what_one_pass_over_the_pool_keys(workloads):
         for n, states in expanded_states(d, config):
             plan = engine._Plan.of(d.utterances[n], codes)
             for prev in states:
-                keys, _log = engine._survivors(d, prev, plan, config)
+                keys = engine._survivors(prev, plan, config)
                 assert keys == one_pass_survivors(d, prev, plan, config), (name, n + 1, prev)
                 prev_cf = [codes.index[e] for e in prev.cf_ids] if prev is not None else []
                 inside = set(prev_cf) | plan.overt
@@ -1360,7 +1403,7 @@ def sibling_key_failures(discourse, config, covered):
             generated.clear()
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(engine, "generate_assignments", recording)
-                survivors, _ = engine._survivors(discourse, prev, plan, config)
+                survivors = engine._survivors(prev, plan, config)
             made = {id(b) for b in generated}
             for key in survivors:
                 built = engine._step(plan, key)
@@ -1596,8 +1639,8 @@ def test_overt_slots_that_doom_every_pairing_reject_each_with_its_code(frame, ar
     ]
     assert len(want) == 3 and {r.code for r in want} == {code}
     plan = engine._Plan.of(utterance, engine._Codes.of(d))
-    survivors, log = engine._survivors(d, prev, plan, config)
-    assert survivors == [] and log() == tuple(want)
+    survivors = engine._survivors(prev, plan, config)
+    assert survivors == [] and enumerated_records(d, prev, plan) == tuple(want)
 
 
 # --------------------------------------------------------------------------

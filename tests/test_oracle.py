@@ -30,6 +30,7 @@ from centering.model import (
 from helpers import (
     INFELICITOUS,
     ambiguous_chain,
+    load_corpus,
     oversized_discourse,
     random_discourse,
     unresolvable_discourse,
@@ -41,7 +42,7 @@ WIDE = EngineConfig(beam_width=64)
 
 
 def load(name):
-    return corpus.load_corpus(name)[0]
+    return load_corpus(name)[0]
 
 
 def last_step(reading):
@@ -160,7 +161,7 @@ def test_oracle_expands_each_distinct_center_state_once(monkeypatch, discourse, 
 
 def test_corpus_equivalence():
     for name in corpus.VALID_FILES:
-        discourse, _golds = corpus.load_corpus(name)
+        discourse, _golds = load_corpus(name)
         report = oracle.check_equivalence(discourse, WIDE)
         assert report.equivalent, (name, report.detail)
         assert report.engine_count == report.oracle_count > 0
@@ -169,7 +170,7 @@ def test_corpus_equivalence():
 def test_corpus_equivalence_without_zta():
     config = EngineConfig(beam_width=64, zta_enabled=False)
     for name in corpus.VALID_FILES:
-        discourse, _golds = corpus.load_corpus(name)
+        discourse, _golds = load_corpus(name)
         report = oracle.check_equivalence(discourse, config)
         assert report.equivalent, (name, report.detail)
 
@@ -189,10 +190,25 @@ def test_randomized_equivalence():
     assert resolvable > 600, resolvable
 
 
+def test_zta_only_adds_readings():
+    # A zero-topic variant is a reading beside the plain one it comes
+    # from, never in its place, so the ZTA-on enumeration less every
+    # reading with a ZTA step is the ZTA-off enumeration, in its order.
+    rng = random.Random(2024)
+    with_variants = 0
+    for trial in range(400):
+        d = random_discourse(rng)
+        readings = oracle.enumerate_all(d, EngineConfig(zta_enabled=True))
+        plain = [r for r in readings if not any(s[5] for s in r.steps)]
+        assert plain == oracle.enumerate_all(d, EngineConfig(zta_enabled=False)), trial
+        with_variants += len(plain) < len(readings)
+    assert with_variants >= 20, with_variants  # 23 of the 400 draw a variant
+
+
 def test_narrow_beam_head_matches_oracle_top():
     config = EngineConfig(beam_width=1)
     for name in corpus.VALID_FILES:
-        discourse, _golds = corpus.load_corpus(name)
+        discourse, _golds = load_corpus(name)
         top = resolve(discourse, config).top
         best = oracle.enumerate_all(discourse, WIDE)[0]
         assert oracle._readings_of([top]) == [best], name
@@ -292,7 +308,7 @@ def mutant_inputs():
     The real engine agrees with the oracle on every one of them.
     """
     rng = random.Random(7)
-    files = [corpus.load_corpus(name)[0] for name in corpus.VALID_FILES]
+    files = [load_corpus(name)[0] for name in corpus.VALID_FILES]
     inputs = files + [random_discourse(rng) for _ in range(300)]
     assert all(oracle.check_equivalence(d, MUTANT_CONFIG).equivalent for d in inputs)
     return inputs
