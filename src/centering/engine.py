@@ -41,12 +41,13 @@ expansion path carries no log.  `resolve`'s `rejections`
 (`_Rejections`) holds each utterance's expanded states and, on an
 utterance's first read, enumerates each state's expansion again over
 the whole antecedent pool (`_rejection_records`), turns what that
-discards into `Rejection` records and keeps the tuple.  An expansion
-whose plan links nothing back (`_Plan.links_nothing`) rejects and
-prunes nothing, so its records are read as `()` with nothing
-generated.  A caller that never reads the log, the CLI among them,
-never builds a record nor calls `filter_assignment`, and generates no
-out-of-Cf binding where an in-Cf reading exists.
+discards into `Rejection` records and keeps the tuple.  A zero-less
+utterance whose overt slots pass, and an expansion whose plan links
+nothing back (`_Plan.links_nothing`), reject and prune nothing, so
+their records are read as `()` with nothing generated.  A caller that
+never reads the log, the CLI among them, never builds a record nor
+calls `filter_assignment`, and generates no out-of-Cf binding where an
+in-Cf reading exists.
 
 `resolve` is the engine's one entry point: it validates the discourse
 and returns the last beam of `_beams`.  `step` is its per-state call,
@@ -66,23 +67,23 @@ assignment, the validated center state, the Cf and the `Step` of each
 one it keeps.  A wide pool's last
 resort would key thousands of pairings for an expansion that keeps
 `beam_width`, and all it keeps are resets, readings that link nothing
-back and sort ahead of every transition.  So `_kept_steps` first tries
-the reset cut (`_reset_keys`): when the plan links nothing back (it
-can reject nothing and no binding stays inside the previous Cf) and
-`beam_width` resets exist, the
-smallest keys are the first `beam_width` bindings generated outside the
-previous Cf, in code order, and nothing else is generated or keyed;
-otherwise `_survivors` enumerates the expansion.  Either way the kept
-keys are the same.
-`step` calls it once per distinct state, and `_initial_hypotheses` once
-for the discourse-initial utterance, with no previous state
-(prev=None): its pool is the hearer-old entities, no Cb links back and
-no transition or zero-topic variant arises, and each reading takes the
-wa topic, if any, as its Cb.  Those candidates are all resets and
-differ only in content, so their cut is the first beam, and a wide
-first utterance takes the reset cut.  A step's Cb is an entity id, or
-None while it is uninstantiated; the next utterance that pins it down
-writes it back.
+back and sort ahead of every transition.  So the last resort of
+`_survivors` first tries the reset cut: when the plan links nothing
+back (`_Plan.links_nothing`: it can reject nothing and no binding is
+inside the previous Cf) and `beam_width` resets exist, the smallest
+keys are the first `beam_width` bindings generated outside the
+previous Cf, in code order, and `_survivors` returns just those;
+otherwise it enumerates the whole pool.  Either way the kept keys are
+the same.
+`step` calls `_kept_steps` once per distinct state, and
+`_initial_hypotheses` once for the discourse-initial utterance, with no
+previous state (prev=None): its pool is the hearer-old entities, no Cb
+links back and no transition or zero-topic variant arises, and each
+reading takes the wa topic, if any, as its Cb.  Those candidates are
+all resets and differ only in content, so their cut is the first beam,
+and a wide first utterance takes the reset cut.  A step's Cb is an
+entity id, or None while it is uninstantiated; the next utterance that
+pins it down writes it back.
 
 Candidates are tuple work on integer entity codes against a plan of
 the utterance (`_Plan`).  An entity's code is its declaration index;
@@ -487,20 +488,18 @@ class _Plan:
         wa = self.utterance.wa_argument  # always overt: Argument refuses a marked zero
         return -1 if wa is None else self.codes.index[wa.realization.entity_id]
 
-    def links_nothing(self, prev_cf: Sequence[int]) -> bool:
+    def links_nothing(self, prev_cf: Sequence[int], inside: Sequence[Binding]) -> bool:
         """Whether no binding links back to previous Cf prev_cf as a whole.
 
-        prev_cf is the previous Cf as codes.  It holds when the overt
-        slots pass (overt_ok) and name no previous-Cf entity, so a Cb
-        sits in a zero and Rule 1 holds, and no binding generated over
-        the previous Cf alone exists (generation cut at one), so no
-        binding is inside.  Then every pairing passes and is outside,
-        so the expansion rejects nothing and prunes nothing, and the
-        bindings whose zeros all stay outside the previous Cf are resets.
+        prev_cf is the previous Cf as codes, and inside the bindings
+        generated over it alone, the inside ones.  It holds when there
+        are none and the overt slots pass (overt_ok) and name no
+        previous-Cf entity, so a Cb sits in a zero and Rule 1 holds.
+        Then every pairing passes and is outside, so the expansion
+        rejects nothing and prunes nothing, and the bindings whose zeros
+        all stay outside the previous Cf are resets.
         """
-        if not self.overt_ok or not self.overt.isdisjoint(prev_cf):
-            return False
-        return not generate_assignments(self, prev_cf, limit=1)
+        return not inside and self.overt_ok and self.overt.isdisjoint(prev_cf)
 
     def passes(
         self, binding: Binding, prev_cf: AbstractSet[int], cb: Optional[int]
@@ -634,7 +633,8 @@ def _survivors(
 ) -> list[Candidate]:
     """Filtered, ZTA-extended candidates of plan's utterance after state prev.
 
-    prev is None for the discourse-initial utterance, whose candidates
+    Every one of them, except where the reset cut (below) returns only
+    the beam_width smallest.  prev is None for the discourse-initial utterance, whose candidates
     are then all unlinked (no transition) and take the wa topic's entity,
     if any, as their Cb (utterance.wa_argument): the utterance is about
     it; without one the center starts open, for the next utterance to
@@ -655,6 +655,18 @@ def _survivors(
     rebuilt from prev and the utterance when they are read
     (_rejection_records).
 
+    The second phase first tries the reset cut.  A reset binds no
+    previous-Cf entity, so its key has no transition, no write-back and
+    no ZTA flag, and it sorts ahead of every linked candidate and
+    variant, resets among themselves by binding.  Where the plan links
+    nothing back (_Plan.links_nothing, on the first phase's bindings)
+    every pairing survives and a binding whose zeros stay outside the
+    previous Cf is a reset.  So if generation over the hearer-old
+    entities outside the previous Cf, in code order and so in key
+    order, cut at beam_width, gives beam_width bindings, their keys
+    are the beam_width smallest of every survivor, which is all
+    _kept_steps keeps, and they are returned alone.
+
     Expansion runs on entity codes (_Codes): prev's Cf and Cb become codes
     once per call, and the bindings, their Cb candidates, the Rule 1 test
     (plan.passes) and the transitions all work on codes.  Ids come back
@@ -670,14 +682,21 @@ def _survivors(
     codes = plan.codes
     prev_cf, prev_cb = _prev_codes(prev, codes)
     open_cb = prev is not None and prev_cb is None  # a linked Cb is written back
-    pairs = _passing(plan, generate_assignments(plan, prev_cf), prev_cf, open_cb)
+    inside = generate_assignments(plan, prev_cf)
+    pairs = _passing(plan, inside, prev_cf, open_cb)
+    first_cb = plan.wa if prev is None else -1
     if not pairs:  # the last resort
+        # The reset cut: wide_pool's last-resort discourses key beam_width, not the pool.
+        if plan.links_nothing(prev_cf, inside):
+            outside = [c for c in codes.hearer_old if c not in prev_cf]
+            resets = generate_assignments(plan, outside, limit=config.beam_width)
+            if len(resets) == config.beam_width:
+                return [(-1, -1, (b, first_cb, 0)) for b in resets]
         # Re-tests the failed inside bindings: skipping them was no faster on long_chain.
         pool = generate_assignments(plan, _pool(prev_cf, codes))
         pairs = _passing(plan, pool, prev_cf, open_cb)
 
     survivors: list[Candidate] = []
-    first_cb = plan.wa if prev is None else -1
     cp = plan.cf[0][0]
     for binding, cb in pairs:
         if cb is None:
@@ -694,9 +713,13 @@ def _rejection_records(
     """The records of the expansion of utterance after state prev, by enumerating it again.
 
     Runs when a log is read, on codes and a plan compiled for the read,
-    so no log keeps a plan.  Where the plan links nothing back
-    (_Plan.links_nothing) every pairing passes and none is inside, so
-    there is nothing to record and nothing more is generated.
+    so no log keeps a plan.  Two kinds of expansion reject and prune
+    nothing, so their records are () and nothing more is generated: a
+    zero-less utterance whose overt slots pass, which has one binding,
+    inside, that Rule 1 cannot fail, tested before anything is
+    generated; and one whose plan links nothing back
+    (_Plan.links_nothing, on the bindings generated over the previous
+    Cf), where every pairing passes and none is inside.
     Otherwise it generates over the whole pool, as no expansion does
     unless it is a last resort, and pairs and tests each binding as
     _survivors does.  Each rejected pairing becomes a Rejection, in
@@ -707,7 +730,8 @@ def _rejection_records(
     """
     plan = _Plan.of(utterance, codes)
     prev_cf, _ = _prev_codes(prev, codes)
-    if plan.links_nothing(prev_cf):
+    clean_zero_less = plan.overt_ok and not plan.zeros
+    if clean_zero_less or plan.links_nothing(prev_cf, generate_assignments(plan, prev_cf)):
         return ()
     open_cb = prev is not None and prev.cb is None
     rejected: list[Pairing] = []
@@ -742,54 +766,15 @@ def _kept_steps(
     """Cut one expansion's survivors to beam_width, then build only those.
 
     The one place a cut is made and a candidate becomes a Step, for every
-    utterance.  When the beam_width smallest keys are all resets, the
-    reset cut (_reset_keys) generates just those; otherwise the survivors
-    of _survivors, their sibling keys, are cut in their natural order
-    (heapq.nsmallest).  The Steps are plan's utterance's.  Returns the
-    kept keys and their Steps, best first.  A Step is not yet a child:
-    _beams builds one only for a (parent, step) pair its own cut keeps.
+    utterance: the survivors of _survivors, their sibling keys, are cut in
+    their natural order (heapq.nsmallest).  Where they are only the
+    beam_width smallest resets (the reset cut), the cut keeps them all.
+    The Steps are plan's utterance's.  Returns the kept keys and their
+    Steps, best first.  A Step is not yet a child: _beams builds one only
+    for a (parent, step) pair its own cut keeps.
     """
-    keys = _reset_keys(prev, plan, config.beam_width)
-    if keys is None:
-        keys = tuple(heapq.nsmallest(config.beam_width, _survivors(prev, plan, config)))
+    keys = tuple(heapq.nsmallest(config.beam_width, _survivors(prev, plan, config)))
     return keys, tuple([_step(plan, k) for k in keys])
-
-
-def _reset_keys(
-    prev: Optional[CenterState], plan: _Plan, k: int
-) -> Optional[tuple[Candidate, ...]]:
-    """The k smallest survivor keys after prev when all k are resets, else None.
-
-    A reset binds no previous-Cf entity, so nothing links it back: its
-    key (Candidate) has no transition, no write-back and no ZTA flag, and
-    it sorts ahead of every linked candidate and zero-topic variant,
-    resets among themselves by binding.  Two conditions make the k
-    smallest keys of _survivors exactly the first k bindings generated
-    over the hearer-old entities outside the previous Cf, which come in
-    code order and so in key order:
-    - the plan links nothing back (_Plan.links_nothing): it rejects no
-      pairing and no binding is inside, so every pairing survives, and
-      a binding whose zeros stay outside the previous Cf is a reset;
-    - k resets exist: generation outside the previous Cf, cut at k,
-      gives k.  The number of hearer-old entities to the power of the
-      zeros bounds the number of resets, so a plan below k is declined
-      before anything is generated.
-    Then _survivors would reject nothing and key every pairing, so
-    generating the first k resets stands for enumerating them all.  None
-    sends the expansion down the full path.
-    """
-    codes = plan.codes
-    # Declines most long_chain frames; the inside probe in its place cost 3-6 % utt/s there.
-    if len(codes.hearer_old) ** len(plan.zeros) < k:
-        return None
-    prev_cf, _ = _prev_codes(prev, codes)
-    if not plan.links_nothing(prev_cf):
-        return None
-    resets = generate_assignments(plan, [c for c in codes.hearer_old if c not in prev_cf], limit=k)
-    if len(resets) < k:
-        return None
-    cb = plan.wa if prev is None else -1
-    return tuple([(-1, -1, (b, cb, 0)) for b in resets])
 
 
 def _step(plan: _Plan, candidate: Candidate) -> Step:

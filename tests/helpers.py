@@ -802,8 +802,8 @@ def readings_and_survivor_bindings(discourse: Discourse, config: EngineConfig) -
     """readings, plus every binding engine._survivors generates while resolve runs.
 
     The bindings are entity ids, one tuple per generation call, in call
-    order, and no log is read (reading one would enumerate the whole
-    pool again).  Bindings that _reset_keys generates are left out.
+    order, the reset cut's included, and no log is read (reading one
+    would enumerate the whole pool again).
     """
     generated = []
     survivors, generate = engine._survivors, engine.generate_assignments
